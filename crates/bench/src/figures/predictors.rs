@@ -82,7 +82,7 @@ pub struct PredictorEval {
 /// trains from its own seeded RNG on its own thread, so `workers = 1`
 /// and `workers = 8` produce bit-identical predictions.
 pub fn sweep(series: &[f64], quick: bool, workers: usize) -> Vec<PredictorEval> {
-    crate::pool::execute(PredictorKind::ALL.to_vec(), workers, |kind| {
+    fifer_core::pool::execute(PredictorKind::ALL.to_vec(), workers, |kind| {
         let (rmse, accuracy, latency_ms, preds, actuals) = evaluate(kind, series, quick);
         PredictorEval {
             kind,
@@ -118,7 +118,7 @@ pub fn fig6(ctx: &Ctx) {
     let series = wits_series(ctx);
     let mut t = Table::new(vec!["model", "rmse", "accuracy", "latency_ms"]);
     let mut lstm_csv = String::from("step,actual,predicted\n");
-    for eval in sweep(&series, ctx.quick, crate::pool::default_workers()) {
+    for eval in sweep(&series, ctx.quick, fifer_core::pool::default_workers()) {
         t.row(vec![
             eval.kind.to_string(),
             fmt_f64(eval.rmse, 2),

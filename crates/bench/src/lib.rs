@@ -11,7 +11,6 @@ pub mod figures;
 pub mod json;
 pub mod perf;
 pub mod plots;
-pub mod pool;
 pub mod runner;
 
 pub use runner::{Ctx, RunSpec, TimedRun, TraceKind};

@@ -79,12 +79,6 @@ pub struct RunSpec {
     pub min_warm_pool: usize,
     /// Number of isolated tenants (§2.1; 1 = the paper's evaluation).
     pub tenants: usize,
-    /// Event-engine shard count (0 = one per core). Results are
-    /// bit-identical at every shard count; this is a perf knob only.
-    pub shards: usize,
-    /// Run on the reference serial event engine instead of the sharded
-    /// one (the serial baseline of the `sharded` bench section).
-    pub use_serial_engine: bool,
 }
 
 impl RunSpec {
@@ -105,8 +99,6 @@ impl RunSpec {
             share_stages: true,
             min_warm_pool: 0,
             tenants: 1,
-            shards: 0,
-            use_serial_engine: false,
         }
     }
 
@@ -137,8 +129,6 @@ impl RunSpec {
             share_stages: true,
             min_warm_pool: 0,
             tenants: 1,
-            shards: 0,
-            use_serial_engine: false,
         }
     }
 
@@ -151,10 +141,7 @@ impl RunSpec {
         self
     }
 
-    /// Cache key: every field that affects the result. The engine knobs
-    /// (`shards`, `use_serial_engine`) are deliberately absent — they are
-    /// proven bit-identical, so runs differing only in engine shape share
-    /// one cache entry.
+    /// Cache key: every field that affects the result.
     fn cache_key(&self) -> String {
         format!(
             "{:?}|{:?}|{}|{}|{}|{}|{}|{}|{}|{:?}|wp{}|tn{}",
@@ -206,8 +193,6 @@ impl RunSpec {
         cfg.share_stages = self.share_stages;
         cfg.min_warm_pool = self.min_warm_pool;
         cfg.tenants = self.tenants;
-        cfg.shards = self.shards;
-        cfg.use_serial_engine = self.use_serial_engine;
         if cfg.rm.is_proactive() {
             // the paper pre-trains on 60% of the trace (§4.5.1)
             let cut = (stream.len() * 6 / 10).max(1);
@@ -360,9 +345,9 @@ impl Ctx {
                 }
             }
         }
-        let executed = crate::pool::execute(
+        let executed = fifer_core::pool::execute(
             pending,
-            crate::pool::default_workers(),
+            fifer_core::pool::default_workers(),
             |(i, spec): (usize, RunSpec)| {
                 let r = Arc::new(spec.execute());
                 self.cache_lock().insert(spec.cache_key(), Arc::clone(&r));

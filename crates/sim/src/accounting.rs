@@ -16,11 +16,6 @@ use fifer_metrics::{SimDuration, SimTime};
 use fifer_workloads::{Application, Microservice};
 use std::collections::BTreeMap;
 
-/// Containers below this count are scanned serially: spinning up the
-/// phase-work pool costs more than the scan itself. Purely a performance
-/// threshold — both paths produce identical output.
-pub(crate) const PAR_SCAN_MIN: usize = 16_384;
-
 /// Per-job live state.
 #[derive(Debug, Clone)]
 pub(crate) struct JobState {
@@ -100,39 +95,18 @@ impl Simulation<'_> {
 
     /// Snapshots every container idle past the reclamation timeout, in
     /// container-id order (the order `on_idle_deadline` documents).
-    ///
-    /// Large tables are scanned in parallel over contiguous id ranges and
-    /// concatenated in range order, which *is* container-id order — the
-    /// worker count never changes the snapshot.
     pub(crate) fn expired_idle_views(&self, now: SimTime) -> Vec<ContainerView> {
         let timeout = self.cfg.idle_timeout;
-        let expired = |c: &Container| {
-            c.is_alive() && c.is_idle() && now.saturating_since(c.last_used) >= timeout
-        };
-        let view = |c: &Container| ContainerView {
-            container: c.id,
-            stage: c.stage,
-            node: c.node,
-            last_used: c.last_used,
-        };
-        if self.par_workers > 1 && self.containers.len() >= PAR_SCAN_MIN {
-            let containers = &self.containers;
-            let ranges = crate::engine::partition_ranges(containers.len(), self.par_workers);
-            let parts = fifer_core::pool::execute(ranges, self.par_workers, |r| {
-                containers[r]
-                    .iter()
-                    .filter(|c| expired(c))
-                    .map(view)
-                    .collect::<Vec<_>>()
-            });
-            parts.into_iter().flatten().collect()
-        } else {
-            self.containers
-                .iter()
-                .filter(|c| expired(c))
-                .map(view)
-                .collect()
-        }
+        self.containers
+            .iter()
+            .filter(|c| c.is_alive() && c.is_idle() && now.saturating_since(c.last_used) >= timeout)
+            .map(|c| ContainerView {
+                container: c.id,
+                stage: c.stage,
+                node: c.node,
+                last_used: c.last_used,
+            })
+            .collect()
     }
 
     pub(crate) fn workload_drained(&self) -> bool {
@@ -190,8 +164,6 @@ impl Simulation<'_> {
             store_writes: counters.writes,
             events_processed: self.events_processed,
             peak_queue_depth: self.peak_queue_depth,
-            engine_shards: self.queue.shards(),
-            cross_shard_events: self.queue.cross_shard_events(),
         }
     }
 }

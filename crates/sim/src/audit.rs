@@ -26,28 +26,17 @@
 //!   driver's totals that end up in the [`SimResult`](crate::SimResult).
 //!
 //! Cheap O(stages + nodes) checks run on every event. The full
-//! container-table scan runs every [`DEEP_SCAN_PERIOD`]th event on the
-//! reference serial engine; on the sharded engine it runs at **epoch
-//! barriers** — monitor-tick commits, where all phase work has settled —
-//! which keeps `--audit` usable at the 50k-core scale (a per-64-event
-//! full scan over a 100k-container table would dominate the run). Both
-//! cadences deep-scan once more after the queue drains, and a clean run
-//! reports zero violations under either. Large deep scans are partitioned
-//! into contiguous container/stage ranges checked in parallel (per-shard
-//! local conservation) and merged in index order, so the worker count
-//! never changes the violation list.
+//! container-table scan runs at monitor-tick commits and once more after
+//! the queue drains, which keeps `--audit` usable at the 50k-core scale
+//! (a per-event full scan over a 100k-container table would dominate the
+//! run). A clean run reports zero violations.
 
 use crate::container::{Container, ContainerState};
 use crate::driver::Simulation;
-use crate::engine::{partition_ranges, EngineQueue, Event};
+use crate::engine::Event;
 use crate::stage::StageRuntime;
 use fifer_core::resources::ResourceVec;
 use fifer_metrics::SimTime;
-
-/// On the serial engine, deep scans run every this-many audited events;
-/// cheap conservation checks run on every one. The final commit always
-/// deep-scans.
-const DEEP_SCAN_PERIOD: u64 = 64;
 
 /// Violation messages retained verbatim; past this only the count grows
 /// (a broken invariant tends to repeat on every subsequent event).
@@ -80,16 +69,7 @@ impl Simulation<'_> {
         audit.checks += 1;
         let mut msgs = Vec::new();
         self.check_cheap(&mut msgs);
-        // Serial engine: deep-scan on a fixed event cadence. Sharded
-        // engine: deep-scan at epoch barriers (monitor-tick commits),
-        // where every shard's queues and phase work have settled.
-        let deep = match &self.queue {
-            EngineQueue::Serial(_) => audit.checks.is_multiple_of(DEEP_SCAN_PERIOD),
-            EngineQueue::Sharded(_) | EngineQueue::Parallel(_) => {
-                matches!(event, Event::MonitorTick)
-            }
-        };
-        if deep {
+        if matches!(event, Event::MonitorTick) {
             self.check_deep(&mut msgs);
         }
         if !msgs.is_empty() {
@@ -210,31 +190,8 @@ impl Simulation<'_> {
 
     /// Full scan over the container table: per-node and per-stage resource
     /// accounting, dispatch safety, and request conservation.
-    ///
-    /// Large tables are scanned as contiguous id ranges checked in
-    /// parallel; partial tallies and messages merge in range order, so the
-    /// output is identical to a serial scan regardless of worker count.
     fn check_deep(&self, out: &mut Vec<String>) {
         let nodes = self.cluster.nodes();
-        let par = self.par_workers > 1 && self.containers.len() >= crate::accounting::PAR_SCAN_MIN;
-
-        let scan = if par {
-            let containers = &self.containers;
-            let num_nodes = nodes.len();
-            let ranges = partition_ranges(containers.len(), self.par_workers);
-            let parts = fifer_core::pool::execute(ranges, self.par_workers, |r| {
-                scan_containers(&containers[r], num_nodes)
-            });
-            parts
-                .into_iter()
-                .reduce(|mut acc, p| {
-                    acc.merge(p);
-                    acc
-                })
-                .unwrap_or_else(|| ContainerScan::new(num_nodes))
-        } else {
-            scan_containers(&self.containers, nodes.len())
-        };
         let ContainerScan {
             msgs,
             pods,
@@ -245,7 +202,7 @@ impl Simulation<'_> {
             used,
             borrowed,
             lent,
-        } = scan;
+        } = scan_containers(&self.containers, nodes.len());
         out.extend(msgs);
 
         if alive != self.live_count {
@@ -318,24 +275,7 @@ impl Simulation<'_> {
             }
         }
 
-        let listed = if par {
-            let stages = &self.stages;
-            let containers = &self.containers;
-            let ranges = partition_ranges(stages.len(), self.par_workers);
-            let parts = fifer_core::pool::execute(ranges, self.par_workers, |r| {
-                scan_stages(&stages[r.clone()], r.start, containers)
-            });
-            let mut listed = 0usize;
-            for (msgs, n) in parts {
-                out.extend(msgs);
-                listed += n;
-            }
-            listed
-        } else {
-            let (msgs, listed) = scan_stages(&self.stages, 0, &self.containers);
-            out.extend(msgs);
-            listed
-        };
+        let listed = scan_stages(&self.stages, &self.containers, out);
         if listed != alive {
             out.push(format!(
                 "stage container lists hold {listed} entries but {alive} containers are alive"
@@ -359,10 +299,8 @@ impl Simulation<'_> {
     }
 }
 
-/// Tallies from one contiguous slice of the container table. Partials
-/// from different slices merge by elementwise addition (and message
-/// concatenation in slice order), so any partition of the table yields
-/// the same whole.
+/// Per-node tallies and violation messages from one pass over the
+/// container table.
 struct ContainerScan {
     msgs: Vec<String>,
     pods: Vec<usize>,
@@ -379,51 +317,19 @@ struct ContainerScan {
     lent: Vec<ResourceVec>,
 }
 
-impl ContainerScan {
-    fn new(num_nodes: usize) -> Self {
-        ContainerScan {
-            msgs: Vec::new(),
-            pods: vec![0; num_nodes],
-            executing: vec![0; num_nodes],
-            alive: 0,
-            bound: 0,
-            alloc: vec![ResourceVec::ZERO; num_nodes],
-            used: vec![ResourceVec::ZERO; num_nodes],
-            borrowed: vec![ResourceVec::ZERO; num_nodes],
-            lent: vec![ResourceVec::ZERO; num_nodes],
-        }
-    }
-
-    fn merge(&mut self, other: ContainerScan) {
-        self.msgs.extend(other.msgs);
-        for (a, b) in self.pods.iter_mut().zip(other.pods) {
-            *a += b;
-        }
-        for (a, b) in self.executing.iter_mut().zip(other.executing) {
-            *a += b;
-        }
-        self.alive += other.alive;
-        self.bound += other.bound;
-        for (a, b) in self.alloc.iter_mut().zip(other.alloc) {
-            *a += b;
-        }
-        for (a, b) in self.used.iter_mut().zip(other.used) {
-            *a += b;
-        }
-        for (a, b) in self.borrowed.iter_mut().zip(other.borrowed) {
-            *a += b;
-        }
-        for (a, b) in self.lent.iter_mut().zip(other.lent) {
-            *a += b;
-        }
-    }
-}
-
-/// Dispatch-safety and per-node tallies over one slice of the container
-/// table (messages reference container ids, so slicing never changes
-/// them).
+/// Dispatch-safety checks and per-node tallies over the container table.
 fn scan_containers(containers: &[Container], num_nodes: usize) -> ContainerScan {
-    let mut scan = ContainerScan::new(num_nodes);
+    let mut scan = ContainerScan {
+        msgs: Vec::new(),
+        pods: vec![0; num_nodes],
+        executing: vec![0; num_nodes],
+        alive: 0,
+        bound: 0,
+        alloc: vec![ResourceVec::ZERO; num_nodes],
+        used: vec![ResourceVec::ZERO; num_nodes],
+        borrowed: vec![ResourceVec::ZERO; num_nodes],
+        lent: vec![ResourceVec::ZERO; num_nodes],
+    };
     for c in containers {
         match c.state {
             ContainerState::Dead => {
@@ -479,18 +385,11 @@ fn scan_containers(containers: &[Container], num_nodes: usize) -> ContainerScan 
     scan
 }
 
-/// Per-stage index/ledger checks over `stages[base..base + stages.len()]`
-/// of the stage table; returns the violation messages and the number of
-/// stage-listed containers seen.
-fn scan_stages(
-    stages: &[StageRuntime],
-    base: usize,
-    containers: &[Container],
-) -> (Vec<String>, usize) {
-    let mut out = Vec::new();
+/// Per-stage index/ledger checks over the stage table; pushes violation
+/// messages to `out` and returns the number of stage-listed containers.
+fn scan_stages(stages: &[StageRuntime], containers: &[Container], out: &mut Vec<String>) -> usize {
     let mut listed = 0usize;
-    for (off, s) in stages.iter().enumerate() {
-        let sidx = base + off;
+    for (sidx, s) in stages.iter().enumerate() {
         let mut free = 0usize;
         let mut stage_exec = 0usize;
         let mut stage_alloc = ResourceVec::ZERO;
@@ -557,7 +456,7 @@ fn scan_stages(
             ));
         }
     }
-    (out, listed)
+    listed
 }
 
 #[cfg(test)]

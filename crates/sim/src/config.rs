@@ -116,41 +116,6 @@ pub struct SimConfig {
     /// differential tests (and skeptical users) can check that end to
     /// end. Slower — per-timestep heap allocation — and off by default.
     pub use_reference_nn: bool,
-    /// Event-engine shard count: `0` (the default) auto-sizes to one shard
-    /// per available core; any other value is clamped to
-    /// `[1, MAX_SHARDS]`(crate::engine::MAX_SHARDS). Shards partition the
-    /// pending-event set and bound the worker count for parallel phase
-    /// work (idle scans, audit deep scans); every shard count produces
-    /// bit-identical results — the engine commits events in one global
-    /// `(time, seq)` total order regardless. See [`crate::engine`].
-    pub shards: usize,
-    /// Epoch-worker count for the parallel engine: `0` (the default)
-    /// auto-sizes to `min(cores, shards)`; any other value is clamped to
-    /// `[1, shards]`. Worker count never affects results — only how many
-    /// threads drain each epoch's lookahead window.
-    pub workers: usize,
-    /// Conservative lookahead window for the parallel engine. `None` (the
-    /// default) derives it per run from the minimum cross-shard
-    /// interaction latency — min chain hand-off overhead, cold-start
-    /// floor, tick interval, fault latency — clamped to `[100µs, 1s]`.
-    /// Any explicit value is safe (identity holds by construction); wider
-    /// windows amortize the epoch barrier over more events, narrower ones
-    /// keep mid-commit schedules off the overflow path.
-    pub lookahead: Option<SimDuration>,
-    /// Run on the reference serial event engine
-    /// ([`EventQueue`](crate::engine::EventQueue)) instead of the parallel
-    /// one. The two are required to produce bit-identical runs; this flag
-    /// exists so differential tests (and skeptical users) can check that
-    /// end to end, mirroring `use_reference_scheduler`/`use_reference_nn`.
-    /// Off by default.
-    pub use_serial_engine: bool,
-    /// Run on the head-merging sharded engine
-    /// ([`ShardedEventQueue`](crate::engine::ShardedEventQueue)) — the
-    /// single-threaded middle ground kept as a second differential
-    /// reference for the parallel engine. Bit-identical to both the serial
-    /// and parallel engines; off by default. Ignored when
-    /// `use_serial_engine` is set.
-    pub use_merge_engine: bool,
     /// Structured decision trace (ring capacity + optional JSONL export).
     /// Disabled by default; see [`crate::trace`].
     pub trace: TraceConfig,
@@ -192,11 +157,6 @@ impl SimConfig {
             seed: 1,
             use_reference_scheduler: false,
             use_reference_nn: false,
-            shards: 0,
-            workers: 0,
-            lookahead: None,
-            use_serial_engine: false,
-            use_merge_engine: false,
             trace: TraceConfig::default(),
             faults: FaultPlan::none(),
             audit: false,
@@ -276,19 +236,6 @@ mod tests {
     fn large_scale_is_about_2500_cores() {
         let c = ClusterConfig::large_scale();
         assert!((2400.0..=2600.0).contains(&c.total_cores()));
-    }
-
-    #[test]
-    fn engine_knobs_default_to_auto_sharded() {
-        let cfg = SimConfig::prototype(RmKind::Bline.config(), 50.0);
-        assert_eq!(cfg.shards, 0, "0 means one shard per core");
-        assert_eq!(cfg.workers, 0, "0 means one worker per core");
-        assert_eq!(cfg.lookahead, None, "lookahead auto-derives by default");
-        assert!(!cfg.use_serial_engine, "parallel engine is the default");
-        assert!(!cfg.use_merge_engine, "merge engine is opt-in only");
-        let large = SimConfig::large_scale(RmKind::Fifer.config(), 50.0);
-        assert_eq!(large.shards, 0);
-        assert!(!large.use_serial_engine);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! system's cold-start, image-load and transition latencies (§5.2). This
 //! crate is that simulator, rebuilt from scratch:
 //!
-//! * [`engine`] — the event engines (the serial reference, the
-//!   merge-sharded reference, and the default conservative-lookahead
-//!   parallel epoch engine, all bit-identical) and the simulation clock,
+//! * [`engine`] — the event queue (a sorted arrival slab plus one heap,
+//!   committed in `(time, seq)` order) and the simulation clock,
 //! * [`config`] — simulation parameters (Tables 1–2 defaults),
 //! * [`cluster`] — nodes, CPU/memory accounting and the greedy
 //!   bin-packing node selection (§4.4.2),

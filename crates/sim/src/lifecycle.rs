@@ -159,19 +159,15 @@ impl Simulation<'_> {
             stage: sidx,
             node,
         });
-        self.queue.schedule_owned(
-            id as usize,
-            now + cold,
-            Event::ContainerWarm { container: id },
-        );
+        self.queue
+            .schedule(now + cold, Event::ContainerWarm { container: id });
         // fault plan: some spawns are doomed — the container dies shortly
         // after creation (image corruption, OOM on init, …). The draw is
         // guarded so an inactive plan never touches the fault RNG.
         if self.cfg.faults.spawn_fail_prob > 0.0
             && self.fault_rng.gen_bool(self.cfg.faults.spawn_fail_prob)
         {
-            self.queue.schedule_owned(
-                id as usize,
+            self.queue.schedule(
                 now + self.cfg.faults.spawn_fail_latency,
                 Event::ContainerCrash {
                     container: id,

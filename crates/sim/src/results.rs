@@ -119,16 +119,6 @@ pub struct SimResult {
     /// queues at any instant (tracked incrementally, not just at monitor
     /// ticks).
     pub peak_queue_depth: u64,
-    /// Event-engine shard count the run used (1 on the reference serial
-    /// engine). Not serialized: the shard count must never change an
-    /// artifact — bit-identity across shard counts is the engine's core
-    /// guarantee.
-    pub engine_shards: usize,
-    /// Events scheduled across shard boundaries — the deterministic
-    /// exchange traffic (job handoffs between stage shards, tick-driven
-    /// spawns, remote fault events). 0 on the serial engine. Not
-    /// serialized, for the same reason as `engine_shards`.
-    pub cross_shard_events: u64,
 }
 
 impl SimResult {
@@ -533,8 +523,6 @@ mod tests {
             store_writes: 7,
             events_processed: 11,
             peak_queue_depth: 4,
-            engine_shards: 1,
-            cross_shard_events: 0,
         }
     }
 

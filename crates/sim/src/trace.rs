@@ -11,10 +11,9 @@
 //!
 //! Every recorded event carries a **global sequence number** assigned at
 //! commit time from one monotonic counter. Because the engine commits
-//! events in a single `(time, seq)` total order regardless of shard
-//! count, the sequence numbers — and therefore the JSONL export — are
-//! stable across the serial engine and every sharded configuration: a
-//! merged trace replays in exactly one deterministic order.
+//! events in a single `(time, seq)` total order, the sequence numbers —
+//! and therefore the JSONL export — are stable from run to run: a trace
+//! replays in exactly one deterministic order.
 //!
 //! Tracing is configured via [`TraceConfig`] on
 //! [`SimConfig`](crate::config::SimConfig) and is zero-cost when disabled:
@@ -428,8 +427,7 @@ impl SimTrace {
     }
 
     /// Retained events with their global commit sequence numbers, oldest
-    /// first. Sequence numbers are stable across engine variants and
-    /// shard counts.
+    /// first. Sequence numbers are stable from run to run.
     pub fn entries(&self) -> impl Iterator<Item = (u64, &SimEvent)> {
         self.ring.iter().map(|(s, e)| (*s, e))
     }

@@ -38,10 +38,6 @@ struct Args {
     decision_trace: Option<String>,
     faults: FaultPlan,
     audit: bool,
-    shards: usize,
-    workers: usize,
-    lookahead: Option<SimDuration>,
-    serial_engine: bool,
     harvest: bool,
     rightsize: bool,
     model_cache: Option<String>,
@@ -86,15 +82,7 @@ fn usage() -> ! {
                                                    from the cache with bit-identical forecasts\n\
          --online-retrain                          keep fine-tuning the neural predictor on the\n\
                                                    observed rate tail during the run (paper §8)\n\
-         --audit                                   run the invariant auditor at every event commit\n\
-         --shards <n>                              event-engine shards (default 0 = one per core);\n\
-                                                   results are bit-identical at every shard count\n\
-         --workers <n>                             epoch workers for the parallel engine (default\n\
-                                                   0 = min(cores, shards)); never affects results\n\
-         --lookahead <ms>                          conservative lookahead window in milliseconds\n\
-                                                   (default: derived from the minimum cross-shard\n\
-                                                   latency); any value preserves bit-identity\n\
-         --serial-engine                           use the reference serial event engine"
+         --audit                                   run the invariant auditor at every event commit"
     );
     exit(2)
 }
@@ -122,10 +110,6 @@ fn parse_args() -> Args {
         decision_trace: None,
         faults: FaultPlan::none(),
         audit: false,
-        shards: 0,
-        workers: 0,
-        lookahead: None,
-        serial_engine: false,
         harvest: false,
         rightsize: false,
         model_cache: None,
@@ -205,13 +189,6 @@ fn parse_args() -> Args {
             "--rightsize" => args.rightsize = true,
             "--model-cache" => args.model_cache = Some(value(&mut i)),
             "--online-retrain" => args.online_retrain = true,
-            "--shards" => args.shards = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--workers" => args.workers = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--lookahead" => {
-                let ms: f64 = value(&mut i).parse().unwrap_or_else(|_| usage());
-                args.lookahead = Some(SimDuration::from_millis_f64(ms));
-            }
-            "--serial-engine" => args.serial_engine = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("error: unknown argument {other:?}");
@@ -324,10 +301,6 @@ fn main() {
         cfg.tenants = args.tenants.max(1);
         cfg.faults = args.faults.clone();
         cfg.audit = args.audit;
-        cfg.shards = args.shards;
-        cfg.workers = args.workers;
-        cfg.lookahead = args.lookahead;
-        cfg.use_serial_engine = args.serial_engine;
         if args.harvest || args.rightsize {
             // bolt harvesting / right-sizing onto any RM: paper-default
             // lending knobs, switches set by the flags actually passed

@@ -41,6 +41,22 @@ fn unknown_rm_is_a_named_error() {
 }
 
 #[test]
+fn removed_engine_flags_are_unknown_arguments() {
+    // the simulator has one event engine; its old selection knobs are gone
+    for args in [
+        &["--shards", "4"][..],
+        &["--workers", "2"],
+        &["--lookahead", "1"],
+        &["--serial-engine"],
+    ] {
+        let out = fifer().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown argument"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn invalid_early_exit_rejected() {
     let out = fifer()
         .args(["--early-exit", "1.5"])

@@ -2,7 +2,10 @@
 //! and configurations must never break the simulator's accounting.
 
 use fifer::prelude::*;
+use fifer::sim::engine::{Event, EventQueue};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 fn arbitrary_mix() -> impl Strategy<Value = WorkloadMix> {
     prop_oneof![
@@ -267,53 +270,6 @@ proptest! {
         prop_assert_eq!(&baseline, &mk(inert, true));
     }
 
-    /// The sharded event engine is bit-identical to the serial reference
-    /// for arbitrary small clusters, workloads and fault plans, at shard
-    /// counts that do not divide anything evenly ({1, 2, 3, 7}): headline
-    /// JSON and the seq-numbered decision-trace JSONL match byte for byte.
-    #[test]
-    fn sharding_is_bit_identical_for_random_runs(
-        seed in 0u64..500,
-        rate in 2.0f64..8.0,
-        nodes in 1usize..6,
-        secs in 10u64..25,
-        rm in arbitrary_rm(),
-        plan in arbitrary_fault_plan(),
-    ) {
-        let stream = JobStream::generate(
-            &PoissonTrace::new(rate),
-            WorkloadMix::Medium,
-            SimDuration::from_secs(secs),
-            seed,
-        );
-        let mut plan = plan;
-        // the sampled outage may target a node the shrunk cluster lacks
-        plan.outages.retain(|o| o.node < nodes);
-        let run = |serial: bool, shards: usize| {
-            let mut cfg = SimConfig::prototype(rm.config(), rate);
-            cfg.cluster.nodes = nodes;
-            cfg.seed = seed;
-            cfg.faults = plan.clone();
-            cfg.use_serial_engine = serial;
-            cfg.shards = shards;
-            cfg.trace.capacity = 1 << 16;
-            let (r, trace) = Simulation::new(cfg, &stream).run_with_trace();
-            (r.to_json(), trace.to_jsonl())
-        };
-        let serial = run(true, 0);
-        for shards in [1usize, 2, 3, 7] {
-            let sharded = run(false, shards);
-            prop_assert_eq!(
-                &serial.0, &sharded.0,
-                "{} @ {} shards: headline JSON diverged", rm, shards
-            );
-            prop_assert_eq!(
-                &serial.1, &sharded.1,
-                "{} @ {} shards: trace JSONL diverged", rm, shards
-            );
-        }
-    }
-
     /// Harvesting under arbitrary knobs, workloads and fault plans, with
     /// the auditor checking every event commit: the resource conservation
     /// chain (`used ≤ allocated ≤ capacity`, exact integers), the lease
@@ -567,5 +523,94 @@ proptest! {
         };
         let m = proactive_containers_needed(&p);
         prop_assert!(m < 1_000_000, "proactive count {m} must stay bounded");
+    }
+}
+
+/// The plain-heap oracle: one binary heap over every event keyed by
+/// `(time, seq)`, with preloads treated as ordinary schedules. Its pop
+/// order is the commit order the simulator's event queue must replay.
+#[derive(Default)]
+struct HeapOracle {
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    events: Vec<Event>,
+    now: SimTime,
+}
+
+impl HeapOracle {
+    fn schedule(&mut self, at: SimTime, event: Event) {
+        self.heap.push(Reverse((at, self.events.len() as u64)));
+        self.events.push(event);
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        let Reverse((at, seq)) = self.heap.pop()?;
+        self.now = at;
+        Some((at, self.events[seq as usize]))
+    }
+}
+
+/// A delay in microseconds: zero (a schedule at `now`, tying with
+/// whatever else is pending there), tiny, or far in the future.
+fn arbitrary_delay_us() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 0u64..3, 0u64..20_000]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The event queue (arrival slab plus heap) pops exactly the sequence
+    /// the plain-heap oracle pops: random preload runs with tied arrival
+    /// times, startup schedules before them, tick schedules after them,
+    /// and run-time schedules at `now` and in the future while draining.
+    /// `len` and `now` match the oracle after every step.
+    #[test]
+    fn event_queue_matches_the_plain_heap_oracle(
+        startup in prop::collection::vec(0u64..2_000, 0..8),
+        gaps in prop::collection::vec(prop_oneof![Just(0u64), 0u64..1_000], 0..64),
+        ticks in prop::collection::vec(0u64..50_000, 0..4),
+        fanout in prop::collection::vec(
+            prop::collection::vec(arbitrary_delay_us(), 0..4),
+            0..96,
+        ),
+    ) {
+        let mut q = EventQueue::new();
+        let mut oracle = HeapOracle::default();
+        let mut next_container = 0u64;
+        let mut schedule_both = |q: &mut EventQueue, oracle: &mut HeapOracle, at: SimTime| {
+            next_container += 1;
+            let e = Event::TaskFinish { container: next_container };
+            q.schedule(at, e);
+            oracle.schedule(at, e);
+        };
+        for &t in &startup {
+            schedule_both(&mut q, &mut oracle, SimTime::from_micros(t));
+        }
+        let mut at = 0u64;
+        for (job, &gap) in gaps.iter().enumerate() {
+            at += gap;
+            let e = Event::JobArrival { job };
+            q.preload_arrival(SimTime::from_micros(at), e);
+            oracle.schedule(SimTime::from_micros(at), e);
+        }
+        for &t in &ticks {
+            schedule_both(&mut q, &mut oracle, SimTime::from_micros(t));
+        }
+        prop_assert_eq!(q.len(), oracle.heap.len());
+        prop_assert_eq!(q.now(), SimTime::ZERO);
+
+        let mut pops = 0usize;
+        loop {
+            let got = q.pop();
+            prop_assert_eq!(got, oracle.pop(), "pop {} diverged", pops);
+            let Some((t, _)) = got else { break };
+            prop_assert_eq!(q.now(), oracle.now);
+            for &d in fanout.get(pops).map(Vec::as_slice).unwrap_or_default() {
+                schedule_both(&mut q, &mut oracle, t + SimDuration::from_micros(d));
+            }
+            prop_assert_eq!(q.len(), oracle.heap.len());
+            pops += 1;
+        }
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(pops, oracle.events.len());
     }
 }
