@@ -1,14 +1,12 @@
 //! Criterion benchmarks for the NN substrate underneath the neural
-//! predictors: the matvec kernels (reference vs write-into vs the
+//! predictors: the matvec kernels (row-major write-into vs the
 //! column-major mirror the LSTM hot path uses), one LstmCell forward
 //! step, a full forward+backward+Adam round, and an end-to-end
-//! `train_epochs` round on both NN paths — the microscope behind the
-//! `nn` section of `BENCH_simulator.json`.
+//! `train_epochs` round — the microscope behind the `nn` section of
+//! `BENCH_simulator.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fifer_predict::nn::{
-    matvec, matvec_colmajor_into, matvec_into, transpose_into, LstmCell, LstmState,
-};
+use fifer_predict::nn::{matvec_colmajor_into, matvec_into, transpose_into, LstmCell, LstmState};
 use fifer_predict::train::TrainConfig;
 use fifer_predict::{LoadPredictor, LstmPredictor};
 use rand::rngs::StdRng;
@@ -28,9 +26,6 @@ fn bench_matvec(c: &mut Criterion) {
     let mut y = vec![0.0; ROWS];
 
     let mut g = c.benchmark_group("matvec_128x32");
-    g.bench_function("reference_alloc", |b| {
-        b.iter(|| black_box(matvec(black_box(&w), ROWS, COLS, black_box(&x))))
-    });
     g.bench_function("into", |b| {
         b.iter(|| matvec_into(black_box(&w), ROWS, COLS, black_box(&x), &mut y))
     });
@@ -87,14 +82,12 @@ fn bench_train_round(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("lstm_train_one_epoch");
     g.sample_size(10);
-    for (label, reference) in [("optimized", false), ("reference", true)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut p = LstmPredictor::new(cfg, 32, 1, 2).with_reference_nn(reference);
-                p.pretrain(black_box(&series));
-            })
-        });
-    }
+    g.bench_function("pretrain", |b| {
+        b.iter(|| {
+            let mut p = LstmPredictor::new(cfg, 32, 1, 2);
+            p.pretrain(black_box(&series));
+        })
+    });
     g.finish();
 }
 

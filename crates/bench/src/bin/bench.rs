@@ -14,10 +14,8 @@
 //!    pre-training fans out across the thread pool; replays are timed
 //!    one at a time so wall-clocks stay uncontended.
 //! 3. **nn** — times the Fifer LSTM's pre-training and per-forecast cost
-//!    on the replay's own training series, on both the flat-workspace
-//!    path and the reference per-step-allocating path (bit-identical by
-//!    construction; the differential suites prove it), and reports the
-//!    speedups. On top it measures the production serving path: the
+//!    on the replay's own training series. On top it measures the
+//!    production serving path: the
 //!    early-stopped pretrain (epochs saved, walk-forward accuracy delta
 //!    vs the full fixed-epoch run), the checkpoint round-trip (store and
 //!    load cost, forecast bit-identity), and `fifer_e2e_s` — the
@@ -58,6 +56,7 @@ use fifer_metrics::report::write_file;
 use fifer_metrics::SimDuration;
 use fifer_predict::train::{train_test_split, TrainConfig};
 use fifer_predict::{accuracy, LoadPredictor, LstmPredictor, ModelCache, PredictorKind};
+use fifer_sim::config::MONITOR_INTERVAL;
 use fifer_sim::driver::Simulation;
 use fifer_workloads::{AzureWorkloadConfig, WorkloadMix};
 use std::hint::black_box;
@@ -115,10 +114,8 @@ struct WildSection {
 struct NnRow {
     series_len: usize,
     pretrain_ns: u128,
-    reference_pretrain_ns: u128,
     forecast_calls: u32,
     forecast_ns_per_call: f64,
-    reference_forecast_ns_per_call: f64,
     early_stop: EarlyStopStats,
     warm_start: WarmStartStats,
     /// Production end-to-end Fifer wall-clock: early-stopped pre-training
@@ -156,7 +153,6 @@ struct WarmStartStats {
 /// machine-to-machine noise.
 const MIN_DISPATCH_SPEEDUP: f64 = 1.5;
 const MIN_FIFER_EVENTS_PER_SEC: f64 = 200_000.0;
-const MIN_NN_PRETRAIN_SPEEDUP: f64 = 1.05;
 /// Harvesting must cut allocated-but-unused core-hours to at most this
 /// fraction of Bline's waste on the same replay…
 const MAX_HARVEST_WASTE_VS_BLINE: f64 = 0.9;
@@ -278,12 +274,9 @@ fn main() {
         |kind: RmKind| {
             let (cfg, stream) = spec_for(kind).build_parts();
             let t0 = Instant::now();
-            let (rm, warm) = cfg.rm.build_rm_served(
-                cfg.seed,
-                &cfg.pretrain_series,
-                cfg.use_reference_nn,
-                cache.as_ref(),
-            );
+            let (rm, warm) = cfg
+                .rm
+                .build_rm_served(cfg.seed, &cfg.pretrain_series, cache.as_ref());
             (kind, cfg, stream, rm, warm, t0.elapsed().as_secs_f64())
         },
     );
@@ -371,7 +364,7 @@ fn main() {
         );
     }
 
-    println!("\n## nn: Fifer LSTM pretrain + forecast, optimized vs reference");
+    println!("\n## nn: Fifer LSTM pretrain + forecast");
     let fifer_replay_s = replay
         .iter()
         .find(|r| r.rm == "Fifer")
@@ -379,15 +372,13 @@ fn main() {
         .unwrap_or(0.0);
     let nn = nn_bench(&spec_for(RmKind::Fifer), fifer_replay_s);
     println!(
-        "pretrain: optimized {:.2} s, reference {:.2} s, speedup {:.2}x ({} series points)",
+        "pretrain: {:.2} s ({} series points)",
         nn.pretrain_ns as f64 / 1e9,
-        nn.reference_pretrain_ns as f64 / 1e9,
-        nn.reference_pretrain_ns as f64 / nn.pretrain_ns as f64,
         nn.series_len,
     );
     println!(
-        "forecast: optimized {:.0} ns/call, reference {:.0} ns/call over {} calls",
-        nn.forecast_ns_per_call, nn.reference_forecast_ns_per_call, nn.forecast_calls,
+        "forecast: {:.0} ns/call over {} calls",
+        nn.forecast_ns_per_call, nn.forecast_calls,
     );
     println!(
         "early stop: {} of {} epochs in {:.2} s (patience {}, min-delta {}, warmup {}), \
@@ -459,9 +450,7 @@ fn wild_bench(quick: bool) -> WildSection {
         fifer_core::pool::default_workers(),
         move |kind: RmKind| {
             let (cfg, stream) = azure_parts(kind.config(), &azure, horizon, warmup, 42);
-            let rm = cfg
-                .rm
-                .build_rm_with(cfg.seed, &cfg.pretrain_series, cfg.use_reference_nn);
+            let rm = cfg.rm.build_rm(cfg.seed, &cfg.pretrain_series);
             (kind, cfg, stream, rm)
         },
     );
@@ -491,9 +480,9 @@ fn wild_bench(quick: bool) -> WildSection {
 }
 
 /// Times the Fifer LSTM on the replay run's own pre-training series:
-/// full pre-training on both NN paths, then the per-forecast cost at one
-/// forecast per monitor interval of the replay horizon. On top of the
-/// paper-path timings it measures the production serving path: early
+/// full pre-training, then the per-forecast cost at one forecast per
+/// monitor interval of the replay horizon. On top of the paper-path
+/// timings it measures the production serving path: early
 /// stopping (epochs saved + walk-forward accuracy versus the full run),
 /// the checkpoint round-trip (store/load cost + forecast bit-identity),
 /// and the end-to-end Fifer wall-clock (early-stopped pretrain plus the
@@ -502,31 +491,26 @@ fn nn_bench(spec: &RunSpec, fifer_replay_s: f64) -> NnRow {
     let (cfg, _stream) = spec.build_parts();
     let series = &cfg.pretrain_series;
     let forecast_calls =
-        (spec.horizon.as_secs_f64() / cfg.monitor_interval.as_secs_f64()).max(1.0) as u32;
+        (spec.horizon.as_secs_f64() / MONITOR_INTERVAL.as_secs_f64()).max(1.0) as u32;
 
-    let time_path = |reference: bool| -> (u128, f64) {
-        let mut p = PredictorKind::Lstm.build_with(cfg.seed, reference);
-        let t0 = Instant::now();
-        p.pretrain(series);
-        let pretrain_ns = t0.elapsed().as_nanos();
-        for &v in &series[series.len().saturating_sub(32)..] {
-            p.observe(v);
-        }
-        let t1 = Instant::now();
-        for i in 0..forecast_calls {
-            // one observe + forecast per monitor tick, like the live loop
-            let sample = series
-                .get(i as usize % series.len().max(1))
-                .copied()
-                .unwrap_or(1.0);
-            p.observe(sample);
-            black_box(p.forecast());
-        }
-        let per_call = t1.elapsed().as_nanos() as f64 / f64::from(forecast_calls);
-        (pretrain_ns, per_call)
-    };
-    let (pretrain_ns, forecast_ns_per_call) = time_path(false);
-    let (reference_pretrain_ns, reference_forecast_ns_per_call) = time_path(true);
+    let mut p = PredictorKind::Lstm.build(cfg.seed);
+    let t0 = Instant::now();
+    p.pretrain(series);
+    let pretrain_ns = t0.elapsed().as_nanos();
+    for &v in &series[series.len().saturating_sub(32)..] {
+        p.observe(v);
+    }
+    let t1 = Instant::now();
+    for i in 0..forecast_calls {
+        // one observe + forecast per monitor tick, like the live loop
+        let sample = series
+            .get(i as usize % series.len().max(1))
+            .copied()
+            .unwrap_or(1.0);
+        p.observe(sample);
+        black_box(p.forecast());
+    }
+    let forecast_ns_per_call = t1.elapsed().as_nanos() as f64 / f64::from(forecast_calls);
 
     // --- production path: early-stopped pretrain on the full series.
     // This is what a deployed Fifer pays before replay, so its wall-clock
@@ -586,10 +570,8 @@ fn nn_bench(spec: &RunSpec, fifer_replay_s: f64) -> NnRow {
     NnRow {
         series_len: series.len(),
         pretrain_ns,
-        reference_pretrain_ns,
         forecast_calls,
         forecast_ns_per_call,
-        reference_forecast_ns_per_call,
         early_stop: EarlyStopStats {
             patience: prod.patience,
             min_delta: prod.min_delta,
@@ -671,15 +653,8 @@ fn render_json(
     }
     s.push_str("    }\n  },\n");
     s.push_str(&format!(
-        "  \"nn\": {{\n    \"model\": \"lstm\",\n    \"series_len\": {},\n    \"pretrain_ns\": {},\n    \"reference_pretrain_ns\": {},\n    \"pretrain_speedup\": {:.2},\n    \"forecast_calls\": {},\n    \"forecast_ns_per_call\": {:.0},\n    \"reference_forecast_ns_per_call\": {:.0},\n    \"forecast_speedup\": {:.2},\n",
-        nn.series_len,
-        nn.pretrain_ns,
-        nn.reference_pretrain_ns,
-        nn.reference_pretrain_ns as f64 / nn.pretrain_ns.max(1) as f64,
-        nn.forecast_calls,
-        nn.forecast_ns_per_call,
-        nn.reference_forecast_ns_per_call,
-        nn.reference_forecast_ns_per_call / nn.forecast_ns_per_call.max(1.0),
+        "  \"nn\": {{\n    \"model\": \"lstm\",\n    \"series_len\": {},\n    \"pretrain_ns\": {},\n    \"forecast_calls\": {},\n    \"forecast_ns_per_call\": {:.0},\n",
+        nn.series_len, nn.pretrain_ns, nn.forecast_calls, nn.forecast_ns_per_call,
     ));
     s.push_str(&format!(
         "    \"early_stop\": {{ \"patience\": {}, \"min_delta\": {}, \"warmup\": {}, \"epochs_budget\": {}, \"epochs_run\": {}, \"pretrain_ns\": {}, \"accuracy_full\": {:.6}, \"accuracy_early\": {:.6}, \"accuracy_delta_pct\": {:.4} }},\n",
@@ -791,20 +766,10 @@ fn validate(body: &str) -> Result<(), Vec<String>> {
     for field in [
         "series_len",
         "pretrain_ns",
-        "reference_pretrain_ns",
         "forecast_calls",
         "forecast_ns_per_call",
-        "reference_forecast_ns_per_call",
-        "forecast_speedup",
     ] {
         num_at(&doc, &mut problems, &format!("nn.{field}"));
-    }
-    if let Some(speedup) = num_at(&doc, &mut problems, "nn.pretrain_speedup") {
-        if speedup < MIN_NN_PRETRAIN_SPEEDUP {
-            problems.push(format!(
-                "nn pretrain speedup {speedup:.2} below floor {MIN_NN_PRETRAIN_SPEEDUP}"
-            ));
-        }
     }
     // production serving: early stopping must not trade away accuracy,
     // the checkpoint round-trip must be bit-exact, and on full-scale runs

@@ -216,9 +216,7 @@ impl RunSpec {
     pub fn execute_timed(&self) -> TimedRun {
         let (cfg, stream) = self.build_parts();
         let t0 = std::time::Instant::now();
-        let rm = cfg
-            .rm
-            .build_rm_with(cfg.seed, &cfg.pretrain_series, cfg.use_reference_nn);
+        let rm = cfg.rm.build_rm(cfg.seed, &cfg.pretrain_series);
         let pretrain_s = t0.elapsed().as_secs_f64();
         let sim = Simulation::with_resource_manager(cfg, &stream, rm);
         let t1 = std::time::Instant::now();

@@ -2,10 +2,8 @@
 //! frameworks. Used by the `tab6` experiment driver to regenerate the
 //! paper's comparison table.
 
-use serde::{Deserialize, Serialize};
-
 /// The eight feature dimensions of Table 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Feature {
     /// Consolidates containers onto fewer servers.
     ServerConsolidation,
@@ -54,7 +52,7 @@ impl Feature {
 }
 
 /// The systems compared in Table 6 (columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComparedSystem {
     /// GrandSLAm (EuroSys '19).
     GrandSlam,

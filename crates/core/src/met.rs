@@ -7,10 +7,9 @@
 //! over `(input_size, exec_time)` profiling samples.
 
 use fifer_metrics::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A fitted `exec_time = intercept + slope · input_size` estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetModel {
     intercept_ms: f64,
     slope_ms: f64,

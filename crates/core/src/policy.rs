@@ -446,14 +446,13 @@ impl LoadModel {
         choice: PredictorChoice,
         seed: u64,
         pretrain: &[f64],
-        reference_nn: bool,
         online: OnlineRetrainConfig,
         cache: Option<&ModelCache>,
     ) -> (Self, WarmStart) {
         let PredictorChoice::Model(kind) = choice else {
             return (LoadModel { predictor: None }, WarmStart::NotApplicable);
         };
-        let mut p = kind.build_with(seed, reference_nn);
+        let mut p = kind.build(seed);
         if online.enabled {
             p.enable_online_retraining(online.every as usize, online.epochs as usize);
         }
@@ -1071,32 +1070,10 @@ impl RmConfig {
     /// predictor; `pretrain` optionally pre-trains it on a historical
     /// window-max rate series (§4.5.1).
     pub fn build_rm(&self, seed: u64, pretrain: &[f64]) -> Box<dyn ResourceManager> {
-        self.build_rm_with(seed, pretrain, false)
+        self.build_rm_served(seed, pretrain, None).0
     }
 
-    /// [`build_rm`](Self::build_rm) with an explicit NN-path selection:
-    /// `reference_nn` routes any neural predictor through the original
-    /// scalar implementation instead of the flat-workspace one
-    /// (bit-identical; for differential testing).
-    pub fn build_rm_with(
-        &self,
-        seed: u64,
-        pretrain: &[f64],
-        reference_nn: bool,
-    ) -> Box<dyn ResourceManager> {
-        let load = LoadModel::build_served(
-            self.predictor,
-            seed,
-            pretrain,
-            reference_nn,
-            self.online_retrain,
-            None,
-        )
-        .0;
-        self.assemble(load)
-    }
-
-    /// [`build_rm_with`](Self::build_rm_with) plus checkpoint-cache
+    /// [`build_rm`](Self::build_rm) plus checkpoint-cache
     /// serving: neural predictors warm-start from `cache` when a
     /// same-keyed checkpoint exists (skipping pretraining entirely,
     /// bit-identical forecasts), and store their freshly-trained weights
@@ -1105,17 +1082,10 @@ impl RmConfig {
         &self,
         seed: u64,
         pretrain: &[f64],
-        reference_nn: bool,
         cache: Option<&ModelCache>,
     ) -> (Box<dyn ResourceManager>, WarmStart) {
-        let (load, warm) = LoadModel::build_served(
-            self.predictor,
-            seed,
-            pretrain,
-            reference_nn,
-            self.online_retrain,
-            cache,
-        );
+        let (load, warm) =
+            LoadModel::build_served(self.predictor, seed, pretrain, self.online_retrain, cache);
         (self.assemble(load), warm)
     }
 

@@ -14,7 +14,6 @@
 //! *usage* (what it actually consumes), the split at the heart of the
 //! underutilization story (paper §2.3; Freyr/Sizeless in PAPERS.md).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// An exact (CPU millicores, memory MB) resource vector.
@@ -25,7 +24,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// [`min`](ResourceVec::min)/[`max`](ResourceVec::max) at by-value call
 /// sites (`Ord::min` takes `self` and wins method resolution), silently
 /// turning exact bookkeeping into whole-vector picks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceVec {
     /// CPU in millicores (1000 = one core).
     pub cpu_milli: u64,

@@ -12,11 +12,10 @@
 use crate::scheduling::{ContainerSelection, SchedulingPolicy};
 use crate::slack::SlackPolicy;
 use fifer_predict::PredictorKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How requests map onto containers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchingMode {
     /// One request per container at a time (AWS-style, §2.2).
     None,
@@ -47,7 +46,7 @@ impl BatchingMode {
 }
 
 /// How container counts react to load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalingMode {
     /// Spawn on demand when a request finds no free container (Bline).
     OnDemand,
@@ -60,7 +59,7 @@ pub enum ScalingMode {
 }
 
 /// Which load predictor drives proactive scaling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictorChoice {
     /// No prediction (Bline, SBatch, RScale).
     None,
@@ -69,7 +68,7 @@ pub enum PredictorChoice {
 }
 
 /// Where new containers are placed on nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodePlacement {
     /// Fifer's modified MostRequestedPriority: lowest-numbered node with the
     /// least available resources that still fits the pod (§4.4.2).
@@ -81,7 +80,7 @@ pub enum NodePlacement {
 
 /// Idle-resource harvesting and right-sizing knobs (Freyr/Sizeless-style,
 /// ROADMAP item 3). All-integer so `RmConfig` stays `Copy + Eq + Hash`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HarvestConfig {
     /// Master switch. When `false` the simulator's behavior is bit-identical
     /// to the pre-harvest code — no lease is ever created and no usage
@@ -134,7 +133,7 @@ impl Default for HarvestConfig {
 /// Shahrad et al., ROADMAP item 2). All-integer so `RmConfig` stays
 /// `Copy + Eq + Hash`; the windows they derive are computed by
 /// `fifer_predict::IdleHistogram`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeepAliveConfig {
     /// Master switch. When `false` the policy registry ignores every other
     /// field and the simulator's behavior is bit-identical to a run without
@@ -206,7 +205,7 @@ impl Default for KeepAliveConfig {
 /// LSTM model parameters can be constantly updated by retraining in the
 /// background" extension). All-integer so `RmConfig` stays
 /// `Copy + Eq + Hash`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OnlineRetrainConfig {
     /// Master switch. When `false` the predictor is frozen after
     /// pretraining and the simulator's behavior is bit-identical to a run
@@ -248,7 +247,7 @@ impl Default for OnlineRetrainConfig {
 }
 
 /// A complete resource-manager configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RmConfig {
     /// Request-to-container batching.
     pub batching: BatchingMode,
@@ -313,7 +312,7 @@ impl RmConfig {
 
 /// The paper's five named resource managers, plus the harvesting sixth and
 /// the hybrid keep-alive seventh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RmKind {
     /// AWS-style baseline: no batching, spawn per request (§3).
     Bline,

@@ -2,10 +2,9 @@
 //! proactive forecast-driven policy (Algorithm 1 e) from paper §4.2/§4.5.
 
 use fifer_metrics::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Inputs to one reactive-scaling evaluation for a stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReactiveInputs {
     /// Pending (unscheduled) requests in the stage's global queue — PQ_len.
     pub pending_queue_len: usize,
@@ -62,7 +61,7 @@ pub fn reactive_containers_needed(inp: &ReactiveInputs) -> usize {
 }
 
 /// Inputs to one proactive-scaling evaluation for a stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProactiveInputs {
     /// Forecast arrival rate in requests/second (the predictor's output).
     pub forecast_rate: f64,

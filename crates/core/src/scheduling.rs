@@ -10,10 +10,9 @@
 //!   drain and scale in early (Algorithm 1 d).
 
 use fifer_metrics::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Task-selection policy for a stage's global queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulingPolicy {
     /// First-in-first-out (arrival order).
     Fifo,
@@ -38,7 +37,7 @@ impl SchedulingPolicy {
 }
 
 /// A queued task as seen by the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueuedTask {
     /// The job this task belongs to.
     pub job_id: u64,
@@ -133,7 +132,7 @@ pub fn select_task_iter(
 }
 
 /// Container-selection policy for dispatching a task within a stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContainerSelection {
     /// Fifer's greedy policy: the container with the least remaining free
     /// slots (but at least one) receives the task (§4.4.1).
@@ -155,7 +154,7 @@ impl ContainerSelection {
 }
 
 /// A candidate container as seen by the dispatcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerCandidate {
     /// Opaque container identifier (index into the caller's table).
     pub id: u64,

@@ -10,10 +10,9 @@
 use fifer_metrics::SimDuration;
 use fifer_workloads::apps::AppSpec;
 use fifer_workloads::Microservice;
-use serde::{Deserialize, Serialize};
 
 /// How the total application slack is divided among stages (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SlackPolicy {
     /// Equal division: every stage gets `total_slack / num_stages`.
     EqualDivision,
@@ -30,7 +29,7 @@ impl SlackPolicy {
 
 /// One stage's runtime plan: its slack share, batch size and the per-stage
 /// response-latency budget used by the reactive scaler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StagePlan {
     /// The microservice running at this stage.
     pub microservice: Microservice,
@@ -49,7 +48,7 @@ pub struct StagePlan {
 
 /// The per-application plan Fifer stores offline in its database (§5.1):
 /// stage order, slack division and batch sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppPlan {
     app: fifer_workloads::Application,
     slo: SimDuration,

@@ -6,14 +6,13 @@
 //! the experiment harness aggregates records into the paper's metrics.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Response latency split into its three sources (all in sim time).
 ///
 /// `total() = exec + cold_start + queuing` by construction; the simulator
 /// attributes every microsecond a job spends between submission and
 /// completion to exactly one of the three buckets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyBreakdown {
     /// Pure function execution time across all stages of the chain.
     pub exec: SimDuration,
@@ -44,7 +43,7 @@ impl LatencyBreakdown {
 
 /// Everything the simulator records about one completed job (chain
 /// invocation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
     /// Monotonically increasing job id.
     pub job_id: u64,

@@ -3,8 +3,6 @@
 //! Used for the queuing-time distributions (Figure 10b) and for compactly
 //! summarizing large per-request populations in CSV output.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[lo, hi)` with equally sized buckets, plus explicit
 /// underflow/overflow counters.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.bucket_count(1), 2);
 /// assert_eq!(h.overflow(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

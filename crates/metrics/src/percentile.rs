@@ -6,8 +6,6 @@
 //! interpolation; [`Cdf`] materializes the empirical distribution for
 //! plotting.
 
-use serde::{Deserialize, Serialize};
-
 /// A growable collection of `f64` observations with exact order statistics.
 ///
 /// Percentiles use the common linear-interpolation rule (type-7, the default
@@ -25,14 +23,13 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 100.0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Samples {
     values: Vec<f64>,
     sorted: bool,
     /// Materialized `(value, cumulative fraction)` pairs for the full
     /// distribution, built lazily on the first [`Samples::cdf`] call and
     /// reused (sliced) by later calls until the collection mutates.
-    #[serde(skip)]
     cdf_cache: Option<Vec<(f64, f64)>>,
 }
 
@@ -220,7 +217,7 @@ impl Extend<f64> for Samples {
 ///
 /// Points are `(value, cumulative_fraction)` pairs in non-decreasing value
 /// order, as produced by [`Samples::cdf`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cdf {
     points: Vec<(f64, f64)>,
 }

@@ -6,7 +6,6 @@
 
 use crate::breakdown::RequestRecord;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Tracks SLO compliance over a stream of completed requests.
@@ -21,7 +20,7 @@ use std::collections::BTreeMap;
 /// acc.observe("IPA", SimDuration::from_millis(1200));
 /// assert_eq!(acc.violation_fraction(), 0.5);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SloAccountant {
     slo: SimDuration,
     total: u64,

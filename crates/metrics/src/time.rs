@@ -6,7 +6,6 @@
 //! bit-reproducible across runs and platforms, which matters for a
 //! discrete-event simulator whose results we compare against the paper.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -20,9 +19,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = SimTime::from_secs(2) + SimDuration::from_millis(500);
 /// assert_eq!(t.as_millis_f64(), 2500.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulation time, in microseconds.
@@ -36,9 +33,7 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_secs_f64(), 1.5);
 /// assert_eq!(d * 2, SimDuration::from_secs(3));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -5,7 +5,6 @@
 //! produced from [`TimeSeries`].
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A series of `(time, value)` observations in non-decreasing time order.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let sums = ts.window_sums(SimDuration::from_secs(2), SimTime::from_secs(4));
 /// assert_eq!(sums, vec![2.0, 4.0]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }

@@ -30,9 +30,6 @@ pub struct DeepArPredictor {
     /// Forecast quantile expressed in standard deviations above μ; 0 means
     /// the mean forecast. Proactive provisioning can bias high.
     sigma_bias: f64,
-    /// Route through the original per-step-allocating NN path
-    /// (differential testing; bit-identical to the flat path).
-    use_reference_nn: bool,
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
@@ -61,7 +58,6 @@ impl DeepArPredictor {
             train_step: 0,
             epochs_run: 0,
             sigma_bias: 0.0,
-            use_reference_nn: false,
             raw_buf: Vec::new(),
             norm_buf: Vec::new(),
             state: LstmState::zeros(hidden),
@@ -83,33 +79,10 @@ impl DeepArPredictor {
         self
     }
 
-    /// Routes through the original per-step-allocating NN implementation.
-    /// Bit-identical to the default flat-workspace path.
-    pub fn with_reference_nn(mut self, reference: bool) -> Self {
-        self.use_reference_nn = reference;
-        self
-    }
-
     /// Runs the LSTM over a window and returns `(μ, σ)` in normalized
-    /// space, plus the final hidden vector when training.
-    fn run(&mut self, x: &[f64], for_training: bool) -> (f64, f64, Vec<f64>) {
-        let mut state = LstmState::zeros(self.cell.hidden());
-        for &v in x {
-            state = self.cell.forward_step(&[v], &state);
-        }
-        let out = self.head.forward(&state.h);
-        let mu = out[0];
-        let sigma = out[1].clamp(-6.0, 3.0).exp();
-        let h = state.h;
-        if !for_training {
-            self.cell.clear_cache();
-        }
-        (mu, sigma, h)
-    }
-
-    /// Optimized forward: advances the reusable state through the flat
-    /// workspace and evaluates the head in place. Leaves the final hidden
-    /// vector in `self.state.h`. Bit-identical to [`run`](Self::run).
+    /// space: advances the reusable state through the flat workspace and
+    /// evaluates the head in place, leaving the final hidden vector in
+    /// `self.state.h`.
     fn run_flat(&mut self, x: &[f64], for_training: bool) -> (f64, f64) {
         self.state.reset();
         for &v in x {
@@ -125,36 +98,30 @@ impl DeepArPredictor {
     }
 
     /// One training pass over every window pair — Gaussian NLL
-    /// `0.5·((y−μ)/σ)² + ln σ`. Both paths are bit-identical.
+    /// `0.5·((y−μ)/σ)² + ln σ`.
     fn fit_pass(&mut self, pairs: &[(Vec<f64>, f64)]) {
         let hidden = self.cell.hidden();
         for (x, target) in pairs {
-            if self.use_reference_nn {
-                let (mu, sigma, h) = self.run(x, true);
-                let z = (target - mu) / sigma;
-                let dmu = -z / sigma;
-                let dlog_sigma = 1.0 - z * z;
-                let dh = self.head.backward(&h, &[dmu, dlog_sigma]);
-                let mut dh_seq = vec![vec![0.0; hidden]; x.len()];
-                dh_seq[x.len() - 1] = dh;
-                self.cell.backward(&dh_seq);
-            } else {
-                let (mu, sigma) = self.run_flat(x, true);
-                let z = (target - mu) / sigma;
-                let dmu = -z / sigma;
-                let dlog_sigma = 1.0 - z * z;
-                self.head
-                    .backward_into(&self.state.h, &[dmu, dlog_sigma], &mut self.dh_last);
-                self.dh_flat.clear();
-                self.dh_flat.resize(x.len() * hidden, 0.0);
-                self.dh_flat[(x.len() - 1) * hidden..].copy_from_slice(&self.dh_last);
-                self.cell.backward_flat(&self.dh_flat, None);
-            }
-            self.train_step += 1;
-            let t = self.train_step;
-            self.cell.apply_grads(t);
-            self.head.apply_grads(t);
+            let (mu, sigma) = self.run_flat(x, true);
+            let z = (target - mu) / sigma;
+            let dmu = -z / sigma;
+            let dlog_sigma = 1.0 - z * z;
+            self.head
+                .backward_into(&self.state.h, &[dmu, dlog_sigma], &mut self.dh_last);
+            self.dh_flat.clear();
+            self.dh_flat.resize(x.len() * hidden, 0.0);
+            self.dh_flat[(x.len() - 1) * hidden..].copy_from_slice(&self.dh_last);
+            self.cell.backward_flat(&self.dh_flat, None);
+            self.apply_grads();
         }
+    }
+
+    /// Advances the global Adam step and applies accumulated gradients.
+    fn apply_grads(&mut self) {
+        self.train_step += 1;
+        let t = self.train_step;
+        self.cell.apply_grads(t);
+        self.head.apply_grads(t);
     }
 
     /// Validation error (normalized MAE) over a normalized slice, using the same forecast
@@ -162,12 +129,7 @@ impl DeepArPredictor {
     fn val_error_norm(&mut self, val: &[f64]) -> f64 {
         let (lags, scaler, bias) = (self.cfg.lags, self.scaler, self.sigma_bias);
         val_error_over(val, lags, scaler, |x| {
-            let (mu, sigma) = if self.use_reference_nn {
-                let (mu, sigma, _) = self.run(x, false);
-                (mu, sigma)
-            } else {
-                self.run_flat(x, false)
-            };
+            let (mu, sigma) = self.run_flat(x, false);
             mu + bias * sigma
         })
     }
@@ -223,15 +185,6 @@ impl LoadPredictor for DeepArPredictor {
     fn forecast(&mut self) -> f64 {
         if self.window.is_empty() {
             return 0.0;
-        }
-        if self.use_reference_nn {
-            let raw = self.window.padded();
-            if !self.trained {
-                return *raw.last().expect("window is non-empty");
-            }
-            let x = self.scaler.transform_series(&raw);
-            let (mu, sigma, _) = self.run(&x, false);
-            return self.scaler.inverse(mu + self.sigma_bias * sigma).max(0.0);
         }
         self.window.padded_into(&mut self.raw_buf);
         if !self.trained {
@@ -300,9 +253,78 @@ impl LoadPredictor for DeepArPredictor {
     }
 }
 
+/// The original per-step-allocating stack, kept as the test oracle the
+/// flat-workspace path is checked against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::models::ReferenceNn;
+
+    impl DeepArPredictor {
+        /// Runs the LSTM over a window and returns `(μ, σ)` in normalized
+        /// space, plus the final hidden vector when training.
+        fn run(&mut self, x: &[f64], for_training: bool) -> (f64, f64, Vec<f64>) {
+            let mut state = LstmState::zeros(self.cell.hidden());
+            for &v in x {
+                state = self.cell.forward_step(&[v], &state);
+            }
+            let out = self.head.forward(&state.h);
+            let mu = out[0];
+            let sigma = out[1].clamp(-6.0, 3.0).exp();
+            let h = state.h;
+            if !for_training {
+                self.cell.clear_cache();
+            }
+            (mu, sigma, h)
+        }
+    }
+
+    impl ReferenceNn for DeepArPredictor {
+        fn reference_pretrain(&mut self, series: &[f64]) {
+            assert_eq!(self.cfg.patience, 0, "the oracle pretrains fixed-epoch");
+            self.scaler = Scaler::fit(series);
+            let norm = self.scaler.transform_series(series);
+            let pairs = windowed_pairs(&norm, self.cfg.lags);
+            if pairs.is_empty() {
+                return;
+            }
+            let hidden = self.cell.hidden();
+            for _ in 0..self.cfg.epochs {
+                for (x, target) in &pairs {
+                    let (mu, sigma, h) = self.run(x, true);
+                    let z = (target - mu) / sigma;
+                    let dmu = -z / sigma;
+                    let dlog_sigma = 1.0 - z * z;
+                    let dh = self.head.backward(&h, &[dmu, dlog_sigma]);
+                    let mut dh_seq = vec![vec![0.0; hidden]; x.len()];
+                    dh_seq[x.len() - 1] = dh;
+                    self.cell.backward(&dh_seq);
+                    self.apply_grads();
+                }
+            }
+            self.trained = true;
+            self.epochs_run = self.cfg.epochs;
+        }
+
+        fn reference_forecast(&mut self) -> f64 {
+            if self.window.is_empty() {
+                return 0.0;
+            }
+            let raw = self.window.padded();
+            if !self.trained {
+                return *raw.last().expect("window is non-empty");
+            }
+            let x = self.scaler.transform_series(&raw);
+            let (mu, sigma, _) = self.run(&x, false);
+            self.scaler.inverse(mu + self.sigma_bias * sigma).max(0.0)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::ReferenceNn;
 
     #[test]
     fn untrained_forecasts_last_observation() {
@@ -341,22 +363,21 @@ mod tests {
         assert!((f - 40.0).abs() < 10.0, "constant forecast {f}");
     }
 
-    /// Optimized vs reference NN path: bit-identical forecasts after
+    /// Product path vs the reference oracle: bit-identical forecasts after
     /// pretraining on the same seed and data.
     #[test]
-    fn reference_nn_path_is_bit_identical() {
+    fn flat_path_matches_reference_oracle() {
         let series: Vec<f64> = (0..120)
             .map(|i| 40.0 + 25.0 * (i as f64 * 0.3).cos())
             .collect();
-        let mut optimized = DeepArPredictor::new(TrainConfig::fast(), 8, 11);
-        let mut reference =
-            DeepArPredictor::new(TrainConfig::fast(), 8, 11).with_reference_nn(true);
-        optimized.pretrain(&series);
-        reference.pretrain(&series);
+        let mut product = DeepArPredictor::new(TrainConfig::fast(), 8, 11);
+        let mut reference = product.clone();
+        product.pretrain(&series);
+        reference.reference_pretrain(&series);
         for &v in &series[series.len() - 12..] {
-            optimized.observe(v);
+            product.observe(v);
             reference.observe(v);
-            assert_eq!(optimized.forecast(), reference.forecast());
+            assert_eq!(product.forecast(), reference.reference_forecast());
         }
     }
 
@@ -365,7 +386,7 @@ mod tests {
         let mut p = DeepArPredictor::new(TrainConfig::fast(), 4, 4);
         p.pretrain(&(0..60).map(|i| (i % 7) as f64 * 30.0).collect::<Vec<_>>());
         let x = vec![0.5; 8];
-        let (_, sigma, _) = p.run(&x, false);
+        let (_, sigma) = p.run_flat(&x, false);
         assert!(sigma > 0.0 && sigma.is_finite());
     }
 }

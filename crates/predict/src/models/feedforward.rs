@@ -26,9 +26,6 @@ pub struct SimpleFfPredictor {
     /// Effective pretraining epochs (the restored-best epoch when early
     /// stopping fires, the full budget otherwise).
     epochs_run: usize,
-    /// Route through the original per-call-allocating NN path
-    /// (differential testing; bit-identical to the scratch-buffer path).
-    use_reference_nn: bool,
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
@@ -58,7 +55,6 @@ impl SimpleFfPredictor {
             trained: false,
             train_step: 0,
             epochs_run: 0,
-            use_reference_nn: false,
             raw_buf: Vec::new(),
             norm_buf: Vec::new(),
             h_pre: vec![0.0; hidden],
@@ -80,21 +76,8 @@ impl SimpleFfPredictor {
         SimpleFfPredictor::new(cfg, 32, seed)
     }
 
-    /// Routes through the original per-call-allocating NN implementation.
-    /// Bit-identical to the default scratch-buffer path.
-    pub fn with_reference_nn(mut self, reference: bool) -> Self {
-        self.use_reference_nn = reference;
-        self
-    }
-
-    fn predict_normalized(&self, x: &[f64]) -> f64 {
-        let h: Vec<f64> = self.l1.forward(x).iter().map(|v| v.tanh()).collect();
-        self.l2.forward(&h)[0]
-    }
-
     /// Scratch-buffer forward; leaves hidden activations in `self.h` for
-    /// the backward pass. Bit-identical to
-    /// [`predict_normalized`](Self::predict_normalized).
+    /// the backward pass.
     fn predict_normalized_flat(&mut self, x: &[f64]) -> f64 {
         self.l1.forward_into(x, &mut self.h_pre);
         for (hv, pv) in self.h.iter_mut().zip(&self.h_pre) {
@@ -104,51 +87,35 @@ impl SimpleFfPredictor {
         self.out[0]
     }
 
-    /// One training pass over every window pair. Both paths are
-    /// bit-identical; the optimized one reuses the scratch buffers.
+    /// One training pass over every window pair, reusing the scratch
+    /// buffers.
     fn fit_pass(&mut self, pairs: &[(Vec<f64>, f64)]) {
         for (x, y) in pairs {
-            if self.use_reference_nn {
-                let h_pre = self.l1.forward(x);
-                let h: Vec<f64> = h_pre.iter().map(|v| v.tanh()).collect();
-                let out = self.l2.forward(&h)[0];
-                let dy = [2.0 * (out - y)];
-                let dh = self.l2.backward(&h, &dy);
-                let dh_pre: Vec<f64> = dh
-                    .iter()
-                    .zip(&h)
-                    .map(|(g, hv)| g * crate::nn::tanh_deriv(*hv))
-                    .collect();
-                self.l1.backward(x, &dh_pre);
-            } else {
-                let out = self.predict_normalized_flat(x);
-                let dy = [2.0 * (out - y)];
-                self.l2.backward_into(&self.h, &dy, &mut self.dh);
-                for (dp, (g, hv)) in self.dh_pre.iter_mut().zip(self.dh.iter().zip(&self.h)) {
-                    *dp = g * crate::nn::tanh_deriv(*hv);
-                }
-                // the reference path computes dL/dx here and discards
-                // it — skip the matvec entirely
-                self.l1.accumulate_grads(x, &self.dh_pre);
+            let out = self.predict_normalized_flat(x);
+            let dy = [2.0 * (out - y)];
+            self.l2.backward_into(&self.h, &dy, &mut self.dh);
+            for (dp, (g, hv)) in self.dh_pre.iter_mut().zip(self.dh.iter().zip(&self.h)) {
+                *dp = g * crate::nn::tanh_deriv(*hv);
             }
-            self.train_step += 1;
-            let t = self.train_step;
-            self.l1.apply_grads(t);
-            self.l2.apply_grads(t);
+            // dL/dx of the input layer feeds nothing — skip the matvec
+            self.l1.accumulate_grads(x, &self.dh_pre);
+            self.apply_grads();
         }
+    }
+
+    /// Advances the global Adam step and applies accumulated gradients.
+    fn apply_grads(&mut self) {
+        self.train_step += 1;
+        let t = self.train_step;
+        self.l1.apply_grads(t);
+        self.l2.apply_grads(t);
     }
 
     /// Validation error (normalized MAE) over a normalized slice with the
     /// current weights.
     fn val_error_norm(&mut self, val: &[f64]) -> f64 {
         let (lags, scaler) = (self.cfg.lags, self.scaler);
-        val_error_over(val, lags, scaler, |x| {
-            if self.use_reference_nn {
-                self.predict_normalized(x)
-            } else {
-                self.predict_normalized_flat(x)
-            }
-        })
+        val_error_over(val, lags, scaler, |x| self.predict_normalized_flat(x))
     }
 
     /// Serializes the model to checkpoint bytes (DESIGN.md §15).
@@ -203,17 +170,9 @@ impl LoadPredictor for SimpleFfPredictor {
         if self.window.is_empty() {
             return 0.0;
         }
-        if self.use_reference_nn {
-            let raw = self.window.padded();
-            if !self.trained {
-                // untrained fallback: last observation
-                return *raw.last().expect("window is non-empty");
-            }
-            let x = self.scaler.transform_series(&raw);
-            return self.scaler.inverse(self.predict_normalized(&x)).max(0.0);
-        }
         self.window.padded_into(&mut self.raw_buf);
         if !self.trained {
+            // untrained fallback: last observation
             return *self.raw_buf.last().expect("window is non-empty");
         }
         self.scaler
@@ -278,9 +237,67 @@ impl LoadPredictor for SimpleFfPredictor {
     }
 }
 
+/// The original per-call-allocating forward and training step, kept as
+/// the test oracle the scratch-buffer path is checked against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::models::ReferenceNn;
+
+    impl SimpleFfPredictor {
+        fn predict_normalized(&self, x: &[f64]) -> f64 {
+            let h: Vec<f64> = self.l1.forward(x).iter().map(|v| v.tanh()).collect();
+            self.l2.forward(&h)[0]
+        }
+    }
+
+    impl ReferenceNn for SimpleFfPredictor {
+        fn reference_pretrain(&mut self, series: &[f64]) {
+            assert_eq!(self.cfg.patience, 0, "the oracle pretrains fixed-epoch");
+            self.scaler = Scaler::fit(series);
+            let norm = self.scaler.transform_series(series);
+            let pairs = windowed_pairs(&norm, self.cfg.lags);
+            if pairs.is_empty() {
+                return;
+            }
+            for _ in 0..self.cfg.epochs {
+                for (x, y) in &pairs {
+                    let h_pre = self.l1.forward(x);
+                    let h: Vec<f64> = h_pre.iter().map(|v| v.tanh()).collect();
+                    let out = self.l2.forward(&h)[0];
+                    let dy = [2.0 * (out - y)];
+                    let dh = self.l2.backward(&h, &dy);
+                    let dh_pre: Vec<f64> = dh
+                        .iter()
+                        .zip(&h)
+                        .map(|(g, hv)| g * crate::nn::tanh_deriv(*hv))
+                        .collect();
+                    self.l1.backward(x, &dh_pre);
+                    self.apply_grads();
+                }
+            }
+            self.trained = true;
+            self.epochs_run = self.cfg.epochs;
+        }
+
+        fn reference_forecast(&mut self) -> f64 {
+            if self.window.is_empty() {
+                return 0.0;
+            }
+            let raw = self.window.padded();
+            if !self.trained {
+                return *raw.last().expect("window is non-empty");
+            }
+            let x = self.scaler.transform_series(&raw);
+            self.scaler.inverse(self.predict_normalized(&x)).max(0.0)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::ReferenceNn;
 
     #[test]
     fn untrained_forecasts_last_observation() {
@@ -313,22 +330,21 @@ mod tests {
         assert!(p.forecast() >= 0.0);
     }
 
-    /// Optimized vs reference NN path: bit-identical forecasts after
+    /// Product path vs the reference oracle: bit-identical forecasts after
     /// pretraining on the same seed and data.
     #[test]
-    fn reference_nn_path_is_bit_identical() {
+    fn flat_path_matches_reference_oracle() {
         let series: Vec<f64> = (0..120)
             .map(|i| 60.0 + 35.0 * (i as f64 * 0.25).sin())
             .collect();
-        let mut optimized = SimpleFfPredictor::new(TrainConfig::fast(), 8, 13);
-        let mut reference =
-            SimpleFfPredictor::new(TrainConfig::fast(), 8, 13).with_reference_nn(true);
-        optimized.pretrain(&series);
-        reference.pretrain(&series);
+        let mut product = SimpleFfPredictor::new(TrainConfig::fast(), 8, 13);
+        let mut reference = product.clone();
+        product.pretrain(&series);
+        reference.reference_pretrain(&series);
         for &v in &series[series.len() - 12..] {
-            optimized.observe(v);
+            product.observe(v);
             reference.observe(v);
-            assert_eq!(optimized.forecast(), reference.forecast());
+            assert_eq!(product.forecast(), reference.reference_forecast());
         }
     }
 

@@ -5,9 +5,7 @@ use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter, TAG_LSTM};
 use crate::models::LagWindow;
 use crate::nn::{Dense, LstmCell, LstmState};
 use crate::predictor::LoadPredictor;
-use crate::train::{
-    holdout_split, run_early_stopped, val_error_over, windowed_pairs, Scaler, TrainConfig,
-};
+use crate::train::{holdout_split, run_early_stopped, val_error_over, Scaler, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,10 +37,6 @@ pub struct LstmPredictor {
     /// Effective pretraining epochs (the restored-best epoch when early
     /// stopping fires, the full budget otherwise).
     epochs_run: usize,
-    /// Route through the original per-step-allocating NN path instead of
-    /// the flat-workspace one (differential testing; both are
-    /// bit-identical).
-    use_reference_nn: bool,
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
@@ -99,7 +93,6 @@ impl LstmPredictor {
             observations: 0,
             train_step: 0,
             epochs_run: 0,
-            use_reference_nn: false,
             raw_buf: Vec::new(),
             norm_buf: Vec::new(),
             in_flat: Vec::new(),
@@ -151,14 +144,6 @@ impl LstmPredictor {
         self
     }
 
-    /// Routes through the original per-step-allocating NN implementation.
-    /// Bit-identical to the default flat-workspace path; kept so the
-    /// differential suite (and skeptical users) can check that end to end.
-    pub fn with_reference_nn(mut self, reference: bool) -> Self {
-        self.use_reference_nn = reference;
-        self
-    }
-
     /// Length of the lag window the model forecasts from.
     pub fn lags(&self) -> usize {
         self.cfg.lags
@@ -175,9 +160,9 @@ impl LstmPredictor {
     /// Runs `epochs` passes over `series` (normalized with the current
     /// scaler), continuing the global Adam schedule. Returns the number
     /// of epochs actually run (0 when the series is too short to window).
-    /// Allocation-free in steady state on the optimized path — the
-    /// normalized series lands in a reusable scratch buffer and training
-    /// windows are sliced straight out of it.
+    /// Allocation-free in steady state — the normalized series lands in a
+    /// reusable scratch buffer and training windows are sliced straight
+    /// out of it.
     fn train_epochs(&mut self, series: &[f64], epochs: usize) -> usize {
         let mut norm = std::mem::take(&mut self.train_norm);
         self.scaler.transform_series_into(series, &mut norm);
@@ -193,37 +178,15 @@ impl LstmPredictor {
         epochs
     }
 
-    /// One pass over every training window of a pre-normalized series.
-    /// The optimized path slices windows directly out of `norm` (zero
-    /// allocations); the reference path materializes the window pairs
-    /// exactly as the original implementation did. Both are bit-identical.
+    /// One pass over every training window of a pre-normalized series,
+    /// sliced directly out of `norm` (zero allocations).
     fn fit_pass_norm(&mut self, norm: &[f64]) {
         let lags = self.cfg.lags;
-        if self.use_reference_nn {
-            let pairs = windowed_pairs(norm, lags);
-            for (x, target) in &pairs {
-                let (per_layer_h, y) = self.run_stack(x, true);
-                let derr = 2.0 * (y - target);
-                let steps = x.len();
-                let top = self.layers.len() - 1;
-                let dh_last = self.head.backward(&per_layer_h[top][steps - 1], &[derr]);
-                let mut dh_seq = vec![vec![0.0; self.layers[top].hidden()]; steps];
-                dh_seq[steps - 1] = dh_last;
-                for l in (0..self.layers.len()).rev() {
-                    let dx_seq = self.layers[l].backward(&dh_seq);
-                    if l > 0 {
-                        dh_seq = dx_seq;
-                    }
-                }
-                self.apply_all_grads();
-            }
-        } else {
-            for i in 0..norm.len() - lags {
-                let y = self.forward_flat(&norm[i..i + lags], true);
-                let derr = 2.0 * (y - norm[i + lags]);
-                self.backward_flat_stack(derr, lags);
-                self.apply_all_grads();
-            }
+        for i in 0..norm.len() - lags {
+            let y = self.forward_flat(&norm[i..i + lags], true);
+            let derr = 2.0 * (y - norm[i + lags]);
+            self.backward_flat_stack(derr, lags);
+            self.apply_all_grads();
         }
     }
 
@@ -273,13 +236,7 @@ impl LstmPredictor {
     /// current weights.
     fn val_error_norm(&mut self, val: &[f64]) -> f64 {
         let (lags, scaler) = (self.cfg.lags, self.scaler);
-        val_error_over(val, lags, scaler, |x| {
-            if self.use_reference_nn {
-                self.run_stack(x, false).1
-            } else {
-                self.forward_flat(x, false)
-            }
-        })
+        val_error_over(val, lags, scaler, |x| self.forward_flat(x, false))
     }
 
     /// Validation error (normalized MAE) of the current weights on the tail of a
@@ -303,11 +260,6 @@ impl LstmPredictor {
         };
         if !self.trained {
             return last;
-        }
-        if self.use_reference_nn {
-            let x = self.scaler.transform_series(window);
-            let (_, y) = self.run_stack(&x, false);
-            return self.scaler.inverse(y).max(0.0);
         }
         self.scaler
             .transform_series_into(window, &mut self.norm_buf);
@@ -367,46 +319,10 @@ impl LstmPredictor {
         Ok(())
     }
 
-    /// Reference-path stack: runs over a normalized window; caches
-    /// activations when `for_training`, otherwise clears them. Returns
-    /// per-layer hidden sequences (needed for BPTT) and the final
-    /// prediction.
-    fn run_stack(&mut self, x: &[f64], for_training: bool) -> (Vec<Vec<Vec<f64>>>, f64) {
-        let mut inputs: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let num_layers = self.layers.len();
-        let mut per_layer_h = Vec::with_capacity(num_layers);
-        for (l, cell) in self.layers.iter_mut().enumerate() {
-            let mut state = LstmState::zeros(cell.hidden());
-            let mut hs = Vec::with_capacity(inputs.len());
-            for step in &inputs {
-                state = cell.forward_step(step, &state);
-                hs.push(state.h.clone());
-            }
-            // the top layer's hidden sequence feeds no further layer —
-            // don't clone it just to discard it
-            if l + 1 < num_layers {
-                inputs = hs.clone();
-            }
-            per_layer_h.push(hs);
-        }
-        let last_h = per_layer_h
-            .last()
-            .and_then(|hs| hs.last())
-            .cloned()
-            .unwrap_or_default();
-        let y = self.head.forward(&last_h)[0];
-        if !for_training {
-            for cell in self.layers.iter_mut() {
-                cell.clear_cache();
-            }
-        }
-        (per_layer_h, y)
-    }
-
-    /// Optimized stack forward over the flat ping-pong buffers. Leaves the
-    /// top layer's hidden sequence in `in_flat` (`steps × hidden`) for
+    /// Stack forward over the flat ping-pong buffers. Leaves the top
+    /// layer's hidden sequence in `in_flat` (`steps × hidden`) for
     /// [`backward_flat_stack`](Self::backward_flat_stack). Allocation-free
-    /// in steady state; bit-identical to [`run_stack`](Self::run_stack).
+    /// in steady state.
     fn forward_flat(&mut self, x: &[f64], for_training: bool) -> f64 {
         let steps = x.len();
         self.in_flat.clear();
@@ -434,11 +350,11 @@ impl LstmPredictor {
         y
     }
 
-    /// Optimized stack BPTT: seeds the loss at the last timestep of the
-    /// top layer (whose hidden sequence [`forward_flat`](Self::forward_flat)
-    /// left in `in_flat`), then chains `backward_flat` down the stack,
+    /// Stack BPTT: seeds the loss at the last timestep of the top layer
+    /// (whose hidden sequence [`forward_flat`](Self::forward_flat) left in
+    /// `in_flat`), then chains `backward_flat` down the stack,
     /// ping-ponging the flat gradient buffers. The bottom layer skips the
-    /// dL/dx matvec entirely — the reference path computes and discards it.
+    /// dL/dx matvec entirely — nothing consumes it.
     fn backward_flat_stack(&mut self, derr: f64, steps: usize) {
         let top = self.layers.len() - 1;
         let hidden = self.layers[top].hidden();
@@ -494,15 +410,6 @@ impl LoadPredictor for LstmPredictor {
     fn forecast(&mut self) -> f64 {
         if self.window.is_empty() {
             return 0.0;
-        }
-        if self.use_reference_nn {
-            let raw = self.window.padded();
-            if !self.trained {
-                return *raw.last().expect("window is non-empty");
-            }
-            let x = self.scaler.transform_series(&raw);
-            let (_, y) = self.run_stack(&x, false);
-            return self.scaler.inverse(y).max(0.0);
         }
         self.window.padded_into(&mut self.raw_buf);
         if !self.trained {
@@ -560,9 +467,101 @@ impl LoadPredictor for LstmPredictor {
     }
 }
 
+/// The original per-step-allocating stack, kept as the test oracle the
+/// flat-workspace path is checked against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::models::ReferenceNn;
+    use crate::train::windowed_pairs;
+
+    impl LstmPredictor {
+        /// Runs the stack over a normalized window; caches activations when
+        /// `for_training`, otherwise clears them. Returns per-layer hidden
+        /// sequences (needed for BPTT) and the final prediction.
+        fn run_stack(&mut self, x: &[f64], for_training: bool) -> (Vec<Vec<Vec<f64>>>, f64) {
+            let mut inputs: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
+            let num_layers = self.layers.len();
+            let mut per_layer_h = Vec::with_capacity(num_layers);
+            for (l, cell) in self.layers.iter_mut().enumerate() {
+                let mut state = LstmState::zeros(cell.hidden());
+                let mut hs = Vec::with_capacity(inputs.len());
+                for step in &inputs {
+                    state = cell.forward_step(step, &state);
+                    hs.push(state.h.clone());
+                }
+                // the top layer's hidden sequence feeds no further layer —
+                // don't clone it just to discard it
+                if l + 1 < num_layers {
+                    inputs = hs.clone();
+                }
+                per_layer_h.push(hs);
+            }
+            let last_h = per_layer_h
+                .last()
+                .and_then(|hs| hs.last())
+                .cloned()
+                .unwrap_or_default();
+            let y = self.head.forward(&last_h)[0];
+            if !for_training {
+                for cell in self.layers.iter_mut() {
+                    cell.clear_cache();
+                }
+            }
+            (per_layer_h, y)
+        }
+    }
+
+    impl ReferenceNn for LstmPredictor {
+        fn reference_pretrain(&mut self, series: &[f64]) {
+            assert_eq!(self.cfg.patience, 0, "the oracle pretrains fixed-epoch");
+            self.scaler = Scaler::fit(series);
+            let norm = self.scaler.transform_series(series);
+            let pairs = windowed_pairs(&norm, self.cfg.lags);
+            if pairs.is_empty() {
+                return;
+            }
+            for _ in 0..self.cfg.epochs {
+                for (x, target) in &pairs {
+                    let (per_layer_h, y) = self.run_stack(x, true);
+                    let derr = 2.0 * (y - target);
+                    let steps = x.len();
+                    let top = self.layers.len() - 1;
+                    let dh_last = self.head.backward(&per_layer_h[top][steps - 1], &[derr]);
+                    let mut dh_seq = vec![vec![0.0; self.layers[top].hidden()]; steps];
+                    dh_seq[steps - 1] = dh_last;
+                    for l in (0..self.layers.len()).rev() {
+                        let dx_seq = self.layers[l].backward(&dh_seq);
+                        if l > 0 {
+                            dh_seq = dx_seq;
+                        }
+                    }
+                    self.apply_all_grads();
+                }
+            }
+            self.trained = true;
+            self.epochs_run = self.cfg.epochs;
+        }
+
+        fn reference_forecast(&mut self) -> f64 {
+            if self.window.is_empty() {
+                return 0.0;
+            }
+            let raw = self.window.padded();
+            if !self.trained {
+                return *raw.last().expect("window is non-empty");
+            }
+            let x = self.scaler.transform_series(&raw);
+            let (_, y) = self.run_stack(&x, false);
+            self.scaler.inverse(y).max(0.0)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::ReferenceNn;
 
     #[test]
     fn untrained_forecasts_last_observation() {
@@ -604,22 +603,21 @@ mod tests {
         }
     }
 
-    /// Optimized vs reference NN path: same seed and data must produce
-    /// bit-identical forecasts after pretraining.
+    /// Product path vs the reference oracle: same seed and data must
+    /// produce bit-identical forecasts after pretraining.
     #[test]
-    fn reference_nn_path_is_bit_identical() {
+    fn flat_path_matches_reference_oracle() {
         let series: Vec<f64> = (0..120)
             .map(|i| 50.0 + 30.0 * (i as f64 * 0.2).sin())
             .collect();
-        let mut optimized = LstmPredictor::new(TrainConfig::fast(), 8, 9, 2);
-        let mut reference =
-            LstmPredictor::new(TrainConfig::fast(), 8, 9, 2).with_reference_nn(true);
-        optimized.pretrain(&series);
-        reference.pretrain(&series);
+        let mut product = LstmPredictor::new(TrainConfig::fast(), 8, 9, 2);
+        let mut reference = product.clone();
+        product.pretrain(&series);
+        reference.reference_pretrain(&series);
         for &v in &series[series.len() - 12..] {
-            optimized.observe(v);
+            product.observe(v);
             reference.observe(v);
-            assert_eq!(optimized.forecast(), reference.forecast());
+            assert_eq!(product.forecast(), reference.reference_forecast());
         }
     }
 

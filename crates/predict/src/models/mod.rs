@@ -17,6 +17,24 @@ pub use weavenet::WeaveNetPredictor;
 
 use std::collections::VecDeque;
 
+/// Test oracle for the four neural models. Each model keeps its original
+/// per-step-allocating NN stack beside the product one, under
+/// `#[cfg(test)]`; the product path must match it with `==` on floats.
+#[cfg(test)]
+pub(crate) trait ReferenceNn: crate::LoadPredictor {
+    /// Fixed-epoch pretraining on the reference stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's config arms early stopping, which the oracle
+    /// does not reproduce.
+    fn reference_pretrain(&mut self, series: &[f64]);
+
+    /// One-step forecast from the current lag window on the reference
+    /// stack.
+    fn reference_forecast(&mut self) -> f64;
+}
+
 /// Rolling lag window shared by the neural predictors.
 #[derive(Debug, Clone)]
 pub(crate) struct LagWindow {
@@ -45,15 +63,17 @@ impl LagWindow {
 
     /// The window as a fixed-length vector, front-padded with the oldest
     /// value (or zeros when empty) so models always see `lags` inputs.
+    #[cfg(test)]
     pub(crate) fn padded(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.lags);
         self.padded_into(&mut out);
         out
     }
 
-    /// Write-into form of [`padded`](Self::padded): fills `out` with the
-    /// fixed-length window without allocating (satellite of the NN
-    /// vectorization PR — `forecast()` calls this every monitor tick).
+    /// Fills `out` with the fixed-length window, front-padded with the
+    /// oldest value (or zeros when empty) so models always see `lags`
+    /// inputs — without allocating, since `forecast()` calls this every
+    /// monitor tick.
     pub(crate) fn padded_into(&self, out: &mut Vec<f64>) {
         out.clear();
         let pad = self.values.front().copied().unwrap_or(0.0);

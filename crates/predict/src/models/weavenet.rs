@@ -41,9 +41,6 @@ pub struct WeaveNetPredictor {
     /// Effective pretraining epochs (the restored-best epoch when early
     /// stopping fires, the full budget otherwise).
     epochs_run: usize,
-    /// Route through the original `Vec<Vec>` NN path (differential
-    /// testing; bit-identical to the flat path).
-    use_reference_nn: bool,
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
@@ -97,7 +94,6 @@ impl WeaveNetPredictor {
             trained: false,
             train_step: 0,
             epochs_run: 0,
-            use_reference_nn: false,
             raw_buf: Vec::new(),
             norm_buf: Vec::new(),
             feat_flat: Vec::new(),
@@ -119,34 +115,9 @@ impl WeaveNetPredictor {
         self.convs.len()
     }
 
-    /// Forward pass. Returns per-layer post-ReLU activations (for backward)
-    /// and the prediction.
-    fn run(&mut self, x: &[f64]) -> (Vec<Vec<Vec<f64>>>, f64) {
-        let mut feat: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let mut activations = Vec::with_capacity(self.convs.len());
-        for conv in self.convs.iter_mut() {
-            let pre = conv.forward(&feat);
-            feat = pre
-                .iter()
-                .map(|t| t.iter().map(|&v| leaky_relu(v)).collect())
-                .collect();
-            activations.push(feat.clone());
-        }
-        let last = feat.last().cloned().unwrap_or_default();
-        let y = self.head.forward(&last)[0];
-        (activations, y)
-    }
-
-    /// Routes through the original `Vec<Vec>` NN implementation.
-    /// Bit-identical to the default flat-layout path.
-    pub fn with_reference_nn(mut self, reference: bool) -> Self {
-        self.use_reference_nn = reference;
-        self
-    }
-
-    /// Flat-layout forward: leaves each layer's post-ReLU activations in
-    /// `acts_flat` for the backward pass. Bit-identical to
-    /// [`run`](Self::run); allocation-free in steady state.
+    /// Forward pass over the flat layout: leaves each layer's post-ReLU
+    /// activations in `acts_flat` for the backward pass and returns the
+    /// prediction. Allocation-free in steady state.
     fn run_flat(&mut self, x: &[f64]) -> f64 {
         let steps = x.len();
         self.feat_flat.clear();
@@ -165,10 +136,10 @@ impl WeaveNetPredictor {
         self.head_out[0]
     }
 
-    /// Flat-layout BPTT mirror of the reference training step: seeds the
-    /// gradient at the final timestep of the top layer, applies the
-    /// leaky-ReLU gate per layer, and chains `backward_flat` down the
-    /// stack ping-ponging the flat gradient buffers.
+    /// Backward pass over the flat layout: seeds the gradient at the final
+    /// timestep of the top layer, applies the leaky-ReLU gate per layer,
+    /// and chains `backward_flat` down the stack ping-ponging the flat
+    /// gradient buffers.
     fn backward_flat_stack(&mut self, derr: f64, steps: usize) {
         let top = self.convs.len() - 1;
         let top_ch = self.convs[top].out_ch();
@@ -189,56 +160,33 @@ impl WeaveNetPredictor {
         }
     }
 
-    /// One training pass over every window pair. Both paths are
-    /// bit-identical; the optimized one reuses the flat buffers.
+    /// One training pass over every window pair, reusing the flat
+    /// buffers.
     fn fit_pass(&mut self, pairs: &[(Vec<f64>, f64)]) {
         for (x, target) in pairs {
-            if self.use_reference_nn {
-                let (activations, y) = self.run(x);
-                let derr = 2.0 * (y - target);
-                let steps = x.len();
-                let top_act = activations.last().expect("at least one conv layer");
-                let dlast = self.head.backward(&top_act[steps - 1], &[derr]);
-                // seed gradient only at the final timestep of the top layer
-                let top_ch = self.convs.last().expect("non-empty stack").out_ch();
-                let mut dy: Vec<Vec<f64>> = vec![vec![0.0; top_ch]; steps];
-                dy[steps - 1] = dlast;
-                for l in (0..self.convs.len()).rev() {
-                    // leaky-ReLU gate: damp gradient on the negative branch
-                    for (dt, at) in dy.iter_mut().zip(&activations[l]) {
-                        for (dv, &av) in dt.iter_mut().zip(at) {
-                            if av < 0.0 {
-                                *dv *= LEAK;
-                            }
-                        }
-                    }
-                    dy = self.convs[l].backward(&dy);
-                }
-            } else {
-                let y = self.run_flat(x);
-                let derr = 2.0 * (y - target);
-                self.backward_flat_stack(derr, x.len());
-            }
-            self.train_step += 1;
-            let t = self.train_step;
-            for conv in self.convs.iter_mut() {
-                conv.apply_grads(t);
-            }
-            self.head.apply_grads(t);
+            let y = self.run_flat(x);
+            let derr = 2.0 * (y - target);
+            self.backward_flat_stack(derr, x.len());
+            self.apply_grads();
         }
+    }
+
+    /// Advances the global Adam step and applies accumulated gradients on
+    /// every conv layer and the head.
+    fn apply_grads(&mut self) {
+        self.train_step += 1;
+        let t = self.train_step;
+        for conv in self.convs.iter_mut() {
+            conv.apply_grads(t);
+        }
+        self.head.apply_grads(t);
     }
 
     /// Validation error (normalized MAE) over a normalized slice with the
     /// current weights.
     fn val_error_norm(&mut self, val: &[f64]) -> f64 {
         let (lags, scaler) = (self.cfg.lags, self.scaler);
-        val_error_over(val, lags, scaler, |x| {
-            if self.use_reference_nn {
-                self.run(x).1
-            } else {
-                self.run_flat(x)
-            }
-        })
+        val_error_over(val, lags, scaler, |x| self.run_flat(x))
     }
 
     /// Serializes the model to checkpoint bytes (DESIGN.md §15).
@@ -298,15 +246,6 @@ impl LoadPredictor for WeaveNetPredictor {
     fn forecast(&mut self) -> f64 {
         if self.window.is_empty() {
             return 0.0;
-        }
-        if self.use_reference_nn {
-            let raw = self.window.padded();
-            if !self.trained {
-                return *raw.last().expect("window is non-empty");
-            }
-            let x = self.scaler.transform_series(&raw);
-            let (_, y) = self.run(&x);
-            return self.scaler.inverse(y).max(0.0);
         }
         self.window.padded_into(&mut self.raw_buf);
         if !self.trained {
@@ -374,9 +313,90 @@ impl LoadPredictor for WeaveNetPredictor {
     }
 }
 
+/// The original `Vec<Vec>` stack, kept as the test oracle the flat path
+/// is checked against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::models::ReferenceNn;
+
+    impl WeaveNetPredictor {
+        /// Forward pass. Returns per-layer post-ReLU activations (for
+        /// backward) and the prediction.
+        fn run(&mut self, x: &[f64]) -> (Vec<Vec<Vec<f64>>>, f64) {
+            let mut feat: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
+            let mut activations = Vec::with_capacity(self.convs.len());
+            for conv in self.convs.iter_mut() {
+                let pre = conv.forward(&feat);
+                feat = pre
+                    .iter()
+                    .map(|t| t.iter().map(|&v| leaky_relu(v)).collect())
+                    .collect();
+                activations.push(feat.clone());
+            }
+            let last = feat.last().cloned().unwrap_or_default();
+            let y = self.head.forward(&last)[0];
+            (activations, y)
+        }
+    }
+
+    impl ReferenceNn for WeaveNetPredictor {
+        fn reference_pretrain(&mut self, series: &[f64]) {
+            assert_eq!(self.cfg.patience, 0, "the oracle pretrains fixed-epoch");
+            self.scaler = Scaler::fit(series);
+            let norm = self.scaler.transform_series(series);
+            let pairs = windowed_pairs(&norm, self.cfg.lags);
+            if pairs.is_empty() {
+                return;
+            }
+            for _ in 0..self.cfg.epochs {
+                for (x, target) in &pairs {
+                    let (activations, y) = self.run(x);
+                    let derr = 2.0 * (y - target);
+                    let steps = x.len();
+                    let top_act = activations.last().expect("at least one conv layer");
+                    let dlast = self.head.backward(&top_act[steps - 1], &[derr]);
+                    // seed gradient only at the final timestep of the top layer
+                    let top_ch = self.convs.last().expect("non-empty stack").out_ch();
+                    let mut dy: Vec<Vec<f64>> = vec![vec![0.0; top_ch]; steps];
+                    dy[steps - 1] = dlast;
+                    for l in (0..self.convs.len()).rev() {
+                        // leaky-ReLU gate: damp gradient on the negative branch
+                        for (dt, at) in dy.iter_mut().zip(&activations[l]) {
+                            for (dv, &av) in dt.iter_mut().zip(at) {
+                                if av < 0.0 {
+                                    *dv *= LEAK;
+                                }
+                            }
+                        }
+                        dy = self.convs[l].backward(&dy);
+                    }
+                    self.apply_grads();
+                }
+            }
+            self.trained = true;
+            self.epochs_run = self.cfg.epochs;
+        }
+
+        fn reference_forecast(&mut self) -> f64 {
+            if self.window.is_empty() {
+                return 0.0;
+            }
+            let raw = self.window.padded();
+            if !self.trained {
+                return *raw.last().expect("window is non-empty");
+            }
+            let x = self.scaler.transform_series(&raw);
+            let (_, y) = self.run(&x);
+            self.scaler.inverse(y).max(0.0)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::ReferenceNn;
 
     #[test]
     fn depth_covers_lag_window() {
@@ -405,22 +425,21 @@ mod tests {
         assert!((f - 70.0).abs() < 14.0, "constant forecast {f}");
     }
 
-    /// Optimized vs reference NN path: bit-identical forecasts after
+    /// Product path vs the reference oracle: bit-identical forecasts after
     /// pretraining on the same seed and data.
     #[test]
-    fn reference_nn_path_is_bit_identical() {
+    fn flat_path_matches_reference_oracle() {
         let series: Vec<f64> = (0..120)
             .map(|i| 45.0 + 28.0 * (i as f64 * 0.22).sin())
             .collect();
-        let mut optimized = WeaveNetPredictor::new(TrainConfig::fast(), 4, 17);
-        let mut reference =
-            WeaveNetPredictor::new(TrainConfig::fast(), 4, 17).with_reference_nn(true);
-        optimized.pretrain(&series);
-        reference.pretrain(&series);
+        let mut product = WeaveNetPredictor::new(TrainConfig::fast(), 4, 17);
+        let mut reference = product.clone();
+        product.pretrain(&series);
+        reference.reference_pretrain(&series);
         for &v in &series[series.len() - 12..] {
-            optimized.observe(v);
+            product.observe(v);
             reference.observe(v);
-            assert_eq!(optimized.forecast(), reference.forecast());
+            assert_eq!(product.forecast(), reference.reference_forecast());
         }
     }
 

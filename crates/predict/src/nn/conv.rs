@@ -14,8 +14,7 @@ use rand::Rng;
 
 /// One dilated causal convolution layer (kernel size 2, batch size 1).
 ///
-/// Feature maps are `Vec<Vec<f64>>`: outer index = timestep, inner =
-/// channel.
+/// Feature maps are flat `steps × channels` row-major slices.
 #[derive(Debug, Clone)]
 pub struct CausalConv1d {
     in_ch: usize,
@@ -29,10 +28,11 @@ pub struct CausalConv1d {
     db: Vec<f64>,
     opt_w: Adam,
     opt_b: Adam,
-    /// Cached input of the latest forward pass.
+    /// Input of the latest `Vec<Vec>` oracle forward pass.
+    #[cfg(test)]
     cache: Option<Vec<Vec<f64>>>,
-    /// Flat-path cache: input of the latest [`forward_flat`](Self::forward_flat)
-    /// as `steps × in_ch`.
+    /// Input of the latest [`forward_flat`](Self::forward_flat) as
+    /// `steps × in_ch`.
     cache_flat: Vec<f64>,
     /// Timesteps in `cache_flat` (0 = no flat forward pending).
     cache_steps: usize,
@@ -63,6 +63,7 @@ impl CausalConv1d {
             db: vec![0.0; out_ch],
             opt_w: Adam::new(out_ch * 2 * in_ch, lr),
             opt_b: Adam::new(out_ch, lr),
+            #[cfg(test)]
             cache: None,
             cache_flat: Vec::new(),
             cache_steps: 0,
@@ -84,72 +85,9 @@ impl CausalConv1d {
         self.out_ch
     }
 
-    /// Forward pass over a whole sequence; caches the input for backward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any timestep has the wrong channel count.
-    pub fn forward(&mut self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let d = self.dilation;
-        let mut out = Vec::with_capacity(x.len());
-        for (t, xt) in x.iter().enumerate() {
-            assert_eq!(xt.len(), self.in_ch, "channel count mismatch at t={t}");
-            let mut yt = self.b.clone();
-            let past: Option<&Vec<f64>> = t.checked_sub(d).map(|p| &x[p]);
-            for (o, yv) in yt.iter_mut().enumerate() {
-                let row = &self.w[o * 2 * self.in_ch..(o + 1) * 2 * self.in_ch];
-                if let Some(xp) = past {
-                    for (wv, xv) in row[..self.in_ch].iter().zip(xp) {
-                        *yv += wv * xv;
-                    }
-                }
-                for (wv, xv) in row[self.in_ch..].iter().zip(xt) {
-                    *yv += wv * xv;
-                }
-            }
-            out.push(yt);
-        }
-        self.cache = Some(x.to_vec());
-        out
-    }
-
-    /// Backward pass: accumulates weight gradients and returns dL/dx per
-    /// timestep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no forward pass is cached or `dy` has a different length
-    /// than the cached input.
-    pub fn backward(&mut self, dy: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let x = self.cache.take().expect("backward without forward");
-        assert_eq!(dy.len(), x.len(), "gradient sequence length mismatch");
-        let d = self.dilation;
-        let mut dx = vec![vec![0.0; self.in_ch]; x.len()];
-        for (t, dyt) in dy.iter().enumerate() {
-            assert_eq!(dyt.len(), self.out_ch, "output channel mismatch at t={t}");
-            let past_t = t.checked_sub(d);
-            for (o, &g) in dyt.iter().enumerate() {
-                self.db[o] += g;
-                let row_off = o * 2 * self.in_ch;
-                if let Some(p) = past_t {
-                    for c in 0..self.in_ch {
-                        self.dw[row_off + c] += g * x[p][c];
-                        dx[p][c] += g * self.w[row_off + c];
-                    }
-                }
-                for c in 0..self.in_ch {
-                    self.dw[row_off + self.in_ch + c] += g * x[t][c];
-                    dx[t][c] += g * self.w[row_off + self.in_ch + c];
-                }
-            }
-        }
-        dx
-    }
-
-    /// Flat-layout forward pass: `x` is `steps × in_ch` row-major, output
-    /// written into `y` as `steps × out_ch`. Bit-identical to
-    /// [`forward`](Self::forward) (same tap order per output element) and
-    /// allocation-free once `y` and the cache have grown to the longest
+    /// Forward pass: `x` is `steps × in_ch` row-major, output written into
+    /// `y` as `steps × out_ch`; caches the input for backward.
+    /// Allocation-free once `y` and the cache have grown to the longest
     /// sequence seen.
     ///
     /// # Panics
@@ -185,10 +123,9 @@ impl CausalConv1d {
         self.cache_steps = steps;
     }
 
-    /// Flat-layout backward pass over the input cached by
+    /// Backward pass over the input cached by
     /// [`forward_flat`](Self::forward_flat): accumulates weight gradients
-    /// and writes dL/dx (`steps × in_ch`) into `dx`. Bit-identical to
-    /// [`backward`](Self::backward).
+    /// and writes dL/dx (`steps × in_ch`) into `dx`.
     ///
     /// # Panics
     ///
@@ -226,8 +163,7 @@ impl CausalConv1d {
         self.cache_steps = 0;
     }
 
-    /// Read-only view of the trainable parameters `(w, b)` — used by the
-    /// reference-vs-optimized differential tests.
+    /// Read-only view of the trainable parameters `(w, b)`.
     pub fn weights(&self) -> (&[f64], &[f64]) {
         (&self.w, &self.b)
     }
@@ -270,10 +206,77 @@ impl CausalConv1d {
         self.opt_b.load_state(r)?;
         self.dw.iter_mut().for_each(|v| *v = 0.0);
         self.db.iter_mut().for_each(|v| *v = 0.0);
-        self.cache = None;
         self.cache_flat.clear();
         self.cache_steps = 0;
         Ok(())
+    }
+}
+
+/// The original `Vec<Vec>` forms (outer index = timestep, inner =
+/// channel), kept as the test oracle the flat forms are checked against
+/// bit for bit: same tap order per output element.
+#[cfg(test)]
+impl CausalConv1d {
+    /// Forward pass over a whole sequence; caches the input for backward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any timestep has the wrong channel count.
+    pub(crate) fn forward(&mut self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let d = self.dilation;
+        let mut out = Vec::with_capacity(x.len());
+        for (t, xt) in x.iter().enumerate() {
+            assert_eq!(xt.len(), self.in_ch, "channel count mismatch at t={t}");
+            let mut yt = self.b.clone();
+            let past: Option<&Vec<f64>> = t.checked_sub(d).map(|p| &x[p]);
+            for (o, yv) in yt.iter_mut().enumerate() {
+                let row = &self.w[o * 2 * self.in_ch..(o + 1) * 2 * self.in_ch];
+                if let Some(xp) = past {
+                    for (wv, xv) in row[..self.in_ch].iter().zip(xp) {
+                        *yv += wv * xv;
+                    }
+                }
+                for (wv, xv) in row[self.in_ch..].iter().zip(xt) {
+                    *yv += wv * xv;
+                }
+            }
+            out.push(yt);
+        }
+        self.cache = Some(x.to_vec());
+        out
+    }
+
+    /// Backward pass: accumulates weight gradients and returns dL/dx per
+    /// timestep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass is cached or `dy` has a different length
+    /// than the cached input.
+    pub(crate) fn backward(&mut self, dy: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let x = self.cache.take().expect("backward without forward");
+        assert_eq!(dy.len(), x.len(), "gradient sequence length mismatch");
+        let d = self.dilation;
+        let mut dx = vec![vec![0.0; self.in_ch]; x.len()];
+        for (t, dyt) in dy.iter().enumerate() {
+            assert_eq!(dyt.len(), self.out_ch, "output channel mismatch at t={t}");
+            let past_t = t.checked_sub(d);
+            for (o, &g) in dyt.iter().enumerate() {
+                self.db[o] += g;
+                let row_off = o * 2 * self.in_ch;
+                if let Some(p) = past_t {
+                    for c in 0..self.in_ch {
+                        self.dw[row_off + c] += g * x[p][c];
+                        dx[p][c] += g * self.w[row_off + c];
+                    }
+                }
+                for c in 0..self.in_ch {
+                    self.dw[row_off + self.in_ch + c] += g * x[t][c];
+                    dx[t][c] += g * self.w[row_off + self.in_ch + c];
+                }
+            }
+        }
+        dx
     }
 }
 

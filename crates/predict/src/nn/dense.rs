@@ -2,14 +2,14 @@
 
 use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter};
 use crate::nn::adam::Adam;
-use crate::nn::linalg::{
-    matvec, matvec_into, matvec_transposed, matvec_transposed_into, outer_accumulate, xavier,
-};
+#[cfg(test)]
+use crate::nn::linalg::{matvec, matvec_transposed};
+use crate::nn::linalg::{matvec_into, matvec_transposed_into, outer_accumulate, xavier};
 use rand::Rng;
 
 /// Dense layer `y = W·x + b` at batch size 1.
 ///
-/// Gradients accumulate across [`Dense::backward`] calls until
+/// Gradients accumulate across [`Dense::backward_into`] calls until
 /// [`Dense::apply_grads`]; this supports both per-sample updates (paper:
 /// batch size 1) and BPTT where a layer is applied at many timesteps.
 #[derive(Debug, Clone)]
@@ -54,17 +54,7 @@ impl Dense {
         self.out_dim
     }
 
-    /// Forward pass.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = matvec(&self.w, self.out_dim, self.in_dim, x);
-        for (yv, bv) in y.iter_mut().zip(&self.b) {
-            *yv += bv;
-        }
-        y
-    }
-
-    /// Write-into forward pass — bit-identical to [`Dense::forward`],
-    /// allocation-free.
+    /// Forward pass into a caller-owned output slice; allocation-free.
     ///
     /// # Panics
     ///
@@ -76,20 +66,9 @@ impl Dense {
         }
     }
 
-    /// Backward pass: accumulates dW, db and returns dL/dx. `x` must be the
-    /// input used for the corresponding forward pass.
-    pub fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
-        assert_eq!(dy.len(), self.out_dim, "output gradient length mismatch");
-        outer_accumulate(&mut self.dw, dy, x);
-        for (d, g) in self.db.iter_mut().zip(dy) {
-            *d += g;
-        }
-        matvec_transposed(&self.w, self.out_dim, self.in_dim, dy)
-    }
-
     /// Accumulates dW/db without computing dL/dx — for input layers whose
-    /// input gradient feeds nothing (the reference path computes and
-    /// discards it; skipping it changes no trained weight).
+    /// input gradient feeds nothing (skipping it changes no trained
+    /// weight).
     ///
     /// # Panics
     ///
@@ -102,8 +81,8 @@ impl Dense {
         }
     }
 
-    /// Write-into backward pass — bit-identical to [`Dense::backward`],
-    /// writing dL/dx into `dx` instead of allocating.
+    /// Backward pass: accumulates dW, db and writes dL/dx into `dx`. `x`
+    /// must be the input used for the corresponding forward pass.
     ///
     /// # Panics
     ///
@@ -158,6 +137,30 @@ impl Dense {
         self.dw.iter_mut().for_each(|v| *v = 0.0);
         self.db.iter_mut().for_each(|v| *v = 0.0);
         Ok(())
+    }
+}
+
+/// The original allocating forms, kept as the test oracle the write-into
+/// forms are checked against bit for bit.
+#[cfg(test)]
+impl Dense {
+    /// Forward pass.
+    pub(crate) fn forward(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = matvec(&self.w, self.out_dim, self.in_dim, x);
+        for (yv, bv) in y.iter_mut().zip(&self.b) {
+            *yv += bv;
+        }
+        y
+    }
+
+    /// Backward pass: accumulates dW, db and returns dL/dx.
+    pub(crate) fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
+        assert_eq!(dy.len(), self.out_dim, "output gradient length mismatch");
+        outer_accumulate(&mut self.dw, dy, x);
+        for (d, g) in self.db.iter_mut().zip(dy) {
+            *d += g;
+        }
+        matvec_transposed(&self.w, self.out_dim, self.in_dim, dy)
     }
 }
 

@@ -1,21 +1,23 @@
 //! Vector and (flat row-major) matrix primitives for batch-size-1 training.
 //!
-//! Every kernel exists in two forms: an allocating reference form (the
-//! original scalar implementation, kept for tests and the
-//! `use_reference_nn` differential path) and a write-into form taking a
-//! `&mut [f64]` output slice for the allocation-free hot loops. The two
-//! forms are **bit-identical** by construction: each output element is
-//! accumulated as the same ordered sequence of IEEE-754 adds, so the
-//! optimized layouts change memory traffic, never rounding.
+//! The matrix-vector kernels write into a caller-owned `&mut [f64]`
+//! output slice, so the training and forecast loops never allocate. The
+//! original allocating forms (`matvec`, `matvec_transposed`) survive only
+//! under `#[cfg(test)]`, as the oracle the write-into and column-major
+//! forms are checked against: each output element is accumulated as the
+//! same ordered sequence of IEEE-754 adds, so the optimized layouts change
+//! memory traffic, never rounding.
 
 use rand::Rng;
 
-/// y = W·x where `w` is `rows × cols` row-major and `x` has `cols` entries.
+/// y = W·x where `w` is `rows × cols` row-major and `x` has `cols` entries
+/// (allocating test oracle for [`matvec_into`]).
 ///
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn matvec(w: &[f64], rows: usize, cols: usize, x: &[f64]) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn matvec(w: &[f64], rows: usize, cols: usize, x: &[f64]) -> Vec<f64> {
     assert_eq!(w.len(), rows * cols, "weight shape mismatch");
     assert_eq!(x.len(), cols, "input length mismatch");
     let mut y = vec![0.0; rows];
@@ -30,7 +32,8 @@ pub fn matvec(w: &[f64], rows: usize, cols: usize, x: &[f64]) -> Vec<f64> {
     y
 }
 
-/// Write-into form of [`matvec`]: `y = W·x` into a caller-owned slice.
+/// `y = W·x` where `w` is `rows × cols` row-major, written into a
+/// caller-owned slice of `rows` entries.
 ///
 /// # Panics
 ///
@@ -54,7 +57,7 @@ pub fn matvec_into(w: &[f64], rows: usize, cols: usize, x: &[f64], y: &mut [f64]
 /// turns each column's contribution into a contiguous axpy over `y`, which
 /// vectorizes — while every `y[r]` still accumulates `W[r][c]·x[c]` for
 /// `c = 0, 1, …` in exactly the order the row-major dot product in
-/// [`matvec`] uses, so the result is bit-identical.
+/// [`matvec_into`] uses, so the result is bit-identical.
 ///
 /// # Panics
 ///
@@ -92,12 +95,13 @@ pub fn transpose_into(w: &[f64], rows: usize, cols: usize, wt: &mut [f64]) {
 }
 
 /// y = Wᵀ·g where `w` is `rows × cols` row-major and `g` has `rows`
-/// entries; used to propagate gradients back through a linear map.
+/// entries (allocating test oracle for [`matvec_transposed_into`]).
 ///
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn matvec_transposed(w: &[f64], rows: usize, cols: usize, g: &[f64]) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn matvec_transposed(w: &[f64], rows: usize, cols: usize, g: &[f64]) -> Vec<f64> {
     assert_eq!(w.len(), rows * cols, "weight shape mismatch");
     assert_eq!(g.len(), rows, "gradient length mismatch");
     let mut y = vec![0.0; cols];
@@ -105,11 +109,11 @@ pub fn matvec_transposed(w: &[f64], rows: usize, cols: usize, g: &[f64]) -> Vec<
     y
 }
 
-/// Write-into form of [`matvec_transposed`]: `y = Wᵀ·g` into a caller-owned
-/// slice. The row-outer/column-inner loop is already the vector-friendly
-/// orientation for a row-major `w` (each row is a contiguous axpy over
-/// `y`), and each `y[c]` accumulates over `r = 0, 1, …` in the same order
-/// as the reference.
+/// `y = Wᵀ·g` into a caller-owned slice — how gradients propagate back
+/// through a linear map. The row-outer/column-inner loop is already the
+/// vector-friendly orientation for a row-major `w` (each row is a
+/// contiguous axpy over `y`), and each `y[c]` accumulates over
+/// `r = 0, 1, …` in a fixed order.
 ///
 /// # Panics
 ///

@@ -8,9 +8,10 @@
 use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter};
 use crate::nn::adam::Adam;
 use crate::nn::dense::clip;
+#[cfg(test)]
+use crate::nn::linalg::{matvec, matvec_transposed};
 use crate::nn::linalg::{
-    matvec, matvec_colmajor_into, matvec_transposed, matvec_transposed_into, outer_accumulate,
-    transpose_into, xavier,
+    matvec_colmajor_into, matvec_transposed_into, outer_accumulate, transpose_into, xavier,
 };
 use crate::nn::{sigmoid, sigmoid_deriv, tanh_deriv};
 use rand::Rng;
@@ -40,7 +41,9 @@ impl LstmState {
     }
 }
 
-/// Cached activations for one timestep, needed by the backward pass.
+/// Cached activations for one timestep of the `Vec`-per-step oracle,
+/// needed by its backward pass.
+#[cfg(test)]
 #[derive(Debug, Clone)]
 struct StepCache {
     x: Vec<f64>,
@@ -56,22 +59,14 @@ struct StepCache {
 /// A single LSTM layer (batch size 1) with trainable input, recurrent and
 /// bias parameters, stacked gate-major: `[i, f, g, o]`.
 ///
-/// Two forward/backward APIs share the same weights:
-///
-/// - the **reference** path ([`forward_step`](Self::forward_step) /
-///   [`backward`](Self::backward)) — the original per-step-allocating
-///   implementation, kept verbatim for the `use_reference_nn`
-///   differential flag;
-/// - the **optimized** path ([`forward_step_into`](Self::forward_step_into)
-///   / [`backward_flat`](Self::backward_flat)) — flat preallocated
-///   workspace buffers, column-major weight mirrors for the forward
-///   matvecs, and zero heap allocation once the workspace has grown to
-///   the longest sequence seen.
-///
-/// Both produce bit-identical numbers: every output element accumulates
-/// the same ordered sequence of IEEE-754 operations (see `nn::linalg`).
-/// A cell instance should stick to one path per sequence — activations
-/// cached by one are invisible to the other.
+/// [`forward_step_into`](Self::forward_step_into) /
+/// [`backward_flat`](Self::backward_flat) run over flat preallocated
+/// workspace buffers, with column-major weight mirrors for the forward
+/// matvecs, and allocate nothing once the workspace has grown to the
+/// longest sequence seen. The original per-step-allocating forms survive
+/// under `#[cfg(test)]` as the oracle these are checked against bit for
+/// bit: every output element accumulates the same ordered sequence of
+/// IEEE-754 operations (see `nn::linalg`).
 #[derive(Debug, Clone)]
 pub struct LstmCell {
     input: usize,
@@ -89,6 +84,8 @@ pub struct LstmCell {
     opt_wx: Adam,
     opt_wh: Adam,
     opt_b: Adam,
+    /// Per-step activations cached by the oracle's `forward_step`.
+    #[cfg(test)]
     cache: Vec<StepCache>,
     /// Column-major mirror of `wx` (refreshed after every optimizer step)
     /// so the forward matvec runs as contiguous per-column axpys.
@@ -156,6 +153,7 @@ impl LstmCell {
             opt_wx: Adam::new(gates * input, lr),
             opt_wh: Adam::new(gates * hidden, lr),
             opt_b: Adam::new(gates, lr),
+            #[cfg(test)]
             cache: Vec::new(),
             wx_t,
             wh_t,
@@ -185,110 +183,12 @@ impl LstmCell {
         self.input
     }
 
-    /// Runs one timestep, caching activations for BPTT, and returns the new
-    /// state.
+    /// Runs one timestep: advances `state` in place, caching activations in
+    /// the flat workspace for [`backward_flat`](Self::backward_flat).
     ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    pub fn forward_step(&mut self, x: &[f64], prev: &LstmState) -> LstmState {
-        assert_eq!(x.len(), self.input, "input width mismatch");
-        assert_eq!(prev.h.len(), self.hidden, "state width mismatch");
-        let gates = 4 * self.hidden;
-        let mut z = matvec(&self.wx, gates, self.input, x);
-        let zh = matvec(&self.wh, gates, self.hidden, &prev.h);
-        for (zv, (zhv, bv)) in z.iter_mut().zip(zh.iter().zip(&self.b)) {
-            *zv += zhv + bv;
-        }
-        let h = self.hidden;
-        let i: Vec<f64> = z[0..h].iter().map(|&v| sigmoid(v)).collect();
-        let f: Vec<f64> = z[h..2 * h].iter().map(|&v| sigmoid(v)).collect();
-        let g: Vec<f64> = z[2 * h..3 * h].iter().map(|&v| v.tanh()).collect();
-        let o: Vec<f64> = z[3 * h..4 * h].iter().map(|&v| sigmoid(v)).collect();
-        let mut c = vec![0.0; h];
-        for k in 0..h {
-            c[k] = f[k] * prev.c[k] + i[k] * g[k];
-        }
-        let tanh_c: Vec<f64> = c.iter().map(|&v| v.tanh()).collect();
-        let mut h_out = vec![0.0; h];
-        for k in 0..h {
-            h_out[k] = o[k] * tanh_c[k];
-        }
-        self.cache.push(StepCache {
-            x: x.to_vec(),
-            h_prev: prev.h.clone(),
-            c_prev: prev.c.clone(),
-            i,
-            f,
-            g,
-            o,
-            tanh_c,
-        });
-        LstmState { h: h_out, c }
-    }
-
-    /// Backpropagates through all cached timesteps.
-    ///
-    /// `dh_seq[t]` is dL/dh for timestep `t` (zero vectors for timesteps
-    /// without direct loss). Accumulates weight gradients, clears the cache
-    /// and returns per-timestep input gradients dL/dx.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dh_seq.len()` differs from the number of cached steps.
-    pub fn backward(&mut self, dh_seq: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        assert_eq!(
-            dh_seq.len(),
-            self.cache.len(),
-            "need one dh per cached timestep"
-        );
-        let h = self.hidden;
-        let gates = 4 * h;
-        let mut dx_seq = vec![vec![0.0; self.input]; dh_seq.len()];
-        let mut dh_next = vec![0.0; h];
-        let mut dc_next = vec![0.0; h];
-        for t in (0..self.cache.len()).rev() {
-            let cache = &self.cache[t];
-            let mut dh = dh_seq[t].clone();
-            for (a, b) in dh.iter_mut().zip(&dh_next) {
-                *a += b;
-            }
-            // dL/dc through h = o * tanh(c), plus carry from t+1
-            let mut dc = dc_next.clone();
-            for k in 0..h {
-                dc[k] += dh[k] * cache.o[k] * tanh_deriv(cache.tanh_c[k]);
-            }
-            // gate pre-activation gradients, stacked [i, f, g, o]
-            let mut dz = vec![0.0; gates];
-            for k in 0..h {
-                dz[k] = dc[k] * cache.g[k] * sigmoid_deriv(cache.i[k]);
-                dz[h + k] = dc[k] * cache.c_prev[k] * sigmoid_deriv(cache.f[k]);
-                dz[2 * h + k] = dc[k] * cache.i[k] * tanh_deriv(cache.g[k]);
-                dz[3 * h + k] = dh[k] * cache.tanh_c[k] * sigmoid_deriv(cache.o[k]);
-            }
-            outer_accumulate(&mut self.dwx, &dz, &cache.x);
-            outer_accumulate(&mut self.dwh, &dz, &cache.h_prev);
-            for (d, g) in self.db.iter_mut().zip(&dz) {
-                *d += g;
-            }
-            dx_seq[t] = matvec_transposed(&self.wx, gates, self.input, &dz);
-            dh_next = matvec_transposed(&self.wh, gates, h, &dz);
-            for k in 0..h {
-                dc_next[k] = dc[k] * cache.f[k];
-            }
-        }
-        self.cache.clear();
-        dx_seq
-    }
-
-    /// Optimized forward step: advances `state` in place, caching
-    /// activations in the flat workspace for [`backward_flat`](Self::backward_flat).
-    ///
-    /// Bit-identical to [`forward_step`](Self::forward_step) — the matvecs
-    /// run over the column-major mirrors (same per-element accumulation
-    /// order, see [`matvec_colmajor_into`]) and every scalar expression is
-    /// written in the reference's order. Allocation-free once the
-    /// workspace has grown to the longest sequence seen.
+    /// The matvecs run over the column-major mirrors (see
+    /// [`matvec_colmajor_into`]). Allocation-free once the workspace has
+    /// grown to the longest sequence seen.
     ///
     /// # Panics
     ///
@@ -309,13 +209,12 @@ impl LstmCell {
             self.cs.extend_from_slice(&state.c);
         } else {
             // row t was written by the previous step; refresh from the
-            // caller's state so injected state edits keep reference
-            // semantics
+            // caller's state so injected state edits take effect
             self.hs[t * h..(t + 1) * h].copy_from_slice(&state.h);
             self.cs[t * h..(t + 1) * h].copy_from_slice(&state.c);
         }
         self.xs.extend_from_slice(x);
-        // z = Wx·x + (Wh·h_prev + b), grouped exactly as the reference
+        // z = Wx·x + (Wh·h_prev + b), grouped exactly as the oracle
         matvec_colmajor_into(&self.wx_t, gates, self.input, x, &mut self.z);
         matvec_colmajor_into(&self.wh_t, gates, h, &state.h, &mut self.zh);
         for ((zv, zhv), bv) in self.z.iter_mut().zip(&self.zh).zip(&self.b) {
@@ -352,16 +251,15 @@ impl LstmCell {
         self.steps = t + 1;
     }
 
-    /// Optimized BPTT over the flat workspace filled by
+    /// Backpropagates through time over the flat workspace filled by
     /// [`forward_step_into`](Self::forward_step_into).
     ///
     /// `dh_seq` is the flat `steps × hidden` loss gradient (row `t` is
     /// dL/dh at timestep `t`). When `dx_seq` is `Some`, it is resized to
     /// `steps × input` and receives dL/dx (stacked models need it;
-    /// bottom layers pass `None` and skip the work the reference path
-    /// always did). Accumulates weight gradients and resets the
-    /// workspace. Bit-identical to [`backward`](Self::backward);
-    /// allocation-free in steady state.
+    /// bottom layers pass `None` and skip that work). Accumulates weight
+    /// gradients and resets the workspace; allocation-free in steady
+    /// state.
     ///
     /// # Panics
     ///
@@ -445,6 +343,7 @@ impl LstmCell {
 
     /// Discards cached timesteps without applying gradients (inference).
     pub fn clear_cache(&mut self) {
+        #[cfg(test)]
         self.cache.clear();
         self.steps = 0;
         self.xs.clear();
@@ -454,15 +353,12 @@ impl LstmCell {
         self.tanh_cs.clear();
     }
 
-    /// Number of cached (not yet backpropagated) timesteps, whichever
-    /// path cached them.
+    /// Number of cached (not yet backpropagated) timesteps.
     pub fn cached_steps(&self) -> usize {
-        self.cache.len().max(self.steps)
+        self.steps
     }
 
-    /// Read-only view of the trainable parameters `(wx, wh, b)` — used by
-    /// the reference-vs-optimized differential tests to assert bit
-    /// identity after training.
+    /// Read-only view of the trainable parameters `(wx, wh, b)`.
     pub fn weights(&self) -> (&[f64], &[f64], &[f64]) {
         (&self.wx, &self.wh, &self.b)
     }
@@ -507,6 +403,107 @@ impl LstmCell {
     }
 }
 
+/// The original per-step-allocating forms, kept as the test oracle the
+/// flat workspace path is checked against bit for bit.
+#[cfg(test)]
+impl LstmCell {
+    /// Runs one timestep, caching activations for BPTT, and returns the new
+    /// state.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatches.
+    pub(crate) fn forward_step(&mut self, x: &[f64], prev: &LstmState) -> LstmState {
+        assert_eq!(x.len(), self.input, "input width mismatch");
+        assert_eq!(prev.h.len(), self.hidden, "state width mismatch");
+        let gates = 4 * self.hidden;
+        let mut z = matvec(&self.wx, gates, self.input, x);
+        let zh = matvec(&self.wh, gates, self.hidden, &prev.h);
+        for (zv, (zhv, bv)) in z.iter_mut().zip(zh.iter().zip(&self.b)) {
+            *zv += zhv + bv;
+        }
+        let h = self.hidden;
+        let i: Vec<f64> = z[0..h].iter().map(|&v| sigmoid(v)).collect();
+        let f: Vec<f64> = z[h..2 * h].iter().map(|&v| sigmoid(v)).collect();
+        let g: Vec<f64> = z[2 * h..3 * h].iter().map(|&v| v.tanh()).collect();
+        let o: Vec<f64> = z[3 * h..4 * h].iter().map(|&v| sigmoid(v)).collect();
+        let mut c = vec![0.0; h];
+        for k in 0..h {
+            c[k] = f[k] * prev.c[k] + i[k] * g[k];
+        }
+        let tanh_c: Vec<f64> = c.iter().map(|&v| v.tanh()).collect();
+        let mut h_out = vec![0.0; h];
+        for k in 0..h {
+            h_out[k] = o[k] * tanh_c[k];
+        }
+        self.cache.push(StepCache {
+            x: x.to_vec(),
+            h_prev: prev.h.clone(),
+            c_prev: prev.c.clone(),
+            i,
+            f,
+            g,
+            o,
+            tanh_c,
+        });
+        LstmState { h: h_out, c }
+    }
+
+    /// Backpropagates through all cached timesteps.
+    ///
+    /// `dh_seq[t]` is dL/dh for timestep `t` (zero vectors for timesteps
+    /// without direct loss). Accumulates weight gradients, clears the cache
+    /// and returns per-timestep input gradients dL/dx.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dh_seq.len()` differs from the number of cached steps.
+    pub(crate) fn backward(&mut self, dh_seq: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        assert_eq!(
+            dh_seq.len(),
+            self.cache.len(),
+            "need one dh per cached timestep"
+        );
+        let h = self.hidden;
+        let gates = 4 * h;
+        let mut dx_seq = vec![vec![0.0; self.input]; dh_seq.len()];
+        let mut dh_next = vec![0.0; h];
+        let mut dc_next = vec![0.0; h];
+        for t in (0..self.cache.len()).rev() {
+            let cache = &self.cache[t];
+            let mut dh = dh_seq[t].clone();
+            for (a, b) in dh.iter_mut().zip(&dh_next) {
+                *a += b;
+            }
+            // dL/dc through h = o * tanh(c), plus carry from t+1
+            let mut dc = dc_next.clone();
+            for k in 0..h {
+                dc[k] += dh[k] * cache.o[k] * tanh_deriv(cache.tanh_c[k]);
+            }
+            // gate pre-activation gradients, stacked [i, f, g, o]
+            let mut dz = vec![0.0; gates];
+            for k in 0..h {
+                dz[k] = dc[k] * cache.g[k] * sigmoid_deriv(cache.i[k]);
+                dz[h + k] = dc[k] * cache.c_prev[k] * sigmoid_deriv(cache.f[k]);
+                dz[2 * h + k] = dc[k] * cache.i[k] * tanh_deriv(cache.g[k]);
+                dz[3 * h + k] = dh[k] * cache.tanh_c[k] * sigmoid_deriv(cache.o[k]);
+            }
+            outer_accumulate(&mut self.dwx, &dz, &cache.x);
+            outer_accumulate(&mut self.dwh, &dz, &cache.h_prev);
+            for (d, g) in self.db.iter_mut().zip(&dz) {
+                *d += g;
+            }
+            dx_seq[t] = matvec_transposed(&self.wx, gates, self.input, &dz);
+            dh_next = matvec_transposed(&self.wh, gates, h, &dz);
+            for k in 0..h {
+                dc_next[k] = dc[k] * cache.f[k];
+            }
+        }
+        self.cache.clear();
+        dx_seq
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,10 +524,12 @@ mod tests {
     fn forward_produces_bounded_outputs() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut cell = LstmCell::new(1, 8, 0.01, &mut rng);
-        let h = run_sequence(&mut cell, &[0.5, -0.5, 1.0]);
-        assert_eq!(h.len(), 8);
+        let mut state = LstmState::zeros(8);
+        for x in [0.5, -0.5, 1.0] {
+            cell.forward_step_into(&[x], &mut state);
+        }
         // h = o·tanh(c), both factors bounded
-        assert!(h.iter().all(|v| v.abs() <= 1.0));
+        assert!(state.h.iter().all(|v| v.abs() <= 1.0));
         assert_eq!(cell.cached_steps(), 3);
     }
 
@@ -623,14 +622,13 @@ mod tests {
     fn clear_cache_resets() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut cell = LstmCell::new(1, 2, 0.01, &mut rng);
-        let s = LstmState::zeros(2);
-        cell.forward_step(&[1.0], &s);
+        let mut s = LstmState::zeros(2);
+        cell.forward_step_into(&[1.0], &mut s);
         cell.clear_cache();
         assert_eq!(cell.cached_steps(), 0);
     }
 
-    /// The optimized flat-workspace path must match the reference path
-    /// bit for bit — hidden states, input gradients and post-update
+    /// The flat-workspace path must match the per-step oracle bit for bit — hidden states, input gradients and post-update
     /// weights compared with `==` across several training rounds.
     #[test]
     fn flat_path_bit_identical_to_reference() {

@@ -21,9 +21,7 @@ pub mod lstm;
 pub use adam::Adam;
 pub use conv::CausalConv1d;
 pub use dense::Dense;
-pub use linalg::{
-    matvec, matvec_colmajor_into, matvec_into, matvec_transposed_into, transpose_into,
-};
+pub use linalg::{matvec_colmajor_into, matvec_into, matvec_transposed_into, transpose_into};
 pub use lstm::{LstmCell, LstmState};
 
 /// Numerically stable logistic sigmoid.

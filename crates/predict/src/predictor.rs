@@ -1,7 +1,6 @@
 //! The [`LoadPredictor`] trait and the [`PredictorKind`] registry.
 
 use crate::checkpoint::CheckpointError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A one-step-ahead load forecaster.
@@ -68,7 +67,7 @@ pub trait LoadPredictor {
 }
 
 /// Identifies one of the eight predictors compared in Figure 6a.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PredictorKind {
     /// Moving-window average.
     Mwa,
@@ -115,15 +114,6 @@ impl PredictorKind {
     /// Instantiates the predictor with its paper-default configuration and
     /// the given weight-initialization seed.
     pub fn build(self, seed: u64) -> Box<dyn LoadPredictor + Send> {
-        self.build_with(seed, false)
-    }
-
-    /// [`build`](Self::build) with an explicit NN-path selection: when
-    /// `reference_nn` is true the four neural models route through the
-    /// original per-step-allocating implementation instead of the flat
-    /// workspace one (bit-identical; exists for differential testing).
-    /// Classical models have a single implementation and ignore the flag.
-    pub fn build_with(self, seed: u64, reference_nn: bool) -> Box<dyn LoadPredictor + Send> {
         match self {
             PredictorKind::Mwa => Box::new(crate::classic::MovingWindowAverage::paper_default()),
             PredictorKind::Ewma => Box::new(crate::classic::Ewma::paper_default()),
@@ -133,20 +123,14 @@ impl PredictorKind {
             PredictorKind::LogisticRegression => {
                 Box::new(crate::classic::LogisticTrend::paper_default())
             }
-            PredictorKind::SimpleFeedForward => Box::new(
-                crate::models::SimpleFfPredictor::paper_default(seed)
-                    .with_reference_nn(reference_nn),
-            ),
-            PredictorKind::WeaveNet => Box::new(
-                crate::models::WeaveNetPredictor::paper_default(seed)
-                    .with_reference_nn(reference_nn),
-            ),
-            PredictorKind::DeepAr => Box::new(
-                crate::models::DeepArPredictor::paper_default(seed).with_reference_nn(reference_nn),
-            ),
-            PredictorKind::Lstm => Box::new(
-                crate::models::LstmPredictor::paper_default(seed).with_reference_nn(reference_nn),
-            ),
+            PredictorKind::SimpleFeedForward => {
+                Box::new(crate::models::SimpleFfPredictor::paper_default(seed))
+            }
+            PredictorKind::WeaveNet => {
+                Box::new(crate::models::WeaveNetPredictor::paper_default(seed))
+            }
+            PredictorKind::DeepAr => Box::new(crate::models::DeepArPredictor::paper_default(seed)),
+            PredictorKind::Lstm => Box::new(crate::models::LstmPredictor::paper_default(seed)),
         }
     }
 }
@@ -197,6 +181,47 @@ mod tests {
         assert_eq!(PredictorKind::Lstm.to_string(), "LSTM");
         assert_eq!(PredictorKind::Ewma.to_string(), "EWMA");
         assert_eq!(PredictorKind::SimpleFeedForward.to_string(), "Simple FF.");
+    }
+
+    /// The reference oracle for a neural kind: the same paper-default
+    /// model [`PredictorKind::build`] returns, driven through its original
+    /// per-step-allocating NN stack.
+    fn oracle(kind: PredictorKind, seed: u64) -> Box<dyn crate::models::ReferenceNn> {
+        use crate::models::*;
+        match kind {
+            PredictorKind::SimpleFeedForward => Box::new(SimpleFfPredictor::paper_default(seed)),
+            PredictorKind::WeaveNet => Box::new(WeaveNetPredictor::paper_default(seed)),
+            PredictorKind::DeepAr => Box::new(DeepArPredictor::paper_default(seed)),
+            PredictorKind::Lstm => Box::new(LstmPredictor::paper_default(seed)),
+            classical => unreachable!("{classical} has no NN stack"),
+        }
+    }
+
+    /// Every neural predictor kind, pre-trained on several seeds, forecasts
+    /// bit-identically to its reference oracle. This covers the
+    /// predictor-facing surface the RMs build, whichever kinds the
+    /// registry RMs happen to select.
+    #[test]
+    fn every_neural_predictor_kind_matches_its_oracle_across_seeds() {
+        // enough points for the default 20 lags to form training pairs
+        let series: Vec<f64> = (0..44)
+            .map(|i| 6.0 + 3.0 * (i as f64 * 0.3).sin())
+            .collect();
+        let feed: Vec<f64> = (0..12).map(|i| 5.0 + (i as f64 * 0.7).cos()).collect();
+        for kind in PredictorKind::ALL.iter().filter(|k| k.is_neural()) {
+            for seed in [1_u64, 42, 2024] {
+                let mut product = kind.build(seed);
+                let mut reference = oracle(*kind, seed);
+                product.pretrain(&series);
+                reference.reference_pretrain(&series);
+                for &v in &feed {
+                    product.observe(v);
+                    reference.observe(v);
+                    let (a, b) = (product.forecast(), reference.reference_forecast());
+                    assert_eq!(a, b, "{kind} seed {seed}: forecasts diverged");
+                }
+            }
+        }
     }
 
     #[test]

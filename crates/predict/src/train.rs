@@ -5,14 +5,13 @@
 //! production pretraining path (DESIGN.md §15).
 
 use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter};
-use serde::{Deserialize, Serialize};
 
 /// Min–max normalization of a rate series into `[0, 1]`.
 ///
 /// The scaler is fitted on the training split and reused unchanged at
 /// inference (refitting at inference would leak test data). An extra 30%
 /// headroom above the training maximum keeps unseen peaks inside range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scaler {
     lo: f64,
     hi: f64,
@@ -145,7 +144,7 @@ pub fn windowed_pairs(series: &[f64], lags: usize) -> Vec<(Vec<f64>, f64)> {
 /// batch size 1 (implicit — updates are per-sample), and no early
 /// stopping — `patience == 0` reproduces the paper's fixed-epoch
 /// pretraining bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training windows (an upper bound when
     /// early stopping is enabled).

@@ -84,7 +84,7 @@ impl Simulation<'_> {
             tenants: self.cfg.tenants,
             min_warm_pool: self.cfg.min_warm_pool,
             idle_timeout: self.cfg.idle_timeout,
-            container_alloc: self.cfg.container_alloc(),
+            container_alloc: crate::config::container_alloc(),
             capacity: self.cluster.total_capacity(),
             allocated: self.cluster.total_allocated(),
             used: self.cluster.total_used(),
@@ -201,7 +201,10 @@ pub(crate) fn build_stages(
                 } else {
                     1 // non-batching RMs: one request per container (§3)
                 };
-                let cold = sp.microservice.spec().cold_start_time(cfg.image_pull_mbps);
+                let cold = sp
+                    .microservice
+                    .spec()
+                    .cold_start_time(crate::config::IMAGE_PULL_MBPS);
                 let push_stage = |stages: &mut Vec<StageRuntime>| {
                     let i = stages.len();
                     stages.push(StageRuntime::new(

@@ -24,10 +24,9 @@
 use fifer_core::resources::ResourceVec;
 use fifer_core::rm::NodePlacement;
 use fifer_metrics::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One worker node's live resource state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Schedulable capacity.
     pub capacity: ResourceVec,
@@ -101,7 +100,7 @@ pub struct Utilization {
 const MCPU_US_PER_CORE_HOUR: f64 = 1000.0 * 3_600.0 * 1_000_000.0;
 
 /// The cluster: an indexed set of nodes with placement and accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     nodes: Vec<Node>,
     /// The default container shape (paper Table 2), used by callers that

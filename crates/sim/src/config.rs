@@ -4,11 +4,38 @@ use crate::fault::FaultPlan;
 use crate::trace::TraceConfig;
 use fifer_core::rm::RmConfig;
 use fifer_metrics::SimDuration;
-use serde::{Deserialize, Serialize};
+
+/// CPU request per container in cores (§5.1: 0.5 core).
+pub const CONTAINER_CPU: f64 = 0.5;
+
+/// Memory request per container in GB (§5.1: within 1 GB).
+pub const CONTAINER_MEM_GB: f64 = 1.0;
+
+/// Slow monitoring interval T for proactive scaling, idle scale-down and
+/// energy sampling (§4.5: 10 s).
+pub const MONITOR_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// Fast interval for the reactive queue-delay check. The paper's load
+/// monitor watches queues continuously (§4.2); 1 s keeps the check
+/// responsive at sub-SLO granularity without per-event overhead.
+pub const REACTIVE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Time after a node empties before it powers off (§4.4.2).
+pub const NODE_POWEROFF_TIMEOUT: SimDuration = SimDuration::from_secs(60);
+
+/// Container-image pull bandwidth in MB/s; with the catalog's image sizes
+/// this yields the paper's 2–9 s cold starts (§6.1.5).
+pub const IMAGE_PULL_MBPS: f64 = 150.0;
+
+/// The default per-container allocation ([`CONTAINER_CPU`],
+/// [`CONTAINER_MEM_GB`]) as an exact integer shape.
+pub fn container_alloc() -> fifer_core::ResourceVec {
+    fifer_core::ResourceVec::from_cores_gb(CONTAINER_CPU, CONTAINER_MEM_GB)
+}
 
 /// Cluster hardware shape (paper Table 1: dual-socket Xeon Gold 6242 nodes,
 /// 16 cores × 2 threads per socket, 192 GB DRAM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of worker nodes.
     pub nodes: usize,
@@ -45,8 +72,10 @@ impl ClusterConfig {
     }
 }
 
-/// Full simulation configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Full simulation configuration. The calibration constants no scenario
+/// varies (container shape, monitor intervals, power-off timeout, image
+/// pull bandwidth) are the module-level constants above.
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The resource-manager policy bundle under test.
     pub rm: RmConfig,
@@ -54,24 +83,8 @@ pub struct SimConfig {
     pub cluster: ClusterConfig,
     /// Application SLO (response latency); the paper fixes 1000 ms.
     pub slo: SimDuration,
-    /// CPU request per container (§5.1: 0.5 core).
-    pub container_cpu: f64,
-    /// Memory request per container in GB (§5.1: within 1 GB).
-    pub container_mem_gb: f64,
-    /// Slow monitoring interval T for proactive scaling, idle scale-down
-    /// and energy sampling (§4.5: 10 s).
-    pub monitor_interval: SimDuration,
-    /// Fast interval for the reactive queue-delay check. The paper's load
-    /// monitor watches queues continuously (§4.2); 1 s keeps the check
-    /// responsive at sub-SLO granularity without per-event overhead.
-    pub reactive_interval: SimDuration,
     /// Idle-container reclamation timeout (§4.4.1: 10 minutes).
     pub idle_timeout: SimDuration,
-    /// Time after a node empties before it powers off (§4.4.2).
-    pub node_poweroff_timeout: SimDuration,
-    /// Container-image pull bandwidth in MB/s; with the catalog's image
-    /// sizes this yields the paper's 2–9 s cold starts (§6.1.5).
-    pub image_pull_mbps: f64,
     /// Average arrival rate used to size SBatch's fixed pool (§5.3).
     pub expected_avg_rate: f64,
     /// Historical window-max rate series for pre-training neural
@@ -103,19 +116,6 @@ pub struct SimConfig {
     pub min_warm_pool: usize,
     /// RNG seed for exec-time jitter and any stochastic choices.
     pub seed: u64,
-    /// Dispatch tasks through the reference linear-scan scheduler
-    /// (`fifer_core::scheduling::select_task_iter`) instead of the indexed
-    /// priority queue's O(log Q) pop. The two are required to produce
-    /// bit-identical runs; this flag exists so differential tests (and
-    /// skeptical users) can check that end to end. Slower — O(Q) per
-    /// dispatched task — and off by default.
-    pub use_reference_scheduler: bool,
-    /// Build any neural predictor on the original per-step-allocating NN
-    /// implementation instead of the flat-workspace one. The two are
-    /// required to produce bit-identical runs; this flag exists so
-    /// differential tests (and skeptical users) can check that end to
-    /// end. Slower — per-timestep heap allocation — and off by default.
-    pub use_reference_nn: bool,
     /// Structured decision trace (ring capacity + optional JSONL export).
     /// Disabled by default; see [`crate::trace`].
     pub trace: TraceConfig,
@@ -140,13 +140,7 @@ impl SimConfig {
             rm,
             cluster: ClusterConfig::prototype(),
             slo: SimDuration::from_millis(1000),
-            container_cpu: 0.5,
-            container_mem_gb: 1.0,
-            monitor_interval: SimDuration::from_secs(10),
-            reactive_interval: SimDuration::from_secs(1),
             idle_timeout: SimDuration::from_secs(600),
-            node_poweroff_timeout: SimDuration::from_secs(60),
-            image_pull_mbps: 150.0,
             expected_avg_rate,
             pretrain_series: Vec::new(),
             warmup: SimDuration::ZERO,
@@ -155,8 +149,6 @@ impl SimConfig {
             tenants: 1,
             min_warm_pool: 0,
             seed: 1,
-            use_reference_scheduler: false,
-            use_reference_nn: false,
             trace: TraceConfig::default(),
             faults: FaultPlan::none(),
             audit: false,
@@ -171,17 +163,11 @@ impl SimConfig {
         }
     }
 
-    /// The default per-container allocation as an exact integer shape.
-    pub fn container_alloc(&self) -> fifer_core::ResourceVec {
-        fifer_core::ResourceVec::from_cores_gb(self.container_cpu, self.container_mem_gb)
-    }
-
     /// Containers that fit on the whole cluster (CPU-bound; the paper's
     /// 0.5-core containers make CPU the binding resource).
     pub fn max_containers(&self) -> usize {
-        let by_cpu = self.cluster.total_cores() / self.container_cpu;
-        let by_mem =
-            self.cluster.nodes as f64 * self.cluster.mem_per_node_gb / self.container_mem_gb;
+        let by_cpu = self.cluster.total_cores() / CONTAINER_CPU;
+        let by_mem = self.cluster.nodes as f64 * self.cluster.mem_per_node_gb / CONTAINER_MEM_GB;
         by_cpu.min(by_mem) as usize
     }
 
@@ -189,22 +175,19 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive resource sizes or intervals.
+    /// Panics on an empty cluster, nodes too small for one container, or
+    /// out-of-range knobs.
     pub fn validate(&self) {
         assert!(self.cluster.nodes > 0, "need at least one node");
         assert!(self.cluster.cores_per_node > 0.0, "cores must be positive");
-        assert!(self.container_cpu > 0.0, "container CPU must be positive");
         assert!(
-            self.container_cpu <= self.cluster.cores_per_node,
+            CONTAINER_CPU <= self.cluster.cores_per_node,
             "container cannot exceed a node"
         );
         assert!(
-            self.container_mem_gb > 0.0 && self.container_mem_gb <= self.cluster.mem_per_node_gb,
+            CONTAINER_MEM_GB <= self.cluster.mem_per_node_gb,
             "container memory must fit on a node"
         );
-        assert!(!self.monitor_interval.is_zero(), "monitor interval > 0");
-        assert!(!self.reactive_interval.is_zero(), "reactive interval > 0");
-        assert!(self.image_pull_mbps > 0.0, "pull bandwidth > 0");
         assert!(
             self.expected_avg_rate >= 0.0 && self.expected_avg_rate.is_finite(),
             "avg rate must be non-negative"
@@ -249,8 +232,8 @@ mod tests {
     fn defaults_match_paper() {
         let cfg = SimConfig::prototype(RmKind::Fifer.config(), 50.0);
         assert_eq!(cfg.slo, SimDuration::from_millis(1000));
-        assert_eq!(cfg.container_cpu, 0.5);
-        assert_eq!(cfg.monitor_interval, SimDuration::from_secs(10));
+        assert_eq!(CONTAINER_CPU, 0.5);
+        assert_eq!(MONITOR_INTERVAL, SimDuration::from_secs(10));
         assert_eq!(cfg.idle_timeout, SimDuration::from_secs(600));
         cfg.validate();
     }
@@ -259,7 +242,7 @@ mod tests {
     #[should_panic(expected = "cannot exceed a node")]
     fn oversized_container_rejected() {
         let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 1.0);
-        cfg.container_cpu = 32.0;
+        cfg.cluster.cores_per_node = CONTAINER_CPU / 2.0;
         cfg.validate();
     }
 }

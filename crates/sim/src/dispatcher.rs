@@ -13,11 +13,9 @@ use crate::container::BoundTask;
 use crate::driver::Simulation;
 use crate::engine::Event;
 use crate::fault::FaultKind;
-use crate::stage::TaskRef;
 use crate::stats_store::StoreOp;
 use crate::trace::SimEvent;
 use fifer_core::policy::{Decision, DecisionCause};
-use fifer_core::scheduling::{select_task_iter, QueuedTask};
 use fifer_metrics::{SimDuration, SimTime};
 use rand::Rng;
 
@@ -68,31 +66,11 @@ impl Simulation<'_> {
             };
 
             // pick the task per the scheduling policy: O(log Q) pop off the
-            // policy-keyed index, or — under the differential-testing flag —
-            // a linear scan through the reference scheduler, which must pick
-            // the identical task (fifer-core's keys are total orders)
-            let task = if self.cfg.use_reference_scheduler {
-                let view: Vec<(TaskRef, QueuedTask)> = self.stages[sidx]
-                    .queue
-                    .iter()
-                    .map(|(r, t)| (r, t.as_queued()))
-                    .collect();
-                let ti = select_task_iter(
-                    self.cfg.rm.scheduling,
-                    view.iter().enumerate().map(|(i, (_, t))| (i, *t)),
-                    now,
-                )
+            // policy-keyed index
+            let task = self.stages[sidx]
+                .queue
+                .pop()
                 .expect("queue checked non-empty");
-                self.stages[sidx]
-                    .queue
-                    .remove(view[ti].0)
-                    .expect("selected task is live")
-            } else {
-                self.stages[sidx]
-                    .queue
-                    .pop()
-                    .expect("queue checked non-empty")
-            };
             self.pending_tasks -= 1;
 
             self.store.access(StoreOp::PodQuery);

@@ -30,7 +30,10 @@
 use crate::accounting::{build_stages, AppRuntime, JobState};
 use crate::audit::AuditLog;
 use crate::cluster::Cluster;
-use crate::config::SimConfig;
+use crate::config::{
+    container_alloc, SimConfig, CONTAINER_CPU, CONTAINER_MEM_GB, MONITOR_INTERVAL,
+    NODE_POWEROFF_TIMEOUT, REACTIVE_INTERVAL,
+};
 use crate::container::Container;
 use crate::energy::{EnergyMeter, PowerModel};
 use crate::engine::{Event, EventQueue};
@@ -151,9 +154,7 @@ impl<'a> Simulation<'a> {
     ///
     /// Panics if `cfg` fails validation.
     pub fn new(cfg: SimConfig, stream: &'a JobStream) -> Self {
-        let rm = cfg
-            .rm
-            .build_rm_with(cfg.seed, &cfg.pretrain_series, cfg.use_reference_nn);
+        let rm = cfg.rm.build_rm(cfg.seed, &cfg.pretrain_series);
         Self::with_resource_manager(cfg, stream, rm)
     }
 
@@ -171,9 +172,9 @@ impl<'a> Simulation<'a> {
         stream: &'a JobStream,
         cache: Option<&fifer_predict::ModelCache>,
     ) -> (Self, fifer_core::WarmStart) {
-        let (rm, warm) =
-            cfg.rm
-                .build_rm_served(cfg.seed, &cfg.pretrain_series, cfg.use_reference_nn, cache);
+        let (rm, warm) = cfg
+            .rm
+            .build_rm_served(cfg.seed, &cfg.pretrain_series, cache);
         (Self::with_resource_manager(cfg, stream, rm), warm)
     }
 
@@ -195,12 +196,12 @@ impl<'a> Simulation<'a> {
             cfg.cluster.nodes,
             cfg.cluster.cores_per_node,
             cfg.cluster.mem_per_node_gb,
-            cfg.container_cpu,
-            cfg.container_mem_gb,
+            CONTAINER_CPU,
+            CONTAINER_MEM_GB,
         );
         let meter = EnergyMeter::new(
-            PowerModel::paper_default(cfg.node_poweroff_timeout),
-            cfg.container_cpu,
+            PowerModel::paper_default(NODE_POWEROFF_TIMEOUT),
+            CONTAINER_CPU,
         );
         let (stages, apps) = build_stages(&cfg, stream.mix().applications());
         let mix_share = stages
@@ -318,15 +319,11 @@ impl<'a> Simulation<'a> {
         }
         if !self.stream.is_empty() {
             if self.rm.wants_reactive_ticks() {
-                self.queue.schedule(
-                    SimTime::ZERO + self.cfg.reactive_interval,
-                    Event::ReactiveTick,
-                );
+                self.queue
+                    .schedule(SimTime::ZERO + REACTIVE_INTERVAL, Event::ReactiveTick);
             }
-            self.queue.schedule(
-                SimTime::ZERO + self.cfg.monitor_interval,
-                Event::MonitorTick,
-            );
+            self.queue
+                .schedule(SimTime::ZERO + MONITOR_INTERVAL, Event::MonitorTick);
             // fault plan: node outages are first-class engine events, fixed
             // at configuration time (deterministic by construction)
             for o in &self.cfg.faults.outages {
@@ -407,7 +404,7 @@ impl<'a> Simulation<'a> {
                 Decision::Resize { stage, alloc } => {
                     // the right-sizer only shrinks: requests are clamped to
                     // the configured container shape
-                    let clamped = alloc.min(self.cfg.container_alloc());
+                    let clamped = alloc.min(container_alloc());
                     self.stages[stage].spawn_alloc = Some(clamped);
                     // downsize the stage's warm-idle fleet in place — a
                     // stable fleet rarely respawns, so resizing only future
@@ -701,7 +698,7 @@ impl<'a> Simulation<'a> {
 
         if !self.workload_drained() {
             self.queue
-                .schedule(now + self.cfg.reactive_interval, Event::ReactiveTick);
+                .schedule(now + REACTIVE_INTERVAL, Event::ReactiveTick);
         }
     }
 
@@ -793,7 +790,7 @@ impl<'a> Simulation<'a> {
         self.sampler.compact(now);
         if !self.workload_drained() {
             self.queue
-                .schedule(now + self.cfg.monitor_interval, Event::MonitorTick);
+                .schedule(now + MONITOR_INTERVAL, Event::MonitorTick);
         }
     }
 }
@@ -1050,27 +1047,19 @@ mod tests {
     }
 
     /// Determinism golden test: the same seed run twice must be
-    /// bit-identical, and the indexed O(log Q) dispatch path must produce
-    /// exactly the run the reference linear-scan scheduler produces.
-    /// Serialized JSON covers every record, series point and counter.
+    /// bit-identical. Serialized JSON covers every record, series point and
+    /// counter. (The indexed dispatch queue is checked against the
+    /// linear-scan scheduler by `stage.rs`'s queue differential.)
     #[test]
-    fn determinism_golden_indexed_vs_reference() {
+    fn determinism_golden() {
         // Fifer exercises LSF + batching, Bline exercises FIFO + on-demand
         for kind in [RmKind::Fifer, RmKind::Bline] {
             let stream = small_stream(5.0, 30, 11);
-            let mk = |reference: bool| {
-                let mut cfg = SimConfig::prototype(kind.config(), 5.0);
-                cfg.use_reference_scheduler = reference;
+            let mk = || {
+                let cfg = SimConfig::prototype(kind.config(), 5.0);
                 Simulation::new(cfg, &stream).run().to_json()
             };
-            let a = mk(false);
-            let b = mk(false);
-            let c = mk(true);
-            assert_eq!(a, b, "{kind}: same seed twice must be bit-identical");
-            assert_eq!(
-                a, c,
-                "{kind}: indexed dispatch must replay the reference scheduler exactly"
-            );
+            assert_eq!(mk(), mk(), "{kind}: same seed twice must be bit-identical");
         }
     }
 

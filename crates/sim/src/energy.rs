@@ -10,10 +10,9 @@
 
 use crate::cluster::Cluster;
 use fifer_metrics::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Node power-curve parameters (dual-socket Xeon-class defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Power of a powered-on but idle node, in watts.
     pub idle_w: f64,

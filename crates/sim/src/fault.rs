@@ -38,11 +38,10 @@
 //! `on_container_failed` / `on_node_down`.
 
 use fifer_metrics::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which kind of fault killed a container — the attribution threaded
 /// through the decision trace and the policy hooks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A spawn fault: the container died shortly after creation.
     SpawnFault,
@@ -64,7 +63,7 @@ impl FaultKind {
 }
 
 /// One scheduled whole-node outage window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeOutage {
     /// Node index (0-based) that goes down.
     pub node: usize,
@@ -77,7 +76,7 @@ pub struct NodeOutage {
 
 /// A deterministic, seeded failure scenario (part of
 /// [`SimConfig`](crate::config::SimConfig)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the dedicated fault RNG. Fault draws never touch the
     /// simulation's main RNG, so any plan with all probabilities zero

@@ -61,7 +61,7 @@ impl Simulation<'_> {
     /// With paper-default profiles (busy ≤ 90% of default) and no resize
     /// override, the request is exactly the default shape.
     pub(crate) fn spawn_request(&self, sidx: usize) -> (ResourceVec, UsageProfile) {
-        let default = self.cfg.container_alloc();
+        let default = crate::config::container_alloc();
         let id = self.containers.len() as u64;
         let ms = self.stages[sidx].microservice;
         let profile = UsageProfile::sample(ms as u64, id, self.cfg.seed, default);

@@ -3,11 +3,10 @@
 use fifer_metrics::breakdown::BreakdownSummary;
 use fifer_metrics::{RequestRecord, SimTime, SloAccountant, TimeSeries};
 use fifer_workloads::Microservice;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Per-stage aggregate counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// Containers ever spawned for the stage.
     pub containers_spawned: u64,
@@ -30,7 +29,7 @@ impl StageStats {
 }
 
 /// The outcome of one simulation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SimResult {
     /// One record per completed job, in completion order.
     pub records: Vec<RequestRecord>,
@@ -229,10 +228,10 @@ impl SimResult {
 
     /// Serializes the full result as pretty-printed JSON.
     ///
-    /// Written by hand because the vendored `serde` is a no-op marker
-    /// stand-in (the build environment has no crates.io access). Times are
-    /// emitted in integer microseconds (`*_us`) — the simulator's native
-    /// resolution — so the artifact round-trips losslessly.
+    /// Written by hand: the workspace has no serialization dependency (the
+    /// build environment has no crates.io access). Times are emitted in
+    /// integer microseconds (`*_us`) — the simulator's native resolution —
+    /// so the artifact round-trips losslessly.
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(4096 + self.records.len() * 96);
         o.push_str("{\n");
@@ -414,7 +413,7 @@ fn series_json(ts: &TimeSeries) -> String {
 }
 
 /// Shorthand used by tests and the harness: per-run scalar summary.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Headline {
     /// SLO violation fraction.
     pub slo_violations: f64,

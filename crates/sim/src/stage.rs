@@ -10,8 +10,8 @@
 //! The queue is an [`IndexedTaskQueue`]: the scheduling policy's dispatch
 //! key ([`QueuedTask::priority_key`]) is computed once at enqueue — every
 //! policy's key is clock-independent — and tasks live in a slab indexed by
-//! two lazy-deletion binary heaps, one in key order (for `pop`) and one in
-//! arrival order (for the load monitor's oldest-pending-age signal). Both
+//! two binary heaps, one in key order (for `pop`) and one in arrival order
+//! (for the load monitor's oldest-pending-age signal, pruned lazily). Both
 //! `pop` and the age query are O(log n) amortized where the seed scanned
 //! the whole queue per dispatched task.
 
@@ -51,25 +51,16 @@ impl StageTask {
     }
 }
 
-/// Stable handle to a task inside an [`IndexedTaskQueue`]. Valid until the
-/// task is popped or removed; a stale handle is detected (the slot's
-/// generation stamp no longer matches) and `remove` returns `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskRef {
-    slot: u32,
-    seq: u64,
-}
-
 /// A policy-keyed indexed priority queue of [`StageTask`]s.
 ///
 /// Layout: a slab of `(generation, task)` slots with a free list, plus two
 /// `BinaryHeap`s of `Reverse<(key, seq, slot)>` entries — one keyed by the
-/// policy's dispatch key, one by arrival time. Heap entries are never
-/// eagerly deleted; a `remove` bumps nothing but the slab, and stale heap
-/// entries are discarded when they surface at the top (their generation
-/// stamp no longer matches the slab). The `seq` component makes every heap
-/// entry unique, so iteration order of the underlying heap never affects
-/// which task wins — ordering is exactly the lexicographic key.
+/// policy's dispatch key, one by arrival time. A `pop` consumes its
+/// key-heap entry; the matching age-heap entry stays behind and is
+/// discarded when it surfaces at the top (its generation stamp no longer
+/// matches the slab). The `seq` component makes every heap entry unique,
+/// so iteration order of the underlying heap never affects which task
+/// wins — ordering is exactly the lexicographic key.
 #[derive(Debug, Clone)]
 pub struct IndexedTaskQueue {
     policy: SchedulingPolicy,
@@ -79,7 +70,7 @@ pub struct IndexedTaskQueue {
     free: Vec<u32>,
     /// Monotonic insert counter; doubles as the generation stamp.
     next_seq: u64,
-    /// Live task count (heaps may hold more, stale, entries).
+    /// Live task count (the age heap may hold more, stale, entries).
     len: usize,
     /// Dispatch order: min-heap of (policy key, seq, slot).
     by_key: BinaryHeap<Reverse<([u64; 3], u64, u32)>>,
@@ -118,7 +109,7 @@ impl IndexedTaskQueue {
     }
 
     /// Inserts a task, keying it once; O(log n).
-    pub fn push(&mut self, task: StageTask) -> TaskRef {
+    pub fn push(&mut self, task: StageTask) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
@@ -137,24 +128,18 @@ impl IndexedTaskQueue {
         self.by_age
             .push(Reverse((task.enqueued.as_micros(), seq, slot)));
         self.len += 1;
-        TaskRef { slot, seq }
     }
 
-    /// Removes and returns the policy-minimum task; O(log n) amortized.
+    /// Removes and returns the policy-minimum task; O(log n). Every
+    /// key-heap entry is live: only `pop` takes tasks out.
     pub fn pop(&mut self) -> Option<StageTask> {
-        while let Some(Reverse((_, seq, slot))) = self.by_key.pop() {
-            if let Some(task) = self.take_if_live(slot, seq) {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    /// Removes the task behind `r`, or `None` if it already left the queue.
-    pub fn remove(&mut self, r: TaskRef) -> Option<StageTask> {
-        // the matching by_key/by_age entries stay behind as stale and are
-        // skipped when they reach the top of their heap
-        self.take_if_live(r.slot, r.seq)
+        let Reverse((_, _, slot)) = self.by_key.pop()?;
+        let (_, task) = self.slots[slot as usize]
+            .take()
+            .expect("key-heap entries are live");
+        self.free.push(slot);
+        self.len -= 1;
+        Some(task)
     }
 
     /// Enqueue time of the oldest pending task; O(log n) amortized (stale
@@ -171,34 +156,6 @@ impl IndexedTaskQueue {
             }
         }
         None
-    }
-
-    /// Iterates live tasks in slab order with their handles — the view the
-    /// reference scheduler path scans.
-    pub fn iter(&self) -> impl Iterator<Item = (TaskRef, &StageTask)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(slot, s)| {
-            s.as_ref().map(|(seq, task)| {
-                (
-                    TaskRef {
-                        slot: slot as u32,
-                        seq: *seq,
-                    },
-                    task,
-                )
-            })
-        })
-    }
-
-    fn take_if_live(&mut self, slot: u32, seq: u64) -> Option<StageTask> {
-        match self.slots[slot as usize] {
-            Some((live_seq, task)) if live_seq == seq => {
-                self.slots[slot as usize] = None;
-                self.free.push(slot);
-                self.len -= 1;
-                Some(task)
-            }
-            _ => None,
-        }
     }
 }
 
@@ -444,7 +401,7 @@ impl StageRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fifer_core::scheduling::{select_task_iter, SchedulingPolicy};
+    use fifer_core::scheduling::{select_task, SchedulingPolicy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -644,86 +601,94 @@ mod tests {
     }
 
     #[test]
-    fn remove_by_ref_and_stale_handles() {
-        let mut q = IndexedTaskQueue::new(SchedulingPolicy::Fifo);
-        let r1 = q.push(task(1, 10, 1000, 100));
-        let _r2 = q.push(task(2, 20, 1000, 100));
-        assert_eq!(q.remove(r1).map(|t| t.job), Some(1));
-        assert_eq!(q.remove(r1), None, "second removal must miss");
-        assert_eq!(q.len(), 1);
-        // slot reuse must not resurrect the stale handle
-        let _r3 = q.push(task(3, 5, 1000, 100));
-        assert_eq!(q.remove(r1), None);
-        assert_eq!(q.pop().map(|t| t.job), Some(3));
-        assert_eq!(q.pop().map(|t| t.job), Some(2));
-    }
-
-    #[test]
-    fn oldest_enqueued_tracks_removals() {
+    fn oldest_enqueued_tracks_pops() {
         let mut q = IndexedTaskQueue::new(SchedulingPolicy::Lsf);
-        let r1 = q.push(task(1, 10, 5000, 100));
+        q.push(task(1, 10, 5000, 100));
         q.push(task(2, 20, 300, 100));
         assert_eq!(q.oldest_enqueued(), Some(SimTime::from_millis(10)));
         // job 2 pops first under LSF; oldest is still job 1
         assert_eq!(q.pop().map(|t| t.job), Some(2));
         assert_eq!(q.oldest_enqueued(), Some(SimTime::from_millis(10)));
-        q.remove(r1).expect("live");
+        assert_eq!(q.pop().map(|t| t.job), Some(1));
         assert_eq!(q.oldest_enqueued(), None);
     }
 
     #[test]
-    fn iter_yields_live_tasks_with_valid_handles() {
+    fn reused_slot_does_not_resurrect_a_stale_age_entry() {
         let mut q = IndexedTaskQueue::new(SchedulingPolicy::Fifo);
         q.push(task(1, 10, 1000, 100));
-        let r2 = q.push(task(2, 20, 1000, 100));
+        q.push(task(2, 20, 1000, 100));
+        assert_eq!(q.pop().map(|t| t.job), Some(1));
+        // job 3 reuses job 1's slot; job 1's age entry (10 ms) is stale
         q.push(task(3, 30, 1000, 100));
-        q.remove(r2).expect("live");
-        let jobs: Vec<usize> = q.iter().map(|(_, t)| t.job).collect();
-        assert_eq!(jobs, vec![1, 3]);
-        let handles: Vec<TaskRef> = q.iter().map(|(r, _)| r).collect();
-        for (r, job) in handles.into_iter().zip([1usize, 3]) {
-            assert_eq!(q.remove(r).map(|t| t.job), Some(job));
-        }
+        assert_eq!(q.oldest_enqueued(), Some(SimTime::from_millis(20)));
+        assert_eq!(q.pop().map(|t| t.job), Some(2));
+        assert_eq!(q.pop().map(|t| t.job), Some(3));
         assert!(q.is_empty());
     }
 
-    /// Differential test: under every policy, a run of randomized
-    /// interleaved pushes/pops agrees with [`select_task_iter`], the
-    /// reference linear-scan implementation in `fifer-core`.
+    /// Differential test: under every policy, randomized interleaved
+    /// pushes and pops agree with [`select_task`], the linear-scan
+    /// scheduler in `fifer-core`, run over a shadow `Vec` of the same
+    /// tasks. Some popped tasks come back the way faults requeue them:
+    /// with a bumped `retries` and either their original enqueue time
+    /// (earlier than the clock) or the clock.
     #[test]
     fn pop_agrees_with_reference_scheduler() {
         for policy in SchedulingPolicy::ALL {
             let mut rng = StdRng::seed_from_u64(0xD1FF ^ policy as u64);
             let mut q = IndexedTaskQueue::new(policy);
-            let mut job = 0usize;
-            let mut clock_ms = 0u64;
-            for _ in 0..600 {
-                if q.is_empty() || rng.gen_bool(0.6) {
-                    clock_ms += rng.gen_range(0u64..5);
+            let mut shadow: Vec<StageTask> = Vec::new();
+            let (mut job, mut clock_ms) = (0usize, 0u64);
+            let (mut requeued, mut deepest_retry) = (0u32, 0u32);
+            for _ in 0..2000 {
+                clock_ms += rng.gen_range(0u64..5);
+                if shadow.is_empty() || rng.gen_bool(0.6) {
                     job += 1;
-                    q.push(task(
+                    let t = task(
                         job,
                         clock_ms,
                         clock_ms + rng.gen_range(50u64..2000),
                         rng.gen_range(10u64..500),
-                    ));
-                } else {
-                    let view: Vec<(TaskRef, QueuedTask)> =
-                        q.iter().map(|(r, t)| (r, t.as_queued())).collect();
-                    let ti = select_task_iter(
-                        policy,
-                        view.iter().enumerate().map(|(i, (_, t))| (i, *t)),
-                        SimTime::from_millis(clock_ms),
-                    )
-                    .expect("non-empty");
-                    let expect = view[ti].1.job_id;
-                    assert_eq!(
-                        q.pop().map(|t| t.job as u64),
-                        Some(expect),
-                        "{policy:?}: indexed pop diverged from reference"
                     );
+                    q.push(t);
+                    shadow.push(t);
+                } else {
+                    let now = SimTime::from_millis(clock_ms);
+                    let view: Vec<QueuedTask> = shadow.iter().map(StageTask::as_queued).collect();
+                    let i = select_task(policy, &view, now).expect("non-empty");
+                    let expect = shadow.swap_remove(i);
+                    assert_eq!(
+                        q.pop(),
+                        Some(expect),
+                        "{policy:?}: indexed pop diverged from the linear scan"
+                    );
+                    if rng.gen_bool(0.25) {
+                        let enqueued = if rng.gen_bool(0.5) {
+                            expect.enqueued
+                        } else {
+                            now
+                        };
+                        let t = StageTask {
+                            enqueued,
+                            retries: expect.retries + 1,
+                            ..expect
+                        };
+                        q.push(t);
+                        shadow.push(t);
+                        requeued += 1;
+                        deepest_retry = deepest_retry.max(t.retries);
+                    }
                 }
+                assert_eq!(q.len(), shadow.len());
+                assert_eq!(
+                    q.oldest_enqueued(),
+                    shadow.iter().map(|t| t.enqueued).min(),
+                    "{policy:?}: oldest-pending age diverged"
+                );
             }
+            assert!(requeued > 100, "{policy:?}: too few requeues to bite");
+            assert!(deepest_retry > 1, "{policy:?}: no task was requeued twice");
         }
     }
 }

@@ -9,11 +9,10 @@
 //! table (§6.1.5) and the scalability discussion can be reproduced.
 
 use fifer_metrics::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
 /// Which store operation an access represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreOp {
     /// Pod-selection query ("pick the pod with the least free slots").
     PodQuery,
@@ -28,7 +27,7 @@ pub enum StoreOp {
 }
 
 /// Cumulative access counters for the modeled store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Total read operations.
     pub reads: u64,

@@ -24,12 +24,11 @@
 use crate::fault::FaultKind;
 use fifer_core::policy::DecisionCause;
 use fifer_metrics::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::Write;
 
 /// Decision-trace configuration (part of `SimConfig`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Events retained in the ring buffer. `0` disables tracing entirely
     /// (the default): no events are recorded and no counters are kept

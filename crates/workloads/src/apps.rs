@@ -10,7 +10,6 @@
 
 use crate::catalog::Microservice;
 use fifer_metrics::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default SLO: the paper fixes response latency at 1000 ms, the maximum of
@@ -18,7 +17,7 @@ use std::fmt;
 pub const DEFAULT_SLO: SimDuration = SimDuration::from_millis(1000);
 
 /// One of the four microservice-chain applications evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Application {
     /// Face Security: FACED → FACER (Table 4, slack 788 ms).
     FaceSecurity,
@@ -109,7 +108,7 @@ impl fmt::Display for Application {
 
 /// One stage of a chain: a microservice plus its profiled mean execution
 /// time (the offline MET estimate, §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSpec {
     /// The microservice executing at this stage.
     pub microservice: Microservice,
@@ -119,7 +118,7 @@ pub struct StageSpec {
 
 /// Full runtime specification of an application: its chain, SLO, and the
 /// calibrated per-transition overhead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     app: Application,
     stages: Vec<StageSpec>,
@@ -181,7 +180,7 @@ impl AppSpec {
 
 /// The three workload mixes of Table 5, named by decreasing total available
 /// slack ("Heavy" = least slack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WorkloadMix {
     /// IPA + Detect-Fatigue (least slack).
     Heavy,

@@ -26,12 +26,11 @@ use crate::traces::exp_gap;
 use fifer_metrics::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How an application's invocations are triggered (the Azure trigger
 /// taxonomy, collapsed to the four classes with distinct arrival shapes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TriggerClass {
     /// User-facing requests: memoryless Poisson arrivals.
     Http,
@@ -70,7 +69,7 @@ impl fmt::Display for TriggerClass {
 }
 
 /// Share of apps per trigger class, in integer percent summing to 100.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TriggerMix {
     /// Percent of apps with HTTP triggers.
     pub http_pct: u8,
@@ -157,7 +156,7 @@ impl TriggerMix {
 
 /// One application of the family: a popularity rank bound to a chain, a
 /// trigger class and a mean invocation rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AzureApp {
     /// Popularity rank (0 = most invoked).
     pub rank: usize,
@@ -170,7 +169,7 @@ pub struct AzureApp {
 }
 
 /// Configuration of the Azure-characterization family.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AzureWorkloadConfig {
     /// Number of applications in the family.
     pub apps: usize,

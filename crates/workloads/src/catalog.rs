@@ -13,7 +13,6 @@
 
 use fifer_metrics::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One microservice (serverless function) from the Djinn&Tonic suite.
@@ -21,7 +20,7 @@ use std::fmt;
 /// `Nlp` is the parts-of-speech + named-entity stage used by the IMG and IPA
 /// chains; the paper lists POS and NER separately in Table 3 and plots the
 /// composite `NLP` stage in Figure 3b.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Microservice {
     /// Automatic speech recognition (NNet3/Kaldi).
     Asr,
@@ -122,7 +121,7 @@ impl fmt::Display for Microservice {
 }
 
 /// Application domain of a microservice (Table 3 groups).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Image services.
     Image,
@@ -144,7 +143,7 @@ impl fmt::Display for Domain {
 
 /// Static profile of one microservice: the offline-profiled quantities Fifer
 /// stores in its database (§5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicroserviceSpec {
     /// Which microservice this describes.
     pub service: Microservice,

@@ -10,11 +10,10 @@
 
 use fifer_metrics::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The seven pre-trained MXNet models of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MxnetModel {
     /// SqueezeNet: millisecond-scale, ~5 MB.
     Squeezenet,
@@ -87,7 +86,7 @@ impl fmt::Display for MxnetModel {
 }
 
 /// One measured invocation: the two quantities Figure 2 plots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Invocation {
     /// Time reported by the platform for executing the inference
     /// (`exec_time` in Figure 2) — includes the S3 model fetch.
@@ -98,7 +97,7 @@ pub struct Invocation {
 }
 
 /// Parameters of the Lambda environment model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LambdaModel {
     /// Sandbox (microVM + container) provisioning time, cold path only.
     pub provision_ms: f64,

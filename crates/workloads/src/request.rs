@@ -10,10 +10,9 @@ use crate::traces::TraceGenerator;
 use fifer_metrics::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One job (chain invocation) entering the system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRequest {
     /// Monotonically increasing id within its stream.
     pub id: u64,
@@ -26,7 +25,7 @@ pub struct JobRequest {
 }
 
 /// A complete, arrival-ordered workload: the unit fed to the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobStream {
     jobs: Vec<JobRequest>,
     mix: WorkloadMix,

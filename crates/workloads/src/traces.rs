@@ -15,7 +15,6 @@
 use fifer_metrics::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One exponentially distributed inter-arrival gap (seconds) at `rate`
 /// req/s — the primitive under both the Lewis–Shedler thinning loop here
@@ -79,7 +78,7 @@ pub trait TraceGenerator {
 }
 
 /// Homogeneous Poisson arrivals: the paper's synthetic trace (λ = 50 req/s).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoissonTrace {
     lambda: f64,
 }
@@ -124,7 +123,7 @@ impl TraceGenerator for PoissonTrace {
 /// Wikipedia-like trace: strong diurnal sinusoid with mild noise and a high
 /// average rate (Figure 7b: recurring hour-of-day / day-of-week patterns,
 /// average ≈ 1500 req/s at full scale).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WikiLikeTrace {
     avg_rate: f64,
     /// Diurnal period; compressed from 24 h so short simulations still see
@@ -199,14 +198,14 @@ impl TraceGenerator for WikiLikeTrace {
 ///
 /// Spike times/heights are derived deterministically from a structure seed,
 /// so the envelope itself is reproducible independent of the sampling seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WitsLikeTrace {
     base_rate: f64,
     peak_rate: f64,
     spikes: Vec<Spike>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Spike {
     center_s: f64,
     width_s: f64,
