@@ -1,12 +1,17 @@
 //! Criterion benchmarks for the NN substrate underneath the neural
 //! predictors: the matvec kernels (row-major write-into vs the
-//! column-major mirror the LSTM hot path uses), one LstmCell forward
-//! step, a full forward+backward+Adam round, and an end-to-end
-//! `train_epochs` round — the microscope behind the `nn` section of
+//! column-major mirror the LSTM forward pass uses, and the transposed
+//! matvec that carries gradients back), the 20-step sequence gradient
+//! accumulation of LSTM backpropagation, one LstmCell forward step, a
+//! full forward+backward+Adam round, and an end-to-end `train_epochs`
+//! round — the microscope behind the `nn` section of
 //! `BENCH_simulator.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fifer_predict::nn::{matvec_colmajor_into, matvec_into, transpose_into, LstmCell, LstmState};
+use fifer_predict::nn::{
+    matvec_colmajor_into, matvec_into, matvec_transposed_into, outer_accumulate_seq,
+    transpose_into, LstmCell, LstmState,
+};
 use fifer_predict::train::TrainConfig;
 use fifer_predict::{LoadPredictor, LstmPredictor};
 use rand::rngs::StdRng;
@@ -32,6 +37,31 @@ fn bench_matvec(c: &mut Criterion) {
     g.bench_function("colmajor_into", |b| {
         b.iter(|| matvec_colmajor_into(black_box(&wt), ROWS, COLS, black_box(&x), &mut y))
     });
+    // Wᵀ·g: the backward direction (gate gradients to dL/dh or dL/dx)
+    let g_rows: Vec<f64> = (0..ROWS).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let mut yt = vec![0.0; COLS];
+    g.bench_function("transposed_into", |b| {
+        b.iter(|| matvec_transposed_into(black_box(&w), ROWS, COLS, black_box(&g_rows), &mut yt))
+    });
+    g.finish();
+}
+
+/// Timesteps per training window (the default lag count).
+const STEPS: usize = 20;
+
+fn bench_seq_accumulate(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(4);
+    let gs: Vec<f64> = (0..STEPS * ROWS)
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let xs: Vec<f64> = (0..STEPS * COLS)
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let mut dw = vec![0.0; ROWS * COLS];
+    let mut g = c.benchmark_group("seq_accumulate_20x128x32");
+    g.bench_function("outer_accumulate_seq", |b| {
+        b.iter(|| outer_accumulate_seq(black_box(&mut dw), black_box(&gs), black_box(&xs), STEPS))
+    });
     g.finish();
 }
 
@@ -45,8 +75,8 @@ fn cell_inputs(steps: usize, input: usize) -> Vec<Vec<f64>> {
 fn bench_lstm_cell(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut cell = LstmCell::new(1, COLS, 1e-2, &mut rng);
-    let xs = cell_inputs(20, 1);
-    let dh_seq = vec![0.01; 20 * COLS];
+    let xs = cell_inputs(STEPS, 1);
+    let dh_seq = vec![0.01; STEPS * COLS];
     let mut state = LstmState::zeros(COLS);
 
     let mut g = c.benchmark_group("lstm_cell_h32");
@@ -91,5 +121,11 @@ fn bench_train_round(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_matvec, bench_lstm_cell, bench_train_round);
+criterion_group!(
+    benches,
+    bench_matvec,
+    bench_seq_accumulate,
+    bench_lstm_cell,
+    bench_train_round
+);
 criterion_main!(benches);

@@ -61,8 +61,12 @@ impl Adam {
         );
         assert_eq!(grads.len(), self.m.len(), "gradient buffer length mismatch");
         assert!(t > 0, "Adam step count is 1-based");
-        let bc1 = 1.0 - self.beta1.powi(t as i32);
-        let bc2 = 1.0 - self.beta2.powi(t as i32);
+        // saturate rather than wrap: `t as i32` is 0 at t = 2^32, which
+        // makes both corrections 0 and every parameter NaN; β^t is 0.0
+        // long before i32::MAX, so saturation changes no result
+        let exponent = i32::try_from(t).unwrap_or(i32::MAX);
+        let bc1 = 1.0 - self.beta1.powi(exponent);
+        let bc2 = 1.0 - self.beta2.powi(exponent);
         for i in 0..params.len() {
             let g = if grads[i].is_finite() { grads[i] } else { 0.0 };
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
@@ -132,6 +136,22 @@ mod tests {
         let mut opt = Adam::new(1, 0.1);
         opt.step(&mut p, &[f64::NAN], 1);
         assert!(p[0].is_finite());
+    }
+
+    /// A step count past `i32::MAX` (reachable from a restored checkpoint
+    /// plus online retraining) must keep the parameters finite — and
+    /// match the fully decayed bias correction of any large `t`.
+    #[test]
+    fn huge_step_counts_stay_finite() {
+        for t in [1_u64 << 31, 1 << 32, u64::MAX] {
+            let mut p = vec![0.5, -2.0];
+            let mut opt = Adam::new(2, 0.01);
+            opt.step(&mut p, &[0.3, -0.1], t);
+            assert!(p.iter().all(|v| v.is_finite()), "t = {t}: {p:?}");
+            let mut q = vec![0.5, -2.0];
+            Adam::new(2, 0.01).step(&mut q, &[0.3, -0.1], 1 << 20);
+            assert_eq!(p, q, "t = {t}: β^t has long underflowed to 0");
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@ use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter};
 use crate::nn::adam::Adam;
 use crate::nn::dense::clip;
 #[cfg(test)]
+use crate::nn::linalg::outer_accumulate;
+#[cfg(test)]
 use crate::nn::linalg::{matvec, matvec_transposed};
 use crate::nn::linalg::{
-    matvec_colmajor_into, matvec_transposed_into, outer_accumulate, transpose_into, xavier,
+    matvec_colmajor_into, matvec_transposed_into, outer_accumulate_seq, transpose_into, xavier,
 };
 use crate::nn::{sigmoid, sigmoid_deriv, tanh_deriv};
 use rand::Rng;
@@ -110,12 +112,10 @@ pub struct LstmCell {
     z: Vec<f64>,
     /// Scratch: recurrent half of the pre-activation (`4·hidden`).
     zh: Vec<f64>,
-    /// Scratch: dL/dh at the current timestep (`hidden`).
-    dh: Vec<f64>,
-    /// Scratch: dL/dc at the current timestep (`hidden`).
-    dc: Vec<f64>,
-    /// Scratch: gate pre-activation gradients (`4·hidden`).
-    dz: Vec<f64>,
+    /// Flat gate pre-activation gradients, `steps × 4·hidden`, filled by
+    /// the recurrent sweep of [`backward_flat`](Self::backward_flat) and
+    /// consumed by its weight-gradient pass.
+    dzs: Vec<f64>,
     /// Scratch: dL/dh carried to timestep t-1 (`hidden`).
     dh_next: Vec<f64>,
     /// Scratch: dL/dc carried to timestep t-1 (`hidden`).
@@ -165,9 +165,7 @@ impl LstmCell {
             tanh_cs: Vec::new(),
             z: vec![0.0; gates],
             zh: vec![0.0; gates],
-            dh: vec![0.0; hidden],
-            dc: vec![0.0; hidden],
-            dz: vec![0.0; gates],
+            dzs: Vec::new(),
             dh_next: vec![0.0; hidden],
             dc_next: vec![0.0; hidden],
         }
@@ -261,68 +259,63 @@ impl LstmCell {
     /// gradients and resets the workspace; allocation-free in steady
     /// state.
     ///
+    /// Two phases. The recurrent sweep walks `t = steps-1, …, 0` and
+    /// computes only what step `t-1` depends on — the gate gradients
+    /// `dz_t` (kept in a flat `steps × 4·hidden` workspace), `Whᵀ·dz_t`
+    /// and `dc·f`. One pass over the whole sequence then accumulates
+    /// `dWx`, `dWh` and `db` in the same reverse step order (each `dW`
+    /// tile held in registers, see [`outer_accumulate_seq`]) and computes
+    /// `dx_t = Wxᵀ·dz_t`. Every element sees the same IEEE-754 operations
+    /// in the same order as a per-step interleaving of both phases.
+    ///
     /// # Panics
     ///
     /// Panics if `dh_seq.len()` is not `steps × hidden`.
-    pub fn backward_flat(&mut self, dh_seq: &[f64], mut dx_seq: Option<&mut Vec<f64>>) {
+    pub fn backward_flat(&mut self, dh_seq: &[f64], dx_seq: Option<&mut Vec<f64>>) {
         let h = self.hidden;
         let gates = 4 * h;
         let steps = self.steps;
         assert_eq!(dh_seq.len(), steps * h, "need one dh per cached timestep");
-        if let Some(dx) = dx_seq.as_deref_mut() {
-            dx.clear();
-            dx.resize(steps * self.input, 0.0);
-        }
+        self.dzs.clear();
+        self.dzs.resize(steps * gates, 0.0);
         self.dh_next.iter_mut().for_each(|v| *v = 0.0);
         self.dc_next.iter_mut().for_each(|v| *v = 0.0);
         for t in (0..steps).rev() {
-            let gr = &self.gate_acts[t * gates..(t + 1) * gates];
-            let tc = &self.tanh_cs[t * h..(t + 1) * h];
-            // rows t of hs/cs are the states *entering* step t
-            let c_prev = &self.cs[t * h..(t + 1) * h];
-            let h_prev = &self.hs[t * h..(t + 1) * h];
-            let x_t = &self.xs[t * self.input..(t + 1) * self.input];
-            self.dh.copy_from_slice(&dh_seq[t * h..(t + 1) * h]);
-            for (a, b) in self.dh.iter_mut().zip(&self.dh_next) {
-                *a += b;
-            }
-            // dL/dc through h = o * tanh(c), plus carry from t+1
-            self.dc.copy_from_slice(&self.dc_next);
-            for k in 0..h {
-                self.dc[k] += self.dh[k] * gr[3 * h + k] * tanh_deriv(tc[k]);
-            }
-            // gate pre-activation gradients, stacked [i, f, g, o]
-            for k in 0..h {
-                self.dz[k] = self.dc[k] * gr[2 * h + k] * sigmoid_deriv(gr[k]);
-                self.dz[h + k] = self.dc[k] * c_prev[k] * sigmoid_deriv(gr[h + k]);
-                self.dz[2 * h + k] = self.dc[k] * gr[k] * tanh_deriv(gr[2 * h + k]);
-                self.dz[3 * h + k] = self.dh[k] * tc[k] * sigmoid_deriv(gr[3 * h + k]);
-            }
-            outer_accumulate(&mut self.dwx, &self.dz, x_t);
-            outer_accumulate(&mut self.dwh, &self.dz, h_prev);
-            for (d, g) in self.db.iter_mut().zip(&self.dz) {
+            let dz = &mut self.dzs[t * gates..(t + 1) * gates];
+            gate_grads(
+                &dh_seq[t * h..(t + 1) * h],
+                &self.dh_next,
+                &mut self.dc_next,
+                &self.gate_acts[t * gates..(t + 1) * gates],
+                &self.tanh_cs[t * h..(t + 1) * h],
+                // row t of cs is the cell state *entering* step t
+                &self.cs[t * h..(t + 1) * h],
+                dz,
+            );
+            matvec_transposed_into(&self.wh, gates, h, dz, &mut self.dh_next);
+        }
+        if steps > 0 {
+            // rows 0..steps of hs are the hidden states entering each step
+            outer_accumulate_seq(&mut self.dwx, &self.dzs, &self.xs, steps);
+            outer_accumulate_seq(&mut self.dwh, &self.dzs, &self.hs[..steps * h], steps);
+        }
+        for dz in self.dzs.rchunks_exact(gates) {
+            for (d, g) in self.db.iter_mut().zip(dz) {
                 *d += g;
             }
-            if let Some(dx) = dx_seq.as_deref_mut() {
-                matvec_transposed_into(
-                    &self.wx,
-                    gates,
-                    self.input,
-                    &self.dz,
-                    &mut dx[t * self.input..(t + 1) * self.input],
-                );
-            }
-            matvec_transposed_into(&self.wh, gates, h, &self.dz, &mut self.dh_next);
-            for k in 0..h {
-                self.dc_next[k] = self.dc[k] * gr[h + k];
+        }
+        if let Some(dx) = dx_seq {
+            dx.clear();
+            dx.resize(steps * self.input, 0.0);
+            for (dz, dx_t) in self
+                .dzs
+                .chunks_exact(gates)
+                .zip(dx.chunks_exact_mut(self.input))
+            {
+                matvec_transposed_into(&self.wx, gates, self.input, dz, dx_t);
             }
         }
-        self.steps = 0;
-        self.xs.clear();
-        self.hs.clear();
-        self.cs.clear();
-        self.gate_acts.clear();
-        self.tanh_cs.clear();
+        self.clear_cache();
     }
 
     /// Applies accumulated gradients with Adam and zeroes accumulators.
@@ -400,6 +393,44 @@ impl LstmCell {
         transpose_into(&self.wx, gates, self.input, &mut self.wx_t);
         transpose_into(&self.wh, gates, self.hidden, &mut self.wh_t);
         Ok(())
+    }
+}
+
+/// Elementwise half of one step of the backward sweep. From the step's
+/// loss gradient `dh_t`, the carries `dh_next`/`dc_next` from step t+1,
+/// the step's post-activation gates `gr` (`[i, f, g, o]`), `tanh(c_t)`
+/// and `c_{t-1}`, writes the gate pre-activation gradients `dz` (stacked
+/// `[i, f, g, o]`) and leaves dL/dc·f — the cell carry into step t-1 —
+/// in `dc_next`.
+fn gate_grads(
+    dh_t: &[f64],
+    dh_next: &[f64],
+    dc_next: &mut [f64],
+    gr: &[f64],
+    tc: &[f64],
+    c_prev: &[f64],
+    dz: &mut [f64],
+) {
+    let h = dh_t.len();
+    let (i, f, g, o) = (
+        &gr[..h],
+        &gr[h..2 * h],
+        &gr[2 * h..3 * h],
+        &gr[3 * h..4 * h],
+    );
+    let (dz_i, rest) = dz.split_at_mut(h);
+    let (dz_f, rest) = rest.split_at_mut(h);
+    let (dz_g, dz_o) = rest.split_at_mut(h);
+    let (dh_next, dc_next, tc, c_prev) = (&dh_next[..h], &mut dc_next[..h], &tc[..h], &c_prev[..h]);
+    for k in 0..h {
+        let dh = dh_t[k] + dh_next[k];
+        // dL/dc through h = o * tanh(c), plus carry from t+1
+        let dc = dc_next[k] + dh * o[k] * tanh_deriv(tc[k]);
+        dz_i[k] = dc * g[k] * sigmoid_deriv(i[k]);
+        dz_f[k] = dc * c_prev[k] * sigmoid_deriv(f[k]);
+        dz_g[k] = dc * i[k] * tanh_deriv(g[k]);
+        dz_o[k] = dh * tc[k] * sigmoid_deriv(o[k]);
+        dc_next[k] = dc * f[k];
     }
 }
 
@@ -628,41 +659,65 @@ mod tests {
         assert_eq!(cell.cached_steps(), 0);
     }
 
-    /// The flat-workspace path must match the per-step oracle bit for bit — hidden states, input gradients and post-update
-    /// weights compared with `==` across several training rounds.
+    /// The flat-workspace path must match the per-step oracle bit for bit —
+    /// hidden states, input gradients and post-update weights compared
+    /// with `==` across several training rounds — at shapes below, at and
+    /// across the kernels' tile and block widths (the paper's 32 × 32
+    /// layer included).
     #[test]
     fn flat_path_bit_identical_to_reference() {
-        for seed in [11u64, 42, 303] {
+        for (input, hidden, seed) in [
+            (2, 8, 11u64),
+            (2, 8, 42),
+            (2, 8, 303),
+            (1, 32, 42),
+            (32, 32, 42),
+            (17, 9, 42),
+        ] {
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            let mut reference = LstmCell::new(2, 8, 0.01, &mut r1);
-            let mut optimized = LstmCell::new(2, 8, 0.01, &mut r2);
-            let seq: Vec<[f64; 2]> = (0..6)
-                .map(|i| [(i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()])
+            let mut reference = LstmCell::new(input, hidden, 0.01, &mut r1);
+            let mut optimized = LstmCell::new(input, hidden, 0.01, &mut r2);
+            let seq: Vec<Vec<f64>> = (0..6)
+                .map(|i| {
+                    (0..input)
+                        .map(|j| ((i * input + j) as f64 * 0.7).sin() + (j as f64 * 0.3).cos())
+                        .collect()
+                })
                 .collect();
             let mut dx_flat = Vec::new();
             for round in 1..=5u64 {
-                let mut s_ref = LstmState::zeros(8);
-                let mut s_opt = LstmState::zeros(8);
+                let mut s_ref = LstmState::zeros(hidden);
+                let mut s_opt = LstmState::zeros(hidden);
                 for x in &seq {
                     s_ref = reference.forward_step(x, &s_ref);
                     optimized.forward_step_into(x, &mut s_opt);
-                    assert_eq!(s_opt.h, s_ref.h, "h drift seed={seed} round={round}");
-                    assert_eq!(s_opt.c, s_ref.c, "c drift seed={seed} round={round}");
+                    assert_eq!(
+                        s_opt.h, s_ref.h,
+                        "h drift {input}x{hidden} seed={seed} round={round}"
+                    );
+                    assert_eq!(
+                        s_opt.c, s_ref.c,
+                        "c drift {input}x{hidden} seed={seed} round={round}"
+                    );
                 }
                 // seed the loss at the last step only, like the models do
-                let mut dh_seq = vec![vec![0.0; 8]; seq.len()];
-                dh_seq[seq.len() - 1] = (0..8).map(|k| 0.1 * (k as f64 + 1.0)).collect();
+                let mut dh_seq = vec![vec![0.0; hidden]; seq.len()];
+                dh_seq[seq.len() - 1] = (0..hidden).map(|k| 0.1 * (k as f64 + 1.0)).collect();
                 let dh_flat: Vec<f64> = dh_seq.concat();
                 let dx_ref = reference.backward(&dh_seq);
                 optimized.backward_flat(&dh_flat, Some(&mut dx_flat));
-                assert_eq!(dx_flat, dx_ref.concat(), "dx drift seed={seed}");
+                assert_eq!(
+                    dx_flat,
+                    dx_ref.concat(),
+                    "dx drift {input}x{hidden} seed={seed}"
+                );
                 reference.apply_grads(round);
                 optimized.apply_grads(round);
                 assert_eq!(
                     optimized.weights(),
                     reference.weights(),
-                    "weight drift seed={seed} round={round}"
+                    "weight drift {input}x{hidden} seed={seed} round={round}"
                 );
             }
         }

@@ -21,7 +21,9 @@ pub mod lstm;
 pub use adam::Adam;
 pub use conv::CausalConv1d;
 pub use dense::Dense;
-pub use linalg::{matvec_colmajor_into, matvec_into, matvec_transposed_into, transpose_into};
+pub use linalg::{
+    matvec_colmajor_into, matvec_into, matvec_transposed_into, outer_accumulate_seq, transpose_into,
+};
 pub use lstm::{LstmCell, LstmState};
 
 /// Numerically stable logistic sigmoid.

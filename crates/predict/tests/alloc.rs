@@ -1,6 +1,7 @@
 //! Steady-state allocation test: after one warm-up round, the flat-
-//! workspace LSTM forward/backward/Adam loop and a trained model's
-//! forecast path must not touch the heap at all. A counting global
+//! workspace LSTM forward/backward/Adam loop (narrow and paper-shaped
+//! cells), a repeated pretrain of the paper's 2 × 32 stack and a trained
+//! model's forecast path must not touch the heap at all. A counting global
 //! allocator makes any regression an exact, reproducible failure.
 //!
 //! This file holds exactly one `#[test]` — the allocation counter is
@@ -45,33 +46,67 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-#[test]
-fn steady_state_training_and_forecast_do_not_allocate() {
-    // --- cell level: forward steps + backward + Adam, warmed up once ---
+/// One forward/backward/Adam round over the sequence `xs`.
+fn cell_round(cell: &mut LstmCell, state: &mut LstmState, xs: &[Vec<f64>], dh_seq: &[f64], t: u64) {
+    state.reset();
+    for x in xs {
+        cell.forward_step_into(x, state);
+    }
+    cell.backward_flat(dh_seq, None);
+    cell.apply_grads(t);
+}
+
+/// Warms an `input × hidden` cell up once (the workspace and the `dz`
+/// buffer grow to capacity there), then asserts four more rounds
+/// allocate nothing.
+fn assert_cell_rounds_allocation_free(input: usize, hidden: usize) {
     let mut rng = StdRng::seed_from_u64(7);
-    let mut cell = LstmCell::new(4, 16, 1e-2, &mut rng);
+    let mut cell = LstmCell::new(input, hidden, 1e-2, &mut rng);
     let xs: Vec<Vec<f64>> = (0..12)
-        .map(|t| (0..4).map(|i| ((t * 4 + i) as f64 * 0.13).sin()).collect())
+        .map(|t| {
+            (0..input)
+                .map(|i| ((t * input + i) as f64 * 0.13).sin())
+                .collect()
+        })
         .collect();
-    let dh_seq = vec![0.01_f64; 12 * 16];
-    let mut state = LstmState::zeros(16);
-    let round = |cell: &mut LstmCell, state: &mut LstmState, t: u64| {
-        state.reset();
-        for x in &xs {
-            cell.forward_step_into(x, state);
-        }
-        cell.backward_flat(&dh_seq, None);
-        cell.apply_grads(t);
-    };
-    round(&mut cell, &mut state, 1); // warm-up: workspace buffers grow to capacity here
+    let dh_seq = vec![0.01_f64; 12 * hidden];
+    let mut state = LstmState::zeros(hidden);
+    cell_round(&mut cell, &mut state, &xs, &dh_seq, 1);
     let before = allocations();
     for t in 2..6 {
-        round(&mut cell, &mut state, t);
+        cell_round(&mut cell, &mut state, &xs, &dh_seq, t);
     }
     let delta = allocations() - before;
     assert_eq!(
         delta, 0,
-        "steady-state LSTM forward/backward/Adam must be allocation-free, saw {delta}"
+        "steady-state {input}x{hidden} LSTM forward/backward/Adam must be allocation-free, saw {delta}"
+    );
+}
+
+#[test]
+fn steady_state_training_and_forecast_do_not_allocate() {
+    // --- cell level: forward steps + backward + Adam, warmed up once;
+    // narrower than the kernel tiles, then the paper's 32 × 32 layer ---
+    assert_cell_rounds_allocation_free(4, 16);
+    assert_cell_rounds_allocation_free(32, 32);
+
+    // --- model level: a second pretrain of the paper-shaped 2 × 32
+    // stack reuses every workspace the first one grew ---
+    let short: Vec<f64> = (0..40)
+        .map(|i| 50.0 + 20.0 * (i as f64 * 0.3).sin())
+        .collect();
+    let cfg = TrainConfig {
+        epochs: 2,
+        ..TrainConfig::default()
+    };
+    let mut paper = LstmPredictor::new(cfg, 32, 3, 2);
+    paper.pretrain(&short);
+    let before = allocations();
+    paper.pretrain(&short);
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "a repeated 2x32 pretrain must be allocation-free, saw {delta}"
     );
 
     // --- model level: a trained predictor's forecast path ---
