@@ -61,7 +61,7 @@ fn bench_container_selection(c: &mut Criterion) {
 }
 
 fn bench_store(c: &mut Criterion) {
-    let store = StatsStore::paper_default();
+    let mut store = StatsStore::paper_default();
     c.bench_function("stats_store_access", |b| {
         b.iter(|| store.access(black_box(StoreOp::PodQuery)))
     });

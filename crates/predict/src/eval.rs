@@ -38,7 +38,6 @@ pub fn mae(pred: &[f64], actual: &[f64]) -> f64 {
 ///
 /// The floor keeps the metric finite on rate series that touch zero —
 /// below one request per second, the error is effectively absolute.
-/// This is the validation metric early stopping watches (DESIGN.md §15).
 ///
 /// # Panics
 ///

@@ -41,7 +41,6 @@ pub mod nn;
 pub mod predictor;
 pub mod rightsize;
 pub mod sampler;
-pub mod serving;
 pub mod train;
 
 pub use checkpoint::{CheckpointError, ModelCache};
@@ -52,4 +51,3 @@ pub use models::{DeepArPredictor, LstmPredictor, SimpleFfPredictor, WeaveNetPred
 pub use predictor::{LoadPredictor, PredictorKind};
 pub use rightsize::{RecommendedSize, RightSizer};
 pub use sampler::WindowSampler;
-pub use serving::BatchedForecaster;

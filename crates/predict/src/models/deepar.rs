@@ -6,9 +6,7 @@ use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter, TAG_DEEPAR};
 use crate::models::LagWindow;
 use crate::nn::{Dense, LstmCell, LstmState};
 use crate::predictor::LoadPredictor;
-use crate::train::{
-    holdout_split, run_early_stopped, val_error_over, windowed_pairs, Scaler, TrainConfig,
-};
+use crate::train::{windowed_pairs, Scaler, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,8 +22,7 @@ pub struct DeepArPredictor {
     /// Global Adam step, persisted across pretrain calls so optimizer
     /// moments and bias correction stay consistent on retraining.
     train_step: u64,
-    /// Effective pretraining epochs (the restored-best epoch when early
-    /// stopping fires, the full budget otherwise).
+    /// Pretraining epochs run (checkpointed state).
     epochs_run: usize,
     /// Forecast quantile expressed in standard deviations above μ; 0 means
     /// the mean forecast. Proactive provisioning can bias high.
@@ -124,16 +121,6 @@ impl DeepArPredictor {
         self.head.apply_grads(t);
     }
 
-    /// Validation error (normalized MAE) over a normalized slice, using the same forecast
-    /// quantile (`μ + sigma_bias·σ`) the live model serves.
-    fn val_error_norm(&mut self, val: &[f64]) -> f64 {
-        let (lags, scaler, bias) = (self.cfg.lags, self.scaler, self.sigma_bias);
-        val_error_over(val, lags, scaler, |x| {
-            let (mu, sigma) = self.run_flat(x, false);
-            mu + bias * sigma
-        })
-    }
-
     /// Serializes the model to checkpoint bytes (DESIGN.md §15).
     fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut w = CkptWriter::new(TAG_DEEPAR);
@@ -201,25 +188,6 @@ impl LoadPredictor for DeepArPredictor {
     fn pretrain(&mut self, series: &[f64]) {
         self.scaler = Scaler::fit(series);
         let norm = self.scaler.transform_series(series);
-        if self.cfg.patience > 0 {
-            if let Some((_, val)) = holdout_split(&norm, self.cfg.lags) {
-                // train on the full series and watch validation error on the
-                // recent tail: a convergence signal, not a generalization
-                // gate — a forecaster must absorb the latest diurnal phase
-                // (see the LSTM's pretrain_early_stopped). The flag must be
-                // set before the first snapshot so restoring keeps it
-                let pairs = windowed_pairs(&norm, self.cfg.lags);
-                self.trained = true;
-                let cfg = self.cfg;
-                self.epochs_run = run_early_stopped(self, cfg, |m| {
-                    m.fit_pass(&pairs);
-                    m.val_error_norm(val)
-                });
-                return;
-            }
-        }
-        // paper-faithful fixed-epoch path, bit-identical to before early
-        // stopping existed (and the fallback for too-short series)
         let pairs = windowed_pairs(&norm, self.cfg.lags);
         if pairs.is_empty() {
             return;
@@ -241,10 +209,6 @@ impl LoadPredictor for DeepArPredictor {
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         self.restore_bytes(bytes)
-    }
-
-    fn epochs_trained(&self) -> usize {
-        self.epochs_run
     }
 
     fn reset(&mut self) {
@@ -281,7 +245,6 @@ mod reference {
 
     impl ReferenceNn for DeepArPredictor {
         fn reference_pretrain(&mut self, series: &[f64]) {
-            assert_eq!(self.cfg.patience, 0, "the oracle pretrains fixed-epoch");
             self.scaler = Scaler::fit(series);
             let norm = self.scaler.transform_series(series);
             let pairs = windowed_pairs(&norm, self.cfg.lags);

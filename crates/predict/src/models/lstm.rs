@@ -5,7 +5,7 @@ use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter, TAG_LSTM};
 use crate::models::LagWindow;
 use crate::nn::{Dense, LstmCell, LstmState};
 use crate::predictor::LoadPredictor;
-use crate::train::{holdout_split, run_early_stopped, val_error_over, Scaler, TrainConfig};
+use crate::train::{Scaler, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,8 +34,7 @@ pub struct LstmPredictor {
     observations: usize,
     /// Global Adam step across pretraining and retraining rounds.
     train_step: u64,
-    /// Effective pretraining epochs (the restored-best epoch when early
-    /// stopping fires, the full budget otherwise).
+    /// Pretraining epochs run (checkpointed state).
     epochs_run: usize,
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
@@ -116,20 +115,6 @@ impl LstmPredictor {
         LstmPredictor::new(cfg, 32, seed, 2)
     }
 
-    /// The production serving configuration: 1 layer, 16 neurons, early
-    /// stopping armed with [`TrainConfig::production`]'s knobs. On the
-    /// bench's wiki-like replay series this right-sized model matches or
-    /// beats the paper configuration's walk-forward accuracy while
-    /// pre-training more than an order of magnitude faster — the shape
-    /// that kills the 27 s pretrain wall.
-    pub fn production(seed: u64) -> Self {
-        let cfg = TrainConfig {
-            lr: 2e-3,
-            ..TrainConfig::production()
-        };
-        LstmPredictor::new(cfg, 16, seed, 1)
-    }
-
     /// Enables background retraining (§8): every `every` observations the
     /// model fine-tunes for `epochs` passes over the recent history.
     ///
@@ -141,19 +126,6 @@ impl LstmPredictor {
         assert!(epochs > 0, "need at least one fine-tuning epoch");
         self.retrain_every = every;
         self.retrain_epochs = epochs;
-        self
-    }
-
-    /// Length of the lag window the model forecasts from.
-    pub fn lags(&self) -> usize {
-        self.cfg.lags
-    }
-
-    /// Arms early stopping: pretraining ends after `patience` epochs
-    /// without at least `min_delta` of validation-error improvement, and
-    /// the best-validation weights are restored.
-    pub fn with_early_stopping(mut self, patience: usize, min_delta: f64) -> Self {
-        self.cfg = self.cfg.with_early_stopping(patience, min_delta);
         self
     }
 
@@ -199,74 +171,6 @@ impl LstmPredictor {
             cell.apply_grads(t);
         }
         self.head.apply_grads(t);
-    }
-
-    /// Production pretraining with early stopping: trains on the full
-    /// series, watches validation error on the most recent ~20% of targets
-    /// after every epoch, stops when patience runs out, and restores the
-    /// best-validation snapshot. The validation tail is deliberately NOT
-    /// held out of training — a forecaster must absorb the latest diurnal
-    /// phase (a strict holdout costs 7–11 accuracy points on the wiki
-    /// replay trace), so the tail metric detects convergence on recent
-    /// history rather than gating generalization. Falls back to
-    /// fixed-epoch training when the series is too short to validate.
-    fn pretrain_early_stopped(&mut self, series: &[f64]) {
-        let mut norm = std::mem::take(&mut self.train_norm);
-        self.scaler.transform_series_into(series, &mut norm);
-        let Some((_, val)) = holdout_split(&norm, self.cfg.lags) else {
-            self.train_norm = norm;
-            self.epochs_run = self.train_epochs(series, self.cfg.epochs);
-            return;
-        };
-        // the split contract guarantees at least one training window, so
-        // the model is trained from the first pass on — and the flag must
-        // be set before the first snapshot so restoring it keeps it
-        self.trained = true;
-        let whole = &norm[..];
-        let cfg = self.cfg;
-        self.epochs_run = run_early_stopped(self, cfg, |m| {
-            m.fit_pass_norm(whole);
-            m.val_error_norm(val)
-        });
-        self.train_norm = norm;
-    }
-
-    /// Validation error (normalized MAE) over a normalized slice (`lags` context samples
-    /// followed by the targets), evaluated in raw rate space with the
-    /// current weights.
-    fn val_error_norm(&mut self, val: &[f64]) -> f64 {
-        let (lags, scaler) = (self.cfg.lags, self.scaler);
-        val_error_over(val, lags, scaler, |x| self.forward_flat(x, false))
-    }
-
-    /// Validation error (normalized MAE) of the current weights on the tail of a
-    /// raw series — the metric early stopping watches. `None` when the
-    /// series is too short to hold out a validation slice.
-    pub fn validation_error(&mut self, series: &[f64]) -> Option<f64> {
-        let norm = self.scaler.transform_series(series);
-        let (_, val) = holdout_split(&norm, self.cfg.lags)?;
-        Some(self.val_error_norm(val))
-    }
-
-    /// Forecasts from a caller-provided raw lag window without touching
-    /// the model's own observation window — the primitive behind
-    /// [`BatchedForecaster`](crate::BatchedForecaster): many series share
-    /// one model's weights and flat workspace. Untrained models fall back
-    /// to the window's last value (matching [`LoadPredictor::forecast`]);
-    /// an empty window forecasts 0.
-    pub fn forecast_window(&mut self, window: &[f64]) -> f64 {
-        let Some(&last) = window.last() else {
-            return 0.0;
-        };
-        if !self.trained {
-            return last;
-        }
-        self.scaler
-            .transform_series_into(window, &mut self.norm_buf);
-        let x = std::mem::take(&mut self.norm_buf);
-        let y = self.forward_flat(&x, false);
-        self.norm_buf = x;
-        self.scaler.inverse(y).max(0.0)
     }
 
     /// Serializes the model to checkpoint bytes (DESIGN.md §15): config,
@@ -425,13 +329,7 @@ impl LoadPredictor for LstmPredictor {
 
     fn pretrain(&mut self, series: &[f64]) {
         self.scaler = Scaler::fit(series);
-        if self.cfg.patience == 0 {
-            // paper-faithful fixed-epoch path, bit-identical to before
-            // early stopping existed
-            self.epochs_run = self.train_epochs(series, self.cfg.epochs);
-        } else {
-            self.pretrain_early_stopped(series);
-        }
+        self.epochs_run = self.train_epochs(series, self.cfg.epochs);
     }
 
     fn name(&self) -> &'static str {
@@ -444,10 +342,6 @@ impl LoadPredictor for LstmPredictor {
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         self.restore_bytes(bytes)
-    }
-
-    fn epochs_trained(&self) -> usize {
-        self.epochs_run
     }
 
     fn enable_online_retraining(&mut self, every: usize, epochs: usize) {
@@ -514,7 +408,6 @@ mod reference {
 
     impl ReferenceNn for LstmPredictor {
         fn reference_pretrain(&mut self, series: &[f64]) {
-            assert_eq!(self.cfg.patience, 0, "the oracle pretrains fixed-epoch");
             self.scaler = Scaler::fit(series);
             let norm = self.scaler.transform_series(series);
             let pairs = windowed_pairs(&norm, self.cfg.lags);

@@ -23,11 +23,6 @@ use std::collections::VecDeque;
 #[cfg(test)]
 pub(crate) trait ReferenceNn: crate::LoadPredictor {
     /// Fixed-epoch pretraining on the reference stack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's config arms early stopping, which the oracle
-    /// does not reproduce.
     fn reference_pretrain(&mut self, series: &[f64]);
 
     /// One-step forecast from the current lag window on the reference

@@ -6,9 +6,7 @@ use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter, TAG_WEAVENET};
 use crate::models::LagWindow;
 use crate::nn::{CausalConv1d, Dense};
 use crate::predictor::LoadPredictor;
-use crate::train::{
-    holdout_split, run_early_stopped, val_error_over, windowed_pairs, Scaler, TrainConfig,
-};
+use crate::train::{windowed_pairs, Scaler, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,8 +36,7 @@ pub struct WeaveNetPredictor {
     /// Global Adam step, persisted across pretrain calls so optimizer
     /// moments and bias correction stay consistent on retraining.
     train_step: u64,
-    /// Effective pretraining epochs (the restored-best epoch when early
-    /// stopping fires, the full budget otherwise).
+    /// Pretraining epochs run (checkpointed state).
     epochs_run: usize,
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
@@ -182,13 +179,6 @@ impl WeaveNetPredictor {
         self.head.apply_grads(t);
     }
 
-    /// Validation error (normalized MAE) over a normalized slice with the
-    /// current weights.
-    fn val_error_norm(&mut self, val: &[f64]) -> f64 {
-        let (lags, scaler) = (self.cfg.lags, self.scaler);
-        val_error_over(val, lags, scaler, |x| self.run_flat(x))
-    }
-
     /// Serializes the model to checkpoint bytes (DESIGN.md §15).
     fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut w = CkptWriter::new(TAG_WEAVENET);
@@ -262,25 +252,6 @@ impl LoadPredictor for WeaveNetPredictor {
     fn pretrain(&mut self, series: &[f64]) {
         self.scaler = Scaler::fit(series);
         let norm = self.scaler.transform_series(series);
-        if self.cfg.patience > 0 {
-            if let Some((_, val)) = holdout_split(&norm, self.cfg.lags) {
-                // train on the full series and watch validation error on the
-                // recent tail: a convergence signal, not a generalization
-                // gate — a forecaster must absorb the latest diurnal phase
-                // (see the LSTM's pretrain_early_stopped). The flag must be
-                // set before the first snapshot so restoring keeps it
-                let pairs = windowed_pairs(&norm, self.cfg.lags);
-                self.trained = true;
-                let cfg = self.cfg;
-                self.epochs_run = run_early_stopped(self, cfg, |m| {
-                    m.fit_pass(&pairs);
-                    m.val_error_norm(val)
-                });
-                return;
-            }
-        }
-        // paper-faithful fixed-epoch path, bit-identical to before early
-        // stopping existed (and the fallback for too-short series)
         let pairs = windowed_pairs(&norm, self.cfg.lags);
         if pairs.is_empty() {
             return;
@@ -302,10 +273,6 @@ impl LoadPredictor for WeaveNetPredictor {
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         self.restore_bytes(bytes)
-    }
-
-    fn epochs_trained(&self) -> usize {
-        self.epochs_run
     }
 
     fn reset(&mut self) {
@@ -342,7 +309,6 @@ mod reference {
 
     impl ReferenceNn for WeaveNetPredictor {
         fn reference_pretrain(&mut self, series: &[f64]) {
-            assert_eq!(self.cfg.patience, 0, "the oracle pretrains fixed-epoch");
             self.scaler = Scaler::fit(series);
             let norm = self.scaler.transform_series(series);
             let pairs = windowed_pairs(&norm, self.cfg.lags);

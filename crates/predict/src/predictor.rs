@@ -51,13 +51,6 @@ pub trait LoadPredictor {
         Err(CheckpointError::Unsupported)
     }
 
-    /// Effective pretraining epochs of the current weights: the restored
-    /// best epoch when early stopping fired, the full budget otherwise,
-    /// 0 for untrained or classical models.
-    fn epochs_trained(&self) -> usize {
-        0
-    }
-
     /// Arms periodic online fine-tuning over the recent observation tail
     /// (the paper's §8 "constantly retrain in the background" extension):
     /// every `every` observations, run `epochs` fine-tuning passes.

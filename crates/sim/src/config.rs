@@ -176,7 +176,7 @@ impl SimConfig {
     /// # Panics
     ///
     /// Panics on an empty cluster, nodes too small for one container, or
-    /// out-of-range knobs.
+    /// out-of-range knobs, including an invalid fault plan.
     pub fn validate(&self) {
         assert!(self.cluster.nodes > 0, "need at least one node");
         assert!(self.cluster.cores_per_node > 0.0, "cores must be positive");
@@ -201,7 +201,9 @@ impl SimConfig {
             self.trace.jsonl.is_none() || self.trace.capacity > 0,
             "decision-trace JSONL export requires a nonzero trace capacity"
         );
-        self.faults.validate(self.cluster.nodes);
+        if let Err(e) = self.faults.validate(self.cluster.nodes) {
+            panic!("{e}");
+        }
     }
 }
 

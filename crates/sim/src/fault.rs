@@ -149,7 +149,9 @@ impl FaultPlan {
                 up_at: SimTime::from_secs(down + dur),
             });
         }
-        plan.validate(nodes);
+        if let Err(e) = plan.validate(nodes) {
+            panic!("sampled an invalid fault plan: {e}");
+        }
         plan
     }
 
@@ -163,37 +165,42 @@ impl FaultPlan {
 
     /// Validates the plan against a cluster of `nodes` nodes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on out-of-range probabilities, a sub-unity straggler factor,
-    /// or malformed outage windows.
-    pub fn validate(&self, nodes: usize) {
+    /// Names the first out-of-range probability, sub-unity or non-finite
+    /// straggler factor, zero spawn-fault latency, or malformed outage
+    /// window.
+    pub fn validate(&self, nodes: usize) -> Result<(), String> {
         for (name, p) in [
             ("spawn_fail_prob", self.spawn_fail_prob),
             ("crash_prob", self.crash_prob),
             ("straggler_prob", self.straggler_prob),
         ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "fault {name} must be in [0, 1], got {p}"
-            );
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("fault {name} must be in [0, 1], got {p}"));
+            }
         }
-        assert!(
-            self.straggler_factor >= 1.0 && self.straggler_factor.is_finite(),
-            "straggler factor must be a finite multiplier ≥ 1"
-        );
-        assert!(
-            self.spawn_fail_prob == 0.0 || !self.spawn_fail_latency.is_zero(),
-            "spawn-fault latency must be positive when spawn faults are on"
-        );
+        if !(self.straggler_factor >= 1.0 && self.straggler_factor.is_finite()) {
+            return Err("straggler factor must be a finite multiplier ≥ 1".into());
+        }
+        if self.spawn_fail_prob > 0.0 && self.spawn_fail_latency.is_zero() {
+            return Err("spawn-fault latency must be positive when spawn faults are on".into());
+        }
         for o in &self.outages {
-            assert!(o.node < nodes, "outage node {} out of range", o.node);
-            assert!(
-                o.up_at > o.down_at,
-                "outage on node {} must recover after it starts",
-                o.node
-            );
+            if o.node >= nodes {
+                return Err(format!(
+                    "outage node {} out of range for a {nodes}-node cluster",
+                    o.node
+                ));
+            }
+            if o.up_at <= o.down_at {
+                return Err(format!(
+                    "outage on node {} must recover after it starts",
+                    o.node
+                ));
+            }
         }
+        Ok(())
     }
 
     /// Parses the CLI `--faults` spec: comma-separated `key=value` terms.
@@ -203,10 +210,13 @@ impl FaultPlan {
     ///   with the kill latency in milliseconds (default 500),
     /// * `crash=P` — mid-task crash probability,
     /// * `straggler=P` or `straggler=PxF` — straggler probability,
-    ///   optionally with the slowdown factor (default 4),
+    ///   optionally with the slowdown factor (finite, ≥ 1; default 4),
     /// * `retries=N` — max retries before a job is dropped,
     /// * `outage=NODE@DOWN+DUR` — node outage from second `DOWN` lasting
     ///   `DUR` seconds (repeatable).
+    ///
+    /// Every probability must lie in [0, 1]. Outage nodes are checked
+    /// against the cluster by [`validate`](Self::validate).
     ///
     /// Example: `--faults crash=0.05,straggler=0.1x4,outage=2@100+60`.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
@@ -216,6 +226,10 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("fault term '{term}' is not key=value"))?;
             let bad = |what: &str| format!("fault term '{term}': invalid {what}");
+            let prob = |p: &str| match p.parse::<f64>() {
+                Ok(p) if (0.0..=1.0).contains(&p) => Ok(p),
+                _ => Err(bad("probability (must be in [0, 1])")),
+            };
             match key {
                 "seed" => plan.seed = value.parse().map_err(|_| bad("seed"))?,
                 "spawn" => {
@@ -226,16 +240,19 @@ impl FaultPlan {
                         }
                         None => (value, plan.spawn_fail_latency),
                     };
-                    plan.spawn_fail_prob = p.parse().map_err(|_| bad("probability"))?;
+                    plan.spawn_fail_prob = prob(p)?;
                     plan.spawn_fail_latency = latency;
                 }
-                "crash" => plan.crash_prob = value.parse().map_err(|_| bad("probability"))?,
+                "crash" => plan.crash_prob = prob(value)?,
                 "straggler" => {
                     let (p, factor) = match value.split_once('x') {
-                        Some((p, f)) => (p, f.parse().map_err(|_| bad("factor"))?),
+                        Some((p, f)) => match f.parse::<f64>() {
+                            Ok(f) if f.is_finite() && f >= 1.0 => (p, f),
+                            _ => return Err(bad("factor (must be finite and at least 1)")),
+                        },
                         None => (value, 4.0),
                     };
-                    plan.straggler_prob = p.parse().map_err(|_| bad("probability"))?;
+                    plan.straggler_prob = prob(p)?;
                     plan.straggler_factor = factor;
                 }
                 "retries" => plan.max_retries = value.parse().map_err(|_| bad("retries"))?,
@@ -275,7 +292,7 @@ mod tests {
     fn none_is_inactive_and_valid() {
         let p = FaultPlan::none();
         assert!(!p.is_active());
-        p.validate(1);
+        p.validate(1).unwrap();
         assert_eq!(p, FaultPlan::default());
     }
 
@@ -285,7 +302,7 @@ mod tests {
             let a = FaultPlan::sampled(seed, 4, 60);
             let b = FaultPlan::sampled(seed, 4, 60);
             assert_eq!(a, b, "same seed must yield the same plan");
-            a.validate(4); // would panic on a malformed sample
+            a.validate(4).unwrap();
         }
         // different seeds must not collapse to one plan
         assert_ne!(FaultPlan::sampled(1, 4, 60), FaultPlan::sampled(2, 4, 60));
@@ -318,7 +335,7 @@ mod tests {
             }]
         );
         assert!(p.is_active());
-        p.validate(5);
+        p.validate(5).unwrap();
     }
 
     #[test]
@@ -342,7 +359,7 @@ mod tests {
     fn out_of_range_probability_rejected() {
         let mut p = FaultPlan::none();
         p.crash_prob = 1.5;
-        p.validate(1);
+        p.validate(1).unwrap();
     }
 
     #[test]
@@ -354,7 +371,7 @@ mod tests {
             down_at: SimTime::from_secs(1),
             up_at: SimTime::from_secs(2),
         });
-        p.validate(5);
+        p.validate(5).unwrap();
     }
 
     #[test]
@@ -366,7 +383,7 @@ mod tests {
             down_at: SimTime::from_secs(5),
             up_at: SimTime::from_secs(5),
         });
-        p.validate(1);
+        p.validate(1).unwrap();
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! table (§6.1.5) and the scalability discussion can be reproduced.
 
 use fifer_metrics::SimDuration;
-use std::sync::{Arc, Mutex};
 
 /// Which store operation an access represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,12 +34,12 @@ pub struct StoreCounters {
     pub writes: u64,
 }
 
-/// A shared handle to the store model. Cloning shares the counters
-/// (the prototype's single head-node database).
-#[derive(Debug, Clone)]
+/// The store model: the prototype's single head-node database, owned by
+/// the simulation that issues its accesses.
+#[derive(Debug)]
 pub struct StatsStore {
     mean_latency: SimDuration,
-    counters: Arc<Mutex<StoreCounters>>,
+    counters: StoreCounters,
 }
 
 impl StatsStore {
@@ -54,14 +53,14 @@ impl StatsStore {
     pub fn with_latency(mean_latency: SimDuration) -> Self {
         StatsStore {
             mean_latency,
-            counters: Arc::new(Mutex::new(StoreCounters::default())),
+            counters: StoreCounters::default(),
         }
     }
 
     /// Records one access and returns its modeled latency, which callers on
     /// the scheduling path add to their decision time.
-    pub fn access(&self, op: StoreOp) -> SimDuration {
-        let mut c = self.counters.lock().expect("store mutex poisoned");
+    pub fn access(&mut self, op: StoreOp) -> SimDuration {
+        let c = &mut self.counters;
         match op {
             StoreOp::PodQuery | StoreOp::ArrivalQuery => c.reads += 1,
             StoreOp::SlotUpdate | StoreOp::JobStats | StoreOp::ContainerStats => c.writes += 1,
@@ -71,7 +70,7 @@ impl StatsStore {
 
     /// Snapshot of the counters.
     pub fn counters(&self) -> StoreCounters {
-        *self.counters.lock().expect("store mutex poisoned")
+        self.counters
     }
 
     /// Total modeled time spent in store accesses.
@@ -98,7 +97,7 @@ mod tests {
 
     #[test]
     fn reads_and_writes_are_classified() {
-        let s = StatsStore::paper_default();
+        let mut s = StatsStore::paper_default();
         s.access(StoreOp::PodQuery);
         s.access(StoreOp::ArrivalQuery);
         s.access(StoreOp::SlotUpdate);
@@ -110,17 +109,8 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_counters() {
-        let s = StatsStore::paper_default();
-        let t = s.clone();
-        s.access(StoreOp::JobStats);
-        t.access(StoreOp::JobStats);
-        assert_eq!(s.counters().writes, 2);
-    }
-
-    #[test]
     fn total_time_accumulates() {
-        let s = StatsStore::with_latency(SimDuration::from_millis(2));
+        let mut s = StatsStore::with_latency(SimDuration::from_millis(2));
         for _ in 0..5 {
             s.access(StoreOp::PodQuery);
         }
@@ -129,7 +119,7 @@ mod tests {
 
     #[test]
     fn access_returns_latency() {
-        let s = StatsStore::with_latency(SimDuration::from_millis(3));
+        let mut s = StatsStore::with_latency(SimDuration::from_millis(3));
         assert_eq!(s.access(StoreOp::SlotUpdate), SimDuration::from_millis(3));
     }
 }

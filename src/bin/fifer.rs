@@ -201,6 +201,18 @@ fn parse_args() -> Args {
         eprintln!("error: --early-exit must be in [0, 1]");
         usage()
     }
+    if !(args.rate.is_finite() && args.rate > 0.0) {
+        eprintln!("error: --rate must be a positive finite number");
+        usage()
+    }
+    if args.apps == 0 {
+        eprintln!("error: --apps must be at least 1");
+        usage()
+    }
+    if !(args.tail_exp.is_finite() && args.tail_exp > 0.0) {
+        eprintln!("error: --tail-exp must be a positive finite number");
+        usage()
+    }
     args
 }
 
@@ -237,6 +249,13 @@ fn build_stream(args: &Args) -> JobStream {
 
 fn main() {
     let args = parse_args();
+    if let Some(path) = &args.decision_trace {
+        // fail before the replay, not after it; the run rewrites the file
+        if let Err(e) = std::fs::File::create(path) {
+            eprintln!("error: cannot write {path}: {e}");
+            exit(1);
+        }
+    }
     let stream = build_stream(&args);
     if stream.is_empty() {
         eprintln!("error: workload is empty (rate or duration too small)");
@@ -300,6 +319,10 @@ fn main() {
         cfg.early_exit_prob = args.early_exit;
         cfg.tenants = args.tenants.max(1);
         cfg.faults = args.faults.clone();
+        if let Err(e) = cfg.faults.validate(cfg.cluster.nodes) {
+            eprintln!("error: --faults: {e}");
+            exit(2);
+        }
         cfg.audit = args.audit;
         if args.harvest || args.rightsize {
             // bolt harvesting / right-sizing onto any RM: paper-default

@@ -334,13 +334,55 @@ fn azure_knobs_are_parsed_and_validated() {
 
 #[test]
 fn malformed_fault_spec_is_rejected() {
-    let out = fifer()
-        .args(["--faults", "warp=0.5"])
-        .output()
-        .expect("spawn");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown fault key"), "{err}");
+    for (spec, message) in [
+        ("warp=0.5", "unknown fault key"),
+        ("crash=1.5", "invalid probability"),
+        ("straggler=0.1x0", "invalid factor"),
+        ("outage=99999@1+1", "outage node 99999 out of range"),
+    ] {
+        let out = fifer()
+            .args(["--rm", "bline", "--secs", "10", "--faults", spec])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{spec}: {err}");
+    }
+}
+
+#[test]
+fn out_of_range_inputs_are_named_errors() {
+    for (args, code, message) in [
+        (&["--rate", "0"][..], 2, "--rate must be"),
+        (&["--rate", "nan"], 2, "--rate must be"),
+        (&["--rate", "-5"], 2, "--rate must be"),
+        (&["--rate", "inf"], 2, "--rate must be"),
+        (&["--workload", "azure", "--apps", "0"], 2, "--apps must be"),
+        (
+            &["--workload", "azure", "--tail-exp", "-1"],
+            2,
+            "--tail-exp must be",
+        ),
+        (
+            &["--workload", "azure", "--tail-exp", "nan"],
+            2,
+            "--tail-exp must be",
+        ),
+        (
+            &["--decision-trace", "/nonexistent/x.jsonl"],
+            1,
+            "cannot write /nonexistent/x.jsonl",
+        ),
+    ] {
+        let out = fifer()
+            .args(["--rm", "bline", "--secs", "10"])
+            .args(args)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
 }
 
 #[test]
