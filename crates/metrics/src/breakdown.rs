@@ -48,7 +48,7 @@ pub struct RequestRecord {
     /// Monotonically increasing job id.
     pub job_id: u64,
     /// Application (chain) name this job invoked.
-    pub app: String,
+    pub app: &'static str,
     /// Submission instant.
     pub submitted: SimTime,
     /// Completion instant.
@@ -151,7 +151,7 @@ mod tests {
         };
         RequestRecord {
             job_id: 1,
-            app: "IPA".to_string(),
+            app: "IPA",
             submitted: SimTime::from_secs(1),
             completed: SimTime::from_secs(1) + breakdown.total(),
             breakdown,

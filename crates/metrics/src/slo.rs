@@ -48,7 +48,11 @@ impl SloAccountant {
     pub fn observe(&mut self, app: &str, latency: SimDuration) -> bool {
         let violated = latency > self.slo;
         self.total += 1;
-        let e = self.per_app.entry(app.to_string()).or_insert((0, 0));
+        // a key is allocated only the first time an app is seen
+        let e = match self.per_app.get_mut(app) {
+            Some(e) => e,
+            None => self.per_app.entry(app.to_string()).or_insert((0, 0)),
+        };
         e.0 += 1;
         if violated {
             self.violations += 1;
@@ -59,7 +63,7 @@ impl SloAccountant {
 
     /// Observes a full [`RequestRecord`].
     pub fn observe_record(&mut self, r: &RequestRecord) -> bool {
-        self.observe(&r.app, r.response_latency())
+        self.observe(r.app, r.response_latency())
     }
 
     /// Total requests observed.
@@ -138,7 +142,7 @@ mod tests {
         let mut acc = SloAccountant::new(ms(100));
         let r = RequestRecord {
             job_id: 0,
-            app: "FaceSecurity".into(),
+            app: "FaceSecurity",
             submitted: SimTime::ZERO,
             completed: SimTime::from_millis(150),
             breakdown: LatencyBreakdown::new(),

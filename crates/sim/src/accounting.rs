@@ -84,7 +84,7 @@ impl Simulation<'_> {
             tenants: self.cfg.tenants,
             min_warm_pool: self.cfg.min_warm_pool,
             idle_timeout: self.cfg.idle_timeout,
-            container_alloc: crate::config::container_alloc(),
+            container_alloc: self.cluster.container_alloc(),
             capacity: self.cluster.total_capacity(),
             allocated: self.cluster.total_allocated(),
             used: self.cluster.total_used(),
@@ -93,20 +93,36 @@ impl Simulation<'_> {
         }
     }
 
+    /// The live containers, stage by stage (each stage's list holds
+    /// exactly its live containers, in ascending id order). Scans walk
+    /// these instead of `self.containers`, which keeps every container
+    /// ever spawned.
+    pub(crate) fn live_containers(&self) -> impl Iterator<Item = &Container> {
+        self.stages
+            .iter()
+            .flat_map(|s| &s.containers)
+            .map(|&id| &self.containers[id as usize])
+    }
+
     /// Snapshots every container idle past the reclamation timeout, in
     /// container-id order (the order `on_idle_deadline` documents).
     pub(crate) fn expired_idle_views(&self, now: SimTime) -> Vec<ContainerView> {
         let timeout = self.cfg.idle_timeout;
-        self.containers
-            .iter()
-            .filter(|c| c.is_alive() && c.is_idle() && now.saturating_since(c.last_used) >= timeout)
-            .map(|c| ContainerView {
-                container: c.id,
-                stage: c.stage,
-                node: c.node,
-                last_used: c.last_used,
-            })
-            .collect()
+        let mut expired: Vec<ContainerView> = self
+            .live_containers()
+            .filter(|c| c.is_idle() && now.saturating_since(c.last_used) >= timeout)
+            .map(container_view)
+            .collect();
+        expired.sort_unstable_by_key(|v| v.container);
+        expired
+    }
+
+    /// Static routing of `job`'s application within its tenant.
+    pub(crate) fn route(&self, job: usize) -> &AppRuntime {
+        let j = &self.jobs[job];
+        self.apps[app_index(j.tenant, j.app)]
+            .as_ref()
+            .expect("the stream's mix routes every job's application")
     }
 
     pub(crate) fn workload_drained(&self) -> bool {
@@ -168,6 +184,16 @@ impl Simulation<'_> {
     }
 }
 
+/// The policy-facing snapshot of a container.
+pub(crate) fn container_view(c: &Container) -> ContainerView {
+    ContainerView {
+        container: c.id,
+        stage: c.stage,
+        node: c.node,
+        last_used: c.last_used,
+    }
+}
+
 /// A container that holds no work — warm-idle or still cold-starting with
 /// an empty local queue. Both the warm-pool top-up and its reclamation
 /// exemption count these (cold-empty containers will be unoccupied the
@@ -176,19 +202,23 @@ pub(crate) fn is_unoccupied(c: &Container) -> bool {
     c.is_alive() && c.executing.is_none() && c.local_queue.is_empty()
 }
 
-/// Builds the stage table and per-app routing for a mix.
+/// Index of `(tenant, app)` in the flat per-application routing table.
+pub(crate) fn app_index(tenant: usize, app: Application) -> usize {
+    tenant * Application::ALL.len() + app as usize
+}
+
+/// Builds the stage table and the per-app routing for a mix: entry
+/// [`app_index`]`(tenant, app)` routes one of the mix's apps, the rest are
+/// `None`.
 pub(crate) fn build_stages(
     cfg: &crate::config::SimConfig,
     apps: [Application; 2],
-) -> (
-    Vec<StageRuntime>,
-    BTreeMap<(usize, Application), AppRuntime>,
-) {
+) -> (Vec<StageRuntime>, Vec<Option<AppRuntime>>) {
     let policy = cfg.rm.batching.slack_policy();
     let mut stages: Vec<StageRuntime> = Vec::new();
     // stage sharing applies within a tenant only (§4.3 footnote)
     let mut by_ms: BTreeMap<(usize, Microservice), usize> = BTreeMap::new();
-    let mut app_table = BTreeMap::new();
+    let mut app_table = vec![None; cfg.tenants * Application::ALL.len()];
 
     for tenant in 0..cfg.tenants {
         for app in apps {
@@ -252,15 +282,12 @@ pub(crate) fn build_stages(
                 }
                 remaining[pos] = acc;
             }
-            app_table.insert(
-                (tenant, app),
-                AppRuntime {
-                    plan,
-                    stage_at,
-                    remaining_work: remaining,
-                    transition_overhead: overhead,
-                },
-            );
+            app_table[app_index(tenant, app)] = Some(AppRuntime {
+                plan,
+                stage_at,
+                remaining_work: remaining,
+                transition_overhead: overhead,
+            });
         }
     }
     (stages, app_table)

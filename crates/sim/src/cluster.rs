@@ -166,16 +166,6 @@ impl Cluster {
         &self.nodes
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` when the cluster has no nodes (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// The default per-container allocation this cluster was built with.
     pub fn container_alloc(&self) -> ResourceVec {
         self.container_alloc

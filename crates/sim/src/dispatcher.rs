@@ -115,13 +115,10 @@ impl Simulation<'_> {
         use fifer_core::scheduling::ContainerSelection::GreedyLeastFreeSlots;
         if selection == GreedyLeastFreeSlots {
             let bucket = self.stages[sidx].least_free_bucket()?;
-            bucket
-                .iter()
-                .max_by_key(|&&id| {
-                    let node = self.containers[id as usize].node;
-                    (self.cluster.nodes()[node].pods, std::cmp::Reverse(id))
-                })
-                .copied()
+            bucket.iter().max_by_key(|&id| {
+                let node = self.containers[id as usize].node;
+                (self.cluster.nodes()[node].pods, std::cmp::Reverse(id))
+            })
         } else {
             self.stages[sidx].pick_container(selection)
         }

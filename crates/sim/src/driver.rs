@@ -27,7 +27,7 @@
 //! and the 10-second monitoring tick that drives proactive provisioning
 //! (Algorithm 1 e), idle reclamation and energy sampling.
 
-use crate::accounting::{build_stages, AppRuntime, JobState};
+use crate::accounting::{build_stages, container_view, AppRuntime, JobState};
 use crate::audit::AuditLog;
 use crate::cluster::Cluster;
 use crate::config::{
@@ -39,16 +39,15 @@ use crate::energy::{EnergyMeter, PowerModel};
 use crate::engine::{Event, EventQueue};
 use crate::fault::FaultKind;
 use crate::results::SimResult;
-use crate::stage::{StageRuntime, StageTask};
+use crate::stage::{IdSet, StageRuntime, StageTask};
 use crate::stats_store::{StatsStore, StoreOp};
 use crate::trace::{SimEvent, SimTrace};
 use fifer_core::policy::{ContainerView, Decision, DecisionCause, ResourceManager, StageView};
 use fifer_metrics::{RequestRecord, SimDuration, SimTime, SloAccountant, TimeSeries};
 use fifer_predict::WindowSampler;
-use fifer_workloads::{Application, JobStream, Microservice};
+use fifer_workloads::{JobStream, Microservice};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
 
 pub use crate::accounting::window_max_series;
 
@@ -67,7 +66,9 @@ pub struct Simulation<'a> {
     pub(crate) stages: Vec<StageRuntime>,
     /// Static mix share per stage (for fixed-pool sizing views).
     pub(crate) mix_share: Vec<f64>,
-    pub(crate) apps: BTreeMap<(usize, Application), AppRuntime>,
+    /// Static per-(tenant, app) routing, indexed by
+    /// [`app_index`](crate::accounting::app_index).
+    pub(crate) apps: Vec<Option<AppRuntime>>,
     pub(crate) jobs: Vec<JobState>,
     /// The policy object whose decision hooks drive all scaling.
     pub(crate) rm: Box<dyn ResourceManager>,
@@ -98,9 +99,9 @@ pub struct Simulation<'a> {
     pub(crate) records: Vec<RequestRecord>,
     pub(crate) last_completion: SimTime,
     /// Stages with (possibly) pending tasks since their last reactive
-    /// check; the reactive tick visits only these, so idle stages cost
-    /// nothing. Ordered for deterministic iteration.
-    pub(crate) dirty_stages: BTreeSet<usize>,
+    /// check; the reactive tick visits only these, in index order, so idle
+    /// stages cost nothing.
+    pub(crate) dirty_stages: IdSet,
     /// Tasks currently pending across all stage queues (global backlog).
     pub(crate) pending_tasks: usize,
     /// High-water mark of `pending_tasks`.
@@ -257,7 +258,7 @@ impl<'a> Simulation<'a> {
             slo_whole_run,
             records: Vec::with_capacity(stream.len()),
             last_completion: SimTime::ZERO,
-            dirty_stages: BTreeSet::new(),
+            dirty_stages: IdSet::new(),
             pending_tasks: 0,
             peak_queue_depth: 0,
             events_processed: 0,
@@ -460,8 +461,8 @@ impl<'a> Simulation<'a> {
     }
 
     fn enqueue_current_stage(&mut self, job: usize, now: SimTime) {
+        let app = self.route(job);
         let j = &self.jobs[job];
-        let app = &self.apps[&(j.tenant, j.app)];
         let pos = j.stage_pos;
         let sidx = app.stage_at[pos];
         let task = StageTask {
@@ -475,7 +476,7 @@ impl<'a> Simulation<'a> {
         self.stages[sidx].enqueue(task);
         self.pending_tasks += 1;
         self.peak_queue_depth = self.peak_queue_depth.max(self.pending_tasks as u64);
-        self.dirty_stages.insert(sidx);
+        self.dirty_stages.insert(sidx as u64);
 
         let mut out = std::mem::take(&mut self.decisions);
         {
@@ -514,9 +515,12 @@ impl<'a> Simulation<'a> {
 
         // advance the job along its chain
         let (app, num_stages, overhead) = {
-            let j = &self.jobs[task.job];
-            let app = &self.apps[&(j.tenant, j.app)];
-            (j.app, app.plan.num_stages(), app.transition_overhead)
+            let route = self.route(task.job);
+            (
+                self.jobs[task.job].app,
+                route.plan.num_stages(),
+                route.transition_overhead,
+            )
         };
         let j = &mut self.jobs[task.job];
         j.stage_pos += 1;
@@ -534,7 +538,7 @@ impl<'a> Simulation<'a> {
             let warmup_job = j.submitted < SimTime::ZERO + self.cfg.warmup;
             let record = RequestRecord {
                 job_id: task.job as u64,
-                app: app.to_string(),
+                app: app.name(),
                 submitted: j.submitted,
                 completed: now,
                 breakdown: j.breakdown,
@@ -614,25 +618,13 @@ impl<'a> Simulation<'a> {
         }
         // snapshot the victims before killing them, in container-id order
         // (the order `on_node_down` documents)
-        let victims: Vec<u64> = self
-            .containers
-            .iter()
-            .filter(|c| c.is_alive() && c.node == node)
-            .map(|c| c.id)
+        let mut lost_views: Vec<ContainerView> = self
+            .live_containers()
+            .filter(|c| c.node == node)
+            .map(container_view)
             .collect();
-        let lost_views: Vec<ContainerView> = victims
-            .iter()
-            .map(|&id| {
-                let c = &self.containers[id as usize];
-                ContainerView {
-                    container: c.id,
-                    stage: c.stage,
-                    node: c.node,
-                    last_used: c.last_used,
-                }
-            })
-            .collect();
-        for &cid in &victims {
+        lost_views.sort_unstable_by_key(|v| v.container);
+        for cid in lost_views.iter().map(|v| v.container) {
             if !self.containers[cid as usize].is_alive() {
                 // a borrower on this node was already preempted by an
                 // earlier victim's reclamation chain
@@ -645,7 +637,7 @@ impl<'a> Simulation<'a> {
         self.trace.record(|| SimEvent::NodeDown {
             at: now,
             node,
-            lost: victims.len(),
+            lost: lost_views.len(),
         });
         let mut out = std::mem::take(&mut self.decisions);
         {
@@ -673,20 +665,22 @@ impl<'a> Simulation<'a> {
         // tasks, and a stage with an empty global queue is skipped here.
         // Visiting just the dirty set makes the tick O(active stages);
         // drained stages are dropped from the set.
-        let dirty: Vec<usize> = self.dirty_stages.iter().copied().collect();
+        let mut dirty = std::mem::take(&mut self.dirty_stages);
         let mut views = std::mem::take(&mut self.stage_views);
         views.clear();
-        for sidx in dirty {
+        dirty.retain(|sidx| {
+            let sidx = sidx as usize;
             if self.stages[sidx].pending() == 0 {
-                self.dirty_stages.remove(&sidx);
-                continue;
+                return false;
             }
             // measure the recent worst queuing delay (Algorithm 1 a); this
             // also prunes the stage's sliding window, so it only happens on
             // reactive ticks — exactly as often as before the policy split
             let observed = self.stages[sidx].observed_delay(now, SimDuration::from_secs(10));
             views.push(self.stage_view(sidx, observed));
-        }
+            true
+        });
+        self.dirty_stages = dirty;
         let mut out = std::mem::take(&mut self.decisions);
         {
             let cv = self.cluster_scalars(now, &views);

@@ -151,10 +151,9 @@ impl Simulation<'_> {
     /// `lend_headroom_pct` of its `allocation − idle-usage` headroom.
     fn find_backing(&self, sidx: usize, request: ResourceVec) -> Option<(usize, Vec<LeasePart>)> {
         let hcfg = self.cfg.rm.harvest;
-        let mut per_node: Vec<Vec<LeasePart>> = vec![Vec::new(); self.cluster.len()];
-        for c in &self.containers {
-            if !c.is_alive()
-                || !c.is_idle()
+        let mut cands: Vec<(usize, LeasePart)> = Vec::new();
+        for c in self.live_containers() {
+            if !c.is_idle()
                 || c.stage == sidx
                 || !c.lent.is_zero()
                 || !c.borrowed.is_zero()
@@ -169,15 +168,21 @@ impl Simulation<'_> {
             if headroom.cpu_milli < hcfg.min_lend_cpu_milli {
                 continue;
             }
-            per_node[c.node].push(LeasePart {
-                lender: c.id,
-                amount: headroom,
-            });
+            cands.push((
+                c.node,
+                LeasePart {
+                    lender: c.id,
+                    amount: headroom,
+                },
+            ));
         }
-        for (node, cands) in per_node.into_iter().enumerate() {
+        // nodes in index order, each node's lenders in ascending id
+        cands.sort_unstable_by_key(|&(node, p)| (node, p.lender));
+        for group in cands.chunk_by(|a, b| a.0 == b.0) {
+            let node = group[0].0;
             let mut remaining = request;
             let mut parts = Vec::new();
-            for cand in cands {
+            for &(_, cand) in group {
                 if remaining.is_zero() {
                     break;
                 }
@@ -353,12 +358,11 @@ impl Simulation<'_> {
             let enqueued = if interrupted { now } else { t.enqueued };
             let task = {
                 let j = &self.jobs[t.job];
-                let app = &self.apps[&(j.tenant, j.app)];
                 StageTask {
                     job: t.job,
                     enqueued,
                     job_deadline: j.submitted + self.cfg.slo,
-                    remaining_work: app.remaining_work[j.stage_pos],
+                    remaining_work: self.route(t.job).remaining_work[j.stage_pos],
                     // preemption never charges the fault-retry budget
                     retries: t.retries,
                 }
@@ -369,7 +373,7 @@ impl Simulation<'_> {
             self.stages[sidx].queue.push(task);
             self.pending_tasks += 1;
             self.peak_queue_depth = self.peak_queue_depth.max(self.pending_tasks as u64);
-            self.dirty_stages.insert(sidx);
+            self.dirty_stages.insert(sidx as u64);
             self.tasks_preempted += 1;
             self.trace.preempted_tasks += 1;
         }

@@ -263,19 +263,18 @@ impl Simulation<'_> {
         let enqueued = if interrupted { now } else { t.enqueued };
         let task = {
             let j = &self.jobs[t.job];
-            let app = &self.apps[&(j.tenant, j.app)];
             StageTask {
                 job: t.job,
                 enqueued,
                 job_deadline: j.submitted + self.cfg.slo,
-                remaining_work: app.remaining_work[j.stage_pos],
+                remaining_work: self.route(t.job).remaining_work[j.stage_pos],
                 retries,
             }
         };
         self.stages[sidx].requeue(task);
         self.pending_tasks += 1;
         self.peak_queue_depth = self.peak_queue_depth.max(self.pending_tasks as u64);
-        self.dirty_stages.insert(sidx);
+        self.dirty_stages.insert(sidx as u64);
         self.tasks_requeued += 1;
         self.trace.requeued_tasks += 1;
         self.trace.record(|| SimEvent::TaskRequeued {
@@ -313,9 +312,8 @@ impl Simulation<'_> {
     /// churn). Returns `false` when nothing is evictable.
     pub(crate) fn evict_lru_idle(&mut self, spawning_stage: usize, now: SimTime) -> bool {
         let victim = self
-            .containers
-            .iter()
-            .filter(|c| c.is_alive() && c.is_idle() && c.stage != spawning_stage)
+            .live_containers()
+            .filter(|c| c.is_idle() && c.stage != spawning_stage)
             .min_by_key(|c| (c.last_used, c.id))
             .map(|c| c.id);
         match victim {

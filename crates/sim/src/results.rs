@@ -348,7 +348,7 @@ impl SimResult {
                 "\n    {{\"job_id\": {}, \"app\": {}, \"submitted_us\": {}, \"completed_us\": {}, \
                  \"exec_us\": {}, \"cold_start_us\": {}, \"queuing_us\": {}, \"slo_violated\": {}}}",
                 r.job_id,
-                json_str(&r.app),
+                json_str(r.app),
                 r.submitted.as_micros(),
                 r.completed.as_micros(),
                 r.breakdown.exec.as_micros(),
@@ -458,7 +458,7 @@ mod tests {
         };
         let rec = RequestRecord {
             job_id: 0,
-            app: "IPA".into(),
+            app: "IPA",
             submitted: SimTime::ZERO,
             completed: SimTime::ZERO + breakdown.total(),
             breakdown,

@@ -10,10 +10,14 @@
 //! The queue is an [`IndexedTaskQueue`]: the scheduling policy's dispatch
 //! key ([`QueuedTask::priority_key`]) is computed once at enqueue — every
 //! policy's key is clock-independent — and tasks live in a slab indexed by
-//! two binary heaps, one in key order (for `pop`) and one in arrival order
-//! (for the load monitor's oldest-pending-age signal, pruned lazily). Both
-//! `pop` and the age query are O(log n) amortized where the seed scanned
-//! the whole queue per dispatched task.
+//! a binary heap in key order (for `pop`). LSF and EDF keep a second heap
+//! in arrival order for the load monitor's oldest-pending-age signal;
+//! FIFO's key order already is arrival order. `pop` is O(log n) amortized
+//! and the age query O(1), where the seed scanned the whole queue per
+//! dispatched task.
+//!
+//! The free-slot index is one [`IdSet`] per free-slot count: a two-level
+//! bitset over container ids with O(1) insert and remove.
 
 use fifer_core::resources::ResourceVec;
 use fifer_core::scheduling::{QueuedTask, SchedulingPolicy};
@@ -53,14 +57,16 @@ impl StageTask {
 
 /// A policy-keyed indexed priority queue of [`StageTask`]s.
 ///
-/// Layout: a slab of `(generation, task)` slots with a free list, plus two
+/// Layout: a slab of `(generation, task)` slots with a free list, plus
 /// `BinaryHeap`s of `Reverse<(key, seq, slot)>` entries — one keyed by the
-/// policy's dispatch key, one by arrival time. A `pop` consumes its
-/// key-heap entry; the matching age-heap entry stays behind and is
-/// discarded when it surfaces at the top (its generation stamp no longer
-/// matches the slab). The `seq` component makes every heap entry unique,
-/// so iteration order of the underlying heap never affects which task
-/// wins — ordering is exactly the lexicographic key.
+/// policy's dispatch key and, for LSF and EDF, one by arrival time. A `pop`
+/// consumes its key-heap entry; the matching age-heap entry goes stale (its
+/// generation stamp no longer matches the slab) and is discarded once it
+/// reaches the top, which `pop` checks, so the age heap's top is always
+/// live and the heap is empty whenever the queue is. The `seq` component
+/// makes every heap entry unique, so iteration order of the underlying heap
+/// never affects which task wins — ordering is exactly the lexicographic
+/// key.
 #[derive(Debug, Clone)]
 pub struct IndexedTaskQueue {
     policy: SchedulingPolicy,
@@ -75,7 +81,9 @@ pub struct IndexedTaskQueue {
     /// Dispatch order: min-heap of (policy key, seq, slot).
     by_key: BinaryHeap<Reverse<([u64; 3], u64, u32)>>,
     /// Arrival order: min-heap of (enqueued µs, seq, slot) for the load
-    /// monitor's oldest-pending query.
+    /// monitor's oldest-pending query. Never used (or allocated) under
+    /// FIFO, whose key `[enqueued, job, 0]` puts the oldest task on top of
+    /// `by_key`.
     by_age: BinaryHeap<Reverse<(u64, u64, u32)>>,
 }
 
@@ -125,13 +133,15 @@ impl IndexedTaskQueue {
         };
         let key = task.as_queued().priority_key(self.policy);
         self.by_key.push(Reverse((key, seq, slot)));
-        self.by_age
-            .push(Reverse((task.enqueued.as_micros(), seq, slot)));
+        if self.tracks_age() {
+            self.by_age
+                .push(Reverse((task.enqueued.as_micros(), seq, slot)));
+        }
         self.len += 1;
     }
 
-    /// Removes and returns the policy-minimum task; O(log n). Every
-    /// key-heap entry is live: only `pop` takes tasks out.
+    /// Removes and returns the policy-minimum task; O(log n) amortized.
+    /// Every key-heap entry is live: only `pop` takes tasks out.
     pub fn pop(&mut self) -> Option<StageTask> {
         let Reverse((_, _, slot)) = self.by_key.pop()?;
         let (_, task) = self.slots[slot as usize]
@@ -139,24 +149,156 @@ impl IndexedTaskQueue {
             .expect("key-heap entries are live");
         self.free.push(slot);
         self.len -= 1;
+        // keep the age heap's top live: discard the stale entries (this
+        // task's, or older pops') that now surface
+        while let Some(&Reverse((_, seq, slot))) = self.by_age.peek() {
+            if matches!(self.slots[slot as usize], Some((live_seq, _)) if live_seq == seq) {
+                break;
+            }
+            self.by_age.pop();
+        }
         Some(task)
     }
 
-    /// Enqueue time of the oldest pending task; O(log n) amortized (stale
-    /// age entries are discarded on the way to the answer).
-    pub fn oldest_enqueued(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((enq_us, seq, slot))) = self.by_age.peek() {
-            match self.slots[slot as usize] {
-                Some((live_seq, _)) if live_seq == seq => {
-                    return Some(SimTime::from_micros(enq_us));
+    /// Enqueue time of the oldest pending task; O(1).
+    pub fn oldest_enqueued(&self) -> Option<SimTime> {
+        let us = if self.tracks_age() {
+            self.by_age.peek().map(|&Reverse((enq_us, _, _))| enq_us)
+        } else {
+            self.by_key.peek().map(|&Reverse((key, _, _))| key[0])
+        };
+        us.map(SimTime::from_micros)
+    }
+
+    /// Whether this queue keeps the arrival-order heap (LSF and EDF).
+    fn tracks_age(&self) -> bool {
+        self.policy != SchedulingPolicy::Fifo
+    }
+
+    /// Entries in the age heap, live and stale.
+    #[cfg(test)]
+    fn age_entries(&self) -> usize {
+        self.by_age.len()
+    }
+
+    /// Whether the age heap ever allocated.
+    #[cfg(test)]
+    fn age_allocated(&self) -> bool {
+        self.by_age.capacity() > 0
+    }
+}
+
+/// A set of container ids as a two-level bitset.
+///
+/// `words[i]` holds ids `64 i .. 64 i + 63`, and bit `j` of `summary[k]`
+/// is set iff `words[64 k + j]` is non-zero. Insert and remove are O(1);
+/// the lowest id comes from `trailing_zeros` of the first non-zero summary
+/// word, and iteration visits ids in ascending order, skipping 4096 empty
+/// ids per zero summary word. Memory is one bit per id up to the largest
+/// inserted.
+#[derive(Debug, Clone, Default)]
+pub struct IdSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    len: usize,
+}
+
+impl IdSet {
+    /// Creates an empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of ids in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the set holds no id.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Adds `id`; returns `false` if it was already present.
+    pub fn insert(&mut self, id: u64) -> bool {
+        let (w, bit) = Self::locate(id);
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+            self.summary.resize(w / 64 + 1, 0);
+        }
+        if self.words[w] & bit != 0 {
+            return false;
+        }
+        self.words[w] |= bit;
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.len += 1;
+        true
+    }
+
+    /// Removes `id`; returns `false` if it was absent.
+    pub fn remove(&mut self, id: u64) -> bool {
+        let (w, bit) = Self::locate(id);
+        match self.words.get_mut(w) {
+            Some(word) if *word & bit != 0 => {
+                *word &= !bit;
+                if *word == 0 {
+                    self.summary[w / 64] &= !(1 << (w % 64));
                 }
-                _ => {
-                    self.by_age.pop();
+                self.len -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The lowest id in the set.
+    pub fn first(&self) -> Option<u64> {
+        self.iter().next()
+    }
+
+    /// The ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.summary.iter().enumerate().flat_map(move |(k, &s)| {
+            set_bits(s).flat_map(move |j| {
+                let w = k * 64 + j;
+                set_bits(self.words[w]).map(move |b| (w * 64 + b) as u64)
+            })
+        })
+    }
+
+    /// Visits the ids in ascending order and removes those for which
+    /// `keep` returns `false`.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        for k in 0..self.summary.len() {
+            for j in set_bits(self.summary[k]) {
+                let w = k * 64 + j;
+                for b in set_bits(self.words[w]) {
+                    let id = (w * 64 + b) as u64;
+                    if !keep(id) {
+                        self.remove(id);
+                    }
                 }
             }
         }
-        None
     }
+
+    /// Word index and bit mask of `id`.
+    fn locate(id: u64) -> (usize, u64) {
+        let w = usize::try_from(id / 64).expect("id fits the address space");
+        (w, 1 << (id % 64))
+    }
+}
+
+/// The positions of `word`'s set bits, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if word == 0 {
+            return None;
+        }
+        let b = word.trailing_zeros() as usize;
+        word &= word - 1;
+        Some(b)
+    })
 }
 
 /// A (queuing delay, when scheduled) observation for the load monitor.
@@ -187,9 +329,9 @@ pub struct StageRuntime {
     pub containers: Vec<u64>,
     /// Free-slot index: `free_buckets[f]` holds the ids of this stage's
     /// containers with exactly `f` free slots (1 ≤ f ≤ batch_size). Kept
-    /// in sync by the driver so container selection is O(log C) instead of
-    /// a full scan per dispatched task.
-    free_buckets: Vec<std::collections::BTreeSet<u64>>,
+    /// in sync by `Simulation` so container selection is a bitset lookup
+    /// instead of a full scan per dispatched task.
+    free_buckets: Vec<IdSet>,
     /// Free slots across all buckets, maintained incrementally so the
     /// reactive scaler's waiting-count is O(1) instead of a bucket walk.
     free_slots_total: usize,
@@ -248,7 +390,7 @@ impl StageRuntime {
             cold_start,
             queue: IndexedTaskQueue::new(policy),
             containers: Vec::new(),
-            free_buckets: vec![std::collections::BTreeSet::new(); batch_size + 1],
+            free_buckets: vec![IdSet::new(); batch_size + 1],
             free_slots_total: 0,
             executing: 0,
             recent_delays: VecDeque::new(),
@@ -334,7 +476,7 @@ impl StageRuntime {
     /// from the index). `prev_free` must be its previously recorded count.
     pub fn update_free(&mut self, id: u64, prev_free: usize, free: usize) {
         if prev_free > 0 {
-            self.free_buckets[prev_free].remove(&id);
+            self.free_buckets[prev_free].remove(id);
             self.free_slots_total -= prev_free;
         }
         if free > 0 {
@@ -346,7 +488,7 @@ impl StageRuntime {
     /// Removes container `id` from the index entirely (kill/evict).
     pub fn remove_free(&mut self, id: u64, prev_free: usize) {
         if prev_free > 0 {
-            self.free_buckets[prev_free].remove(&id);
+            self.free_buckets[prev_free].remove(id);
             self.free_slots_total -= prev_free;
         }
     }
@@ -354,7 +496,7 @@ impl StageRuntime {
     /// Picks a container per the selection policy, or `None` when every
     /// container is full.
     ///
-    /// This is the O(log C) bucket-indexed counterpart of
+    /// This is the bucket-indexed counterpart of
     /// [`fifer_core::scheduling::select_container`] (which stays the
     /// reference implementation over explicit candidate lists); the driver
     /// layers a node-packing tie-break on top for the greedy policy. The
@@ -371,23 +513,15 @@ impl StageRuntime {
     ) -> Option<u64> {
         use fifer_core::scheduling::ContainerSelection::*;
         match policy {
-            GreedyLeastFreeSlots => self.free_buckets.iter().find_map(|b| b.first().copied()),
-            MostFreeSlots => self
-                .free_buckets
-                .iter()
-                .rev()
-                .find_map(|b| b.first().copied()),
-            FirstFit => self
-                .free_buckets
-                .iter()
-                .filter_map(|b| b.first().copied())
-                .min(),
+            GreedyLeastFreeSlots => self.free_buckets.iter().find_map(IdSet::first),
+            MostFreeSlots => self.free_buckets.iter().rev().find_map(IdSet::first),
+            FirstFit => self.free_buckets.iter().filter_map(IdSet::first).min(),
         }
     }
 
     /// The non-empty bucket with the fewest free slots, for callers that
     /// apply their own tie-break among equally loaded containers.
-    pub fn least_free_bucket(&self) -> Option<&std::collections::BTreeSet<u64>> {
+    pub fn least_free_bucket(&self) -> Option<&IdSet> {
         self.free_buckets.iter().find(|b| !b.is_empty())
     }
 
@@ -690,5 +824,88 @@ mod tests {
             assert!(requeued > 100, "{policy:?}: too few requeues to bite");
             assert!(deepest_retry > 1, "{policy:?}: no task was requeued twice");
         }
+    }
+
+    /// The age index holds no task the queue has given up: it is empty
+    /// after every full drain, without any `oldest_enqueued` call pruning
+    /// it, and FIFO never allocates one.
+    #[test]
+    fn age_index_is_empty_after_every_drain() {
+        for policy in SchedulingPolicy::ALL {
+            let mut rng = StdRng::seed_from_u64(0xA6E ^ policy as u64);
+            let mut q = IndexedTaskQueue::new(policy);
+            let (mut job, mut clock_ms, mut drains) = (0usize, 0u64, 0u32);
+            for _ in 0..4000 {
+                clock_ms += rng.gen_range(0u64..5);
+                if rng.gen_bool(0.55) {
+                    job += 1;
+                    q.push(task(
+                        job,
+                        clock_ms,
+                        clock_ms + rng.gen_range(50u64..2000),
+                        rng.gen_range(10u64..500),
+                    ));
+                } else if q.pop().is_some() && q.is_empty() {
+                    drains += 1;
+                    assert_eq!(q.age_entries(), 0, "{policy:?}: stale age entries");
+                }
+                if rng.gen_bool(0.02) {
+                    while q.pop().is_some() {}
+                    drains += 1;
+                    assert_eq!(q.age_entries(), 0, "{policy:?}: stale age entries");
+                }
+            }
+            assert!(drains > 50, "{policy:?}: too few drains to bite");
+            assert_eq!(
+                q.age_allocated(),
+                policy != SchedulingPolicy::Fifo,
+                "{policy:?}: only LSF and EDF keep an age index"
+            );
+        }
+    }
+
+    /// Differential test: random inserts and removes over ids up to 10^5
+    /// agree with a `BTreeSet` on their return values, `first`, `len` and
+    /// ascending iteration after every step.
+    #[test]
+    fn id_set_agrees_with_btree_set() {
+        let mut rng = StdRng::seed_from_u64(0x1D5E7);
+        let mut set = IdSet::new();
+        let mut shadow = std::collections::BTreeSet::new();
+        for step in 0..3000 {
+            // mostly a dense low band, sometimes the far end of the range
+            let id = if rng.gen_bool(0.8) {
+                rng.gen_range(0u64..300)
+            } else {
+                rng.gen_range(0u64..100_000)
+            };
+            if rng.gen_bool(0.55) {
+                assert_eq!(
+                    set.insert(id),
+                    shadow.insert(id),
+                    "step {step}: insert {id}"
+                );
+            } else {
+                assert_eq!(
+                    set.remove(id),
+                    shadow.remove(&id),
+                    "step {step}: remove {id}"
+                );
+            }
+            assert_eq!(set.first(), shadow.first().copied(), "step {step}");
+            assert_eq!(set.len(), shadow.len(), "step {step}");
+            assert!(set.iter().eq(shadow.iter().copied()), "step {step}");
+        }
+        assert!(shadow.len() > 100, "the set must grow to bite");
+        // retain drops exactly the rejected ids, visiting in ascending order
+        let mut seen = Vec::new();
+        set.retain(|id| {
+            seen.push(id);
+            id % 3 != 0
+        });
+        shadow.retain(|id| id % 3 != 0);
+        assert!(seen.windows(2).all(|w| w[0] < w[1]));
+        assert!(set.iter().eq(shadow.iter().copied()));
+        assert_eq!(set.len(), shadow.len());
     }
 }

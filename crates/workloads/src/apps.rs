@@ -60,6 +60,16 @@ impl Application {
         SimDuration::from_millis(ms)
     }
 
+    /// The application's display name, as written in workload CSVs.
+    pub fn name(self) -> &'static str {
+        match self {
+            Application::FaceSecurity => "FaceSecurity",
+            Application::Img => "IMG",
+            Application::Ipa => "IPA",
+            Application::DetectFatigue => "DetectFatigue",
+        }
+    }
+
     /// Builds the full runtime specification at the default 1000 ms SLO.
     pub fn spec(self) -> AppSpec {
         self.spec_with_slo(DEFAULT_SLO)
@@ -96,13 +106,7 @@ impl Application {
 
 impl fmt::Display for Application {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Application::FaceSecurity => "FaceSecurity",
-            Application::Img => "IMG",
-            Application::Ipa => "IPA",
-            Application::DetectFatigue => "DetectFatigue",
-        };
-        f.write_str(name)
+        f.write_str(self.name())
     }
 }
 

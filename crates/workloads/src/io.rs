@@ -61,13 +61,10 @@ impl From<io::Error> for ParseWorkloadError {
 impl FromStr for Application {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "FaceSecurity" => Ok(Application::FaceSecurity),
-            "IMG" => Ok(Application::Img),
-            "IPA" => Ok(Application::Ipa),
-            "DetectFatigue" => Ok(Application::DetectFatigue),
-            other => Err(format!("unknown application {other:?}")),
-        }
+        Application::ALL
+            .into_iter()
+            .find(|a| a.name() == s)
+            .ok_or_else(|| format!("unknown application {s:?}"))
     }
 }
 
@@ -104,7 +101,7 @@ pub fn save_stream<P: AsRef<Path>>(stream: &JobStream, path: P) -> io::Result<()
 /// # Errors
 ///
 /// Returns [`ParseWorkloadError::Malformed`] on any bad line; jobs must be
-/// in non-decreasing arrival order.
+/// in non-decreasing arrival order, none past [`JobStream::MAX_HORIZON`].
 pub fn stream_from_csv(
     text: &str,
     default_mix: WorkloadMix,
@@ -139,6 +136,14 @@ pub fn stream_from_csv(
         let arrival_us: u64 = fields[2]
             .parse()
             .map_err(|e| bad(format!("arrival_us: {e}")))?;
+        let cap = JobStream::MAX_HORIZON;
+        if arrival_us > cap.as_micros() {
+            return Err(bad(format!(
+                "arrival_us {arrival_us} is past the {} µs ({}-day) horizon cap",
+                cap.as_micros(),
+                cap.as_secs() / 86_400
+            )));
+        }
         let input_scale: f64 = fields[3]
             .parse()
             .map_err(|e| bad(format!("input_scale: {e}")))?;
@@ -262,6 +267,28 @@ mod tests {
         let csv = "id,app,arrival_us,input_scale\n0,IPA,200,1.0\n1,IPA,100,1.0\n";
         let err = stream_from_csv(csv, WorkloadMix::Heavy).unwrap_err();
         assert!(err.to_string().contains("out of arrival order"));
+    }
+
+    #[test]
+    fn arrivals_past_the_horizon_cap_rejected() {
+        let cap = JobStream::MAX_HORIZON.as_micros();
+        let at_cap = format!("id,app,arrival_us,input_scale\n0,IPA,{cap},1.0\n");
+        assert_eq!(
+            stream_from_csv(&at_cap, WorkloadMix::Heavy)
+                .expect("parse")
+                .len(),
+            1
+        );
+        for arrival in [cap + 1, u64::MAX] {
+            let csv =
+                format!("id,app,arrival_us,input_scale\n0,IPA,100,1.0\n1,IPA,{arrival},1.0\n");
+            let err = stream_from_csv(&csv, WorkloadMix::Heavy).unwrap_err();
+            assert!(
+                matches!(err, ParseWorkloadError::Malformed { line: 3, .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("horizon cap"), "{err}");
+        }
     }
 
     #[test]

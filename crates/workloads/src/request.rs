@@ -32,6 +32,19 @@ pub struct JobStream {
 }
 
 impl JobStream {
+    /// The latest arrival a workload may hold: 30 days, past the two weeks
+    /// of the Azure Functions characterization. A replayed CSV or a
+    /// `--secs` beyond it is rejected up front; the simulator's monitor
+    /// ticks walk to the last arrival 10 s at a time, so a far-future
+    /// arrival would otherwise run for ages.
+    pub const MAX_HORIZON: SimDuration = SimDuration::from_secs(30 * 24 * 3600);
+
+    /// The most jobs a generated stream may hold (`--rate × --secs`):
+    /// 5 × 10^7. Streams are materialized before replay, and at about 200
+    /// bytes of replay state per job this is already ~10 GB, so a larger
+    /// request is rejected instead of filling memory.
+    pub const MAX_JOBS: u64 = 50_000_000;
+
     /// Builds a stream by sampling arrivals from `trace` over `duration`
     /// and assigning each to one of the mix's two applications uniformly at
     /// random (deterministic in `seed`).

@@ -205,6 +205,21 @@ fn parse_args() -> Args {
         eprintln!("error: --rate must be a positive finite number");
         usage()
     }
+    let max_secs = JobStream::MAX_HORIZON.as_secs();
+    if args.secs > max_secs {
+        eprintln!(
+            "error: --secs must be at most {max_secs} ({} days)",
+            max_secs / 86_400
+        );
+        usage()
+    }
+    if args.rate * args.secs as f64 > JobStream::MAX_JOBS as f64 {
+        eprintln!(
+            "error: --rate × --secs must be at most {} jobs",
+            JobStream::MAX_JOBS
+        );
+        usage()
+    }
     if args.apps == 0 {
         eprintln!("error: --apps must be at least 1");
         usage()

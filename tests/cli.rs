@@ -373,6 +373,12 @@ fn out_of_range_inputs_are_named_errors() {
             1,
             "cannot write /nonexistent/x.jsonl",
         ),
+        (&["--secs", "2592001"], 2, "--secs must be at most 2592000"),
+        (
+            &["--rate", "1e9", "--secs", "1"],
+            2,
+            "--rate × --secs must be",
+        ),
     ] {
         let out = fifer()
             .args(["--rm", "bline", "--secs", "10"])
@@ -383,6 +389,27 @@ fn out_of_range_inputs_are_named_errors() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(message), "{args:?}: {err}");
     }
+}
+
+#[test]
+fn replay_of_far_future_arrival_fails_cleanly() {
+    let path = std::env::temp_dir().join("fifer_cli_far_future.csv");
+    std::fs::write(
+        &path,
+        "id,app,arrival_us,input_scale\n0,IPA,18446744073709551615,1.0\n",
+    )
+    .expect("write workload");
+    let out = fifer()
+        .args(["--rm", "bline", "--replay"])
+        .arg(&path)
+        .output()
+        .expect("spawn");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cannot replay"), "{err}");
+    assert!(err.contains("line 2"), "{err}");
+    assert!(err.contains("horizon cap"), "{err}");
 }
 
 #[test]
