@@ -2,11 +2,12 @@
 //! and the §6.1.5 overheads table. All use the Poisson λ = 50 trace on the
 //! 80-core prototype cluster, as in the paper.
 
+use crate::perf::{deep_queue_tasks, drain_indexed, time_median};
 use crate::runner::{normalized, Ctx, RunSpec};
 use fifer_core::rm::RmKind;
-use fifer_core::scheduling::{select_task, QueuedTask, SchedulingPolicy};
+use fifer_core::scheduling::SchedulingPolicy;
 use fifer_metrics::report::{fmt_f64, Table};
-use fifer_metrics::{SimDuration, SimTime};
+use fifer_metrics::SimDuration;
 use fifer_sim::stats_store::StatsStore;
 use fifer_sim::SimResult;
 use fifer_workloads::{Application, WorkloadMix};
@@ -253,27 +254,18 @@ pub fn overheads(ctx: &Ctx) {
         "~1.25 ms".into(),
     ]);
 
-    // LSF decision over a realistic queue
-    let queue: Vec<QueuedTask> = (0..1000)
-        .map(|i| QueuedTask {
-            job_id: i,
-            enqueued: SimTime::from_millis(i),
-            job_deadline: SimTime::from_millis(1000 + (i * 37) % 900),
-            remaining_work: SimDuration::from_millis(100 + (i % 10) * 10),
-        })
-        .collect();
-    let t0 = std::time::Instant::now();
-    let iters = 10_000;
-    let mut sink = 0usize;
-    for _ in 0..iters {
-        sink ^= select_task(SchedulingPolicy::Lsf, &queue, SimTime::from_secs(1))
-            .expect("non-empty queue");
-    }
-    let lsf_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
-    assert!(sink < queue.len());
+    // LSF decisions through the indexed stage queue the simulator
+    // dispatches from: fill it 1000 deep, drain it, cost per task
+    let tasks = deep_queue_tasks(1000);
+    let mut sink = 0u64;
+    let drain = time_median(101, || {
+        sink ^= drain_indexed(&tasks, SchedulingPolicy::Lsf);
+    });
+    std::hint::black_box(sink);
+    let lsf_us = drain.as_secs_f64() * 1e6 / tasks.len() as f64;
     t.row(vec![
-        "LSF decision (1000-deep queue)".into(),
-        format!("{lsf_ms:.4} ms"),
+        "LSF push + pop (1000-deep indexed queue)".into(),
+        format!("{lsf_us:.3} µs"),
         "~0.35 ms".into(),
     ]);
 

@@ -13,4 +13,4 @@ pub mod perf;
 pub mod plots;
 pub mod runner;
 
-pub use runner::{Ctx, RunSpec, TimedRun, TraceKind};
+pub use runner::{Ctx, RunSpec, TraceKind};

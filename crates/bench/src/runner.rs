@@ -207,26 +207,6 @@ impl RunSpec {
         let (cfg, stream) = self.build_parts();
         Simulation::new(cfg, &stream).run()
     }
-
-    /// Executes this run with predictor pre-training and event replay
-    /// timed separately. Pre-training is a one-off offline cost (the
-    /// paper trains on historical data before deployment, §4.5.1);
-    /// folding it into replay wall-clock misattributes ~90% of a
-    /// proactive RM's harness time to the event loop.
-    pub fn execute_timed(&self) -> TimedRun {
-        let (cfg, stream) = self.build_parts();
-        let t0 = std::time::Instant::now();
-        let rm = cfg.rm.build_rm(cfg.seed, &cfg.pretrain_series);
-        let pretrain_s = t0.elapsed().as_secs_f64();
-        let sim = Simulation::with_resource_manager(cfg, &stream, rm);
-        let t1 = std::time::Instant::now();
-        let result = sim.run();
-        TimedRun {
-            replay_s: t1.elapsed().as_secs_f64(),
-            pretrain_s,
-            result,
-        }
-    }
 }
 
 /// Builds the deterministic `(SimConfig, JobStream)` pair for one RM on
@@ -260,19 +240,6 @@ pub fn azure_parts(
         cfg.pretrain_series = window_max_series(&arrivals, 5);
     }
     (cfg, stream)
-}
-
-/// A [`RunSpec::execute_timed`] outcome: the result plus the wall-clock
-/// attribution between offline predictor pre-training and event replay.
-#[derive(Debug)]
-pub struct TimedRun {
-    /// The simulation result.
-    pub result: SimResult,
-    /// Seconds spent building the RM, dominated by neural pre-training
-    /// (zero-ish for RMs without a pre-trained predictor).
-    pub pretrain_s: f64,
-    /// Seconds spent in [`Simulation::run`] proper.
-    pub replay_s: f64,
 }
 
 /// Experiment context: output directory, quick-mode flag and the
@@ -534,22 +501,6 @@ mod tests {
         // second call is all cache hits
         let again = ctx.run_all(vec![tiny_spec("a"), s2]);
         assert!(Arc::ptr_eq(&again[0], &results[0]));
-    }
-
-    #[test]
-    fn execute_timed_matches_execute() {
-        let mut spec = RunSpec::prototype("fifer", RmKind::Fifer.config(), WorkloadMix::Light);
-        spec.horizon = SimDuration::from_secs(20);
-        spec.warmup = SimDuration::ZERO;
-        spec.rate_scale = 0.1;
-        let timed = spec.execute_timed();
-        assert_eq!(
-            timed.result.to_json(),
-            spec.execute().to_json(),
-            "splitting pretrain from replay must not change the run"
-        );
-        assert!(timed.pretrain_s >= 0.0);
-        assert!(timed.replay_s > 0.0);
     }
 
     #[test]

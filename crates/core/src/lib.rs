@@ -7,8 +7,6 @@
 //! * [`slack`] — SLO fixing, slack estimation and per-stage slack division
 //!   (equal vs. proportional, §4.1), and batch sizing
 //!   `B_size = Stage_Slack / Stage_Exec_Time` (§3),
-//! * [`met`] — the offline linear-regression Mean-Execution-Time estimator
-//!   (§4.1),
 //! * [`scheduling`] — Least-Slack-First task selection (§4.3) and greedy
 //!   least-free-slots container selection (§4.4.1),
 //! * [`scaling`] — dynamic reactive scaling (Algorithm 1 a/b) and proactive
@@ -43,7 +41,6 @@
 //! ```
 
 pub mod features;
-pub mod met;
 pub mod policy;
 pub mod pool;
 pub mod resources;
@@ -56,9 +53,6 @@ pub use policy::{
     ClusterView, ContainerView, Decision, DecisionCause, ResourceManager, StageView, WarmStart,
 };
 pub use resources::ResourceVec;
-pub use rm::{
-    BatchingMode, HarvestConfig, NodePlacement, OnlineRetrainConfig, PredictorChoice, RmConfig,
-    RmKind, ScalingMode,
-};
+pub use rm::{BatchingMode, NodePlacement, RmConfig, RmKind, ScalingMode};
 pub use scheduling::{ContainerSelection, SchedulingPolicy};
 pub use slack::{AppPlan, SlackPolicy, StagePlan};

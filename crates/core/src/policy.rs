@@ -9,10 +9,11 @@
 //! but never make them. Adding a sixth resource manager is a new struct
 //! implementing this trait, not an edit to the event loop.
 //!
-//! The paper's five managers (§5.3) are provided as separate policy
-//! structs — [`BlinePolicy`], [`SBatchPolicy`], [`RScalePolicy`],
-//! [`BPredPolicy`], [`FiferPolicy`] — built through the registry
-//! ([`RmConfig::build_rm`] / [`RmKind::build`]).
+//! The paper's five managers (§5.3) are four policy structs —
+//! [`BlinePolicy`], [`SBatchPolicy`], [`RScalePolicy`] and
+//! [`ProactivePolicy`] (BPred without batching, Fifer with) — and the two
+//! extensions are [`HarvestPolicy`] and [`HybridHistPolicy`]; all are built
+//! through the registry ([`RmConfig::build_rm`] / [`RmKind::build`]).
 //!
 //! # Hook protocol
 //!
@@ -42,16 +43,15 @@
 //! half-applied output.
 
 use crate::resources::ResourceVec;
-use crate::rm::{
-    HarvestConfig, KeepAliveConfig, OnlineRetrainConfig, PredictorChoice, RmConfig, RmKind,
-    ScalingMode,
-};
+use crate::rm::{RmConfig, RmKind, ScalingMode};
 use crate::scaling::{
     proactive_containers_needed, reactive_containers_needed, static_pool_size, ProactiveInputs,
     ReactiveInputs,
 };
 use fifer_metrics::{SimDuration, SimTime};
-use fifer_predict::{HistWindows, IdleHistogram, LoadPredictor, ModelCache, RightSizer};
+use fifer_predict::{
+    HistWindows, IdleHistogram, LoadPredictor, ModelCache, PredictorKind, RightSizer,
+};
 use std::cmp::Reverse;
 
 /// Read-only snapshot of one stage, passed to decision hooks.
@@ -181,8 +181,8 @@ pub enum Decision {
     /// with idle headroom lent by warm-idle containers on the same node (a
     /// Freyr-style harvest lease) and falling back to a primary allocation
     /// when no lender fits. Only meaningful when
-    /// [`HarvestConfig::enabled`](crate::rm::HarvestConfig) is set; the
-    /// mechanism treats it as [`Decision::SpawnContainer`] otherwise.
+    /// [`RmConfig::harvest`] is set; the mechanism treats it as
+    /// [`Decision::SpawnContainer`] otherwise.
     Harvest {
         /// Target stage.
         stage: usize,
@@ -430,71 +430,55 @@ pub enum WarmStart {
     Warm,
 }
 
-/// The optional load predictor a policy carries (§4.5): observes the
-/// monitor's window-max rate every tick, forecasts on demand.
-struct LoadModel {
-    predictor: Option<Box<dyn LoadPredictor + Send>>,
-}
+/// Online retraining period in observed monitoring samples: ≈ 5 simulated
+/// minutes at the paper's 10 s monitoring interval, frequent enough to
+/// track a regime shift within a few monitoring windows.
+const RETRAIN_EVERY: usize = 30;
 
-impl LoadModel {
-    /// Builds the configured predictor with production serving concerns:
-    /// arms online retraining when configured, and warm-starts neural
-    /// predictors from `cache` keyed on (model kind, seed, pretrain
-    /// series) — falling back to a cold pretrain (stored back to the
-    /// cache) on any miss or damaged checkpoint.
-    fn build_served(
-        choice: PredictorChoice,
-        seed: u64,
-        pretrain: &[f64],
-        online: OnlineRetrainConfig,
-        cache: Option<&ModelCache>,
-    ) -> (Self, WarmStart) {
-        let PredictorChoice::Model(kind) = choice else {
-            return (LoadModel { predictor: None }, WarmStart::NotApplicable);
-        };
-        let mut p = kind.build(seed);
-        if online.enabled {
-            p.enable_online_retraining(online.every as usize, online.epochs as usize);
-        }
-        let mut warm = WarmStart::NotApplicable;
-        if !pretrain.is_empty() {
-            if kind.is_neural() {
-                let key = ModelCache::key(&format!("{kind:?}"), seed, pretrain);
-                let cached = cache.and_then(|c| c.load(&key));
-                // a damaged or differently-shaped checkpoint fails restore
-                // loudly but leaves the model untouched — fall back cold
-                match cached {
-                    Some(bytes) if p.restore(&bytes).is_ok() => warm = WarmStart::Warm,
-                    _ => {
-                        p.pretrain(pretrain);
-                        warm = WarmStart::Cold;
-                        if let (Some(c), Some(bytes)) = (cache, p.checkpoint()) {
-                            // a full cache disk is a perf loss, not an
-                            // error — the next run just starts cold again
-                            let _ = c.store(&key, &bytes);
-                        }
+/// Fine-tuning epochs per online retraining round — cheap enough to run
+/// inline.
+const RETRAIN_EPOCHS: usize = 2;
+
+/// Builds the load predictor that drives proactive scaling (§4.5): arms
+/// online retraining when configured, and warm-starts a neural predictor
+/// from `cache` keyed on (model kind, seed, pretrain series) — falling
+/// back to a cold pretrain (stored back to the cache) on any miss or
+/// damaged checkpoint.
+fn build_predictor(
+    kind: PredictorKind,
+    seed: u64,
+    pretrain: &[f64],
+    online_retrain: bool,
+    cache: Option<&ModelCache>,
+) -> (Box<dyn LoadPredictor + Send>, WarmStart) {
+    let mut p = kind.build(seed);
+    if online_retrain {
+        p.enable_online_retraining(RETRAIN_EVERY, RETRAIN_EPOCHS);
+    }
+    let mut warm = WarmStart::NotApplicable;
+    if !pretrain.is_empty() {
+        if kind.is_neural() {
+            let key = ModelCache::key(&format!("{kind:?}"), seed, pretrain);
+            let cached = cache.and_then(|c| c.load(&key));
+            // a damaged or differently-shaped checkpoint fails restore
+            // loudly but leaves the model untouched — fall back cold
+            match cached {
+                Some(bytes) if p.restore(&bytes).is_ok() => warm = WarmStart::Warm,
+                _ => {
+                    p.pretrain(pretrain);
+                    warm = WarmStart::Cold;
+                    if let (Some(c), Some(bytes)) = (cache, p.checkpoint()) {
+                        // a full cache disk is a perf loss, not an
+                        // error — the next run just starts cold again
+                        let _ = c.store(&key, &bytes);
                     }
                 }
-            } else {
-                p.pretrain(pretrain);
             }
-        }
-        (LoadModel { predictor: Some(p) }, warm)
-    }
-
-    fn present(&self) -> bool {
-        self.predictor.is_some()
-    }
-
-    fn observe(&mut self, rate: f64) {
-        if let Some(p) = self.predictor.as_mut() {
-            p.observe(rate);
+        } else {
+            p.pretrain(pretrain);
         }
     }
-
-    fn forecast(&mut self) -> Option<f64> {
-        self.predictor.as_mut().map(|p| p.forecast())
-    }
+    (p, warm)
 }
 
 /// Reactive scaling over the pending stages in `view` (Algorithm 1 a/b):
@@ -591,17 +575,11 @@ fn reclaim_decisions(view: &ClusterView, expired: &[ContainerView], out: &mut Ve
 /// finds no free container spawns its own
 /// ([`ResourceManager::on_queue_blocked`] → spawn); idle containers are
 /// reclaimed on timeout.
-pub struct BlinePolicy {
-    load: LoadModel,
-}
+pub struct BlinePolicy;
 
 impl ResourceManager for BlinePolicy {
     fn name(&self) -> &'static str {
         "Bline"
-    }
-
-    fn observes_load(&self) -> bool {
-        self.load.present()
     }
 
     fn on_queue_blocked(&mut self, _view: &ClusterView, stage: &StageView) -> Decision {
@@ -609,12 +587,6 @@ impl ResourceManager for BlinePolicy {
             stage: stage.stage,
             count: 1,
         }
-    }
-
-    fn on_monitor_tick(&mut self, view: &ClusterView, _out: &mut Vec<Decision>) {
-        // the predictor (if an ablation attached one) keeps learning the
-        // arrival process, but OnDemand scaling never queries it
-        self.load.observe(view.global_rate);
     }
 
     fn on_idle_deadline(
@@ -629,17 +601,11 @@ impl ResourceManager for BlinePolicy {
 
 /// SBatch (§5.3): static equal-slack batching on a fixed pool sized to the
 /// trace's average rate at startup. Never scales, never reclaims.
-pub struct SBatchPolicy {
-    load: LoadModel,
-}
+pub struct SBatchPolicy;
 
 impl ResourceManager for SBatchPolicy {
     fn name(&self) -> &'static str {
         "SBatch"
-    }
-
-    fn observes_load(&self) -> bool {
-        self.load.present()
     }
 
     fn on_start(&mut self, view: &ClusterView, out: &mut Vec<Decision>) {
@@ -659,18 +625,12 @@ impl ResourceManager for SBatchPolicy {
         }
     }
 
-    fn on_monitor_tick(&mut self, view: &ClusterView, _out: &mut Vec<Decision>) {
-        self.load.observe(view.global_rate);
-    }
-
     // on_idle_deadline: default no-op — the fixed pool is never reclaimed
 }
 
 /// RScale (§5.3): dynamic slack-aware batching with reactive scaling only
 /// (Algorithm 1 a/b) — GrandSLAm-like. Blocked queues wait for the scaler.
-pub struct RScalePolicy {
-    load: LoadModel,
-}
+pub struct RScalePolicy;
 
 impl ResourceManager for RScalePolicy {
     fn name(&self) -> &'static str {
@@ -681,16 +641,8 @@ impl ResourceManager for RScalePolicy {
         true
     }
 
-    fn observes_load(&self) -> bool {
-        self.load.present()
-    }
-
     fn on_reactive_tick(&mut self, view: &ClusterView, out: &mut Vec<Decision>) {
         reactive_decisions(view, out);
-    }
-
-    fn on_monitor_tick(&mut self, view: &ClusterView, _out: &mut Vec<Decision>) {
-        self.load.observe(view.global_rate);
     }
 
     fn on_idle_deadline(
@@ -703,18 +655,41 @@ impl ResourceManager for RScalePolicy {
     }
 }
 
-/// The shared reactive-plus-proactive scaling core behind [`BPredPolicy`]
-/// and [`FiferPolicy`]: reactive ticks, forecast-driven pre-spawning at
-/// monitor ticks, and timeout reclamation. `batches` selects the proactive
-/// demand window and whether blocked queues spawn on demand (non-batching
-/// managers keep Bline-style per-request spawning, §5.3).
-struct ProactiveCore {
+/// BPred and Fifer (§5.3, §4): reactive ticks (Algorithm 1 a/b),
+/// pre-spawning at monitor ticks from the configured predictor's forecast
+/// (Algorithm 1 e), and timeout reclamation. `batches` selects the
+/// manager:
+///
+/// * **Fifer** (batching; LSTM) — dynamic slack-aware batching. Blocked
+///   queues requeue (batching absorbs bursts); capacity arrives from the
+///   scalers, and the proactive demand window is the stage's response
+///   budget.
+/// * **BPred** (no batching; EWMA) — Bline plus LSF scheduling and
+///   prediction, Archipelago-like. Blocked queues still spawn per request,
+///   and the proactive demand window is the mean exec time.
+pub struct ProactivePolicy {
     batches: bool,
-    load: LoadModel,
+    predictor: Box<dyn LoadPredictor + Send>,
 }
 
-impl ProactiveCore {
-    fn on_queue_blocked(&mut self, stage: &StageView) -> Decision {
+impl ResourceManager for ProactivePolicy {
+    fn name(&self) -> &'static str {
+        if self.batches {
+            "Fifer"
+        } else {
+            "BPred"
+        }
+    }
+
+    fn wants_reactive_ticks(&self) -> bool {
+        true
+    }
+
+    fn observes_load(&self) -> bool {
+        true
+    }
+
+    fn on_queue_blocked(&mut self, _view: &ClusterView, stage: &StageView) -> Decision {
         if self.batches {
             Decision::Requeue { stage: stage.stage }
         } else {
@@ -725,11 +700,14 @@ impl ProactiveCore {
         }
     }
 
+    fn on_reactive_tick(&mut self, view: &ClusterView, out: &mut Vec<Decision>) {
+        reactive_decisions(view, out);
+    }
+
     fn on_monitor_tick(&mut self, view: &ClusterView, out: &mut Vec<Decision>) {
-        self.load.observe(view.global_rate);
-        if let Some(forecast) = self.load.forecast() {
-            proactive_decisions(view, self.batches, forecast, out);
-        }
+        self.predictor.observe(view.global_rate);
+        let forecast = self.predictor.forecast();
+        proactive_decisions(view, self.batches, forecast, out);
     }
 
     fn on_idle_deadline(
@@ -739,90 +717,6 @@ impl ProactiveCore {
         out: &mut Vec<Decision>,
     ) {
         reclaim_decisions(view, expired, out);
-    }
-}
-
-/// BPred (§5.3): Bline plus LSF scheduling and EWMA prediction —
-/// Archipelago-like. No batching, so blocked queues still spawn per
-/// request; the predictor pre-spawns ahead of forecast load.
-pub struct BPredPolicy {
-    core: ProactiveCore,
-}
-
-impl ResourceManager for BPredPolicy {
-    fn name(&self) -> &'static str {
-        "BPred"
-    }
-
-    fn wants_reactive_ticks(&self) -> bool {
-        true
-    }
-
-    fn observes_load(&self) -> bool {
-        self.core.load.present()
-    }
-
-    fn on_queue_blocked(&mut self, _view: &ClusterView, stage: &StageView) -> Decision {
-        self.core.on_queue_blocked(stage)
-    }
-
-    fn on_reactive_tick(&mut self, view: &ClusterView, out: &mut Vec<Decision>) {
-        reactive_decisions(view, out);
-    }
-
-    fn on_monitor_tick(&mut self, view: &ClusterView, out: &mut Vec<Decision>) {
-        self.core.on_monitor_tick(view, out);
-    }
-
-    fn on_idle_deadline(
-        &mut self,
-        view: &ClusterView,
-        expired: &[ContainerView],
-        out: &mut Vec<Decision>,
-    ) {
-        self.core.on_idle_deadline(view, expired, out);
-    }
-}
-
-/// Fifer (§4): the full system — dynamic slack-aware batching, reactive
-/// plus LSTM-proactive scaling, and timeout reclamation. Blocked queues
-/// requeue (batching absorbs bursts); capacity arrives from the scalers.
-pub struct FiferPolicy {
-    core: ProactiveCore,
-}
-
-impl ResourceManager for FiferPolicy {
-    fn name(&self) -> &'static str {
-        "Fifer"
-    }
-
-    fn wants_reactive_ticks(&self) -> bool {
-        true
-    }
-
-    fn observes_load(&self) -> bool {
-        self.core.load.present()
-    }
-
-    fn on_queue_blocked(&mut self, _view: &ClusterView, stage: &StageView) -> Decision {
-        self.core.on_queue_blocked(stage)
-    }
-
-    fn on_reactive_tick(&mut self, view: &ClusterView, out: &mut Vec<Decision>) {
-        reactive_decisions(view, out);
-    }
-
-    fn on_monitor_tick(&mut self, view: &ClusterView, out: &mut Vec<Decision>) {
-        self.core.on_monitor_tick(view, out);
-    }
-
-    fn on_idle_deadline(
-        &mut self,
-        view: &ClusterView,
-        expired: &[ContainerView],
-        out: &mut Vec<Decision>,
-    ) {
-        self.core.on_idle_deadline(view, expired, out);
     }
 }
 
@@ -834,9 +728,8 @@ impl ResourceManager for FiferPolicy {
 /// [`Decision::Harvest`] (spawn backed by lent idle headroom where
 /// possible); usage samples feed a per-stage [`RightSizer`] whose
 /// recommendations shrink future spawns via [`Decision::Resize`].
+#[derive(Default)]
 pub struct HarvestPolicy {
-    load: LoadModel,
-    cfg: HarvestConfig,
     /// Per-stage right-sizers, lazily grown to the stage-table size.
     sizers: Vec<RightSizer>,
     /// Last recommendation emitted per stage (suppresses redundant
@@ -849,10 +742,6 @@ impl ResourceManager for HarvestPolicy {
         "Harvest"
     }
 
-    fn observes_load(&self) -> bool {
-        self.load.present()
-    }
-
     fn on_queue_blocked(&mut self, _view: &ClusterView, stage: &StageView) -> Decision {
         Decision::Harvest {
             stage: stage.stage,
@@ -860,14 +749,7 @@ impl ResourceManager for HarvestPolicy {
         }
     }
 
-    fn on_monitor_tick(&mut self, view: &ClusterView, _out: &mut Vec<Decision>) {
-        self.load.observe(view.global_rate);
-    }
-
     fn on_usage_sample(&mut self, view: &ClusterView, out: &mut Vec<Decision>) {
-        if !self.cfg.rightsize {
-            return;
-        }
         if self.sizers.len() < view.stages.len() {
             self.sizers
                 .resize_with(view.stages.len(), RightSizer::paper_default);
@@ -932,40 +814,75 @@ impl ResourceManager for HarvestPolicy {
 /// granularity: containers only surface here once idle past the timeout,
 /// so runs pair this policy with a short timeout and let the histogram
 /// windows make the actual reclaim decision.
+#[derive(Default)]
 pub struct HybridHistPolicy {
-    load: LoadModel,
-    cfg: KeepAliveConfig,
     /// Per-stage idle-time histograms, lazily grown to the stage table.
     hists: Vec<IdleHistogram>,
     /// Last arrival instant per stage (`None` until the first task).
     last_arrival: Vec<Option<SimTime>>,
 }
 
-impl HybridHistPolicy {
-    fn new(load: LoadModel, cfg: KeepAliveConfig) -> Self {
-        HybridHistPolicy {
-            load,
-            cfg,
-            hists: Vec::new(),
-            last_arrival: Vec::new(),
-        }
-    }
+// The source policy uses 1-minute bins over 4 hours with a 5th/99th
+// head/tail split; simulated horizons are minutes rather than days, so the
+// range scales down to 5-second bins over 5 minutes while the percentile
+// structure stays the paper's.
 
+/// Idle-time histogram bin width in seconds.
+const KEEPALIVE_BIN_WIDTH_S: u64 = 5;
+
+/// Number of histogram bins; `KEEPALIVE_BIN_WIDTH_S × KEEPALIVE_NUM_BINS`
+/// is the covered idle-time range, beyond which samples count as
+/// out-of-bounds.
+const KEEPALIVE_NUM_BINS: usize = 60;
+
+/// Head percentile: the pre-warm window (load the container back just
+/// before the next invocation becomes likely).
+const KEEPALIVE_HEAD_PCT: u8 = 5;
+
+/// Tail percentile: the keep-alive window (stay loaded until almost every
+/// observed idle gap is covered).
+const KEEPALIVE_TAIL_PCT: u8 = 99;
+
+/// Minimum percentage of out-of-bounds samples at which a stage is classed
+/// into the OOB pattern (fallback keep-alive, no pre-warm).
+const KEEPALIVE_OOB_PCT: u8 = 20;
+
+/// Idle-gap observations required before the histogram's windows are
+/// trusted over the fallback.
+const KEEPALIVE_MIN_SAMPLES: u64 = 8;
+
+/// Fixed keep-alive window (seconds) for OOB-pattern and under-sampled
+/// stages.
+const KEEPALIVE_FALLBACK_S: u64 = 60;
+
+const _: () = {
+    assert!(KEEPALIVE_BIN_WIDTH_S > 0 && KEEPALIVE_NUM_BINS > 0);
+    assert!(KEEPALIVE_HEAD_PCT > 0 && KEEPALIVE_HEAD_PCT < KEEPALIVE_TAIL_PCT);
+    assert!(KEEPALIVE_TAIL_PCT <= 100);
+    assert!(KEEPALIVE_OOB_PCT > 0 && KEEPALIVE_OOB_PCT <= 100);
+    assert!(KEEPALIVE_FALLBACK_S > 0 && KEEPALIVE_MIN_SAMPLES > 0);
+    // the fallback window must fit the histogram range, else OOB stages
+    // would be kept longer than any in-bounds gap the histogram covers
+    assert!(KEEPALIVE_FALLBACK_S <= KEEPALIVE_BIN_WIDTH_S * KEEPALIVE_NUM_BINS as u64);
+};
+
+impl HybridHistPolicy {
     fn grow_to(&mut self, stages: usize) {
         if self.hists.len() < stages {
-            let (w, n) = (self.cfg.bin_width_s, self.cfg.num_bins as usize);
-            self.hists.resize_with(stages, || IdleHistogram::new(w, n));
+            self.hists.resize_with(stages, || {
+                IdleHistogram::new(KEEPALIVE_BIN_WIDTH_S, KEEPALIVE_NUM_BINS)
+            });
             self.last_arrival.resize(stages, None);
         }
     }
 
     fn windows(&self, stage: usize) -> HistWindows {
         self.hists[stage].windows(
-            self.cfg.head_pct,
-            self.cfg.tail_pct,
-            self.cfg.oob_threshold_pct,
-            u64::from(self.cfg.min_samples),
-            self.cfg.fallback_keepalive_s,
+            KEEPALIVE_HEAD_PCT,
+            KEEPALIVE_TAIL_PCT,
+            KEEPALIVE_OOB_PCT,
+            KEEPALIVE_MIN_SAMPLES,
+            KEEPALIVE_FALLBACK_S,
         )
     }
 }
@@ -973,10 +890,6 @@ impl HybridHistPolicy {
 impl ResourceManager for HybridHistPolicy {
     fn name(&self) -> &'static str {
         "HybridHist"
-    }
-
-    fn observes_load(&self) -> bool {
-        self.load.present()
     }
 
     fn on_arrival(&mut self, view: &ClusterView, stage: &StageView, out: &mut Vec<Decision>) {
@@ -1005,7 +918,6 @@ impl ResourceManager for HybridHistPolicy {
     }
 
     fn on_monitor_tick(&mut self, view: &ClusterView, out: &mut Vec<Decision>) {
-        self.load.observe(view.global_rate);
         self.grow_to(view.stages.len());
         for s in view.stages {
             if s.num_containers > 0 {
@@ -1063,12 +975,13 @@ impl ResourceManager for HybridHistPolicy {
 impl RmConfig {
     /// Builds the resource-manager policy this configuration describes.
     ///
-    /// The scaling mode selects the policy struct; batching, predictor and
-    /// the scheduling/selection/placement choices parameterize it (the
-    /// latter three are applied by the simulator's dispatcher, which reads
-    /// them straight from the config). `seed` seeds any stochastic
-    /// predictor; `pretrain` optionally pre-trains it on a historical
-    /// window-max rate series (§4.5.1).
+    /// Harvesting, then the hybrid keep-alive, then the scaling mode select
+    /// the policy struct; batching parameterizes the proactive one, and the
+    /// scheduling/selection/placement choices are applied by the
+    /// simulator's dispatcher, which reads them straight from the config.
+    /// Only proactive scaling builds a load predictor: `seed` seeds it and
+    /// `pretrain` optionally pre-trains it on a historical window-max rate
+    /// series (§4.5.1).
     pub fn build_rm(&self, seed: u64, pretrain: &[f64]) -> Box<dyn ResourceManager> {
         self.build_rm_served(seed, pretrain, None).0
     }
@@ -1084,45 +997,29 @@ impl RmConfig {
         pretrain: &[f64],
         cache: Option<&ModelCache>,
     ) -> (Box<dyn ResourceManager>, WarmStart) {
-        let (load, warm) =
-            LoadModel::build_served(self.predictor, seed, pretrain, self.online_retrain, cache);
-        (self.assemble(load), warm)
-    }
-
-    /// Wraps a built predictor in the policy struct this configuration
-    /// describes.
-    fn assemble(&self, load: LoadModel) -> Box<dyn ResourceManager> {
-        if self.harvest.enabled {
-            // harvesting composes with the Bline-shaped mechanism config;
-            // it takes over the queue-blocked and usage-sample hooks
-            return Box::new(HarvestPolicy {
-                load,
-                cfg: self.harvest,
-                sizers: Vec::new(),
-                emitted: Vec::new(),
-            });
-        }
-        if self.keepalive.enabled {
-            // the hybrid keep-alive likewise rides the Bline-shaped config;
-            // it takes over the arrival, monitor and idle-deadline hooks
-            return Box::new(HybridHistPolicy::new(load, self.keepalive));
-        }
-        match self.scaling {
-            ScalingMode::OnDemand => Box::new(BlinePolicy { load }),
-            ScalingMode::FixedPool => Box::new(SBatchPolicy { load }),
-            ScalingMode::Reactive => Box::new(RScalePolicy { load }),
-            ScalingMode::ReactivePlusProactive => {
-                let core = ProactiveCore {
-                    batches: self.batching.batches(),
-                    load,
-                };
-                if core.batches {
-                    Box::new(FiferPolicy { core })
-                } else {
-                    Box::new(BPredPolicy { core })
+        let mut warm = WarmStart::NotApplicable;
+        let rm: Box<dyn ResourceManager> = if self.harvest {
+            // both extensions ride the Bline-shaped mechanism config
+            Box::new(HarvestPolicy::default())
+        } else if self.keepalive.enabled {
+            Box::new(HybridHistPolicy::default())
+        } else {
+            match self.scaling {
+                ScalingMode::OnDemand => Box::new(BlinePolicy),
+                ScalingMode::FixedPool => Box::new(SBatchPolicy),
+                ScalingMode::Reactive => Box::new(RScalePolicy),
+                ScalingMode::ReactivePlusProactive(kind) => {
+                    let (predictor, served) =
+                        build_predictor(kind, seed, pretrain, self.online_retrain, cache);
+                    warm = served;
+                    Box::new(ProactivePolicy {
+                        batches: self.batching.batches(),
+                        predictor,
+                    })
                 }
             }
-        }
+        };
+        (rm, warm)
     }
 }
 
@@ -1136,7 +1033,6 @@ impl RmKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fifer_predict::PredictorKind;
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -1220,9 +1116,8 @@ mod tests {
         assert!(!RmKind::RScale.build(1).observes_load());
         assert!(RmKind::BPred.build(1).observes_load());
         assert!(RmKind::Fifer.build(1).observes_load());
-        // an ablation can attach a predictor to any mode; it then observes
-        let ablated = RmKind::Bline.config().with_predictor(PredictorKind::Ewma);
-        assert!(ablated.build_rm(1, &[]).observes_load());
+        assert!(!RmKind::Harvest.build(1).observes_load());
+        assert!(!RmKind::HybridHist.build(1).observes_load());
     }
 
     #[test]
@@ -1523,7 +1418,7 @@ mod tests {
     fn hybridhist_fallback_keepalive_applies_when_untrained() {
         // an untrained histogram reclaims at the fallback window, not never
         let mut rm = RmKind::HybridHist.build(1);
-        let fallback = crate::rm::KeepAliveConfig::paper_default().fallback_keepalive_s;
+        let fallback = KEEPALIVE_FALLBACK_S;
         assert_eq!(kills_at(rm.as_mut(), 1000, 1000 - fallback + 1), 0);
         assert_eq!(kills_at(rm.as_mut(), 1000, 1000 - fallback - 1), 1);
     }

@@ -5,7 +5,6 @@
 //! * [`time`] — the simulation clock types [`SimTime`] and [`SimDuration`]
 //!   (integer microseconds, so experiments are bit-reproducible),
 //! * [`percentile`] — exact percentile/CDF estimation over latency samples,
-//! * [`histogram`] — fixed-width bucketed histograms,
 //! * [`timeseries`] — time-stamped series with windowed aggregation,
 //! * [`breakdown`] — per-request latency breakdowns (execution vs. cold-start
 //!   vs. queuing delay) as plotted in Figure 9 of the paper,
@@ -30,7 +29,6 @@
 //! ```
 
 pub mod breakdown;
-pub mod histogram;
 pub mod percentile;
 pub mod report;
 pub mod slo;

@@ -181,13 +181,6 @@ impl Samples {
         &self.values
     }
 
-    /// Merges another collection into this one.
-    pub fn merge(&mut self, other: &Samples) {
-        self.values.extend_from_slice(&other.values);
-        self.sorted = false;
-        self.cdf_cache = None;
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.values
@@ -226,19 +219,6 @@ impl Cdf {
     /// The CDF points as `(value, cumulative fraction)` pairs.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
-    }
-
-    /// Fraction of mass at or below `v` (step interpolation).
-    pub fn fraction_at(&self, v: f64) -> f64 {
-        let mut frac = 0.0;
-        for &(x, f) in &self.points {
-            if x <= v {
-                frac = f;
-            } else {
-                break;
-            }
-        }
-        frac
     }
 
     /// Number of points retained.
@@ -373,15 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_fraction_lookup() {
-        let mut s: Samples = (1..=10).map(|v| v as f64).collect();
-        let cdf = s.cdf(100.0);
-        assert!((cdf.fraction_at(5.0) - 0.5).abs() < 1e-12);
-        assert_eq!(cdf.fraction_at(0.5), 0.0);
-        assert!((cdf.fraction_at(10.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn cdf_downsample_keeps_endpoints() {
         let mut s: Samples = (1..=1000).map(|v| v as f64).collect();
         let cdf = s.cdf(100.0);
@@ -411,24 +382,5 @@ mod tests {
         let refreshed = s.cdf(100.0);
         assert_eq!(refreshed.points()[0].0, 0.5);
         assert_eq!(refreshed.len(), 101);
-    }
-
-    #[test]
-    fn merge_invalidates_cdf_cache() {
-        let mut a: Samples = vec![1.0, 2.0].into_iter().collect();
-        let _ = a.cdf(100.0);
-        let b: Samples = vec![3.0].into_iter().collect();
-        a.merge(&b);
-        assert!(a.cdf_cache.is_none());
-        assert_eq!(a.cdf(100.0).len(), 3);
-    }
-
-    #[test]
-    fn merge_combines_collections() {
-        let mut a: Samples = vec![1.0, 2.0].into_iter().collect();
-        let b: Samples = vec![3.0, 4.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.mean(), 2.5);
     }
 }

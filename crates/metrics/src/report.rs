@@ -59,16 +59,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of mixed displayable cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with space-aligned columns and a separator rule.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -219,13 +209,5 @@ mod tests {
     fn fmt_f64_rounds() {
         assert_eq!(fmt_f64(1.23456, 2), "1.23");
         assert_eq!(fmt_f64(1.235, 2), "1.24");
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row_display(&[&1.5_f64, &"x"]);
-        assert_eq!(t.num_rows(), 1);
-        assert!(t.render().contains("1.5"));
     }
 }

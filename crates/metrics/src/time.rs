@@ -83,11 +83,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked subtraction; `None` if `earlier` is after `self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Saturating addition of a duration (useful near [`SimTime::MAX`]).
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -298,7 +293,6 @@ mod tests {
         let late = SimTime::from_secs(5);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(4));
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]

@@ -67,22 +67,6 @@ impl TimeSeries {
         self.window_aggregate(width, end, |acc, v| acc + v, 0.0)
     }
 
-    /// Takes the max value per window (0 for empty windows); the paper's
-    /// load sampler tracks the *maximum* arrival rate per window (§4.5).
-    pub fn window_maxes(&self, width: SimDuration, end: SimTime) -> Vec<f64> {
-        self.window_aggregate(width, end, f64::max, 0.0)
-    }
-
-    /// Mean value per window (0 for empty windows).
-    pub fn window_means(&self, width: SimDuration, end: SimTime) -> Vec<f64> {
-        let sums = self.window_sums(width, end);
-        let counts = self.window_aggregate(width, end, |acc, _| acc + 1.0, 0.0);
-        sums.iter()
-            .zip(&counts)
-            .map(|(&s, &c)| if c > 0.0 { s / c } else { 0.0 })
-            .collect()
-    }
-
     /// Last value at or before `t` (sample-and-hold), or `default` when no
     /// observation precedes `t`. Used to sample cumulative counters.
     pub fn value_at(&self, t: SimTime, default: f64) -> f64 {
@@ -199,22 +183,6 @@ mod tests {
         .collect();
         let sums = ts.window_sums(SimDuration::from_secs(2), secs(6));
         assert_eq!(sums, vec![3.0, 3.0, 10.0]);
-    }
-
-    #[test]
-    fn window_maxes_pick_peak() {
-        let ts: TimeSeries = vec![(secs(0), 5.0), (secs(1), 9.0), (secs(3), 2.0)]
-            .into_iter()
-            .collect();
-        let maxes = ts.window_maxes(SimDuration::from_secs(2), secs(4));
-        assert_eq!(maxes, vec![9.0, 2.0]);
-    }
-
-    #[test]
-    fn window_means_handle_empty_windows() {
-        let ts: TimeSeries = vec![(secs(0), 4.0), (secs(0), 6.0)].into_iter().collect();
-        let means = ts.window_means(SimDuration::from_secs(1), secs(2));
-        assert_eq!(means, vec![5.0, 0.0]);
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl Adam {
         }
     }
 
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
     /// Serializes the optimizer state (learning rate + both moment
     /// buffers) into a checkpoint.
     pub(crate) fn save_state(&self, w: &mut CkptWriter) {

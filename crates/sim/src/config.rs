@@ -163,14 +163,6 @@ impl SimConfig {
         }
     }
 
-    /// Containers that fit on the whole cluster (CPU-bound; the paper's
-    /// 0.5-core containers make CPU the binding resource).
-    pub fn max_containers(&self) -> usize {
-        let by_cpu = self.cluster.total_cores() / CONTAINER_CPU;
-        let by_mem = self.cluster.nodes as f64 * self.cluster.mem_per_node_gb / CONTAINER_MEM_GB;
-        by_cpu.min(by_mem) as usize
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -221,13 +213,6 @@ mod tests {
     fn large_scale_is_about_2500_cores() {
         let c = ClusterConfig::large_scale();
         assert!((2400.0..=2600.0).contains(&c.total_cores()));
-    }
-
-    #[test]
-    fn max_containers_cpu_bound() {
-        let cfg = SimConfig::prototype(RmKind::Bline.config(), 50.0);
-        // 80 cores / 0.5 = 160 containers; memory would allow many more
-        assert_eq!(cfg.max_containers(), 160);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! The node-level conservation chain `used ≤ allocated ≤ capacity` holds
 //! continuously: lent amounts live inside `allocated − used` headroom and
-//! are scaled by [`HarvestConfig::lend_headroom_pct`](fifer_core::rm::HarvestConfig).
+//! are scaled by [`LEND_HEADROOM_PCT`].
 
 use crate::driver::Simulation;
 use crate::stage::StageTask;
@@ -34,6 +34,17 @@ use crate::trace::SimEvent;
 use fifer_core::policy::DecisionCause;
 use fifer_core::resources::ResourceVec;
 use fifer_metrics::SimTime;
+
+/// Percentage of a lender's idle headroom (allocation − idle usage) that
+/// may be lent out. Freyr keeps a safety margin rather than lending
+/// everything.
+pub const LEND_HEADROOM_PCT: u64 = 80;
+
+/// Minimum CPU worth lending per lease part, in millicores; avoids
+/// fragmenting headroom into useless slivers.
+pub const MIN_LEND_CPU_MILLI: u64 = 100;
+
+const _: () = assert!(LEND_HEADROOM_PCT > 0 && LEND_HEADROOM_PCT <= 100 && MIN_LEND_CPU_MILLI > 0);
 
 /// One lender's contribution to a harvest lease.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +115,7 @@ impl Simulation<'_> {
         now: SimTime,
         cause: DecisionCause,
     ) -> Option<u64> {
-        if !self.cfg.rm.harvest.enabled {
+        if !self.cfg.rm.harvest {
             return self.spawn_container(sidx, now, cause);
         }
         let (request, profile) = self.spawn_request(sidx);
@@ -147,10 +158,10 @@ impl Simulation<'_> {
     /// `request`-sized lease, returning the greedy part assignment
     /// (ascending lender id). Candidates must be warm-idle, on an up node,
     /// serve a different stage, and obey the one-hop rule (not currently
-    /// lending or borrowing); each lends at most
-    /// `lend_headroom_pct` of its `allocation − idle-usage` headroom.
+    /// lending or borrowing); each lends at most [`LEND_HEADROOM_PCT`] of
+    /// its `allocation − idle-usage` headroom, and none less than
+    /// [`MIN_LEND_CPU_MILLI`].
     fn find_backing(&self, sidx: usize, request: ResourceVec) -> Option<(usize, Vec<LeasePart>)> {
-        let hcfg = self.cfg.rm.harvest;
         let mut cands: Vec<(usize, LeasePart)> = Vec::new();
         for c in self.live_containers() {
             if !c.is_idle()
@@ -164,8 +175,8 @@ impl Simulation<'_> {
             let headroom = c
                 .alloc
                 .saturating_sub(c.usage.idle)
-                .scale_pct(u64::from(hcfg.lend_headroom_pct));
-            if headroom.cpu_milli < hcfg.min_lend_cpu_milli {
+                .scale_pct(LEND_HEADROOM_PCT);
+            if headroom.cpu_milli < MIN_LEND_CPU_MILLI {
                 continue;
             }
             cands.push((

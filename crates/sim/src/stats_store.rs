@@ -73,12 +73,6 @@ impl StatsStore {
         self.counters
     }
 
-    /// Total modeled time spent in store accesses.
-    pub fn total_time(&self) -> SimDuration {
-        let c = self.counters();
-        self.mean_latency * (c.reads + c.writes)
-    }
-
     /// The modeled mean access latency.
     pub fn mean_latency(&self) -> SimDuration {
         self.mean_latency
@@ -106,15 +100,6 @@ mod tests {
         let c = s.counters();
         assert_eq!(c.reads, 2);
         assert_eq!(c.writes, 3);
-    }
-
-    #[test]
-    fn total_time_accumulates() {
-        let mut s = StatsStore::with_latency(SimDuration::from_millis(2));
-        for _ in 0..5 {
-            s.access(StoreOp::PodQuery);
-        }
-        assert_eq!(s.total_time(), SimDuration::from_millis(10));
     }
 
     #[test]

@@ -415,7 +415,7 @@ fn harvest_golden_counters_and_event_order() {
 fn disabled_harvest_replays_bline_exactly() {
     let bline = run(RmKind::Bline, 5.0, 30, 7);
     let mut cfg = RmKind::Harvest.config();
-    cfg.harvest = fifer_core::rm::HarvestConfig::none();
+    cfg.harvest = false;
     let stream = JobStream::generate(
         &PoissonTrace::new(5.0),
         WorkloadMix::Medium,
@@ -426,7 +426,7 @@ fn disabled_harvest_replays_bline_exactly() {
     let h = Simulation::new(sim_cfg, &stream).run().headline();
     assert_eq!(
         h, bline,
-        "Harvest with HarvestConfig::none() must be Bline bit for bit"
+        "Harvest with harvest = false must be Bline bit for bit"
     );
 }
 

@@ -95,17 +95,16 @@ pub fn save_stream<P: AsRef<Path>>(stream: &JobStream, path: P) -> io::Result<()
     fs::write(path, stream_to_csv(stream))
 }
 
-/// Parses a stream from CSV text. The mix is recomputed as the pair of
-/// applications present (falling back to `default_mix` when ambiguous).
+/// Parses a stream from CSV text. The mix is recomputed as the first
+/// [`WorkloadMix`] whose pair of applications covers every job.
 ///
 /// # Errors
 ///
 /// Returns [`ParseWorkloadError::Malformed`] on any bad line; jobs must be
-/// in non-decreasing arrival order, none past [`JobStream::MAX_HORIZON`].
-pub fn stream_from_csv(
-    text: &str,
-    default_mix: WorkloadMix,
-) -> Result<JobStream, ParseWorkloadError> {
+/// in non-decreasing arrival order, none past [`JobStream::MAX_HORIZON`],
+/// and their applications must belong to one mix — the simulator only
+/// builds the stage pools of the stream's mix.
+pub fn stream_from_csv(text: &str) -> Result<JobStream, ParseWorkloadError> {
     let mut jobs = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if i == 0 {
@@ -163,14 +162,25 @@ pub fn stream_from_csv(
             reason: format!("jobs {} and {} out of arrival order", w[0].id, w[1].id),
         });
     }
-    // infer the mix if the file's applications match a known pair
-    let mix = WorkloadMix::ALL
-        .into_iter()
-        .find(|m| {
-            let apps = m.applications();
-            jobs.iter().all(|j| apps.contains(&j.app))
-        })
-        .unwrap_or(default_mix);
+    // infer the mix from the pair of applications the file uses
+    let mix = WorkloadMix::ALL.into_iter().find(|m| {
+        let apps = m.applications();
+        jobs.iter().all(|j| apps.contains(&j.app))
+    });
+    let Some(mix) = mix else {
+        let apps: Vec<&str> = Application::ALL
+            .into_iter()
+            .filter(|a| jobs.iter().any(|j| j.app == *a))
+            .map(Application::name)
+            .collect();
+        return Err(ParseWorkloadError::Malformed {
+            line: 0,
+            reason: format!(
+                "applications {} belong to no single workload mix",
+                apps.join(", ")
+            ),
+        });
+    };
     Ok(JobStream::from_jobs(jobs, mix))
 }
 
@@ -179,12 +189,9 @@ pub fn stream_from_csv(
 /// # Errors
 ///
 /// Propagates I/O errors and malformed content.
-pub fn load_stream<P: AsRef<Path>>(
-    path: P,
-    default_mix: WorkloadMix,
-) -> Result<JobStream, ParseWorkloadError> {
+pub fn load_stream<P: AsRef<Path>>(path: P) -> Result<JobStream, ParseWorkloadError> {
     let text = fs::read_to_string(path)?;
-    stream_from_csv(&text, default_mix)
+    stream_from_csv(&text)
 }
 
 #[cfg(test)]
@@ -206,7 +213,7 @@ mod tests {
     fn csv_round_trips() {
         let original = sample_stream();
         let csv = stream_to_csv(&original);
-        let parsed = stream_from_csv(&csv, WorkloadMix::Medium).expect("parse");
+        let parsed = stream_from_csv(&csv).expect("parse");
         assert_eq!(parsed.len(), original.len());
         assert_eq!(parsed.mix(), original.mix());
         for (a, b) in original.iter().zip(parsed.iter()) {
@@ -224,7 +231,7 @@ mod tests {
         let path = dir.join("nested/stream.csv");
         let original = sample_stream();
         save_stream(&original, &path).expect("save");
-        let loaded = load_stream(&path, WorkloadMix::Medium).expect("load");
+        let loaded = load_stream(&path).expect("load");
         assert_eq!(loaded.len(), original.len());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -232,40 +239,45 @@ mod tests {
     #[test]
     fn mix_is_inferred_from_applications() {
         let csv = "id,app,arrival_us,input_scale\n0,IMG,100,1.0\n1,FaceSecurity,200,1.0\n";
-        let s = stream_from_csv(csv, WorkloadMix::Heavy).expect("parse");
+        let s = stream_from_csv(csv).expect("parse");
         assert_eq!(s.mix(), WorkloadMix::Light);
+        // IPA (Heavy, Medium) and FaceSecurity (Light) share no mix
+        let csv = "id,app,arrival_us,input_scale\n0,IPA,100,1.0\n1,FaceSecurity,200,1.0\n";
+        let err = stream_from_csv(csv).unwrap_err().to_string();
+        assert!(err.contains("FaceSecurity, IPA"), "{err}");
+        assert!(err.contains("no single workload mix"), "{err}");
     }
 
     #[test]
     fn bad_header_rejected() {
-        let err = stream_from_csv("nope\n", WorkloadMix::Light).unwrap_err();
+        let err = stream_from_csv("nope\n").unwrap_err();
         assert!(matches!(err, ParseWorkloadError::Malformed { line: 1, .. }));
     }
 
     #[test]
     fn bad_field_counts_rejected() {
         let csv = "id,app,arrival_us,input_scale\n0,IPA,100\n";
-        let err = stream_from_csv(csv, WorkloadMix::Heavy).unwrap_err();
+        let err = stream_from_csv(csv).unwrap_err();
         assert!(err.to_string().contains("expected 4 fields"));
     }
 
     #[test]
     fn unknown_application_rejected() {
         let csv = "id,app,arrival_us,input_scale\n0,Nonsense,100,1.0\n";
-        let err = stream_from_csv(csv, WorkloadMix::Heavy).unwrap_err();
+        let err = stream_from_csv(csv).unwrap_err();
         assert!(err.to_string().contains("unknown application"));
     }
 
     #[test]
     fn non_positive_scale_rejected() {
         let csv = "id,app,arrival_us,input_scale\n0,IPA,100,0.0\n";
-        assert!(stream_from_csv(csv, WorkloadMix::Heavy).is_err());
+        assert!(stream_from_csv(csv).is_err());
     }
 
     #[test]
     fn out_of_order_arrivals_rejected() {
         let csv = "id,app,arrival_us,input_scale\n0,IPA,200,1.0\n1,IPA,100,1.0\n";
-        let err = stream_from_csv(csv, WorkloadMix::Heavy).unwrap_err();
+        let err = stream_from_csv(csv).unwrap_err();
         assert!(err.to_string().contains("out of arrival order"));
     }
 
@@ -273,16 +285,11 @@ mod tests {
     fn arrivals_past_the_horizon_cap_rejected() {
         let cap = JobStream::MAX_HORIZON.as_micros();
         let at_cap = format!("id,app,arrival_us,input_scale\n0,IPA,{cap},1.0\n");
-        assert_eq!(
-            stream_from_csv(&at_cap, WorkloadMix::Heavy)
-                .expect("parse")
-                .len(),
-            1
-        );
+        assert_eq!(stream_from_csv(&at_cap).expect("parse").len(), 1);
         for arrival in [cap + 1, u64::MAX] {
             let csv =
                 format!("id,app,arrival_us,input_scale\n0,IPA,100,1.0\n1,IPA,{arrival},1.0\n");
-            let err = stream_from_csv(&csv, WorkloadMix::Heavy).unwrap_err();
+            let err = stream_from_csv(&csv).unwrap_err();
             assert!(
                 matches!(err, ParseWorkloadError::Malformed { line: 3, .. }),
                 "{err}"
@@ -294,7 +301,7 @@ mod tests {
     #[test]
     fn empty_lines_are_skipped() {
         let csv = "id,app,arrival_us,input_scale\n0,IPA,100,1.0\n\n";
-        let s = stream_from_csv(csv, WorkloadMix::Heavy).expect("parse");
+        let s = stream_from_csv(csv).expect("parse");
         assert_eq!(s.len(), 1);
     }
 

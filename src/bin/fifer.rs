@@ -6,7 +6,6 @@
 //! fifer --replay workload.csv --rm fifer
 //! fifer --compare --trace wiki --secs 1800       # all seven RMs side by side
 //! fifer --rm harvest --trace wiki --secs 1800    # idle-resource harvesting on
-//! fifer --rm bline --harvest --rightsize         # bolt harvesting onto any RM
 //! fifer --rm hybridhist --workload azure         # keep-alive policy on the Azure family
 //! ```
 
@@ -38,8 +37,6 @@ struct Args {
     decision_trace: Option<String>,
     faults: FaultPlan,
     audit: bool,
-    harvest: bool,
-    rightsize: bool,
     model_cache: Option<String>,
     online_retrain: bool,
 }
@@ -50,10 +47,6 @@ fn usage() -> ! {
          \n\
          --rm <bline|sbatch|rscale|bpred|fifer|harvest|hybridhist>  resource manager (default fifer)\n\
          --compare                                 run all seven RMs\n\
-         --harvest                                 lend idle allocation headroom to new\n\
-                                                   containers (on by default for --rm harvest)\n\
-         --rightsize                               shrink over-allocated containers to their\n\
-                                                   observed usage (on by default for --rm harvest)\n\
          --workload <paper|azure>                  workload family (default paper): paper uses\n\
                                                    --trace; azure is the heavy-tailed mixed-trigger\n\
                                                    family from the Azure characterization\n\
@@ -110,8 +103,6 @@ fn parse_args() -> Args {
         decision_trace: None,
         faults: FaultPlan::none(),
         audit: false,
-        harvest: false,
-        rightsize: false,
         model_cache: None,
         online_retrain: false,
     };
@@ -185,8 +176,6 @@ fn parse_args() -> Args {
                 })
             }
             "--audit" => args.audit = true,
-            "--harvest" => args.harvest = true,
-            "--rightsize" => args.rightsize = true,
             "--model-cache" => args.model_cache = Some(value(&mut i)),
             "--online-retrain" => args.online_retrain = true,
             "--help" | "-h" => usage(),
@@ -233,7 +222,7 @@ fn parse_args() -> Args {
 
 fn build_stream(args: &Args) -> JobStream {
     if let Some(path) = &args.replay {
-        return wio::load_stream(path, args.mix).unwrap_or_else(|e| {
+        return wio::load_stream(path).unwrap_or_else(|e| {
             eprintln!("error: cannot replay {path}: {e}");
             exit(1)
         });
@@ -339,21 +328,11 @@ fn main() {
             exit(2);
         }
         cfg.audit = args.audit;
-        if args.harvest || args.rightsize {
-            // bolt harvesting / right-sizing onto any RM: paper-default
-            // lending knobs, switches set by the flags actually passed
-            let mut h = HarvestConfig::paper_default();
-            h.enabled = args.harvest;
-            h.rightsize = args.rightsize;
-            cfg.rm.harvest = h;
-        }
+        cfg.rm.online_retrain = args.online_retrain;
         if let Some(path) = &args.decision_trace {
             // like --json, the last RM listed wins under --compare
             cfg.trace.capacity = 1 << 20;
             cfg.trace.jsonl = Some(path.clone());
-        }
-        if args.online_retrain {
-            cfg.rm.online_retrain = OnlineRetrainConfig::paper_default();
         }
         if cfg.rm.is_proactive() {
             let cut = (stream.len() * 6 / 10).max(1);

@@ -42,9 +42,7 @@ pub use fifer_workloads as workloads;
 
 /// The common imports for driving a simulation end to end.
 pub mod prelude {
-    pub use fifer_core::rm::{
-        HarvestConfig, KeepAliveConfig, OnlineRetrainConfig, RmConfig, RmKind,
-    };
+    pub use fifer_core::rm::{KeepAliveConfig, RmConfig, RmKind};
     pub use fifer_core::slack::{AppPlan, SlackPolicy};
     pub use fifer_core::WarmStart;
     pub use fifer_metrics::{SimDuration, SimTime};

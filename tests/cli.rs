@@ -22,14 +22,6 @@ fn help_exits_with_usage() {
         err.contains("--workload"),
         "usage must document --workload: {err}"
     );
-    assert!(
-        err.contains("--harvest"),
-        "usage must document --harvest: {err}"
-    );
-    assert!(
-        err.contains("--rightsize"),
-        "usage must document --rightsize: {err}"
-    );
 }
 
 #[test]
@@ -48,6 +40,9 @@ fn removed_engine_flags_are_unknown_arguments() {
         &["--workers", "2"],
         &["--lookahead", "1"],
         &["--serial-engine"],
+        // harvesting is its own RM (`--rm harvest`), not a bolt-on
+        &["--rm", "bline", "--harvest"],
+        &["--rm", "bline", "--rightsize"],
     ] {
         let out = fifer().args(args).output().expect("spawn");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -224,40 +219,35 @@ fn harvest_rm_reports_utilization_and_stays_audit_clean() {
         stdout.contains("harvested"),
         "a harvesting run must report harvested core-hours: {stdout}"
     );
+    assert!(stdout.contains("rightsized"), "{stdout}");
     assert!(stdout.contains("no violations"), "{stdout}");
 }
 
 #[test]
-fn harvest_flags_bolt_onto_any_rm() {
-    let out = fifer()
-        .args([
-            "--rm",
-            "bline",
-            "--rate",
-            "5",
-            "--secs",
-            "60",
-            "--seed",
-            "7",
-            "--harvest",
-            "--rightsize",
-            "--audit",
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+fn online_retrain_reaches_the_fifer_predictor() {
+    let run = |online: bool| -> String {
+        let mut cmd = fifer();
+        cmd.args([
+            "--rm", "fifer", "--rate", "10", "--secs", "400", "--seed", "3",
+        ]);
+        if online {
+            cmd.arg("--online-retrain");
+        }
+        let out = cmd.output().expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let frozen = run(false);
+    let online = run(true);
+    assert_ne!(
+        frozen, online,
+        "retraining the LSTM online must change the run's scaling"
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Bline"), "{stdout}");
-    assert!(
-        stdout.contains("harvest spawns"),
-        "--harvest on bline must actually lease idle headroom: {stdout}"
-    );
-    assert!(stdout.contains("rightsized"), "{stdout}");
-    assert!(stdout.contains("no violations"), "{stdout}");
+    assert_eq!(online, run(true), "online retraining is deterministic");
 }
 
 #[test]
@@ -410,6 +400,29 @@ fn replay_of_far_future_arrival_fails_cleanly() {
     assert!(err.contains("cannot replay"), "{err}");
     assert!(err.contains("line 2"), "{err}");
     assert!(err.contains("horizon cap"), "{err}");
+}
+
+#[test]
+fn replay_spanning_two_mixes_fails_cleanly() {
+    // IPA runs in the Heavy and Medium mixes, FaceSecurity only in Light:
+    // no one mix's stage pools can route both
+    let path = std::env::temp_dir().join("fifer_cli_two_mixes.csv");
+    std::fs::write(
+        &path,
+        "id,app,arrival_us,input_scale\n0,IPA,100,1.0\n1,FaceSecurity,200,1.0\n",
+    )
+    .expect("write workload");
+    let out = fifer()
+        .args(["--rm", "bline", "--replay"])
+        .arg(&path)
+        .output()
+        .expect("spawn");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cannot replay"), "{err}");
+    assert!(err.contains("FaceSecurity, IPA"), "{err}");
+    assert!(err.contains("no single workload mix"), "{err}");
 }
 
 #[test]

@@ -270,7 +270,7 @@ proptest! {
         prop_assert_eq!(&baseline, &mk(inert, true));
     }
 
-    /// Harvesting under arbitrary knobs, workloads and fault plans, with
+    /// Harvesting under arbitrary workloads and fault plans, with
     /// the auditor checking every event commit: the resource conservation
     /// chain (`used ≤ allocated ≤ capacity`, exact integers), the lease
     /// balance (created − ended = live), and the per-node borrowed/lent
@@ -280,35 +280,22 @@ proptest! {
     fn harvesting_never_breaks_conservation(
         seed in 0u64..500,
         rate in 2.0f64..8.0,
-        headroom_pct in 1u8..101,
-        min_lend in 0u64..600,
-        rightsize in any::<bool>(),
         plan in arbitrary_fault_plan(),
     ) {
-        use fifer::core::rm::HarvestConfig;
         let stream = JobStream::generate(
             &PoissonTrace::new(rate),
             WorkloadMix::Medium,
             SimDuration::from_secs(20),
             seed,
         );
-        let mut cfg = SimConfig::prototype(
-            RmKind::Harvest.config().with_harvest(HarvestConfig {
-                enabled: true,
-                rightsize,
-                lend_headroom_pct: headroom_pct,
-                min_lend_cpu_milli: min_lend,
-            }),
-            rate,
-        );
+        let mut cfg = SimConfig::prototype(RmKind::Harvest.config(), rate);
         cfg.seed = seed;
         cfg.faults = plan.clone();
         cfg.audit = true;
         let r = Simulation::new(cfg, &stream).run();
         prop_assert!(
             r.audit_violations.is_empty(),
-            "harvest(headroom={headroom_pct}%, min_lend={min_lend}, rightsize={rightsize}) \
-             under {plan:?}: {:?}",
+            "harvest under {plan:?}: {:?}",
             r.audit_violations
         );
         prop_assert!(r.audit_checks > 0);
@@ -326,7 +313,7 @@ proptest! {
         );
     }
 
-    /// `HarvestConfig::none()` is not merely "few leases" — the whole
+    /// `harvest = false` is not merely "few leases" — the whole
     /// resource-model refactor is inert until switched on: the Harvest
     /// RM with harvesting disabled replays the baseline byte for byte.
     #[test]
@@ -334,7 +321,6 @@ proptest! {
         seed in 0u64..500,
         rate in 2.0f64..8.0,
     ) {
-        use fifer::core::rm::HarvestConfig;
         let stream = JobStream::generate(
             &PoissonTrace::new(rate),
             WorkloadMix::Medium,
@@ -347,37 +333,9 @@ proptest! {
             Simulation::new(cfg, &stream).run().to_json()
         };
         let baseline = mk(RmKind::Bline.config());
-        let disabled = mk(RmKind::Harvest.config().with_harvest(HarvestConfig::none()));
-        prop_assert_eq!(baseline, disabled);
-    }
-
-    /// `OnlineRetrainConfig::none()` is inert: a Fifer run with online
-    /// retraining explicitly disabled replays the plain Fifer run byte
-    /// for byte — the §8 extension only changes behaviour when armed.
-    #[test]
-    fn disabled_online_retraining_is_byte_identical(
-        seed in 0u64..500,
-        rate in 2.0f64..8.0,
-    ) {
-        use fifer::core::rm::OnlineRetrainConfig;
-        let stream = JobStream::generate(
-            &PoissonTrace::new(rate),
-            WorkloadMix::Medium,
-            SimDuration::from_secs(20),
-            seed,
-        );
-        let mk = |rm: fifer::core::rm::RmConfig| {
-            let mut cfg = SimConfig::prototype(rm, rate);
-            cfg.seed = seed;
-            Simulation::new(cfg, &stream).run().to_json()
-        };
-        let baseline = mk(RmKind::Fifer.config());
-        let disabled = mk(
-            RmKind::Fifer
-                .config()
-                .with_online_retrain(OnlineRetrainConfig::none()),
-        );
-        prop_assert_eq!(baseline, disabled);
+        let mut disabled = RmKind::Harvest.config();
+        disabled.harvest = false;
+        prop_assert_eq!(baseline, mk(disabled));
     }
 
     /// The hybrid histogram's windows for arbitrary idle samples: the
