@@ -127,20 +127,9 @@ impl Samples {
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn percentile(&mut self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of [0,100]");
-        if self.values.is_empty() {
-            return 0.0;
-        }
         self.ensure_sorted();
-        let rank = p / 100.0 * (self.values.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        if lo == hi {
-            self.values[lo]
-        } else {
-            let frac = rank - lo as f64;
-            self.values[lo] * (1.0 - frac) + self.values[hi] * frac
-        }
+        let values = &self.values;
+        sorted_percentile(values.len(), p, |i| values[i])
     }
 
     /// Median (50th percentile).
@@ -187,6 +176,31 @@ impl Samples {
                 .sort_by(|a, b| a.partial_cmp(b).expect("non-finite sample"));
             self.sorted = true;
         }
+    }
+}
+
+/// The `p`-th percentile (`0 ≤ p ≤ 100`) of `n` values in non-decreasing
+/// order, read through `value_at`: type-7 linear interpolation between the
+/// closest ranks, 0 when `n == 0`. [`Samples::percentile`] is this over its
+/// sorted samples; callers holding sorted values in another form (integer
+/// microseconds, say) get bit-identical results from the same rule.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]`.
+pub fn sorted_percentile(n: usize, p: f64, value_at: impl Fn(usize) -> f64) -> f64 {
+    assert!((0.0..=100.0).contains(&p), "percentile {p} out of [0,100]");
+    if n == 0 {
+        return 0.0;
+    }
+    let rank = p / 100.0 * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    if lo == hi {
+        value_at(lo)
+    } else {
+        let frac = rank - lo as f64;
+        value_at(lo) * (1.0 - frac) + value_at(hi) * frac
     }
 }
 

@@ -13,24 +13,74 @@ use fifer_core::policy::{ClusterView, ContainerView, StageView};
 use fifer_core::slack::AppPlan;
 use fifer_metrics::breakdown::LatencyBreakdown;
 use fifer_metrics::{SimDuration, SimTime};
-use fifer_workloads::{Application, Microservice};
-use std::collections::BTreeMap;
+use fifer_workloads::{Application, JobRequest, Microservice};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::{Index, IndexMut};
 
-/// Per-job live state.
-#[derive(Debug, Clone)]
+/// Per-job live state. A job's application, submission time and input
+/// scale are read from the stream ([`Simulation::request`]); its tenant is
+/// its stream index modulo the tenant count.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct JobState {
-    pub(crate) app: Application,
-    /// Tenant this job belongs to (stage pools are per tenant).
-    pub(crate) tenant: usize,
-    pub(crate) submitted: SimTime,
-    pub(crate) input_scale: f64,
     /// Index into the app's chain of the stage the job is currently at.
     pub(crate) stage_pos: usize,
     pub(crate) breakdown: LatencyBreakdown,
-    pub(crate) done: bool,
-    /// The job was abandoned after a task exhausted the fault-retry
-    /// budget; it produces no record and counts in `jobs_dropped`.
-    pub(crate) dropped: bool,
+    /// The job completed, or was abandoned after a task exhausted the
+    /// fault-retry budget (a dropped job produces no record and counts in
+    /// `jobs_dropped`).
+    pub(crate) finished: bool,
+}
+
+/// The live jobs, indexed by stream index: the states of jobs
+/// `base..base + live.len()`. An arrival appends its job and finished
+/// jobs leave from the front, so the window spans the oldest unfinished
+/// job to the newest arrival — bounded by concurrency, not by the stream.
+/// Jobs keep their stream index everywhere (tasks, events, queue keys,
+/// the trace), which is why this is a window and not a recycled slab.
+#[derive(Debug, Default)]
+pub(crate) struct JobWindow {
+    base: usize,
+    live: VecDeque<JobState>,
+}
+
+impl JobWindow {
+    /// Opens the state of `job`, which must be the stream's next arrival.
+    pub(crate) fn open(&mut self, job: usize) {
+        debug_assert_eq!(
+            job,
+            self.base + self.live.len(),
+            "jobs arrive in stream order"
+        );
+        self.live.push_back(JobState::default());
+    }
+
+    /// Marks `job` finished and retires the finished jobs at the front.
+    pub(crate) fn finish(&mut self, job: usize) {
+        self[job].finished = true;
+        while self.live.front().is_some_and(|j| j.finished) {
+            self.live.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// The oldest arrived job that has neither completed nor been dropped.
+    pub(crate) fn oldest_unfinished(&self) -> Option<usize> {
+        (!self.live.is_empty()).then_some(self.base)
+    }
+}
+
+impl Index<usize> for JobWindow {
+    type Output = JobState;
+
+    fn index(&self, job: usize) -> &JobState {
+        &self.live[job - self.base]
+    }
+}
+
+impl IndexMut<usize> for JobWindow {
+    fn index_mut(&mut self, job: usize) -> &mut JobState {
+        &mut self.live[job - self.base]
+    }
 }
 
 /// Static per-application routing/plan data.
@@ -44,7 +94,7 @@ pub(crate) struct AppRuntime {
     pub(crate) transition_overhead: SimDuration,
 }
 
-impl Simulation<'_> {
+impl<'a> Simulation<'a> {
     /// O(1) snapshot of one stage for a policy hook. `observed_delay` is
     /// only measured (and its sliding window pruned) on reactive ticks;
     /// every other hook passes zero.
@@ -117,16 +167,22 @@ impl Simulation<'_> {
         expired
     }
 
+    /// The stream's request for `job` (its application, submission time
+    /// and input scale).
+    pub(crate) fn request(&self, job: usize) -> &'a JobRequest {
+        &self.stream.jobs()[job]
+    }
+
     /// Static routing of `job`'s application within its tenant.
     pub(crate) fn route(&self, job: usize) -> &AppRuntime {
-        let j = &self.jobs[job];
-        self.apps[app_index(j.tenant, j.app)]
+        let tenant = job % self.cfg.tenants;
+        self.apps[app_index(tenant, self.request(job).app)]
             .as_ref()
             .expect("the stream's mix routes every job's application")
     }
 
     pub(crate) fn workload_drained(&self) -> bool {
-        self.jobs_done + self.jobs_dropped as usize == self.jobs.len()
+        self.jobs_done + self.jobs_dropped as usize == self.stream.len()
     }
 
     /// Final result assembly.

@@ -103,19 +103,17 @@ impl Simulation<'_> {
                 self.in_transition
             ));
         }
-        if self.jobs_done + self.jobs_dropped as usize != self.jobs.len() {
+        if self.jobs_done + self.jobs_dropped as usize != self.stream.len() {
             msgs.push(format!(
                 "jobs done ({}) + dropped ({}) != stream ({})",
                 self.jobs_done,
                 self.jobs_dropped,
-                self.jobs.len()
+                self.stream.len()
             ));
         }
-        for (i, j) in self.jobs.iter().enumerate() {
-            if !j.done && !j.dropped {
-                msgs.push(format!("job {i} neither completed nor dropped"));
-                break; // one witness is enough
-            }
+        // one witness is enough: the window's front is its oldest
+        if let Some(i) = self.jobs.oldest_unfinished() {
+            msgs.push(format!("job {i} neither completed nor dropped"));
         }
 
         for m in msgs {

@@ -27,7 +27,7 @@
 //! and the 10-second monitoring tick that drives proactive provisioning
 //! (Algorithm 1 e), idle reclamation and energy sampling.
 
-use crate::accounting::{build_stages, container_view, AppRuntime, JobState};
+use crate::accounting::{build_stages, container_view, AppRuntime, JobWindow};
 use crate::audit::AuditLog;
 use crate::cluster::Cluster;
 use crate::config::{
@@ -55,7 +55,7 @@ pub use crate::accounting::window_max_series;
 pub struct Simulation<'a> {
     pub(crate) cfg: SimConfig,
     pub(crate) stream: &'a JobStream,
-    pub(crate) queue: EventQueue,
+    pub(crate) queue: EventQueue<'a>,
     pub(crate) rng: StdRng,
     /// Separate RNG for fault draws, so the workload's stochastic path
     /// (exec jitter, early exits) is bit-identical with and without an
@@ -69,7 +69,8 @@ pub struct Simulation<'a> {
     /// Static per-(tenant, app) routing, indexed by
     /// [`app_index`](crate::accounting::app_index).
     pub(crate) apps: Vec<Option<AppRuntime>>,
-    pub(crate) jobs: Vec<JobState>,
+    /// Live jobs by stream index (arrived, not yet completed or dropped).
+    pub(crate) jobs: JobWindow,
     /// The policy object whose decision hooks drive all scaling.
     pub(crate) rm: Box<dyn ResourceManager>,
     /// Per-node set of microservice images already pulled (layer cache).
@@ -209,20 +210,6 @@ impl<'a> Simulation<'a> {
             .iter()
             .map(|s| stream.mix().stage_share(s.microservice))
             .collect();
-        let jobs = stream
-            .iter()
-            .enumerate()
-            .map(|(i, j)| JobState {
-                app: j.app,
-                tenant: i % cfg.tenants,
-                submitted: j.arrival,
-                input_scale: j.input_scale,
-                stage_pos: 0,
-                breakdown: Default::default(),
-                done: false,
-                dropped: false,
-            })
-            .collect();
         let slo = SloAccountant::new(cfg.slo);
         let slo_whole_run = SloAccountant::new(cfg.slo);
         let trace = SimTrace::new(cfg.trace.capacity);
@@ -235,7 +222,7 @@ impl<'a> Simulation<'a> {
             stages,
             mix_share,
             apps,
-            jobs,
+            jobs: JobWindow::default(),
             rm,
             image_cache: vec![std::collections::BTreeSet::new(); cfg.cluster.nodes],
             sampler: WindowSampler::paper_default(),
@@ -311,13 +298,12 @@ impl<'a> Simulation<'a> {
         self.stage_views = views;
         self.decisions = out;
 
-        // arrivals are a static, time-ordered run: the queue stores them
-        // as one sorted slab read through a cursor (O(1) per event)
-        // instead of heaping the entire stream up front
-        for (i, job) in self.stream.iter().enumerate() {
-            self.queue
-                .preload_arrival(job.arrival, Event::JobArrival { job: i });
-        }
+        // arrivals are a static, time-ordered run: the queue reads them
+        // from the stream through a cursor (O(1) per event) instead of
+        // heaping or copying the stream. Attached here, after the startup
+        // decisions and before the first ticks, arrival `i` takes the
+        // sequence number it would take if scheduled here one by one.
+        self.queue.attach_arrivals(self.stream.jobs());
         if !self.stream.is_empty() {
             if self.rm.wants_reactive_ticks() {
                 self.queue
@@ -451,6 +437,7 @@ impl<'a> Simulation<'a> {
 
     fn on_arrival(&mut self, job: usize, now: SimTime) {
         self.jobs_arrived += 1;
+        self.jobs.open(job);
         self.sampler.record_arrival(now);
         self.enqueue_current_stage(job, now);
     }
@@ -462,13 +449,12 @@ impl<'a> Simulation<'a> {
 
     fn enqueue_current_stage(&mut self, job: usize, now: SimTime) {
         let app = self.route(job);
-        let j = &self.jobs[job];
-        let pos = j.stage_pos;
+        let pos = self.jobs[job].stage_pos;
         let sidx = app.stage_at[pos];
         let task = StageTask {
             job,
             enqueued: now,
-            job_deadline: j.submitted + self.cfg.slo,
+            job_deadline: self.request(job).arrival + self.cfg.slo,
             remaining_work: app.remaining_work[pos],
             retries: 0,
         };
@@ -514,13 +500,10 @@ impl<'a> Simulation<'a> {
         self.store.access(StoreOp::JobStats);
 
         // advance the job along its chain
-        let (app, num_stages, overhead) = {
+        let request = self.request(task.job);
+        let (num_stages, overhead) = {
             let route = self.route(task.job);
-            (
-                self.jobs[task.job].app,
-                route.plan.num_stages(),
-                route.transition_overhead,
-            )
+            (route.plan.num_stages(), route.transition_overhead)
         };
         let j = &mut self.jobs[task.job];
         j.stage_pos += 1;
@@ -534,15 +517,17 @@ impl<'a> Simulation<'a> {
             j.stage_pos = num_stages;
         }
         if j.stage_pos >= num_stages {
-            j.done = true;
-            let warmup_job = j.submitted < SimTime::ZERO + self.cfg.warmup;
+            let breakdown = j.breakdown;
+            self.jobs.finish(task.job);
+            let submitted = request.arrival;
+            let warmup_job = submitted < SimTime::ZERO + self.cfg.warmup;
             let record = RequestRecord {
                 job_id: task.job as u64,
-                app: app.name(),
-                submitted: j.submitted,
+                app: request.app.name(),
+                submitted,
                 completed: now,
-                breakdown: j.breakdown,
-                slo_violated: now.saturating_since(j.submitted) > self.cfg.slo,
+                breakdown,
+                slo_violated: now.saturating_since(submitted) > self.cfg.slo,
             };
             self.slo_whole_run.observe_record(&record);
             if !warmup_job {

@@ -2,25 +2,28 @@
 //! deterministic tie-break sequence number.
 //!
 //! [`EventQueue`] keeps its pending set in two parts. The job stream's
-//! arrivals are known up front and already time-ordered, so they are
-//! preloaded into one contiguous slab and read through a cursor — the
-//! bulk of a replay never touches a heap. Everything scheduled at run
-//! time (stage hand-offs, warm-ups, task finishes, ticks, faults) goes
-//! into one binary heap. [`EventQueue::pop`] commits the smaller
-//! `(time, seq)` of the two heads.
+//! arrivals are known up front and already time-ordered, so the queue
+//! reads them straight from the stream through a cursor — the bulk of a
+//! replay never touches a heap, and no copy of the stream is made.
+//! Everything scheduled at run time (stage hand-offs, warm-ups, task
+//! finishes, ticks, faults) goes into one binary heap.
+//! [`EventQueue::pop`] commits the smaller `(time, seq)` of the two heads.
 //!
-//! Sequence numbers come from one counter in schedule-call order, so
-//! simultaneous events commit in insertion order and the committed
-//! sequence is exactly the one a single heap over every event would
-//! produce (see DESIGN.md §12).
+//! Sequence numbers come from one counter in schedule-call order (the
+//! arrival run reserves one per job when it is attached), so simultaneous
+//! events commit in insertion order and the committed sequence is exactly
+//! the one a single heap over every event would produce (see DESIGN.md
+//! §12).
 
 use crate::fault::FaultKind;
 use fifer_metrics::SimTime;
+use fifer_workloads::JobRequest;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Events the simulator processes. Variants carry indices into the
-/// driver's tables rather than references, keeping the queue `'static`.
+/// Events the simulator processes. Variants carry indices (stream
+/// indices for jobs, ids for containers and nodes) rather than
+/// references, keeping events `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// Job `job` (index into the stream) arrives at the front door.
@@ -86,7 +89,7 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The event queue plus simulation clock: a pre-sorted arrival slab read
+/// The event queue plus simulation clock: the job stream's arrivals read
 /// by cursor, and one heap for run-time schedules.
 ///
 /// # Example
@@ -94,9 +97,16 @@ impl PartialOrd for Scheduled {
 /// ```
 /// use fifer_sim::engine::{Event, EventQueue};
 /// use fifer_metrics::SimTime;
+/// use fifer_workloads::{Application, JobRequest};
 ///
+/// let jobs = [JobRequest {
+///     id: 0,
+///     app: Application::Ipa,
+///     arrival: SimTime::from_secs(1),
+///     input_scale: 1.0,
+/// }];
 /// let mut q = EventQueue::new();
-/// q.preload_arrival(SimTime::from_secs(1), Event::JobArrival { job: 0 });
+/// q.attach_arrivals(&jobs);
 /// q.schedule(SimTime::from_secs(2), Event::ReactiveTick);
 /// q.schedule(SimTime::from_secs(1), Event::MonitorTick);
 /// // equal times commit in schedule order: the arrival was first
@@ -106,20 +116,22 @@ impl PartialOrd for Scheduled {
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug, Default)]
-pub struct EventQueue {
-    /// Preloaded arrivals, sorted by `(time, seq)`; `arrivals[cursor..]`
-    /// are still pending.
-    arrivals: Vec<Scheduled>,
+pub struct EventQueue<'a> {
+    /// The attached arrival run, in arrival order; `arrivals[cursor..]`
+    /// are still pending. Job `i` arrives with sequence number
+    /// `arrival_seq + i`.
+    arrivals: &'a [JobRequest],
     cursor: usize,
+    arrival_seq: u64,
     /// Everything scheduled through [`Self::schedule`].
     heap: BinaryHeap<Scheduled>,
     next_seq: u64,
     now: SimTime,
-    /// Set by the first [`Self::pop`]; arrival preloads are refused after.
+    /// Set by the first [`Self::pop`]; an arrival run is refused after.
     draining: bool,
 }
 
-impl EventQueue {
+impl<'a> EventQueue<'a> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         Self::default()
@@ -130,26 +142,31 @@ impl EventQueue {
         self.now
     }
 
-    /// Appends one event to the arrival slab. Only valid before the first
-    /// [`Self::pop`], and calls must come in non-decreasing time order
-    /// (job streams are arrival-ordered); together with the rising
-    /// sequence counter that keeps the slab sorted by `(time, seq)`.
+    /// Attaches the job stream's arrivals: job `i` of `jobs` arrives as
+    /// [`Event::JobArrival`]` { job: i }` at its `arrival` time. The run
+    /// takes the next `jobs.len()` sequence numbers in one step, exactly
+    /// as scheduling each arrival here in order would.
     ///
     /// # Panics
     ///
-    /// Panics if called after draining started or out of time order.
-    pub fn preload_arrival(&mut self, at: SimTime, event: Event) {
-        assert!(!self.draining, "arrival preload after draining started");
+    /// Panics if a run is already attached, if draining started, or if
+    /// `jobs` is not in non-decreasing arrival order.
+    pub fn attach_arrivals(&mut self, jobs: &'a [JobRequest]) {
         assert!(
-            self.arrivals.last().is_none_or(|p| p.at <= at),
-            "arrival preload out of time order"
+            !self.draining,
+            "arrival run attached after draining started"
         );
-        self.arrivals.push(Scheduled {
-            at,
-            seq: self.next_seq,
-            event,
-        });
-        self.next_seq += 1;
+        assert!(
+            self.arrivals.is_empty(),
+            "an arrival run is already attached"
+        );
+        assert!(
+            jobs.is_sorted_by_key(|j| j.arrival),
+            "arrival run out of time order"
+        );
+        self.arrivals = jobs;
+        self.arrival_seq = self.next_seq;
+        self.next_seq += jobs.len() as u64;
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -168,25 +185,30 @@ impl EventQueue {
         self.next_seq += 1;
     }
 
-    /// Pops the earliest event — the smaller `(time, seq)` of the slab
-    /// and heap heads — advancing the clock to its time.
+    /// Pops the earliest event — the smaller `(time, seq)` of the arrival
+    /// run's and the heap's heads — advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.draining = true;
-        let from_slab = match (self.arrivals.get(self.cursor), self.heap.peek()) {
-            (Some(a), Some(h)) => a.key() < h.key(),
+        let job = self.cursor;
+        let arrival = self
+            .arrivals
+            .get(job)
+            .map(|j| (j.arrival, self.arrival_seq + job as u64));
+        let from_arrivals = match (arrival, self.heap.peek()) {
+            (Some(a), Some(h)) => a < h.key(),
             (Some(_), None) => true,
             (None, _) => false,
         };
-        let s = if from_slab {
-            let s = self.arrivals[self.cursor];
+        let (at, event) = if from_arrivals {
             self.cursor += 1;
-            s
+            (self.arrivals[job].arrival, Event::JobArrival { job })
         } else {
-            self.heap.pop()?
+            let s = self.heap.pop()?;
+            (s.at, s.event)
         };
-        debug_assert!(s.at >= self.now, "queue yielded an out-of-order event");
-        self.now = s.at;
-        Some((s.at, s.event))
+        debug_assert!(at >= self.now, "queue yielded an out-of-order event");
+        self.now = at;
+        Some((at, event))
     }
 
     /// Number of pending events.
@@ -203,9 +225,24 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fifer_workloads::Application;
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// Jobs arriving at `times` seconds.
+    fn jobs(times: &[u64]) -> Vec<JobRequest> {
+        times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| JobRequest {
+                id: i as u64,
+                app: Application::Ipa,
+                arrival: secs(t),
+                input_scale: 1.0,
+            })
+            .collect()
     }
 
     #[test]
@@ -220,27 +257,29 @@ mod tests {
 
     #[test]
     fn simultaneous_events_keep_insertion_order() {
+        let run = jobs(&[1, 1]);
         let mut q = EventQueue::new();
-        q.schedule(secs(1), Event::JobArrival { job: 1 });
-        q.preload_arrival(secs(1), Event::JobArrival { job: 2 });
-        q.schedule(secs(1), Event::JobArrival { job: 3 });
-        q.preload_arrival(secs(1), Event::JobArrival { job: 4 });
-        let jobs: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::JobArrival { job } => job,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(jobs, vec![1, 2, 3, 4]);
+        q.schedule(secs(1), Event::ReactiveTick);
+        q.attach_arrivals(&run);
+        q.schedule(secs(1), Event::MonitorTick);
+        let events: Vec<Event> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            events,
+            vec![
+                Event::ReactiveTick,
+                Event::JobArrival { job: 0 },
+                Event::JobArrival { job: 1 },
+                Event::MonitorTick,
+            ]
+        );
     }
 
     #[test]
-    fn slab_and_heap_interleave_by_time() {
+    fn arrivals_and_heap_interleave_by_time() {
+        let run = jobs(&[1, 3, 5]);
         let mut q = EventQueue::new();
         q.schedule(secs(2), Event::MonitorTick);
-        for (job, t) in [1, 3, 5].into_iter().enumerate() {
-            q.preload_arrival(secs(t), Event::JobArrival { job });
-        }
+        q.attach_arrivals(&run);
         assert_eq!(q.pop().unwrap().0, secs(1));
         q.schedule(secs(4), Event::ReactiveTick);
         let order: Vec<SimTime> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();
@@ -276,9 +315,10 @@ mod tests {
 
     #[test]
     fn len_and_empty() {
+        let run = jobs(&[1]);
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.preload_arrival(secs(1), Event::JobArrival { job: 0 });
+        q.attach_arrivals(&run);
         q.schedule(secs(1), Event::MonitorTick);
         assert_eq!(q.len(), 2);
         q.pop();
@@ -289,28 +329,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "preload out of time order")]
-    fn out_of_order_preloads_panic() {
+    #[should_panic(expected = "run out of time order")]
+    fn out_of_order_arrivals_panic() {
+        let run = jobs(&[2, 1]);
         let mut q = EventQueue::new();
-        q.preload_arrival(secs(2), Event::JobArrival { job: 0 });
-        q.preload_arrival(secs(1), Event::JobArrival { job: 1 });
+        q.attach_arrivals(&run);
     }
 
     #[test]
-    #[should_panic(expected = "preload after draining")]
-    fn late_preloads_panic() {
+    #[should_panic(expected = "already attached")]
+    fn a_second_arrival_run_panics() {
+        let (a, b) = (jobs(&[1]), jobs(&[2]));
+        let mut q = EventQueue::new();
+        q.attach_arrivals(&a);
+        q.attach_arrivals(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "after draining started")]
+    fn late_arrival_runs_panic() {
+        let run = jobs(&[2]);
         let mut q = EventQueue::new();
         q.schedule(secs(1), Event::MonitorTick);
         q.pop();
-        q.preload_arrival(secs(2), Event::JobArrival { job: 0 });
+        q.attach_arrivals(&run);
     }
 
     #[test]
-    #[should_panic(expected = "preload after draining")]
-    fn preloads_after_an_empty_pop_panic() {
+    #[should_panic(expected = "after draining started")]
+    fn arrival_runs_after_an_empty_pop_panic() {
         // a pop that finds nothing still starts draining
+        let run = jobs(&[1]);
         let mut q = EventQueue::new();
         assert!(q.pop().is_none());
-        q.preload_arrival(secs(1), Event::JobArrival { job: 0 });
+        q.attach_arrivals(&run);
     }
 }

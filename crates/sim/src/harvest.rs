@@ -367,16 +367,13 @@ impl Simulation<'_> {
         for (i, t) in lost.into_iter().enumerate() {
             let interrupted = i == 0 && exec_until.is_some();
             let enqueued = if interrupted { now } else { t.enqueued };
-            let task = {
-                let j = &self.jobs[t.job];
-                StageTask {
-                    job: t.job,
-                    enqueued,
-                    job_deadline: j.submitted + self.cfg.slo,
-                    remaining_work: self.route(t.job).remaining_work[j.stage_pos],
-                    // preemption never charges the fault-retry budget
-                    retries: t.retries,
-                }
+            let task = StageTask {
+                job: t.job,
+                enqueued,
+                job_deadline: self.request(t.job).arrival + self.cfg.slo,
+                remaining_work: self.route(t.job).remaining_work[self.jobs[t.job].stage_pos],
+                // preemption never charges the fault-retry budget
+                retries: t.retries,
             };
             // raw push (not `requeue`): the stage's fault ledger and
             // arrival counters stay untouched — bound simply moves back to

@@ -261,15 +261,12 @@ impl Simulation<'_> {
         // books); a task that never started keeps its original enqueue
         // time, since its wait is only charged when it eventually starts
         let enqueued = if interrupted { now } else { t.enqueued };
-        let task = {
-            let j = &self.jobs[t.job];
-            StageTask {
-                job: t.job,
-                enqueued,
-                job_deadline: j.submitted + self.cfg.slo,
-                remaining_work: self.route(t.job).remaining_work[j.stage_pos],
-                retries,
-            }
+        let task = StageTask {
+            job: t.job,
+            enqueued,
+            job_deadline: self.request(t.job).arrival + self.cfg.slo,
+            remaining_work: self.route(t.job).remaining_work[self.jobs[t.job].stage_pos],
+            retries,
         };
         self.stages[sidx].requeue(task);
         self.pending_tasks += 1;
@@ -290,7 +287,7 @@ impl Simulation<'_> {
     /// produces no record; `jobs_dropped` keeps the drained-workload and
     /// conservation accounting honest.
     fn drop_job(&mut self, job: usize, now: SimTime, retries: u32) {
-        self.jobs[job].dropped = true;
+        self.jobs.finish(job);
         self.jobs_dropped += 1;
         self.trace.dropped_jobs += 1;
         self.trace.record(|| SimEvent::JobDropped {

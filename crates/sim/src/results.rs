@@ -1,7 +1,8 @@
 //! Everything the experiment harness needs from one simulation run.
 
 use fifer_metrics::breakdown::BreakdownSummary;
-use fifer_metrics::{RequestRecord, SimTime, SloAccountant, TimeSeries};
+use fifer_metrics::percentile::sorted_percentile;
+use fifer_metrics::{RequestRecord, SimDuration, SimTime, SloAccountant, TimeSeries};
 use fifer_workloads::Microservice;
 use std::collections::BTreeMap;
 
@@ -156,12 +157,33 @@ impl SimResult {
 
     /// Median end-to-end latency in ms.
     pub fn median_latency_ms(&self) -> f64 {
-        self.breakdown_summary().total_percentile_ms(50.0)
+        let [p50] = self.latency_percentiles_ms([50.0]);
+        p50
     }
 
     /// P99 end-to-end latency in ms.
     pub fn p99_latency_ms(&self) -> f64 {
-        self.breakdown_summary().total_percentile_ms(99.0)
+        let [p99] = self.latency_percentiles_ms([99.0]);
+        p99
+    }
+
+    /// End-to-end latency percentiles in ms over the records, from one
+    /// exact-size vector of integer-µs totals sorted once. Converting µs
+    /// to ms is monotone, so the picked values equal
+    /// [`BreakdownSummary::total_percentile_ms`]'s bit for bit without its
+    /// four sample vectors.
+    fn latency_percentiles_ms<const N: usize>(&self, ps: [f64; N]) -> [f64; N] {
+        let mut totals: Vec<u64> = self
+            .records
+            .iter()
+            .map(|r| r.breakdown.total().as_micros())
+            .collect();
+        totals.sort_unstable();
+        ps.map(|p| {
+            sorted_percentile(totals.len(), p, |i| {
+                SimDuration::from_micros(totals[i]).as_millis_f64()
+            })
+        })
     }
 
     /// Mean requests-per-container across stages (weighted by containers).
@@ -432,11 +454,12 @@ pub struct Headline {
 impl SimResult {
     /// Computes the headline scalar summary.
     pub fn headline(&self) -> Headline {
+        let [median_ms, p99_ms] = self.latency_percentiles_ms([50.0, 99.0]);
         Headline {
             slo_violations: self.slo_violation_fraction(),
             avg_containers: self.avg_live_containers(),
-            median_ms: self.median_latency_ms(),
-            p99_ms: self.p99_latency_ms(),
+            median_ms,
+            p99_ms,
             cold_starts: self.total_spawns,
             energy_joules: self.energy_joules,
         }
@@ -562,6 +585,63 @@ mod tests {
         assert_eq!(h.cold_starts, 3);
         assert_eq!(h.median_ms, 150.0);
         assert!(h.avg_containers > 0.0);
+    }
+
+    /// `mk_result` with one record per end-to-end latency in `totals_us`,
+    /// each split unevenly over the three breakdown components.
+    fn with_totals(totals_us: &[u64]) -> SimResult {
+        let mut r = mk_result();
+        r.records = totals_us
+            .iter()
+            .enumerate()
+            .map(|(i, &us)| {
+                let breakdown = LatencyBreakdown {
+                    exec: SimDuration::from_micros(us / 2),
+                    cold_start: SimDuration::from_micros(us / 7),
+                    queuing: SimDuration::from_micros(us - us / 2 - us / 7),
+                };
+                RequestRecord {
+                    job_id: i as u64,
+                    app: "IPA",
+                    submitted: SimTime::ZERO,
+                    completed: SimTime::ZERO + breakdown.total(),
+                    breakdown,
+                    slo_violated: false,
+                }
+            })
+            .collect();
+        r
+    }
+
+    #[test]
+    fn headline_percentiles_match_the_breakdown_summary() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut cases: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![150_000],
+            vec![2_000_001, 99_999],
+            vec![7_000; 5],                          // all tied
+            vec![3_000, 1_000, 2_000, 1_000, 3_000], // odd count with ties
+            vec![4_000, 1_001, 3_333, 2_000],        // even count
+        ];
+        for n in [3, 10, 100, 101, 1_000, 4_097] {
+            cases.push((0..n).map(|_| rng.gen_range(0..5_000_000)).collect());
+            // a narrow range forces ties at the picked ranks
+            cases.push((0..n).map(|_| rng.gen_range(0..20)).collect());
+        }
+        for totals in &cases {
+            let r = with_totals(totals);
+            let mut summary = r.breakdown_summary();
+            let p50 = summary.total_percentile_ms(50.0);
+            let p99 = summary.total_percentile_ms(99.0);
+            let h = r.headline();
+            let n = totals.len();
+            assert_eq!(h.median_ms, p50, "median over {n} records");
+            assert_eq!(h.p99_ms, p99, "p99 over {n} records");
+            assert_eq!(r.median_latency_ms(), p50, "median getter over {n} records");
+            assert_eq!(r.p99_latency_ms(), p99, "p99 getter over {n} records");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Steady-state allocation test for the event queue: once the first
 //! round of a replay has grown the run-time heap to its high-water
-//! capacity, further identically-shaped rounds — arrival-slab pops,
+//! capacity, further identically-shaped rounds — arrival-run pops,
 //! heap pushes at `now` and in the future, heap pops, a recurring tick —
 //! must not touch the allocator at all. A counting global allocator makes
 //! any regression an exact, reproducible failure.
@@ -11,6 +11,7 @@
 
 use fifer_metrics::{SimDuration, SimTime};
 use fifer_sim::engine::{Event, EventQueue};
+use fifer_workloads::{Application, JobRequest};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -79,15 +80,21 @@ fn drain(q: &mut EventQueue, until: SimTime) {
 
 #[test]
 fn steady_state_rounds_do_not_allocate() {
+    let jobs: Vec<JobRequest> = (0..ROUNDS)
+        .flat_map(|r| {
+            (0..ARRIVALS_PER_ROUND)
+                .map(move |j| SimTime::ZERO + ROUND * r + SimDuration::from_micros(100 * j))
+        })
+        .enumerate()
+        .map(|(id, arrival)| JobRequest {
+            id: id as u64,
+            app: Application::Ipa,
+            arrival,
+            input_scale: 1.0,
+        })
+        .collect();
     let mut q = EventQueue::new();
-    let mut job = 0usize;
-    for r in 0..ROUNDS {
-        for j in 0..ARRIVALS_PER_ROUND {
-            let at = SimTime::ZERO + ROUND * r + SimDuration::from_micros(100 * j);
-            q.preload_arrival(at, Event::JobArrival { job });
-            job += 1;
-        }
-    }
+    q.attach_arrivals(&jobs);
     q.schedule(SimTime::from_millis(500), Event::MonitorTick);
 
     drain(&mut q, SimTime::ZERO + ROUND); // warm-up: round 0 grows the heap

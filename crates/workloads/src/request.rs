@@ -40,9 +40,10 @@ impl JobStream {
     pub const MAX_HORIZON: SimDuration = SimDuration::from_secs(30 * 24 * 3600);
 
     /// The most jobs a generated stream may hold (`--rate × --secs`):
-    /// 5 × 10^7. Streams are materialized before replay, and at about 200
-    /// bytes of replay state per job this is already ~10 GB, so a larger
-    /// request is rejected instead of filling memory.
+    /// 5 × 10^7. Streams are materialized before replay, and at about 100
+    /// bytes per job (the stream itself and one record per measured job)
+    /// this is already ~5 GB, so a larger request is rejected instead of
+    /// filling memory.
     pub const MAX_JOBS: u64 = 50_000_000;
 
     /// Builds a stream by sampling arrivals from `trace` over `duration`

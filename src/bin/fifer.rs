@@ -8,11 +8,51 @@
 //! fifer --rm harvest --trace wiki --secs 1800    # idle-resource harvesting on
 //! fifer --rm hybridhist --workload azure         # keep-alive policy on the Azure family
 //! ```
+//!
+//! Exit status: 0 on success, 1 on an I/O or workload error, 2 on a usage
+//! error, 3 when the auditor found invariant violations, and 141 when the
+//! reader of stdout went away early (`fifer … | head`), the status a shell
+//! reports for a producer stopped by `SIGPIPE`.
 
 use fifer::prelude::*;
 use fifer::sim::driver::window_max_series;
 use fifer::workloads::io as wio;
+use std::io::{self, Write};
 use std::process::exit;
+
+/// The flags that shape a generated stream; a replayed file fixes all of
+/// them, so none may be combined with `--replay`.
+const STREAM_FLAGS: [&str; 8] = [
+    "--workload",
+    "--apps",
+    "--tail-exp",
+    "--trigger-mix",
+    "--trace",
+    "--mix",
+    "--rate",
+    "--secs",
+];
+
+/// Writes one line of the report to stdout, ending the run through
+/// [`stdout_failed`] if it cannot.
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {
+        if let Err(e) = writeln!($out, $($arg)*) {
+            stdout_failed(e)
+        }
+    };
+}
+
+/// Ends the run when the report cannot be written. A reader that closed
+/// the pipe early is not worth a message: the run stops quietly with
+/// status 141. Any other write error is reported and exits 1.
+fn stdout_failed(e: io::Error) -> ! {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        exit(141)
+    }
+    eprintln!("error: cannot write to stdout: {e}");
+    exit(1)
+}
 
 #[derive(Debug, Clone)]
 struct Args {
@@ -63,7 +103,10 @@ fn usage() -> ! {
          --large                                   use the large-scale cluster (16 nodes)\n\
          --early-exit <p>                          dynamic-chain early-exit probability\n\
          --tenants <n>                             isolated tenants sharing the cluster (default 1)\n\
-         --replay <file.csv>                       replay a saved workload instead of a trace\n\
+         --replay <file.csv>                       replay a saved workload instead of a trace; the\n\
+                                                   file fixes the workload, so --workload, --apps,\n\
+                                                   --tail-exp, --trigger-mix, --trace, --mix, --rate\n\
+                                                   and --secs are rejected with it\n\
          --save-workload <file.csv>                save the generated workload\n\
          --out <file.csv>                          write the summary row(s) as CSV\n\
          --json <file.json>                        dump the full SimResult of the last RM as JSON\n\
@@ -74,8 +117,12 @@ fn usage() -> ! {
                                                    a repeated (model, seed, series) run warm-starts\n\
                                                    from the cache with bit-identical forecasts\n\
          --online-retrain                          keep fine-tuning the neural predictor on the\n\
-                                                   observed rate tail during the run (paper §8)\n\
-         --audit                                   run the invariant auditor at every event commit"
+                                                   observed rate tail during the run (paper §8);\n\
+                                                   needs a forecasting RM (bpred, fifer or --compare)\n\
+         --audit                                   run the invariant auditor at every event commit\n\
+         \n\
+         exit status: 0 ok, 1 I/O or workload error, 2 usage error, 3 audit violations,\n\
+         141 stdout closed early"
     );
     exit(2)
 }
@@ -112,7 +159,11 @@ fn parse_args() -> Args {
         *i += 1;
         argv.get(*i).cloned().unwrap_or_else(|| usage())
     };
+    let mut stream_flag = None;
     while i < argv.len() {
+        if let Some(flag) = STREAM_FLAGS.iter().find(|&&f| f == argv[i]) {
+            stream_flag.get_or_insert(*flag);
+        }
         match argv[i].as_str() {
             "--rm" => {
                 args.rm = vec![match value(&mut i).to_lowercase().as_str() {
@@ -186,6 +237,18 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
+    // flags that would be silently ignored are usage errors
+    if let (Some(flag), Some(_)) = (stream_flag, &args.replay) {
+        eprintln!("error: {flag} cannot be combined with --replay: the file fixes the workload");
+        usage()
+    }
+    if args.online_retrain && !args.rm.iter().any(|k| k.config().is_proactive()) {
+        eprintln!(
+            "error: --online-retrain needs a forecasting RM (bpred, fifer or --compare); \
+             the selected RM has no predictor to retrain"
+        );
+        usage()
+    }
     if !(0.0..=1.0).contains(&args.early_exit) {
         eprintln!("error: --early-exit must be in [0, 1]");
         usage()
@@ -253,6 +316,7 @@ fn build_stream(args: &Args) -> JobStream {
 
 fn main() {
     let args = parse_args();
+    let mut out = io::stdout().lock();
     if let Some(path) = &args.decision_trace {
         // fail before the replay, not after it; the run rewrites the file
         if let Err(e) = std::fs::File::create(path) {
@@ -270,7 +334,7 @@ fn main() {
             eprintln!("error: cannot save workload to {path}: {e}");
             exit(1);
         }
-        println!("saved {} jobs to {path}", stream.len());
+        say!(out, "saved {} jobs to {path}", stream.len());
     }
     let secs = args
         .replay
@@ -286,15 +350,24 @@ fn main() {
     let avg_rate = stream.len() as f64 / secs as f64;
     let warmup = args.warmup.unwrap_or(secs / 6);
 
-    println!(
+    say!(
+        out,
         "workload: {} jobs over {secs}s (avg {avg_rate:.1} req/s), mix {}, seed {}\n",
         stream.len(),
         stream.mix(),
         args.seed
     );
-    println!(
+    say!(
+        out,
         "{:>7}  {:>10}  {:>8}  {:>10}  {:>9}  {:>8}  {:>7}  {:>9}",
-        "rm", "slo_viol%", "steady%", "containers", "median_ms", "p99_ms", "spawns", "energy_kJ"
+        "rm",
+        "slo_viol%",
+        "steady%",
+        "containers",
+        "median_ms",
+        "p99_ms",
+        "spawns",
+        "energy_kJ"
     );
     let mut csv = String::from(
         "rm,slo_violations_whole,slo_violations_steady,avg_containers,median_ms,p99_ms,spawns,energy_kj\n",
@@ -341,9 +414,12 @@ fn main() {
         }
         let (sim, warm) = Simulation::new_served(cfg, &stream, cache.as_ref());
         match warm {
-            WarmStart::Warm => println!("{kind}: predictor warm-started from model cache"),
+            WarmStart::Warm => say!(out, "{kind}: predictor warm-started from model cache"),
             WarmStart::Cold if cache.is_some() => {
-                println!("{kind}: predictor trained cold, checkpoint stored to model cache")
+                say!(
+                    out,
+                    "{kind}: predictor trained cold, checkpoint stored to model cache"
+                )
             }
             _ => {}
         }
@@ -355,29 +431,33 @@ fn main() {
                 exit(1);
             }
         }
-        println!(
+        // one headline per RM: its latencies are sorted once for both rows
+        let h = r.headline();
+        say!(
+            out,
             "{:>7}  {:>10.2}  {:>8.2}  {:>10.1}  {:>9.0}  {:>8.0}  {:>7}  {:>9.1}",
             kind.to_string(),
             r.slo_whole_run.violation_fraction() * 100.0,
-            r.slo_violation_fraction() * 100.0,
-            r.avg_live_containers(),
-            r.median_latency_ms(),
-            r.p99_latency_ms(),
-            r.total_spawns,
-            r.energy_joules / 1e3,
+            h.slo_violations * 100.0,
+            h.avg_containers,
+            h.median_ms,
+            h.p99_ms,
+            h.cold_starts,
+            h.energy_joules / 1e3,
         );
         csv.push_str(&format!(
             "{},{:.6},{:.6},{:.2},{:.1},{:.1},{},{:.1}\n",
             kind,
             r.slo_whole_run.violation_fraction(),
-            r.slo_violation_fraction(),
-            r.avg_live_containers(),
-            r.median_latency_ms(),
-            r.p99_latency_ms(),
-            r.total_spawns,
-            r.energy_joules / 1e3,
+            h.slo_violations,
+            h.avg_containers,
+            h.median_ms,
+            h.p99_ms,
+            h.cold_starts,
+            h.energy_joules / 1e3,
         ));
-        println!(
+        say!(
+            out,
             "         utilization: {:.2} core-h allocated, {:.2} used, {:.2} wasted{}",
             r.alloc_core_hours,
             r.used_core_hours,
@@ -392,7 +472,8 @@ fn main() {
             }
         );
         if args.faults.is_active() {
-            println!(
+            say!(
+                out,
                 "         faults: {} container failures, {} tasks crashed, \
                  {} requeued, {} jobs dropped, {} node outages",
                 r.container_failures,
@@ -404,7 +485,11 @@ fn main() {
         }
         if args.audit {
             if r.audit_violations.is_empty() {
-                println!("         audit: {} checks, no violations", r.audit_checks);
+                say!(
+                    out,
+                    "         audit: {} checks, no violations",
+                    r.audit_checks
+                );
             } else {
                 audit_failed = true;
                 eprintln!(
@@ -423,7 +508,10 @@ fn main() {
             eprintln!("error: cannot write {path}: {e}");
             exit(1);
         }
-        println!("\nsummary written to {path}");
+        say!(out, "\nsummary written to {path}");
+    }
+    if let Err(e) = out.flush() {
+        stdout_failed(e)
     }
     if audit_failed {
         exit(3);

@@ -369,6 +369,12 @@ fn out_of_range_inputs_are_named_errors() {
             2,
             "--rate × --secs must be",
         ),
+        // only proactive scaling has a predictor to retrain
+        (
+            &["--online-retrain"],
+            2,
+            "--online-retrain needs a forecasting RM",
+        ),
     ] {
         let out = fifer()
             .args(["--rm", "bline", "--secs", "10"])
@@ -379,6 +385,70 @@ fn out_of_range_inputs_are_named_errors() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(message), "{args:?}: {err}");
     }
+}
+
+#[test]
+fn stream_flags_under_replay_are_named_errors() {
+    // the replayed file fixes the workload: a flag that would shape a
+    // generated stream is refused instead of silently ignored
+    for args in [
+        &["--mix", "light"][..],
+        &["--trace", "wits"],
+        &["--workload", "azure"],
+        &["--rate", "10"],
+        &["--secs", "60"],
+        &["--apps", "8"],
+        &["--tail-exp", "1.1"],
+        &["--trigger-mix", "40,30,20,10"],
+    ] {
+        let out = fifer()
+            .args(["--rm", "bline", "--replay", "wl.csv"])
+            .args(args)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let named = format!("error: {} cannot be combined with --replay", args[0]);
+        assert!(err.contains(&named), "{args:?}: {err}");
+    }
+    let help = fifer().arg("--help").output().expect("spawn");
+    let usage = String::from_utf8_lossy(&help.stderr);
+    assert!(usage.contains("are rejected with it"), "{usage}");
+    assert!(usage.contains("needs a forecasting RM"), "{usage}");
+}
+
+#[test]
+fn closed_stdout_is_a_quiet_exit() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = fifer()
+        .args([
+            "--rm",
+            "bline",
+            "--rate",
+            "10",
+            "--secs",
+            "120",
+            "--seed",
+            "3",
+            "--compare",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut first = String::new();
+    // the reader is dropped at the end of the statement, closing the pipe
+    // long before the first RM's row is written
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(first.starts_with("workload:"), "{first}");
+    let out = child.wait_with_output().expect("wait");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(141), "{err}");
 }
 
 #[test]

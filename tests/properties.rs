@@ -3,6 +3,7 @@
 
 use fifer::prelude::*;
 use fifer::sim::engine::{Event, EventQueue};
+use fifer::workloads::JobRequest;
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -485,7 +486,7 @@ proptest! {
 }
 
 /// The plain-heap oracle: one binary heap over every event keyed by
-/// `(time, seq)`, with preloads treated as ordinary schedules. Its pop
+/// `(time, seq)`, with arrivals treated as ordinary schedules. Its pop
 /// order is the commit order the simulator's event queue must replay.
 #[derive(Default)]
 struct HeapOracle {
@@ -516,10 +517,11 @@ fn arbitrary_delay_us() -> impl Strategy<Value = u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The event queue (arrival slab plus heap) pops exactly the sequence
-    /// the plain-heap oracle pops: random preload runs with tied arrival
+    /// The event queue (arrival run plus heap) pops exactly the sequence
+    /// the plain-heap oracle pops: random arrival runs with tied arrival
     /// times, startup schedules before them, tick schedules after them,
     /// and run-time schedules at `now` and in the future while draining.
+    /// The oracle schedules each arrival where the run is attached.
     /// `len` and `now` match the oracle after every step.
     #[test]
     fn event_queue_matches_the_plain_heap_oracle(
@@ -544,11 +546,22 @@ proptest! {
             schedule_both(&mut q, &mut oracle, SimTime::from_micros(t));
         }
         let mut at = 0u64;
-        for (job, &gap) in gaps.iter().enumerate() {
-            at += gap;
-            let e = Event::JobArrival { job };
-            q.preload_arrival(SimTime::from_micros(at), e);
-            oracle.schedule(SimTime::from_micros(at), e);
+        let arrivals: Vec<JobRequest> = gaps
+            .iter()
+            .enumerate()
+            .map(|(job, &gap)| {
+                at += gap;
+                JobRequest {
+                    id: job as u64,
+                    app: Application::Ipa,
+                    arrival: SimTime::from_micros(at),
+                    input_scale: 1.0,
+                }
+            })
+            .collect();
+        q.attach_arrivals(&arrivals);
+        for (job, j) in arrivals.iter().enumerate() {
+            oracle.schedule(j.arrival, Event::JobArrival { job });
         }
         for &t in &ticks {
             schedule_both(&mut q, &mut oracle, SimTime::from_micros(t));
