@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 /// Builds a column-aligned text table.
@@ -117,10 +117,20 @@ impl Table {
 ///
 /// Returns any I/O error from directory creation or the write.
 pub fn write_file<P: AsRef<Path>>(path: P, content: &str) -> io::Result<()> {
+    create_file(path)?.write_all(content.as_bytes())
+}
+
+/// Creates (or truncates) the file at `path` for writing, creating parent
+/// directories as needed.
+///
+/// # Errors
+///
+/// Returns any I/O error from directory or file creation.
+pub fn create_file<P: AsRef<Path>>(path: P) -> io::Result<fs::File> {
     if let Some(parent) = path.as_ref().parent() {
         fs::create_dir_all(parent)?;
     }
-    fs::write(path, content)
+    fs::File::create(path)
 }
 
 /// Formats one CSV line with minimal RFC-4180 quoting.

@@ -34,6 +34,8 @@ pub struct WindowSampler {
     history_windows: usize,
     /// 1-second cell counts, indexed by absolute second.
     cells: Vec<u32>,
+    /// Cells below this second are already zeroed by [`Self::compact`].
+    zeroed_to: usize,
 }
 
 impl WindowSampler {
@@ -55,6 +57,7 @@ impl WindowSampler {
             window,
             history_windows,
             cells: Vec::new(),
+            zeroed_to: 0,
         }
     }
 
@@ -97,27 +100,49 @@ impl WindowSampler {
         self.window_max_rates(now).into_iter().fold(0.0, f64::max)
     }
 
-    /// Drops cells older than the retained history before `now` to bound
-    /// memory on long simulations. Indices are preserved by zeroing rather
-    /// than shifting.
+    /// Zeroes the cells older than twice the retained history before
+    /// `now`. Indices are preserved by zeroing rather than shifting.
+    ///
+    /// Each cell is zeroed once: a call zeroes only the cells between the
+    /// previous call's cut and its own, so a tick costs O(new seconds), not
+    /// O(elapsed seconds). Arrivals are recorded at or after the latest
+    /// `now`, so no cell below the cut is counted again and the cells are
+    /// the same as zeroing from second 0 on every call.
     pub fn compact(&mut self, now: SimTime) {
-        let wsec = (self.window.as_micros() / 1_000_000) as usize;
-        let keep_from =
-            (now.as_secs_f64() as usize).saturating_sub(wsec * self.history_windows * 2);
-        for s in 0..keep_from.min(self.cells.len()) {
-            self.cells[s] = 0;
+        let cut = self.keep_from(now).min(self.cells.len());
+        if self.zeroed_to < cut {
+            self.cells[self.zeroed_to..cut].fill(0);
+            self.zeroed_to = cut;
         }
+    }
+
+    /// The first second [`Self::compact`] keeps at `now`.
+    fn keep_from(&self, now: SimTime) -> usize {
+        let wsec = (self.window.as_micros() / 1_000_000) as usize;
+        (now.as_secs_f64() as usize).saturating_sub(wsec * self.history_windows * 2)
     }
 
     /// Clears all recorded arrivals.
     pub fn clear(&mut self) {
         self.cells.clear();
+        self.zeroed_to = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl WindowSampler {
+        /// The compaction as a sweep from second 0 on every call: the
+        /// oracle for the watermark in [`WindowSampler::compact`].
+        fn compact_full_sweep(&mut self, now: SimTime) {
+            for s in 0..self.keep_from(now).min(self.cells.len()) {
+                self.cells[s] = 0;
+            }
+        }
+    }
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -200,6 +225,48 @@ mod tests {
         s.compact(secs(100));
         let after = s.window_max_rates(secs(100));
         assert_eq!(before, after);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random arrival, compaction and clear sequences, monotone in time
+        /// between clears, leave the same cells and window maxima as the
+        /// full-sweep compaction. Gaps up to 400 s let the cut outrun the
+        /// recorded cells.
+        #[test]
+        fn watermark_compaction_matches_the_full_sweep(
+            window_s in 1u64..8,
+            history in 1usize..25,
+            steps in prop::collection::vec((0u64..400_000, 0u8..20), 1..300),
+        ) {
+            let mut fast = WindowSampler::new(SimDuration::from_secs(window_s), history);
+            let mut oracle = fast.clone();
+            let mut now = SimTime::ZERO;
+            for (gap_ms, op) in steps {
+                // mostly short gaps, so arrivals bunch into shared cells
+                let gap = if op % 4 == 0 { gap_ms } else { gap_ms % 3_000 };
+                now += SimDuration::from_millis(gap);
+                match op {
+                    0..=13 => {
+                        fast.record_arrival(now);
+                        oracle.record_arrival(now);
+                    }
+                    14..=18 => {
+                        fast.compact(now);
+                        oracle.compact_full_sweep(now);
+                    }
+                    // a cleared sampler may start over from time zero
+                    _ => {
+                        fast.clear();
+                        oracle.clear();
+                        now = SimTime::ZERO;
+                    }
+                }
+                prop_assert_eq!(&fast.cells, &oracle.cells);
+                prop_assert_eq!(fast.window_max_rates(now), oracle.window_max_rates(now));
+            }
+        }
     }
 
     #[test]

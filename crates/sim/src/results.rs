@@ -5,6 +5,8 @@ use fifer_metrics::percentile::sorted_percentile;
 use fifer_metrics::{RequestRecord, SimDuration, SimTime, SloAccountant, TimeSeries};
 use fifer_workloads::Microservice;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
+use std::io;
 
 /// Per-stage aggregate counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -248,190 +250,202 @@ impl SimResult {
         }
     }
 
-    /// Serializes the full result as pretty-printed JSON.
+    /// Serializes the full result as pretty-printed JSON; the artifact
+    /// [`Self::write_json`] streams, collected into one `String`.
+    pub fn to_json(&self) -> String {
+        let mut o = Vec::with_capacity(4096 + self.records.len() * 96);
+        self.write_json(&mut o)
+            .expect("writing into a Vec cannot fail");
+        String::from_utf8(o).expect("the JSON writer emits UTF-8")
+    }
+
+    /// Writes the full result as pretty-printed JSON to `w`, field by field
+    /// and record by record, so the artifact is never held in memory whole
+    /// (wrap a file in a `BufWriter`).
     ///
     /// Written by hand: the workspace has no serialization dependency (the
     /// build environment has no crates.io access). Times are emitted in
     /// integer microseconds (`*_us`) — the simulator's native resolution —
     /// so the artifact round-trips losslessly.
-    pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096 + self.records.len() * 96);
-        o.push_str("{\n");
-        o.push_str(&format!(
-            "  \"horizon_us\": {},\n",
-            self.horizon.as_micros()
-        ));
-        o.push_str(&format!("  \"warmup_us\": {},\n", self.warmup.as_micros()));
-        o.push_str(&format!("  \"total_spawns\": {},\n", self.total_spawns));
-        o.push_str(&format!(
-            "  \"blocking_cold_starts\": {},\n",
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `w` reports.
+    pub fn write_json(&self, w: &mut impl io::Write) -> io::Result<()> {
+        writeln!(w, "{{")?;
+        writeln!(w, "  \"horizon_us\": {},", self.horizon.as_micros())?;
+        writeln!(w, "  \"warmup_us\": {},", self.warmup.as_micros())?;
+        writeln!(w, "  \"total_spawns\": {},", self.total_spawns)?;
+        writeln!(
+            w,
+            "  \"blocking_cold_starts\": {},",
             self.blocking_cold_starts
-        ));
-        o.push_str(&format!("  \"failed_spawns\": {},\n", self.failed_spawns));
-        o.push_str(&format!(
-            "  \"container_failures\": {},\n",
-            self.container_failures
-        ));
-        o.push_str(&format!("  \"tasks_crashed\": {},\n", self.tasks_crashed));
-        o.push_str(&format!("  \"tasks_requeued\": {},\n", self.tasks_requeued));
-        o.push_str(&format!("  \"jobs_dropped\": {},\n", self.jobs_dropped));
-        o.push_str(&format!("  \"node_outages\": {},\n", self.node_outages));
-        o.push_str(&format!(
-            "  \"alloc_core_hours\": {},\n",
-            json_f64(self.alloc_core_hours)
-        ));
-        o.push_str(&format!(
-            "  \"used_core_hours\": {},\n",
-            json_f64(self.used_core_hours)
-        ));
-        o.push_str(&format!(
-            "  \"harvested_core_hours\": {},\n",
-            json_f64(self.harvested_core_hours)
-        ));
-        o.push_str(&format!("  \"harvest_spawns\": {},\n", self.harvest_spawns));
-        o.push_str(&format!("  \"leases_created\": {},\n", self.leases_created));
-        o.push_str(&format!("  \"leases_ended\": {},\n", self.leases_ended));
-        o.push_str(&format!(
-            "  \"lease_parts_reclaimed\": {},\n",
+        )?;
+        writeln!(w, "  \"failed_spawns\": {},", self.failed_spawns)?;
+        writeln!(w, "  \"container_failures\": {},", self.container_failures)?;
+        writeln!(w, "  \"tasks_crashed\": {},", self.tasks_crashed)?;
+        writeln!(w, "  \"tasks_requeued\": {},", self.tasks_requeued)?;
+        writeln!(w, "  \"jobs_dropped\": {},", self.jobs_dropped)?;
+        writeln!(w, "  \"node_outages\": {},", self.node_outages)?;
+        writeln!(
+            w,
+            "  \"alloc_core_hours\": {},",
+            JsonF64(self.alloc_core_hours)
+        )?;
+        writeln!(
+            w,
+            "  \"used_core_hours\": {},",
+            JsonF64(self.used_core_hours)
+        )?;
+        writeln!(
+            w,
+            "  \"harvested_core_hours\": {},",
+            JsonF64(self.harvested_core_hours)
+        )?;
+        writeln!(w, "  \"harvest_spawns\": {},", self.harvest_spawns)?;
+        writeln!(w, "  \"leases_created\": {},", self.leases_created)?;
+        writeln!(w, "  \"leases_ended\": {},", self.leases_ended)?;
+        writeln!(
+            w,
+            "  \"lease_parts_reclaimed\": {},",
             self.lease_parts_reclaimed
-        ));
-        o.push_str(&format!(
-            "  \"containers_preempted\": {},\n",
+        )?;
+        writeln!(
+            w,
+            "  \"containers_preempted\": {},",
             self.containers_preempted
-        ));
-        o.push_str(&format!(
-            "  \"tasks_preempted\": {},\n",
-            self.tasks_preempted
-        ));
-        o.push_str(&format!(
-            "  \"containers_rightsized\": {},\n",
+        )?;
+        writeln!(w, "  \"tasks_preempted\": {},", self.tasks_preempted)?;
+        writeln!(
+            w,
+            "  \"containers_rightsized\": {},",
             self.containers_rightsized
-        ));
+        )?;
         // count only: the auditor is read-only and must not change the
         // artifact of a clean run, audited or not
-        o.push_str(&format!(
-            "  \"audit_violations\": {},\n",
+        writeln!(
+            w,
+            "  \"audit_violations\": {},",
             self.audit_violations.len()
-        ));
-        o.push_str(&format!(
-            "  \"energy_joules\": {},\n",
-            json_f64(self.energy_joules)
-        ));
-        o.push_str(&format!("  \"store_reads\": {},\n", self.store_reads));
-        o.push_str(&format!("  \"store_writes\": {},\n", self.store_writes));
-        o.push_str(&format!(
-            "  \"events_processed\": {},\n",
-            self.events_processed
-        ));
-        o.push_str(&format!(
-            "  \"peak_queue_depth\": {},\n",
-            self.peak_queue_depth
-        ));
-        o.push_str(&format!("  \"slo\": {},\n", slo_json(&self.slo)));
-        o.push_str(&format!(
-            "  \"slo_whole_run\": {},\n",
-            slo_json(&self.slo_whole_run)
-        ));
-        o.push_str("  \"stages\": {");
-        let mut first = true;
-        for (ms, s) in &self.stages {
-            if !first {
-                o.push(',');
+        )?;
+        writeln!(w, "  \"energy_joules\": {},", JsonF64(self.energy_joules))?;
+        writeln!(w, "  \"store_reads\": {},", self.store_reads)?;
+        writeln!(w, "  \"store_writes\": {},", self.store_writes)?;
+        writeln!(w, "  \"events_processed\": {},", self.events_processed)?;
+        writeln!(w, "  \"peak_queue_depth\": {},", self.peak_queue_depth)?;
+        writeln!(w, "  \"slo\": {},", JsonSlo(&self.slo))?;
+        writeln!(w, "  \"slo_whole_run\": {},", JsonSlo(&self.slo_whole_run))?;
+        write!(w, "  \"stages\": {{")?;
+        for (i, (ms, s)) in self.stages.iter().enumerate() {
+            if i > 0 {
+                write!(w, ",")?;
             }
-            first = false;
-            o.push_str(&format!(
+            write!(
+                w,
                 "\n    \"{ms:?}\": {{\"containers_spawned\": {}, \"tasks_executed\": {}, \"arrivals\": {}}}",
                 s.containers_spawned, s.tasks_executed, s.arrivals
-            ));
+            )?;
         }
-        o.push_str("\n  },\n");
-        o.push_str(&format!(
-            "  \"live_containers\": {},\n",
-            series_json(&self.live_containers)
-        ));
-        o.push_str(&format!(
-            "  \"cumulative_spawns\": {},\n",
-            series_json(&self.cumulative_spawns)
-        ));
-        o.push_str(&format!(
-            "  \"active_nodes\": {},\n",
-            series_json(&self.active_nodes)
-        ));
-        o.push_str(&format!(
-            "  \"queue_depth\": {},\n",
-            series_json(&self.queue_depth)
-        ));
-        o.push_str("  \"records\": [");
+        writeln!(w, "\n  }},")?;
+        writeln!(
+            w,
+            "  \"live_containers\": {},",
+            JsonSeries(&self.live_containers)
+        )?;
+        writeln!(
+            w,
+            "  \"cumulative_spawns\": {},",
+            JsonSeries(&self.cumulative_spawns)
+        )?;
+        writeln!(w, "  \"active_nodes\": {},", JsonSeries(&self.active_nodes))?;
+        writeln!(w, "  \"queue_depth\": {},", JsonSeries(&self.queue_depth))?;
+        write!(w, "  \"records\": [")?;
         for (i, r) in self.records.iter().enumerate() {
             if i > 0 {
-                o.push(',');
+                write!(w, ",")?;
             }
-            o.push_str(&format!(
+            write!(
+                w,
                 "\n    {{\"job_id\": {}, \"app\": {}, \"submitted_us\": {}, \"completed_us\": {}, \
                  \"exec_us\": {}, \"cold_start_us\": {}, \"queuing_us\": {}, \"slo_violated\": {}}}",
                 r.job_id,
-                json_str(r.app),
+                JsonStr(r.app),
                 r.submitted.as_micros(),
                 r.completed.as_micros(),
                 r.breakdown.exec.as_micros(),
                 r.breakdown.cold_start.as_micros(),
                 r.breakdown.queuing.as_micros(),
                 r.slo_violated
-            ));
+            )?;
         }
-        o.push_str("\n  ]\n}\n");
-        o
+        write!(w, "\n  ]\n}}\n")
     }
 }
 
 /// JSON number for an `f64` (`null` for non-finite values, which JSON
 /// cannot represent).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+struct JsonF64(f64);
+
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 
 /// JSON string literal with the mandatory escapes.
-fn json_str(s: &str) -> String {
-    let mut o = String::with_capacity(s.len() + 2);
-    o.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => o.push_str("\\\""),
-            '\\' => o.push_str("\\\\"),
-            '\n' => o.push_str("\\n"),
-            '\r' => o.push_str("\\r"),
-            '\t' => o.push_str("\\t"),
-            c if (c as u32) < 0x20 => o.push_str(&format!("\\u{:04x}", c as u32)),
-            c => o.push(c),
+struct JsonStr<'a>(&'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
         }
+        f.write_char('"')
     }
-    o.push('"');
-    o
 }
 
-fn slo_json(s: &SloAccountant) -> String {
-    format!(
-        "{{\"slo_us\": {}, \"total\": {}, \"violations\": {}}}",
-        s.slo().as_micros(),
-        s.total(),
-        s.violations()
-    )
+/// An SLO accountant's bound and counts as a JSON object.
+struct JsonSlo<'a>(&'a SloAccountant);
+
+impl fmt::Display for JsonSlo<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{{\"slo_us\": {}, \"total\": {}, \"violations\": {}}}",
+            self.0.slo().as_micros(),
+            self.0.total(),
+            self.0.violations()
+        )
+    }
 }
 
-fn series_json(ts: &TimeSeries) -> String {
-    let mut o = String::from("[");
-    for (i, (t, v)) in ts.points().iter().enumerate() {
-        if i > 0 {
-            o.push_str(", ");
+/// A time series as a JSON array of `[t_us, value]` pairs.
+struct JsonSeries<'a>(&'a TimeSeries);
+
+impl fmt::Display for JsonSeries<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('[')?;
+        for (i, (t, v)) in self.0.points().iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            write!(f, "[{}, {}]", t.as_micros(), JsonF64(*v))?;
         }
-        o.push_str(&format!("[{}, {}]", t.as_micros(), json_f64(*v)));
+        f.write_char(']')
     }
-    o.push(']');
-    o
 }
 
 /// Shorthand used by tests and the harness: per-run scalar summary.

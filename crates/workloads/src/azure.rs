@@ -201,21 +201,32 @@ impl AzureWorkloadConfig {
 
     /// The Zipf share of the `rank`-th app: `(rank+1)^-s / H_n(s)`.
     ///
+    /// O(apps) per call: it sums the normalizer `H_n(s)` afresh.
+    /// [`Self::build_apps`] sums it once for the whole table.
+    ///
     /// # Panics
     ///
     /// Panics if `rank >= self.apps` or the configuration is invalid.
     pub fn zipf_share(&self, rank: usize) -> f64 {
         self.validate();
         assert!(rank < self.apps, "rank {rank} out of {} apps", self.apps);
-        let h: f64 = (1..=self.apps)
-            .map(|i| (i as f64).powf(-self.tail_exponent))
-            .sum();
-        ((rank + 1) as f64).powf(-self.tail_exponent) / h
+        self.zipf_term(rank) / self.zipf_normalizer()
     }
 
-    /// Mean invocation rate of the `rank`-th app in req/s.
+    /// Mean invocation rate of the `rank`-th app in req/s; O(apps) per
+    /// call, like [`Self::zipf_share`].
     pub fn rate_for_rank(&self, rank: usize) -> f64 {
         self.total_rate * self.zipf_share(rank)
+    }
+
+    /// `(rank+1)^-s`, the unnormalized Zipf weight of the `rank`-th app.
+    fn zipf_term(&self, rank: usize) -> f64 {
+        ((rank + 1) as f64).powf(-self.tail_exponent)
+    }
+
+    /// `H_n(s) = Σ_{i=1..n} i^-s`, summed in rank order.
+    fn zipf_normalizer(&self) -> f64 {
+        (0..self.apps).map(|rank| self.zipf_term(rank)).sum()
     }
 
     fn validate(&self) {
@@ -233,15 +244,20 @@ impl AzureWorkloadConfig {
     /// Materializes the app table: Zipf rates by rank, chains alternating
     /// through the mix, trigger classes drawn from the trigger-mix shares
     /// (deterministic in `seed`).
+    ///
+    /// O(apps): the Zipf normalizer is summed once, and each rate is the
+    /// same expression [`Self::rate_for_rank`] evaluates, so the two agree
+    /// bit for bit.
     pub fn build_apps(&self, seed: u64) -> Vec<AzureApp> {
         self.validate();
+        let h = self.zipf_normalizer();
         let mut rng = StdRng::seed_from_u64(mix64(seed ^ TRIGGER_SALT));
         (0..self.apps)
             .map(|rank| AzureApp {
                 rank,
                 application: self.mix.application_for_rank(rank),
                 trigger: self.trigger_mix.pick(rng.gen_range(0..100)),
-                rate: self.rate_for_rank(rank),
+                rate: self.total_rate * (self.zipf_term(rank) / h),
             })
             .collect()
     }
@@ -412,6 +428,32 @@ mod tests {
         assert_eq!(a.len(), c.apps);
         for app in &a {
             assert_eq!(app.application, c.mix.application_for_rank(app.rank));
+        }
+    }
+
+    #[test]
+    fn app_table_rates_match_rate_for_rank_bitwise() {
+        // build_apps sums the normalizer once; rate_for_rank re-sums it per
+        // call, so it is the oracle (sampled at 5000 apps to bound the
+        // oracle's O(apps²))
+        for apps in [1, 2, 400, 5000] {
+            for tail_exponent in [1.5, 0.7] {
+                let c = AzureWorkloadConfig {
+                    apps,
+                    tail_exponent,
+                    total_rate: 150.0,
+                    ..cfg()
+                };
+                let table = c.build_apps(42);
+                let stride = apps.div_ceil(400);
+                for rank in (0..apps).step_by(stride).chain([apps - 1]) {
+                    assert_eq!(
+                        table[rank].rate.to_bits(),
+                        c.rate_for_rank(rank).to_bits(),
+                        "{apps} apps, s = {tail_exponent}, rank {rank}"
+                    );
+                }
+            }
         }
     }
 

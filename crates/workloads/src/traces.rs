@@ -202,7 +202,12 @@ impl TraceGenerator for WikiLikeTrace {
 pub struct WitsLikeTrace {
     base_rate: f64,
     peak_rate: f64,
+    /// In ascending `center_s` order, so [`TraceGenerator::rate_at`] can
+    /// binary-search the spikes within `reach_s` of an instant.
     spikes: Vec<Spike>,
+    /// The largest [`Spike::reach_s`]: no spike centred farther than this
+    /// from an instant can change the rate there.
+    reach_s: f64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,6 +215,17 @@ struct Spike {
     center_s: f64,
     width_s: f64,
     height: f64, // multiple of base rate added at the peak
+    /// `width_s · sqrt(ln(max(height, 1)) + 40)`: beyond it the spike adds
+    /// at most `e^-40` (see [`WitsLikeTrace::rate_at_secs`]).
+    reach_s: f64,
+}
+
+impl Spike {
+    /// The spike's term of the envelope, `height · exp(-((ts - center) / width)²)`.
+    fn extra_at(&self, ts: f64) -> f64 {
+        let d = (ts - self.center_s) / self.width_s;
+        self.height * (-d * d).exp()
+    }
 }
 
 impl WitsLikeTrace {
@@ -252,17 +268,27 @@ impl WitsLikeTrace {
         // one spike every ~3 minutes of trace on average
         let n_spikes = ((horizon_s / 180.0).ceil() as usize).max(1);
         let max_extra = peak_rate / base_rate - 1.0;
-        let spikes = (0..n_spikes)
-            .map(|_| Spike {
-                center_s: rng.gen_range(0.0..horizon_s),
-                width_s: rng.gen_range(10.0..40.0),
-                height: rng.gen_range(0.5..1.0) * max_extra,
+        let mut spikes: Vec<Spike> = (0..n_spikes)
+            .map(|_| {
+                let center_s = rng.gen_range(0.0..horizon_s);
+                let width_s = rng.gen_range(10.0..40.0);
+                let height = rng.gen_range(0.5..1.0) * max_extra;
+                let reach_s = width_s * (height.max(1.0).ln() + 40.0).sqrt();
+                Spike {
+                    center_s,
+                    width_s,
+                    height,
+                    reach_s,
+                }
             })
             .collect();
+        spikes.sort_by(|a, b| a.center_s.total_cmp(&b.center_s));
+        let reach_s = spikes.iter().map(|s| s.reach_s).fold(0.0, f64::max);
         WitsLikeTrace {
             base_rate,
             peak_rate,
             spikes,
+            reach_s,
         }
     }
 
@@ -270,17 +296,42 @@ impl WitsLikeTrace {
     pub fn base_rate(&self) -> f64 {
         self.base_rate
     }
+
+    /// [`TraceGenerator::rate_at`] at `t = ts` seconds: `base · (1 + max_i extra_i(t))`,
+    /// capped at the peak rate.
+    ///
+    /// Evaluates only the spikes whose own reach covers `t`. A binary
+    /// search over the sorted centres limits the candidates to those within
+    /// the widest reach, so a thinning candidate costs
+    /// O(log spikes + spikes in reach) instead of one `exp` per spike of
+    /// the horizon. The result is bit-identical to the scan over every
+    /// spike:
+    /// - a skipped spike lies more than `width · sqrt(ln(max(h, 1)) + 40)`
+    ///   from `t`, so it adds `h · exp(-d²) ≤ e^-40 ≈ 4.2e-18 < 2^-54`;
+    /// - it could change `extra` only as the maximum, and then every term,
+    ///   the maximum included, is below 2^-54, so `1.0 + extra` rounds to
+    ///   exactly `1.0` with or without it;
+    /// - `max` over non-negative terms does not depend on their order.
+    fn rate_at_secs(&self, ts: f64) -> f64 {
+        let first = self
+            .spikes
+            .partition_point(|s| s.center_s < ts - self.reach_s);
+        let mut extra = 0.0_f64;
+        for s in self.spikes[first..]
+            .iter()
+            .take_while(|s| s.center_s <= ts + self.reach_s)
+        {
+            if (ts - s.center_s).abs() <= s.reach_s {
+                extra = extra.max(s.extra_at(ts));
+            }
+        }
+        (self.base_rate * (1.0 + extra)).min(self.peak_rate)
+    }
 }
 
 impl TraceGenerator for WitsLikeTrace {
     fn rate_at(&self, t: SimTime) -> f64 {
-        let ts = t.as_secs_f64();
-        let mut extra = 0.0_f64;
-        for s in &self.spikes {
-            let d = (ts - s.center_s) / s.width_s;
-            extra = extra.max(s.height * (-d * d).exp());
-        }
-        (self.base_rate * (1.0 + extra)).min(self.peak_rate)
+        self.rate_at_secs(t.as_secs_f64())
     }
 
     fn peak_rate(&self) -> f64 {
@@ -409,5 +460,82 @@ mod tests {
         let tenth = WikiLikeTrace::scaled(0.1);
         let t = SimTime::from_secs(1234);
         assert!((full.rate_at(t) / tenth.rate_at(t) - 10.0).abs() < 1e-9);
+    }
+
+    impl WitsLikeTrace {
+        /// The envelope as a scan over every spike: the oracle the pruned
+        /// [`WitsLikeTrace::rate_at_secs`] must match bit for bit.
+        fn rate_at_secs_full_scan(&self, ts: f64) -> f64 {
+            let extra = self
+                .spikes
+                .iter()
+                .map(|s| s.extra_at(ts))
+                .fold(0.0, f64::max);
+            (self.base_rate * (1.0 + extra)).min(self.peak_rate)
+        }
+    }
+
+    /// Checks the pruned envelope against the full scan on a grid over the
+    /// horizon and, for up to 32 spikes spread over it, at the centre and
+    /// at each edge of the spike's own reach and of the trace's reach, each
+    /// also one ulp either side.
+    fn assert_pruned_envelope_is_exact(tr: &WitsLikeTrace, horizon_s: f64, what: &str) {
+        let mut probes: Vec<f64> = (0..=200).map(|i| horizon_s * i as f64 / 200.0).collect();
+        let stride = tr.spikes.len().div_ceil(32);
+        for s in tr.spikes.iter().step_by(stride) {
+            probes.push(s.center_s);
+            for edge in [
+                s.center_s - s.reach_s,
+                s.center_s + s.reach_s,
+                s.center_s - tr.reach_s,
+                s.center_s + tr.reach_s,
+            ] {
+                probes.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+        }
+        for ts in probes {
+            assert_eq!(
+                tr.rate_at_secs(ts).to_bits(),
+                tr.rate_at_secs_full_scan(ts).to_bits(),
+                "{what}: t = {ts:e} s"
+            );
+        }
+        // and through `rate_at`, at instants off the whole seconds
+        for sec in (0..horizon_s as u64).step_by(((horizon_s / 199.0) as usize).max(1)) {
+            let t = SimTime::from_secs(sec) + SimDuration::from_micros(sec % 1_000_000);
+            assert_eq!(
+                tr.rate_at(t).to_bits(),
+                tr.rate_at_secs_full_scan(t.as_secs_f64()).to_bits(),
+                "{what}: t = {t:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_wits_envelope_matches_the_full_scan() {
+        for seed in [1, 42, 12345] {
+            for horizon_s in [60, 7200, 86_400, 2_592_000] {
+                for factor in [0.01, 0.25, 10.0] {
+                    let tr = WitsLikeTrace::scaled(factor, SimDuration::from_secs(horizon_s), seed);
+                    assert!(tr.spikes.windows(2).all(|w| w[0].center_s <= w[1].center_s));
+                    let what = format!("seed {seed}, {horizon_s} s, factor {factor}");
+                    assert_pruned_envelope_is_exact(&tr, horizon_s as f64, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_wits_envelope_matches_the_full_scan_at_any_peak_ratio() {
+        // ratio 1 has zero-height spikes; 10^6 stretches the reach to
+        // width · sqrt(ln(10^6) + 40)
+        for ratio in [1.0, 5.0, 1e3, 1e6] {
+            for seed in [3, 11] {
+                let horizon = SimDuration::from_secs(86_400);
+                let tr = WitsLikeTrace::with_rates(2.0, 2.0 * ratio, horizon, seed);
+                let what = format!("ratio {ratio}, seed {seed}");
+                assert_pruned_envelope_is_exact(&tr, 86_400.0, &what);
+            }
+        }
     }
 }

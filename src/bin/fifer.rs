@@ -98,7 +98,8 @@ fn usage() -> ! {
          --mix <heavy|medium|light>                workload mix (default heavy)\n\
          --rate <req/s>                            poisson rate / trace scale basis (default 50)\n\
          --secs <n>                                duration in seconds (default 600)\n\
-         --warmup <n>                              warmup excluded from metrics (default secs/6)\n\
+         --warmup <n>                              warmup excluded from metrics (default secs/6);\n\
+                                                   must be below the horizon\n\
          --seed <n>                                RNG seed (default 42)\n\
          --large                                   use the large-scale cluster (16 nodes)\n\
          --early-exit <p>                          dynamic-chain early-exit probability\n\
@@ -276,6 +277,10 @@ fn parse_args() -> Args {
         eprintln!("error: --apps must be at least 1");
         usage()
     }
+    if args.tenants == 0 {
+        eprintln!("error: --tenants must be at least 1");
+        usage()
+    }
     if !(args.tail_exp.is_finite() && args.tail_exp > 0.0) {
         eprintln!("error: --tail-exp must be a positive finite number");
         usage()
@@ -314,6 +319,14 @@ fn build_stream(args: &Args) -> JobStream {
     JobStream::generate(trace.as_ref(), args.mix, horizon, args.seed)
 }
 
+/// Streams `r`'s JSON artifact to `path` through a buffer, creating parent
+/// directories as needed.
+fn write_json(path: &str, r: &SimResult) -> io::Result<()> {
+    let mut w = io::BufWriter::new(fifer::metrics::report::create_file(path)?);
+    r.write_json(&mut w)?;
+    w.flush()
+}
+
 fn main() {
     let args = parse_args();
     let mut out = io::stdout().lock();
@@ -329,13 +342,6 @@ fn main() {
         eprintln!("error: workload is empty (rate or duration too small)");
         exit(1);
     }
-    if let Some(path) = &args.save_workload {
-        if let Err(e) = wio::save_stream(&stream, path) {
-            eprintln!("error: cannot save workload to {path}: {e}");
-            exit(1);
-        }
-        say!(out, "saved {} jobs to {path}", stream.len());
-    }
     let secs = args
         .replay
         .as_ref()
@@ -347,8 +353,20 @@ fn main() {
                 .unwrap_or(1)
         })
         .unwrap_or(args.secs);
-    let avg_rate = stream.len() as f64 / secs as f64;
     let warmup = args.warmup.unwrap_or(secs / 6);
+    if warmup >= secs {
+        // no job would be measured, and the headline would read as zeros
+        eprintln!("error: --warmup must be below the horizon of {secs} s");
+        usage()
+    }
+    if let Some(path) = &args.save_workload {
+        if let Err(e) = wio::save_stream(&stream, path) {
+            eprintln!("error: cannot save workload to {path}: {e}");
+            exit(1);
+        }
+        say!(out, "saved {} jobs to {path}", stream.len());
+    }
+    let avg_rate = stream.len() as f64 / secs as f64;
 
     say!(
         out,
@@ -394,7 +412,7 @@ fn main() {
             cfg.idle_timeout = SimDuration::from_secs(10);
         }
         cfg.early_exit_prob = args.early_exit;
-        cfg.tenants = args.tenants.max(1);
+        cfg.tenants = args.tenants;
         cfg.faults = args.faults.clone();
         if let Err(e) = cfg.faults.validate(cfg.cluster.nodes) {
             eprintln!("error: --faults: {e}");
@@ -426,7 +444,7 @@ fn main() {
         let r = sim.run();
         if let Some(path) = &args.json {
             // the last RM listed wins when --compare is combined with --json
-            if let Err(e) = fifer::metrics::report::write_file(path, &r.to_json()) {
+            if let Err(e) = write_json(path, &r) {
                 eprintln!("error: cannot write {path}: {e}");
                 exit(1);
             }

@@ -375,6 +375,16 @@ fn out_of_range_inputs_are_named_errors() {
             2,
             "--online-retrain needs a forecasting RM",
         ),
+        // zero tenants once ran one silently
+        (&["--tenants", "0"], 2, "--tenants must be at least 1"),
+        // a warmup at or past the horizon measures no job, and the
+        // headline would print zeros as if they were results
+        (
+            &["--warmup", "10"],
+            2,
+            "--warmup must be below the horizon of 10 s",
+        ),
+        (&["--warmup", "99999"], 2, "--warmup must be below"),
     ] {
         let out = fifer()
             .args(["--rm", "bline", "--secs", "10"])
@@ -493,6 +503,37 @@ fn replay_spanning_two_mixes_fails_cleanly() {
     assert!(err.contains("cannot replay"), "{err}");
     assert!(err.contains("FaceSecurity, IPA"), "{err}");
     assert!(err.contains("no single workload mix"), "{err}");
+}
+
+#[test]
+fn replay_warmup_is_checked_against_the_replayed_horizon() {
+    // the last arrival at 1.5 s gives a replayed horizon of 3 s
+    let path = std::env::temp_dir().join("fifer_cli_replay_warmup.csv");
+    std::fs::write(
+        &path,
+        "id,app,arrival_us,input_scale\n0,IPA,100,1.0\n1,IPA,1500000,1.0\n",
+    )
+    .expect("write workload");
+    let run = |warmup: &str| {
+        fifer()
+            .args(["--rm", "bline", "--warmup", warmup, "--replay"])
+            .arg(&path)
+            .output()
+            .expect("spawn")
+    };
+    let (past, inside) = (run("3"), run("2"));
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(past.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&past.stderr);
+    assert!(
+        err.contains("--warmup must be below the horizon of 3 s"),
+        "{err}"
+    );
+    assert!(
+        inside.status.success(),
+        "{}",
+        String::from_utf8_lossy(&inside.stderr)
+    );
 }
 
 #[test]
