@@ -11,8 +11,8 @@
 //!    §4.5.1) is timed separately from the event replay: `wall_clock_s`
 //!    is the sum, `pretrain_s`/`replay_s` the attribution, and
 //!    `events_per_sec` is computed against replay time only. RM
-//!    pre-training fans out across the thread pool; replays are timed
-//!    one at a time so wall-clocks stay uncontended.
+//!    pre-training fans out across threads; replays are timed one at a
+//!    time so wall-clocks stay uncontended.
 //! 3. **nn** — times the paper LSTM that `fifer --rm fifer` trains
 //!    (2 × 32, 100 epochs): its pre-training and per-forecast cost on the
 //!    replay's own training series, its walk-forward accuracy on the
@@ -47,7 +47,9 @@
 
 use fifer_bench::json::Json;
 use fifer_bench::perf::{deep_queue_tasks, drain_indexed, drain_linear, time_median};
-use fifer_bench::runner::{azure_parts, RunSpec, TraceKind};
+use fifer_bench::pool::{detected_cores, par_map};
+use fifer_bench::runner::RunSpec;
+use fifer_core::policy::ResourceManager;
 use fifer_core::rm::RmKind;
 use fifer_core::scheduling::SchedulingPolicy;
 use fifer_core::WarmStart;
@@ -57,7 +59,9 @@ use fifer_predict::train::train_test_split;
 use fifer_predict::{accuracy, LoadPredictor, LstmPredictor, ModelCache, PredictorKind};
 use fifer_sim::config::MONITOR_INTERVAL;
 use fifer_sim::driver::Simulation;
-use fifer_workloads::{AzureWorkloadConfig, WorkloadMix};
+use fifer_sim::scenario::pretrain_series;
+use fifer_sim::{Arrivals, Scenario, SimConfig};
+use fifer_workloads::{JobStream, TriggerMix, WorkloadMix};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -67,6 +71,7 @@ struct DispatchRow {
     linear_ns: u128,
 }
 
+/// One RM's replay: its timing and the resource accounting of the run.
 struct ReplayRow {
     rm: String,
     warm: WarmStart,
@@ -76,15 +81,9 @@ struct ReplayRow {
     peak_queue_depth: u64,
     jobs: usize,
     slo_violation_fraction: f64,
-}
-
-struct UtilRow {
-    rm: String,
     alloc_core_hours: f64,
     used_core_hours: f64,
-    waste_core_hours: f64,
     harvested_core_hours: f64,
-    slo_violation_fraction: f64,
     harvest_spawns: u64,
     leases_created: u64,
     leases_ended: u64,
@@ -226,19 +225,18 @@ fn main() {
         "\n## trace replay: wiki trace, heavy mix, all RMs{}",
         if quick { " (quick)" } else { "" }
     );
-    let spec_for = |kind: RmKind| {
-        let mut spec = RunSpec::large_scale(
-            kind.to_string(),
-            kind.config(),
-            WorkloadMix::Heavy,
-            TraceKind::Wiki,
-        );
-        if quick {
-            spec = spec.quick();
-        }
-        spec
-    };
-    let horizon_s = spec_for(RmKind::Fifer).horizon.as_secs_f64();
+    let mut spec = RunSpec::large_scale(
+        "replay",
+        RmKind::Fifer.config(),
+        WorkloadMix::Heavy,
+        Arrivals::Wiki,
+        150.0,
+    );
+    if quick {
+        spec = spec.quick();
+    }
+    let scenario = spec.scenario;
+    let stream = scenario.stream();
     // pre-train every RM's predictor in parallel (offline cost), then
     // time each replay serially so wall-clocks don't contend. With
     // --model-cache, neural pre-training warm-starts from checkpoints
@@ -249,21 +247,9 @@ fn main() {
             std::process::exit(1);
         })
     });
-    let prepared = fifer_core::pool::execute(
-        RmKind::ALL.to_vec(),
-        fifer_core::pool::default_workers(),
-        |kind: RmKind| {
-            let (cfg, stream) = spec_for(kind).build_parts();
-            let t0 = Instant::now();
-            let (rm, warm) = cfg
-                .rm
-                .build_rm_served(cfg.seed, &cfg.pretrain_series, cache.as_ref());
-            (kind, cfg, stream, rm, warm, t0.elapsed().as_secs_f64())
-        },
-    );
+    let prepared = prepare(&scenario, &stream, cache.as_ref());
     let mut replay = Vec::new();
-    let mut utilization = Vec::new();
-    for (kind, cfg, stream, rm, warm, pretrain_s) in prepared {
+    for (kind, cfg, rm, warm, pretrain_s) in prepared {
         let sim = Simulation::with_resource_manager(cfg, &stream, rm);
         let t0 = Instant::now();
         let r = sim.run();
@@ -291,14 +277,9 @@ fn main() {
             peak_queue_depth: r.peak_queue_depth,
             jobs: r.records.len(),
             slo_violation_fraction: r.slo_violation_fraction(),
-        });
-        utilization.push(UtilRow {
-            rm: kind.to_string(),
             alloc_core_hours: r.alloc_core_hours,
             used_core_hours: r.used_core_hours,
-            waste_core_hours: r.alloc_core_hours - r.used_core_hours,
             harvested_core_hours: r.harvested_core_hours,
-            slo_violation_fraction: r.slo_violation_fraction(),
             harvest_spawns: r.harvest_spawns,
             leases_created: r.leases_created,
             leases_ended: r.leases_ended,
@@ -306,13 +287,13 @@ fn main() {
         });
     }
     println!("\n## utilization: allocated vs used core-hours per RM");
-    for u in &utilization {
+    for u in &replay {
         println!(
             "{}: alloc {:.2} core-h, used {:.2} core-h, waste {:.2} core-h, harvested {:.2} core-h{}",
             u.rm,
             u.alloc_core_hours,
             u.used_core_hours,
-            u.waste_core_hours,
+            u.alloc_core_hours - u.used_core_hours,
             u.harvested_core_hours,
             if u.harvest_spawns > 0 {
                 format!(
@@ -351,7 +332,7 @@ fn main() {
         .find(|r| r.rm == "Fifer")
         .map(|r| r.replay_s)
         .unwrap_or(0.0);
-    let nn = nn_bench(&spec_for(RmKind::Fifer), fifer_replay_s);
+    let nn = nn_bench(&scenario, &stream, fifer_replay_s);
     println!(
         "pretrain: {:.2} s ({} series points)",
         nn.pretrain_ns as f64 / 1e9,
@@ -378,10 +359,9 @@ fn main() {
         depth,
         reps,
         &dispatch,
-        horizon_s,
+        scenario.horizon().as_secs_f64(),
         &replay,
         &nn,
-        &utilization,
         &wild,
     );
     if let Err(e) = write_file(&out, &json) {
@@ -407,25 +387,48 @@ fn main() {
     }
 }
 
+/// One RM built for a replay: its config, its resource manager, how its
+/// predictor was served and the seconds building it took (pretraining).
+type Prepared = (RmKind, SimConfig, Box<dyn ResourceManager>, WarmStart, f64);
+
+/// Builds every RM's config for `stream` and its resource manager, in
+/// parallel: pretraining the predictors is the costly part.
+fn prepare(scenario: &Scenario, stream: &JobStream, cache: Option<&ModelCache>) -> Vec<Prepared> {
+    par_map(RmKind::ALL.to_vec(), detected_cores(), |kind| {
+        let cfg = scenario.config(kind.config(), stream);
+        let t0 = Instant::now();
+        let (rm, warm) = cfg
+            .rm
+            .build_rm_served(cfg.seed, &cfg.pretrain_series, cache);
+        (kind, cfg, rm, warm, t0.elapsed().as_secs_f64())
+    })
+}
+
 /// Runs every RM head-to-head on one Azure-family stream (paper-default
-/// family shape, 600 s full / 100 s quick), pre-training the proactive
-/// RMs in parallel and replaying each in turn.
+/// family shape, 600 s full / 100 s quick), every RM at a 10 s idle scan
+/// so the keep-alive policy is the only variable: the mechanism offers
+/// each RM the same reclamation opportunities and the policy decides who
+/// dies.
 fn wild_bench(quick: bool) -> WildSection {
-    let azure = AzureWorkloadConfig::paper_default();
-    let horizon = SimDuration::from_secs(if quick { 100 } else { 600 });
-    let warmup = horizon / 6;
-    let prepared = fifer_core::pool::execute(
-        RmKind::ALL.to_vec(),
-        fifer_core::pool::default_workers(),
-        move |kind: RmKind| {
-            let (cfg, stream) = azure_parts(kind.config(), &azure, horizon, warmup, 42);
-            let rm = cfg.rm.build_rm(cfg.seed, &cfg.pretrain_series);
-            (kind, cfg, stream, rm)
+    let secs = if quick { 100 } else { 600 };
+    let (apps, tail_exponent) = (32, 1.5);
+    let scenario = Scenario {
+        arrivals: Arrivals::Azure {
+            apps,
+            tail_exponent,
+            trigger_mix: TriggerMix::paper_default(),
         },
-    );
-    let rows = prepared
+        mix: WorkloadMix::Medium,
+        rate: 20.0,
+        secs,
+        warmup: Some(SimDuration::from_secs(secs) / 6),
+        ..Scenario::default()
+    };
+    let stream = scenario.stream();
+    let rows = prepare(&scenario, &stream, None)
         .into_iter()
-        .map(|(kind, cfg, stream, rm)| {
+        .map(|(kind, mut cfg, rm, ..)| {
+            cfg.idle_timeout = SimDuration::from_secs(10);
             let r = Simulation::with_resource_manager(cfg, &stream, rm).run();
             WildRow {
                 rm: kind.to_string(),
@@ -440,10 +443,10 @@ fn wild_bench(quick: bool) -> WildSection {
         })
         .collect();
     WildSection {
-        horizon_s: horizon.as_secs_f64(),
-        apps: azure.apps,
-        tail_exponent: azure.tail_exponent,
-        total_rate: azure.total_rate,
+        horizon_s: scenario.horizon().as_secs_f64(),
+        apps,
+        tail_exponent,
+        total_rate: scenario.rate,
         rows,
     }
 }
@@ -454,13 +457,12 @@ fn wild_bench(quick: bool) -> WildSection {
 /// walk-forward accuracy and the checkpoint round-trip (store and load
 /// cost, forecast bit-identity), and adds the pretrain to the replay time
 /// measured in the replay section for the end-to-end Fifer wall-clock.
-fn nn_bench(spec: &RunSpec, fifer_replay_s: f64) -> NnRow {
-    let (cfg, _stream) = spec.build_parts();
-    let series = &cfg.pretrain_series;
+fn nn_bench(scenario: &Scenario, stream: &JobStream, fifer_replay_s: f64) -> NnRow {
+    let series = &pretrain_series(&RmKind::Fifer.config(), stream);
     let forecast_calls =
-        (spec.horizon.as_secs_f64() / MONITOR_INTERVAL.as_secs_f64()).max(1.0) as u32;
+        (scenario.horizon().as_secs_f64() / MONITOR_INTERVAL.as_secs_f64()).max(1.0) as u32;
 
-    let mut p = PredictorKind::Lstm.build(cfg.seed);
+    let mut p = PredictorKind::Lstm.build(scenario.seed);
     let t0 = Instant::now();
     p.pretrain(series);
     let pretrain_ns = t0.elapsed().as_nanos();
@@ -484,14 +486,14 @@ fn nn_bench(spec: &RunSpec, fifer_replay_s: f64) -> NnRow {
     // donor: restore it into a fresh twin *before* any observations, then
     // walk donor and twin in lockstep comparing forecast bits.
     let (train, test) = train_test_split(series);
-    let mut cold = LstmPredictor::paper_default(cfg.seed);
+    let mut cold = LstmPredictor::paper_default(scenario.seed);
     cold.pretrain(train);
     let t0 = Instant::now();
     let bytes = cold
         .checkpoint()
         .expect("the LSTM always supports checkpointing");
     let store_ns = t0.elapsed().as_nanos();
-    let mut warm = LstmPredictor::paper_default(cfg.seed);
+    let mut warm = LstmPredictor::paper_default(scenario.seed);
     let t0 = Instant::now();
     warm.restore(&bytes)
         .expect("a checkpoint written moments ago must restore");
@@ -538,16 +540,12 @@ fn render_json(
     horizon_s: f64,
     replay: &[ReplayRow],
     nn: &NnRow,
-    utilization: &[UtilRow],
     wild: &WildSection,
 ) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"bench\": \"simulator\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        "  \"workers_available\": {},\n",
-        fifer_core::pool::detected_cores()
-    ));
+    s.push_str(&format!("  \"workers_available\": {},\n", detected_cores()));
     s.push_str(&format!(
         "  \"dispatch\": {{\n    \"depth\": {depth},\n    \"reps\": {reps},\n    \"policies\": {{\n"
     ));
@@ -598,20 +596,20 @@ fn render_json(
         nn.warm_start.store_ns, nn.warm_start.load_ns, nn.warm_start.bit_identical, nn.fifer_e2e_s,
     ));
     s.push_str("  \"utilization\": {\n    \"rms\": {\n");
-    for (i, u) in utilization.iter().enumerate() {
+    for (i, u) in replay.iter().enumerate() {
         s.push_str(&format!(
             "      \"{}\": {{ \"alloc_core_hours\": {:.6}, \"used_core_hours\": {:.6}, \"waste_core_hours\": {:.6}, \"harvested_core_hours\": {:.6}, \"slo_violation_fraction\": {:.6}, \"harvest_spawns\": {}, \"leases_created\": {}, \"leases_ended\": {}, \"containers_preempted\": {} }}{}\n",
             u.rm,
             u.alloc_core_hours,
             u.used_core_hours,
-            u.waste_core_hours,
+            u.alloc_core_hours - u.used_core_hours,
             u.harvested_core_hours,
             u.slo_violation_fraction,
             u.harvest_spawns,
             u.leases_created,
             u.leases_ended,
             u.containers_preempted,
-            if i + 1 < utilization.len() { "," } else { "" },
+            if i + 1 < replay.len() { "," } else { "" },
         ));
     }
     s.push_str("    }\n  },\n");
@@ -719,31 +717,20 @@ fn validate(body: &str) -> Result<(), Vec<String>> {
     // utilization section: exact-accounting sanity per RM, then the
     // harvesting headline claim against the Bline baseline
     for kind in RmKind::ALL {
-        let alloc = num_at(
-            &doc,
-            &mut problems,
-            &format!("utilization.rms.{kind}.alloc_core_hours"),
-        );
-        let used = num_at(
-            &doc,
-            &mut problems,
-            &format!("utilization.rms.{kind}.used_core_hours"),
-        );
-        num_at(
-            &doc,
-            &mut problems,
-            &format!("utilization.rms.{kind}.waste_core_hours"),
-        );
-        num_at(
-            &doc,
-            &mut problems,
-            &format!("utilization.rms.{kind}.harvested_core_hours"),
-        );
-        num_at(
-            &doc,
-            &mut problems,
-            &format!("utilization.rms.{kind}.slo_violation_fraction"),
-        );
+        let [alloc, used, ..] = [
+            "alloc_core_hours",
+            "used_core_hours",
+            "waste_core_hours",
+            "harvested_core_hours",
+            "slo_violation_fraction",
+        ]
+        .map(|field| {
+            num_at(
+                &doc,
+                &mut problems,
+                &format!("utilization.rms.{kind}.{field}"),
+            )
+        });
         if let (Some(alloc), Some(used)) = (alloc, used) {
             // the integrals come from exact integer ledgers; used can
             // never exceed allocated (auditor invariant), so a violation
@@ -755,22 +742,25 @@ fn validate(body: &str) -> Result<(), Vec<String>> {
             }
         }
     }
-    let waste_of = |doc: &Json, rm: &str| -> Option<f64> {
-        doc.path(&format!("utilization.rms.{rm}.waste_core_hours"))
+    let at = |section: &str, rm: &str, field: &str| {
+        doc.path(&format!("{section}.rms.{rm}.{field}"))
             .and_then(Json::as_f64)
     };
-    let slo_of = |doc: &Json, rm: &str| -> Option<f64> {
-        doc.path(&format!("utilization.rms.{rm}.slo_violation_fraction"))
-            .and_then(Json::as_f64)
-    };
-    if let (Some(bw), Some(hw)) = (waste_of(&doc, "Bline"), waste_of(&doc, "Harvest")) {
+    let util = |rm: &str, field: &str| at("utilization", rm, field);
+    if let (Some(bw), Some(hw)) = (
+        util("Bline", "waste_core_hours"),
+        util("Harvest", "waste_core_hours"),
+    ) {
         if hw > MAX_HARVEST_WASTE_VS_BLINE * bw {
             problems.push(format!(
                 "Harvest waste {hw:.3} core-h above {MAX_HARVEST_WASTE_VS_BLINE} x Bline's {bw:.3}"
             ));
         }
     }
-    if let (Some(bs), Some(hs)) = (slo_of(&doc, "Bline"), slo_of(&doc, "Harvest")) {
+    if let (Some(bs), Some(hs)) = (
+        util("Bline", "slo_violation_fraction"),
+        util("Harvest", "slo_violation_fraction"),
+    ) {
         if hs > bs + MAX_HARVEST_SLO_DELTA {
             problems.push(format!(
                 "Harvest SLO violation fraction {hs:.4} exceeds Bline's {bs:.4} + {MAX_HARVEST_SLO_DELTA}"
@@ -790,13 +780,10 @@ fn validate(body: &str) -> Result<(), Vec<String>> {
             num_at(&doc, &mut problems, &format!("wild.rms.{kind}.{field}"));
         }
     }
-    let wild_of = |doc: &Json, rm: &str, field: &str| -> Option<f64> {
-        doc.path(&format!("wild.rms.{rm}.{field}"))
-            .and_then(Json::as_f64)
-    };
+    let wild = |rm: &str, field: &str| at("wild", rm, field);
     if let (Some(bc), Some(hc)) = (
-        wild_of(&doc, "Bline", "cold_starts"),
-        wild_of(&doc, "HybridHist", "cold_starts"),
+        wild("Bline", "cold_starts"),
+        wild("HybridHist", "cold_starts"),
     ) {
         if hc > MAX_WILD_HH_COLD_VS_BLINE * bc {
             problems.push(format!(
@@ -814,8 +801,8 @@ fn validate(body: &str) -> Result<(), Vec<String>> {
         }
     }
     if let (Some(bm), Some(hm)) = (
-        wild_of(&doc, "Bline", "avg_containers"),
-        wild_of(&doc, "HybridHist", "avg_containers"),
+        wild("Bline", "avg_containers"),
+        wild("HybridHist", "avg_containers"),
     ) {
         // full runs only: the 100 s quick horizon is dominated by the
         // histogram warm-up transient (keep-alive windows derived from a

@@ -2,13 +2,14 @@
 //! division (§4.1), LSF scheduling (§4.3), predictor choice (§4.5.1),
 //! SLO sensitivity (§8) and the greedy selection/placement pair (§4.4).
 
-use crate::runner::{Ctx, RunSpec, TraceKind};
+use crate::runner::{Ctx, RunSpec};
 use fifer_core::rm::{NodePlacement, RmKind};
 use fifer_core::scheduling::{ContainerSelection, SchedulingPolicy};
 use fifer_core::slack::{batch_size, AppPlan, SlackPolicy};
 use fifer_metrics::report::{fmt_f64, Table};
 use fifer_metrics::SimDuration;
 use fifer_predict::PredictorKind;
+use fifer_sim::Arrivals;
 use fifer_workloads::{Application, WorkloadMix};
 
 /// Proportional vs equal-division slack allocation inside Fifer.
@@ -115,7 +116,8 @@ pub fn predictor(ctx: &Ctx) {
                 kind.to_string(),
                 RmKind::Fifer.config().with_predictor(kind),
                 WorkloadMix::Heavy,
-                TraceKind::Wits,
+                Arrivals::Wits,
+                24.0,
             )
         })
         .collect();

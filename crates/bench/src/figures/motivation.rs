@@ -1,6 +1,6 @@
 //! Drivers for the motivation figures: 2, 3, 4 and 7.
 
-use crate::runner::{Ctx, TraceKind};
+use crate::runner::Ctx;
 use fifer_core::rm::RmKind;
 use fifer_metrics::report::{fmt_f64, Table};
 use fifer_metrics::{SimDuration, SimTime};
@@ -155,7 +155,6 @@ pub fn fig7(ctx: &Ctx) {
             fmt_f64(s.max() / s.median(), 1),
         ]);
     }
-    let _ = TraceKind::Poisson; // envelope is flat; not plotted in Fig 7
     ctx.emit("fig7_trace_stats", &t);
     ctx.emit_raw("fig7_trace_series", &csv);
 }

@@ -1,5 +1,6 @@
 //! Figure 6 driver: the predictor bake-off (§4.5.1).
 
+use crate::pool::{detected_cores, par_map};
 use crate::runner::Ctx;
 use fifer_metrics::report::{fmt_f64, Table};
 use fifer_metrics::SimDuration;
@@ -77,12 +78,12 @@ pub struct PredictorEval {
 }
 
 /// Evaluates all eight Figure 6a predictors over `series`, fanning the
-/// eight independent evaluations across `workers` pool threads. Every
+/// eight independent evaluations across `workers` threads. Every
 /// field except `latency_ms` (wall-clock) is deterministic: each model
 /// trains from its own seeded RNG on its own thread, so `workers = 1`
 /// and `workers = 8` produce bit-identical predictions.
 pub fn sweep(series: &[f64], quick: bool, workers: usize) -> Vec<PredictorEval> {
-    fifer_core::pool::execute(PredictorKind::ALL.to_vec(), workers, |kind| {
+    par_map(PredictorKind::ALL.to_vec(), workers, |kind| {
         let (rmse, accuracy, latency_ms, preds, actuals) = evaluate(kind, series, quick);
         PredictorEval {
             kind,
@@ -118,7 +119,7 @@ pub fn fig6(ctx: &Ctx) {
     let series = wits_series(ctx);
     let mut t = Table::new(vec!["model", "rmse", "accuracy", "latency_ms"]);
     let mut lstm_csv = String::from("step,actual,predicted\n");
-    for eval in sweep(&series, ctx.quick, fifer_core::pool::default_workers()) {
+    for eval in sweep(&series, ctx.quick, detected_cores()) {
         t.row(vec![
             eval.kind.to_string(),
             fmt_f64(eval.rmse, 2),

@@ -107,7 +107,7 @@ pub fn fig9(ctx: &Ctx) {
         .iter()
         .map(|&k| {
             let mut s = RunSpec::prototype(k.to_string(), k.config(), WorkloadMix::Heavy);
-            s.warmup = fifer_metrics::SimDuration::ZERO;
+            s.scenario.warmup = Some(SimDuration::ZERO);
             s
         })
         .collect();

@@ -5,18 +5,29 @@
 //! load-to-capacity ratio), which preserves the queueing/scaling dynamics
 //! every comparison is about.
 
-use crate::runner::{normalized, Ctx, RunSpec, TraceKind};
+use crate::runner::{normalized, Ctx, RunSpec};
 use fifer_core::rm::RmKind;
 use fifer_metrics::report::{fmt_f64, Table};
-use fifer_sim::SimResult;
+use fifer_sim::{Arrivals, SimResult};
 use fifer_workloads::WorkloadMix;
 use std::sync::Arc;
 
-/// Runs the five RMs for one (trace, mix) pair.
-fn trace_runs(ctx: &Ctx, trace: TraceKind, mix: WorkloadMix) -> Vec<(RmKind, Arc<SimResult>)> {
+/// The two traces with their row labels, each at a tenth of its
+/// paper-scale average rate (Wiki 1500, WITS 240 req/s).
+const TRACES: [(&str, Arrivals, f64); 2] = [
+    ("wiki", Arrivals::Wiki, 150.0),
+    ("wits", Arrivals::Wits, 24.0),
+];
+
+/// Runs every RM for one (trace, mix) pair.
+fn trace_runs(
+    ctx: &Ctx,
+    (_, arrivals, rate): (&str, Arrivals, f64),
+    mix: WorkloadMix,
+) -> Vec<(RmKind, Arc<SimResult>)> {
     let specs: Vec<RunSpec> = RmKind::ALL
         .iter()
-        .map(|&k| RunSpec::large_scale(k.to_string(), k.config(), mix, trace))
+        .map(|&k| RunSpec::large_scale(k.to_string(), k.config(), mix, arrivals, rate))
         .collect();
     let results = ctx.run_all(specs);
     RmKind::ALL.into_iter().zip(results).collect()
@@ -35,7 +46,7 @@ pub fn fig13(ctx: &Ctx) {
         "avg_containers",
         "containers_norm_bline",
     ]);
-    for trace in [TraceKind::Wiki, TraceKind::Wits] {
+    for trace in TRACES {
         for mix in WorkloadMix::ALL {
             let runs = trace_runs(ctx, trace, mix);
             let bline = runs
@@ -50,7 +61,7 @@ pub fn fig13(ctx: &Ctx) {
                 .expect("Bline always runs");
             for (kind, r) in &runs {
                 t.row(vec![
-                    trace.label().to_string(),
+                    trace.0.to_string(),
                     mix.to_string(),
                     kind.to_string(),
                     fmt_f64(r.slo_whole_run.violation_fraction(), 4),
@@ -68,11 +79,11 @@ pub fn fig13(ctx: &Ctx) {
 /// Figure 14: median and P99 latency for Wiki and WITS, all mixes.
 pub fn fig14(ctx: &Ctx) {
     let mut t = Table::new(vec!["trace", "workload", "rm", "median_ms", "p99_ms"]);
-    for trace in [TraceKind::Wiki, TraceKind::Wits] {
+    for trace in TRACES {
         for mix in WorkloadMix::ALL {
             for (kind, r) in trace_runs(ctx, trace, mix) {
                 t.row(vec![
-                    trace.label().to_string(),
+                    trace.0.to_string(),
                     mix.to_string(),
                     kind.to_string(),
                     fmt_f64(r.median_latency_ms(), 0),
@@ -96,7 +107,7 @@ pub fn fig16(ctx: &Ctx) {
         "blocking_cold_starts",
         "norm_bline",
     ]);
-    for trace in [TraceKind::Wiki, TraceKind::Wits] {
+    for trace in TRACES {
         let runs = trace_runs(ctx, trace, WorkloadMix::Heavy);
         let bline = runs
             .iter()
@@ -108,7 +119,7 @@ pub fn fig16(ctx: &Ctx) {
                 continue;
             }
             t.row(vec![
-                trace.label().to_string(),
+                trace.0.to_string(),
                 kind.to_string(),
                 r.spawns_in_window().to_string(),
                 r.blocking_cold_starts.to_string(),

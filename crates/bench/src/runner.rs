@@ -1,78 +1,30 @@
-//! Shared experiment execution: spec construction, predictor pre-training,
-//! a cross-figure result cache, and parallel sweeps.
+//! Shared experiment execution: run specs over a [`Scenario`], a
+//! cross-figure result cache, and parallel sweeps.
 
+use crate::pool::{detected_cores, par_map};
 use fifer_core::rm::RmConfig;
 use fifer_metrics::report::Table;
-use fifer_metrics::{SimDuration, SimTime};
-use fifer_sim::driver::{window_max_series, Simulation};
-use fifer_sim::{ClusterConfig, SimConfig, SimResult};
-use fifer_workloads::{
-    AzureWorkloadConfig, JobStream, PoissonTrace, TraceGenerator, WikiLikeTrace, WitsLikeTrace,
-    WorkloadMix,
-};
+use fifer_metrics::SimDuration;
+use fifer_sim::driver::Simulation;
+use fifer_sim::{Arrivals, ClusterConfig, Scenario, SimResult};
+use fifer_workloads::WorkloadMix;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-/// Which arrival trace drives a run (paper §5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TraceKind {
-    /// Synthetic Poisson, λ = 50 req/s at scale 1.0.
-    Poisson,
-    /// Wikipedia-like diurnal trace (avg 1500 req/s at scale 1.0).
-    Wiki,
-    /// WITS-like bursty trace (avg ≈300, peak 1200 req/s at scale 1.0).
-    Wits,
-}
-
-impl TraceKind {
-    /// Display name used in table rows and CSV file names.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceKind::Poisson => "poisson",
-            TraceKind::Wiki => "wiki",
-            TraceKind::Wits => "wits",
-        }
-    }
-
-    /// Builds the trace generator at `scale` over `horizon`.
-    pub fn build(self, scale: f64, horizon: SimDuration, seed: u64) -> Box<dyn TraceGenerator> {
-        match self {
-            TraceKind::Poisson => Box::new(PoissonTrace::new(50.0 * scale)),
-            TraceKind::Wiki => {
-                Box::new(WikiLikeTrace::scaled(scale).with_period(SimDuration::from_secs(3600)))
-            }
-            TraceKind::Wits => Box::new(WitsLikeTrace::scaled(scale, horizon, seed ^ 0x5157)),
-        }
-    }
-}
-
-/// One simulation to run: everything needed to build a [`SimConfig`] and a
-/// [`JobStream`] deterministically.
+/// One simulation to run: a resource manager on a [`Scenario`], plus the
+/// knobs single ablations vary. Everything else comes from
+/// [`Scenario::config`], as it does for `fifer`.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// Row label for tables ("Bline", "Fifer+MWA", …).
     pub label: String,
     /// The resource-manager policy bundle.
     pub rm: RmConfig,
-    /// Workload mix.
-    pub mix: WorkloadMix,
-    /// Arrival trace.
-    pub trace: TraceKind,
-    /// Rate scale applied to the trace's paper-scale rates.
-    pub rate_scale: f64,
-    /// Simulated duration.
-    pub horizon: SimDuration,
-    /// Warmup excluded from latency/SLO metrics.
-    pub warmup: SimDuration,
-    /// Cluster shape.
-    pub cluster: ClusterConfig,
+    /// Arrivals, mix, rate, horizon, warmup, seed and cluster.
+    pub scenario: Scenario,
     /// Application SLO.
     pub slo: SimDuration,
-    /// Base seed (stream + jitter + predictor init).
-    pub seed: u64,
-    /// Idle-container reclamation timeout (paper default 10 min).
-    pub idle_timeout: SimDuration,
     /// Whether identical microservices are shared across the mix's apps.
     pub share_stages: bool,
     /// Pre-warmed pool floor per stage (§2.2.1; 0 disables).
@@ -82,164 +34,84 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A prototype-scale spec (80 cores, Poisson, paper defaults).
-    pub fn prototype(label: impl Into<String>, rm: RmConfig, mix: WorkloadMix) -> Self {
+    /// `rm` on `scenario` with the paper's defaults: a 1000 ms SLO, shared
+    /// stages, no warm pool, one tenant.
+    pub fn new(label: impl Into<String>, rm: RmConfig, scenario: Scenario) -> Self {
         RunSpec {
             label: label.into(),
             rm,
-            mix,
-            trace: TraceKind::Poisson,
-            rate_scale: 1.0,
-            horizon: SimDuration::from_secs(3600),
-            warmup: SimDuration::from_secs(900),
-            cluster: ClusterConfig::prototype(),
+            scenario,
             slo: SimDuration::from_millis(1000),
-            seed: 42,
-            idle_timeout: SimDuration::from_secs(600),
             share_stages: true,
             min_warm_pool: 0,
             tenants: 1,
         }
     }
 
-    /// A trace-driven spec at 1/10 of the paper's large-scale setup (same
-    /// load-to-capacity ratio as the 2500-core simulation, §5.3).
+    /// A prototype-scale spec: Poisson λ = 50 on the 80-core cluster for
+    /// an hour after a 15-minute warmup (§6.1).
+    pub fn prototype(label: impl Into<String>, rm: RmConfig, mix: WorkloadMix) -> Self {
+        let scenario = Scenario {
+            mix,
+            secs: 3600,
+            warmup: Some(SimDuration::from_secs(900)),
+            ..Scenario::default()
+        };
+        Self::new(label, rm, scenario)
+    }
+
+    /// A trace-driven spec at 1/10 of the paper's large-scale setup: a
+    /// 16-node cluster replaying `arrivals` at `rate`, a tenth of the
+    /// trace's paper-scale average (150 req/s for Wiki, 24 for WITS), for
+    /// 2 hours after a 15-minute warmup — the load-to-capacity ratio of
+    /// the 2500-core simulation (§5.3).
     pub fn large_scale(
         label: impl Into<String>,
         rm: RmConfig,
         mix: WorkloadMix,
-        trace: TraceKind,
+        arrivals: Arrivals,
+        rate: f64,
     ) -> Self {
-        RunSpec {
-            label: label.into(),
-            rm,
+        let scenario = Scenario {
+            arrivals,
             mix,
-            trace,
-            rate_scale: 0.1,
-            horizon: SimDuration::from_secs(7200),
-            warmup: SimDuration::from_secs(900),
+            rate,
+            secs: 7200,
+            warmup: Some(SimDuration::from_secs(900)),
             cluster: ClusterConfig {
                 nodes: 16,
-                cores_per_node: 16.0,
-                mem_per_node_gb: 192.0,
+                ..ClusterConfig::large_scale()
             },
-            slo: SimDuration::from_millis(1000),
-            seed: 42,
-            idle_timeout: SimDuration::from_secs(600),
-            share_stages: true,
-            min_warm_pool: 0,
-            tenants: 1,
-        }
+            ..Scenario::default()
+        };
+        Self::new(label, rm, scenario)
     }
 
-    /// Shrinks horizons (and the idle timeout, proportionally) for
-    /// `--quick` smoke runs.
+    /// Shrinks the horizon and the warmup 6× for `--quick` smoke runs;
+    /// the idle scan follows the horizon.
     pub fn quick(mut self) -> Self {
-        self.horizon = self.horizon / 6;
-        self.warmup = self.warmup / 6;
-        self.idle_timeout = self.idle_timeout / 6;
+        self.scenario.secs /= 6;
+        self.scenario.warmup = self.scenario.warmup.map(|w| w / 6);
         self
     }
 
-    /// Cache key: every field that affects the result.
+    /// Cache key: every field but the row label.
     fn cache_key(&self) -> String {
-        format!(
-            "{:?}|{:?}|{}|{}|{}|{}|{}|{}|{}|{:?}|wp{}|tn{}",
-            self.rm,
-            self.mix,
-            self.trace.label(),
-            self.rate_scale,
-            self.horizon,
-            self.warmup,
-            self.cluster.nodes,
-            self.slo,
-            self.seed,
-            format!(
-                "{:?}/{:?}/{}/{}",
-                self.cluster.cores_per_node,
-                self.cluster.mem_per_node_gb,
-                self.idle_timeout,
-                self.share_stages
-            ),
-            self.min_warm_pool,
-            self.tenants,
-        )
-    }
-
-    /// Builds the deterministic `(SimConfig, JobStream)` pair this spec
-    /// describes, including the §4.5.1 pre-training series for proactive
-    /// RMs. Callers that need to separate predictor pre-training from the
-    /// replay itself (the perf harness) build the resource manager from
-    /// the returned config and hand it to
-    /// [`Simulation::with_resource_manager`].
-    pub fn build_parts(&self) -> (SimConfig, JobStream) {
-        let trace = self.trace.build(self.rate_scale, self.horizon, self.seed);
-        let stream = JobStream::generate(trace.as_ref(), self.mix, self.horizon, self.seed);
-        let avg_rate = if self.horizon.is_zero() {
-            0.0
-        } else {
-            stream.len() as f64 / self.horizon.as_secs_f64()
-        };
-        let mut cfg = SimConfig {
-            rm: self.rm,
-            cluster: self.cluster,
-            slo: self.slo,
-            warmup: self.warmup,
-            ..SimConfig::prototype(self.rm, avg_rate)
-        };
-        cfg.expected_avg_rate = avg_rate;
-        cfg.seed = self.seed;
-        cfg.idle_timeout = self.idle_timeout;
-        cfg.share_stages = self.share_stages;
-        cfg.min_warm_pool = self.min_warm_pool;
-        cfg.tenants = self.tenants;
-        if cfg.rm.is_proactive() {
-            // the paper pre-trains on 60% of the trace (§4.5.1)
-            let cut = (stream.len() * 6 / 10).max(1);
-            let arrivals: Vec<SimTime> = stream.iter().take(cut).map(|j| j.arrival).collect();
-            cfg.pretrain_series = window_max_series(&arrivals, 5);
-        }
-        (cfg, stream)
+        let mut unlabeled = self.clone();
+        unlabeled.label.clear();
+        format!("{unlabeled:?}")
     }
 
     /// Executes this run (no caching).
     pub fn execute(&self) -> SimResult {
-        let (cfg, stream) = self.build_parts();
+        let stream = self.scenario.stream();
+        let mut cfg = self.scenario.config(self.rm, &stream);
+        cfg.slo = self.slo;
+        cfg.share_stages = self.share_stages;
+        cfg.min_warm_pool = self.min_warm_pool;
+        cfg.tenants = self.tenants;
         Simulation::new(cfg, &stream).run()
     }
-}
-
-/// Builds the deterministic `(SimConfig, JobStream)` pair for one RM on
-/// the Azure-characterization family — the `wild` bench section's runs.
-///
-/// The family lives outside the [`TraceKind`] machinery because it builds
-/// its own stream (heavy-tailed per-app processes, not a rate envelope).
-/// Every RM gets the same short 10 s idle scan, so the head-to-head
-/// isolates the keep-alive *policy*: the mechanism offers each RM the
-/// same reclamation opportunities and the policy decides who dies.
-pub fn azure_parts(
-    rm: RmConfig,
-    azure: &AzureWorkloadConfig,
-    horizon: SimDuration,
-    warmup: SimDuration,
-    seed: u64,
-) -> (SimConfig, JobStream) {
-    let stream = azure.generate_stream(horizon, seed);
-    let avg_rate = if horizon.is_zero() {
-        0.0
-    } else {
-        stream.len() as f64 / horizon.as_secs_f64()
-    };
-    let mut cfg = SimConfig::prototype(rm, avg_rate);
-    cfg.seed = seed;
-    cfg.warmup = warmup;
-    cfg.idle_timeout = SimDuration::from_secs(10);
-    if cfg.rm.is_proactive() {
-        let cut = (stream.len() * 6 / 10).max(1);
-        let arrivals: Vec<SimTime> = stream.iter().take(cut).map(|j| j.arrival).collect();
-        cfg.pretrain_series = window_max_series(&arrivals, 5);
-    }
-    (cfg, stream)
 }
 
 /// Experiment context: output directory, quick-mode flag and the
@@ -266,74 +138,37 @@ impl Ctx {
         self.cache.lock().expect("result cache poisoned")
     }
 
-    /// Applies quick-mode shrinking to a spec.
-    pub fn tune(&self, spec: RunSpec) -> RunSpec {
-        if self.quick {
-            spec.quick()
-        } else {
-            spec
-        }
-    }
-
     /// Runs one spec through the cache.
     pub fn run(&self, spec: RunSpec) -> Arc<SimResult> {
-        let spec = self.tune(spec);
-        let key = spec.cache_key();
-        if let Some(hit) = self.cache_lock().get(&key) {
-            return Arc::clone(hit);
-        }
-        let result = Arc::new(spec.execute());
-        self.cache_lock().insert(key, Arc::clone(&result));
-        result
+        self.run_all(vec![spec]).remove(0)
     }
 
     /// Runs many specs in parallel (bounded by available parallelism),
-    /// returning results in spec order.
+    /// returning results in spec order. Each uncached key runs once, even
+    /// when the batch repeats it.
     pub fn run_all(&self, specs: Vec<RunSpec>) -> Vec<Arc<SimResult>> {
-        let specs: Vec<RunSpec> = specs.into_iter().map(|s| self.tune(s)).collect();
-        // resolve cache hits first, and dedupe pending work by cache key so
-        // duplicate specs in one batch share a single execution
-        let mut out: Vec<Option<Arc<SimResult>>> = vec![None; specs.len()];
-        let mut pending: Vec<(usize, RunSpec)> = Vec::new();
-        let mut claimed: std::collections::HashSet<String> = std::collections::HashSet::new();
+        let specs: Vec<RunSpec> = specs
+            .into_iter()
+            .map(|s| if self.quick { s.quick() } else { s })
+            .collect();
+        let keys: Vec<String> = specs.iter().map(RunSpec::cache_key).collect();
+        let mut pending: Vec<(String, RunSpec)> = Vec::new();
         {
             let cache = self.cache_lock();
-            for (i, s) in specs.iter().enumerate() {
-                let key = s.cache_key();
-                match cache.get(&key) {
-                    Some(hit) => out[i] = Some(Arc::clone(hit)),
-                    None => {
-                        if claimed.insert(key) {
-                            pending.push((i, s.clone()));
-                        }
-                    }
+            for (key, spec) in keys.iter().zip(specs) {
+                if !cache.contains_key(key) && !pending.iter().any(|(k, _)| k == key) {
+                    pending.push((key.clone(), spec));
                 }
             }
         }
-        let executed = fifer_core::pool::execute(
+        let done = par_map(
             pending,
-            fifer_core::pool::default_workers(),
-            |(i, spec): (usize, RunSpec)| {
-                let r = Arc::new(spec.execute());
-                self.cache_lock().insert(spec.cache_key(), Arc::clone(&r));
-                (i, r)
-            },
+            detected_cores(),
+            |(key, spec): (String, RunSpec)| (key, Arc::new(spec.execute())),
         );
-        for (i, r) in executed {
-            out[i] = Some(r);
-        }
-        // duplicate specs deferred to the claimed execution resolve from
-        // the now-populated cache
-        let cache = self.cache_lock();
-        for (i, slot) in out.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = cache.get(&specs[i].cache_key()).map(Arc::clone);
-            }
-        }
-        drop(cache);
-        out.into_iter()
-            .map(|o| o.expect("every spec produced a result"))
-            .collect()
+        let mut cache = self.cache_lock();
+        cache.extend(done);
+        keys.iter().map(|k| Arc::clone(&cache[k])).collect()
     }
 
     /// Runs labeled specs in parallel, returning `(label, result)` pairs in
@@ -428,12 +263,13 @@ impl Ctx {
     /// Panics if `n` is zero.
     pub fn run_seeds(&self, spec: RunSpec, n: usize) -> SeedSweep {
         assert!(n > 0, "need at least one seed");
-        let seeds: Vec<u64> = (0..n as u64).map(|i| spec.seed + i).collect();
+        let seeds: Vec<u64> = (0..n as u64).map(|i| spec.scenario.seed + i).collect();
         let specs: Vec<RunSpec> = seeds
             .iter()
-            .map(|&seed| RunSpec {
-                seed,
-                ..spec.clone()
+            .map(|&seed| {
+                let mut spec = spec.clone();
+                spec.scenario.seed = seed;
+                spec
             })
             .collect();
         let results = self.run_all(specs);
@@ -466,13 +302,18 @@ pub fn normalized(v: f64, base: f64) -> String {
 mod tests {
     use super::*;
     use fifer_core::rm::RmKind;
+    use fifer_metrics::SimTime;
+    use fifer_workloads::AzureWorkloadConfig;
 
     fn tiny_spec(label: &str) -> RunSpec {
-        let mut s = RunSpec::prototype(label, RmKind::Bline.config(), WorkloadMix::Light);
-        s.horizon = SimDuration::from_secs(20);
-        s.warmup = SimDuration::ZERO;
-        s.rate_scale = 0.1; // 5 req/s
-        s
+        let scenario = Scenario {
+            mix: WorkloadMix::Light,
+            rate: 5.0,
+            secs: 20,
+            warmup: Some(SimDuration::ZERO),
+            ..Scenario::default()
+        };
+        RunSpec::new(label, RmKind::Bline.config(), scenario)
     }
 
     #[test]
@@ -493,7 +334,7 @@ mod tests {
     fn run_all_preserves_order_and_caches() {
         let ctx = Ctx::new(std::env::temp_dir().join("fifer_bench_test2"), false);
         let mut s2 = tiny_spec("b");
-        s2.seed = 7;
+        s2.scenario.seed = 7;
         let results = ctx.run_all(vec![tiny_spec("a"), s2.clone(), tiny_spec("c")]);
         assert_eq!(results.len(), 3);
         assert!(Arc::ptr_eq(&results[0], &results[2]));
@@ -505,8 +346,23 @@ mod tests {
 
     #[test]
     fn quick_shrinks_horizons() {
-        let s = tiny_spec("q").quick();
-        assert_eq!(s.horizon, SimDuration::from_secs(20) / 6);
+        let s = RunSpec::prototype("q", RmKind::Bline.config(), WorkloadMix::Light).quick();
+        assert_eq!(s.scenario.secs, 600);
+        assert_eq!(s.scenario.warmup, Some(SimDuration::from_secs(150)));
+    }
+
+    #[test]
+    fn hybridhist_runs_with_its_own_idle_scan() {
+        // the keep-alive RM decides who dies at a 10 s scan; at Bline's
+        // scan it would replay Bline's run byte for byte
+        let run = |kind: RmKind| {
+            let mut spec = tiny_spec(&kind.to_string());
+            spec.rm = kind.config();
+            spec.scenario.secs = 300;
+            spec.execute()
+        };
+        let (bline, hybrid) = (run(RmKind::Bline), run(RmKind::HybridHist));
+        assert_ne!(bline.to_json(), hybrid.to_json());
     }
 
     #[test]
@@ -538,26 +394,47 @@ mod tests {
 
     #[test]
     fn azure_parts_builds_a_runnable_pair() {
+        // the Azure family's stream and config, as the harness builds them
         let azure = AzureWorkloadConfig::paper_default();
-        let (cfg, stream) = azure_parts(
-            RmKind::HybridHist.config(),
-            &azure,
-            SimDuration::from_secs(30),
-            SimDuration::ZERO,
-            7,
-        );
+        let mut spec = tiny_spec("azure");
+        spec.rm = RmKind::HybridHist.config();
+        spec.scenario = Scenario {
+            arrivals: Arrivals::Azure {
+                apps: azure.apps,
+                tail_exponent: azure.tail_exponent,
+                trigger_mix: azure.trigger_mix,
+            },
+            mix: azure.mix,
+            rate: azure.total_rate,
+            secs: 30,
+            warmup: Some(SimDuration::ZERO),
+            seed: 7,
+            ..Scenario::default()
+        };
+        let stream = spec.scenario.stream();
         assert!(!stream.is_empty());
+        let cfg = spec.scenario.config(spec.rm, &stream);
         assert_eq!(cfg.idle_timeout, SimDuration::from_secs(10));
-        let r = Simulation::new(cfg, &stream).run();
-        assert_eq!(r.records.len(), stream.len());
+        assert_eq!(spec.execute().records.len(), stream.len());
     }
 
     #[test]
     fn trace_kinds_build() {
-        for t in [TraceKind::Poisson, TraceKind::Wiki, TraceKind::Wits] {
-            let g = t.build(0.1, SimDuration::from_secs(60), 1);
-            assert!(g.peak_rate() > 0.0);
-            assert!(!t.label().is_empty());
+        for arrivals in [Arrivals::Poisson, Arrivals::Wiki, Arrivals::Wits] {
+            let spec = RunSpec::large_scale(
+                "t",
+                RmKind::Bline.config(),
+                WorkloadMix::Light,
+                arrivals,
+                24.0,
+            );
+            let mut scenario = spec.scenario;
+            scenario.secs = 60;
+            let stream = scenario.stream();
+            assert!(!stream.is_empty(), "{arrivals:?} built an empty stream");
+            assert!(stream
+                .iter()
+                .all(|j| j.arrival < SimTime::ZERO + scenario.horizon()));
         }
     }
 }

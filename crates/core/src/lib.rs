@@ -18,10 +18,7 @@
 //!   (`RmKind::build() -> Box<dyn ResourceManager>`), the read-only
 //!   [`policy::ClusterView`]/[`policy::StageView`] snapshots they consume,
 //!   and the typed [`policy::Decision`]s they emit,
-//! * [`features`] — the Table 6 feature matrix versus related work,
-//! * [`pool`] — a std-only work-stealing thread pool for independent
-//!   work (whole-simulation sweeps, bench sections); a simulation run
-//!   itself never spawns a thread.
+//! * [`features`] — the Table 6 feature matrix versus related work.
 //!
 //! The event-driven cluster substrate that executes these policies lives in
 //! the `fifer-sim` crate; keeping the policies pure makes every decision
@@ -42,7 +39,6 @@
 
 pub mod features;
 pub mod policy;
-pub mod pool;
 pub mod resources;
 pub mod rm;
 pub mod scaling;

@@ -32,6 +32,10 @@
 //! * `harvest` — idle-resource harvesting: node-local leases carved from
 //!   idle containers' allocation headroom, with safe reclamation when a
 //!   lender's usage rises,
+//! * [`scenario`] — one run's arrival family, mix, rate, horizon,
+//!   warmup, seed and cluster: the single mapping from a family to its
+//!   generator and from a stream to the stream-dependent config fields
+//!   (expected rate, warmup, idle scan, pretraining series),
 //! * [`fault`] — the deterministic fault-injection plan (seeded spawn
 //!   failures, mid-task crashes, node outages, stragglers),
 //! * `audit` — the runtime invariant auditor: conservation laws checked
@@ -73,6 +77,7 @@ pub mod fault;
 mod harvest;
 mod lifecycle;
 pub mod results;
+pub mod scenario;
 pub mod stage;
 pub mod stats_store;
 pub mod trace;
@@ -81,4 +86,5 @@ pub use config::{ClusterConfig, SimConfig};
 pub use driver::Simulation;
 pub use fault::{FaultKind, FaultPlan, NodeOutage};
 pub use results::SimResult;
+pub use scenario::{Arrivals, Scenario};
 pub use trace::{SimEvent, SimTrace, TraceConfig};

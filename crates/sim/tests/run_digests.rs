@@ -10,8 +10,9 @@
 use fifer_core::rm::RmKind;
 use fifer_metrics::{SimDuration, SimTime};
 use fifer_sim::config::{ClusterConfig, SimConfig};
-use fifer_sim::driver::{window_max_series, Simulation};
+use fifer_sim::driver::Simulation;
 use fifer_sim::fault::FaultPlan;
+use fifer_sim::scenario;
 use fifer_workloads::{AzureWorkloadConfig, JobStream, PoissonTrace, WitsLikeTrace, WorkloadMix};
 
 /// FNV-1a 64 over a serialized artifact.
@@ -230,9 +231,7 @@ fn burst_50k_cores_matches_its_digest_in_single_digit_seconds() {
     // no warmup: records then cover every job, so the completion
     // accounting below is exact
     cfg.warmup = SimDuration::ZERO;
-    let cut = (s.len() * 6 / 10).max(1);
-    let arrivals: Vec<SimTime> = s.iter().take(cut).map(|j| j.arrival).collect();
-    cfg.pretrain_series = window_max_series(&arrivals, 5);
+    cfg.pretrain_series = scenario::pretrain_series(&cfg.rm, &s);
     let t0 = std::time::Instant::now();
     let r = Simulation::new(cfg, &s).run();
     let elapsed = t0.elapsed();

@@ -162,14 +162,6 @@ impl WikiLikeTrace {
         t
     }
 
-    /// Overrides the diurnal period (shorter periods expose more cycles to
-    /// the predictor in short tests).
-    pub fn with_period(mut self, period: SimDuration) -> Self {
-        assert!(!period.is_zero(), "period must be positive");
-        self.period = period;
-        self
-    }
-
     /// Configured average rate.
     pub fn avg_rate(&self) -> f64 {
         self.avg_rate

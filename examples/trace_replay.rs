@@ -7,21 +7,26 @@
 //! ```
 
 use fifer::prelude::*;
-use fifer::sim::driver::window_max_series;
 
 fn main() {
     let secs: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1200);
-    let horizon = SimDuration::from_secs(secs);
-    let trace = WitsLikeTrace::scaled(0.1, horizon, 7);
-    let stream = JobStream::generate(&trace, WorkloadMix::Heavy, horizon, 11);
-    let avg_rate = stream.len() as f64 / secs as f64;
+    // a tenth of WITS's paper-scale 240 req/s average
+    let scenario = Scenario {
+        arrivals: Arrivals::Wits,
+        rate: 24.0,
+        secs,
+        seed: 7,
+        ..Scenario::default()
+    };
+    let stream = scenario.stream();
     println!(
-        "WITS-like trace: {} jobs over {horizon} (avg {avg_rate:.0} req/s, bursts to {:.0})\n",
+        "WITS-like trace: {} jobs over {} (avg {:.0} req/s)\n",
         stream.len(),
-        trace.peak_rate()
+        scenario.horizon(),
+        stream.len() as f64 / secs as f64,
     );
 
     println!(
@@ -29,17 +34,9 @@ fn main() {
         "rm", "slo_viol%", "avg_containers", "median_ms", "p99_ms", "coldstarts", "energy_kJ"
     );
     for kind in RmKind::ALL {
-        let mut cfg = SimConfig::prototype(kind.config(), avg_rate);
-        cfg.warmup = SimDuration::from_secs(secs / 6);
-        // scale the 10-minute idle timeout to the run length so short
-        // demos still show steady-state container counts
-        cfg.idle_timeout = SimDuration::from_secs((secs / 6).clamp(60, 600));
-        if cfg.rm.is_proactive() {
-            // pre-train on the first 60% of the trace, as in the paper
-            let cut = stream.len() * 6 / 10;
-            let arrivals: Vec<SimTime> = stream.iter().take(cut).map(|j| j.arrival).collect();
-            cfg.pretrain_series = window_max_series(&arrivals, 5);
-        }
+        // the warmup, the idle scan and the §4.5.1 pretraining series
+        // follow the scenario, as they do for `fifer`
+        let cfg = scenario.config(kind.config(), &stream);
         let r = Simulation::new(cfg, &stream).run();
         println!(
             "{:>7}  {:>9.2}  {:>11.1}  {:>9.0}  {:>8.0}  {:>10}  {:>9.1}",

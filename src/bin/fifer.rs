@@ -15,7 +15,7 @@
 //! reports for a producer stopped by `SIGPIPE`.
 
 use fifer::prelude::*;
-use fifer::sim::driver::window_max_series;
+use fifer::sim::ClusterConfig;
 use fifer::workloads::io as wio;
 use std::io::{self, Write};
 use std::process::exit;
@@ -32,6 +32,10 @@ const STREAM_FLAGS: [&str; 8] = [
     "--rate",
     "--secs",
 ];
+
+/// The flags that shape only the azure family; without `--workload azure`
+/// they would be ignored.
+const AZURE_FLAGS: [&str; 3] = ["--apps", "--tail-exp", "--trigger-mix"];
 
 /// Writes one line of the report to stdout, ending the run through
 /// [`stdout_failed`] if it cannot.
@@ -50,28 +54,23 @@ fn stdout_failed(e: io::Error) -> ! {
     if e.kind() == io::ErrorKind::BrokenPipe {
         exit(141)
     }
-    eprintln!("error: cannot write to stdout: {e}");
+    fail(format!("cannot write to stdout: {e}"))
+}
+
+/// Reports an I/O or workload error and exits 1.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
     exit(1)
 }
 
 #[derive(Debug, Clone)]
 struct Args {
     rm: Vec<RmKind>,
-    trace: String,
-    workload: String,
-    apps: usize,
-    tail_exp: f64,
-    trigger_mix: TriggerMix,
-    mix: WorkloadMix,
-    secs: u64,
-    rate: f64,
-    seed: u64,
-    warmup: Option<u64>,
+    scenario: Scenario,
     replay: Option<String>,
     save_workload: Option<String>,
     out: Option<String>,
     json: Option<String>,
-    large: bool,
     early_exit: f64,
     tenants: usize,
     decision_trace: Option<String>,
@@ -82,6 +81,7 @@ struct Args {
 }
 
 fn usage() -> ! {
+    let large = ClusterConfig::large_scale();
     eprintln!(
         "usage: fifer [options]\n\
          \n\
@@ -94,14 +94,14 @@ fn usage() -> ! {
          --tail-exp <s>                            azure: Zipf tail exponent (default 1.5)\n\
          --trigger-mix <h,t,q,e>                   azure: percent of apps per trigger class,\n\
                                                    http,timer,queue,event (default 55,20,15,10)\n\
-         --trace <poisson|wiki|wits>               arrival trace (default poisson)\n\
+         --trace <poisson|wiki|wits>               paper: arrival trace (default poisson)\n\
          --mix <heavy|medium|light>                workload mix (default heavy)\n\
          --rate <req/s>                            poisson rate / trace scale basis (default 50)\n\
          --secs <n>                                duration in seconds (default 600)\n\
          --warmup <n>                              warmup excluded from metrics (default secs/6);\n\
                                                    must be below the horizon\n\
          --seed <n>                                RNG seed (default 42)\n\
-         --large                                   use the large-scale cluster (16 nodes)\n\
+         --large                                   use the large-scale cluster ({} nodes, {} cores)\n\
          --early-exit <p>                          dynamic-chain early-exit probability\n\
          --tenants <n>                             isolated tenants sharing the cluster (default 1)\n\
          --replay <file.csv>                       replay a saved workload instead of a trace; the\n\
@@ -123,29 +123,36 @@ fn usage() -> ! {
          --audit                                   run the invariant auditor at every event commit\n\
          \n\
          exit status: 0 ok, 1 I/O or workload error, 2 usage error, 3 audit violations,\n\
-         141 stdout closed early"
+         141 stdout closed early",
+        large.nodes,
+        large.total_cores(),
     );
     exit(2)
+}
+
+/// Reports a usage error and exits 2 with the usage text.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    usage()
+}
+
+/// The member of `all` whose name is `name` in any case; a usage error
+/// naming the `what` otherwise.
+fn named<T: Copy + std::fmt::Display>(all: &[T], what: &str, name: &str) -> T {
+    let found = all
+        .iter()
+        .find(|v| v.to_string().eq_ignore_ascii_case(name));
+    *found.unwrap_or_else(|| usage_error(format!("unknown {what} {:?}", name.to_lowercase())))
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         rm: vec![RmKind::Fifer],
-        trace: "poisson".into(),
-        workload: "paper".into(),
-        apps: 32,
-        tail_exp: 1.5,
-        trigger_mix: TriggerMix::paper_default(),
-        mix: WorkloadMix::Heavy,
-        secs: 600,
-        rate: 50.0,
-        seed: 42,
-        warmup: None,
+        scenario: Scenario::default(),
         replay: None,
         save_workload: None,
         out: None,
         json: None,
-        large: false,
         early_exit: 0.0,
         tenants: 1,
         decision_trace: None,
@@ -154,6 +161,11 @@ fn parse_args() -> Args {
         model_cache: None,
         online_retrain: false,
     };
+    // the family flags, combined into `args.scenario.arrivals` at the end
+    let mut azure = false;
+    let mut trace = None;
+    let (mut apps, mut tail_exponent) = (32, 1.5);
+    let mut trigger_mix = TriggerMix::paper_default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |i: &mut usize| -> String {
@@ -161,59 +173,46 @@ fn parse_args() -> Args {
         argv.get(*i).cloned().unwrap_or_else(|| usage())
     };
     let mut stream_flag = None;
+    let mut azure_flag = None;
     while i < argv.len() {
         if let Some(flag) = STREAM_FLAGS.iter().find(|&&f| f == argv[i]) {
             stream_flag.get_or_insert(*flag);
         }
+        if let Some(flag) = AZURE_FLAGS.iter().find(|&&f| f == argv[i]) {
+            azure_flag.get_or_insert(*flag);
+        }
         match argv[i].as_str() {
-            "--rm" => {
-                args.rm = vec![match value(&mut i).to_lowercase().as_str() {
-                    "bline" => RmKind::Bline,
-                    "sbatch" => RmKind::SBatch,
-                    "rscale" => RmKind::RScale,
-                    "bpred" => RmKind::BPred,
-                    "fifer" => RmKind::Fifer,
-                    "harvest" => RmKind::Harvest,
-                    "hybridhist" => RmKind::HybridHist,
-                    other => {
-                        eprintln!("error: unknown rm {other:?}");
-                        usage()
-                    }
-                }]
-            }
+            "--rm" => args.rm = vec![named(&RmKind::ALL, "rm", &value(&mut i))],
             "--compare" => args.rm = RmKind::ALL.to_vec(),
-            "--trace" => args.trace = value(&mut i).to_lowercase(),
-            "--workload" => {
-                args.workload = value(&mut i).to_lowercase();
-                if !matches!(args.workload.as_str(), "paper" | "azure") {
-                    eprintln!("error: unknown workload {:?}", args.workload);
-                    usage()
-                }
-            }
-            "--apps" => args.apps = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--tail-exp" => args.tail_exp = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--trigger-mix" => {
-                args.trigger_mix = TriggerMix::parse(&value(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    usage()
+            "--trace" => {
+                trace = Some(match value(&mut i).to_lowercase().as_str() {
+                    "poisson" => Arrivals::Poisson,
+                    "wiki" => Arrivals::Wiki,
+                    "wits" => Arrivals::Wits,
+                    other => usage_error(format!("unknown trace {other:?}")),
                 })
             }
-            "--mix" => {
-                args.mix = match value(&mut i).to_lowercase().as_str() {
-                    "heavy" => WorkloadMix::Heavy,
-                    "medium" => WorkloadMix::Medium,
-                    "light" => WorkloadMix::Light,
-                    other => {
-                        eprintln!("error: unknown mix {other:?}");
-                        usage()
-                    }
+            "--workload" => {
+                azure = match value(&mut i).to_lowercase().as_str() {
+                    "paper" => false,
+                    "azure" => true,
+                    other => usage_error(format!("unknown workload {other:?}")),
                 }
             }
-            "--secs" => args.secs = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--rate" => args.rate = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--warmup" => args.warmup = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--large" => args.large = true,
+            "--apps" => apps = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--tail-exp" => tail_exponent = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--trigger-mix" => {
+                trigger_mix = TriggerMix::parse(&value(&mut i)).unwrap_or_else(|e| usage_error(e))
+            }
+            "--mix" => args.scenario.mix = named(&WorkloadMix::ALL, "mix", &value(&mut i)),
+            "--secs" => args.scenario.secs = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--rate" => args.scenario.rate = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--seed" => args.scenario.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--warmup" => {
+                let secs = value(&mut i).parse().unwrap_or_else(|_| usage());
+                args.scenario.warmup = Some(SimDuration::from_secs(secs));
+            }
+            "--large" => args.scenario.cluster = ClusterConfig::large_scale(),
             "--tenants" => args.tenants = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--early-exit" => args.early_exit = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--replay" => args.replay = Some(value(&mut i)),
@@ -222,101 +221,86 @@ fn parse_args() -> Args {
             "--json" => args.json = Some(value(&mut i)),
             "--decision-trace" => args.decision_trace = Some(value(&mut i)),
             "--faults" => {
-                args.faults = FaultPlan::parse(&value(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    usage()
-                })
+                args.faults = FaultPlan::parse(&value(&mut i)).unwrap_or_else(|e| usage_error(e))
             }
             "--audit" => args.audit = true,
             "--model-cache" => args.model_cache = Some(value(&mut i)),
             "--online-retrain" => args.online_retrain = true,
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown argument {other:?}");
-                usage()
-            }
+            other => usage_error(format!("unknown argument {other:?}")),
         }
         i += 1;
     }
     // flags that would be silently ignored are usage errors
     if let (Some(flag), Some(_)) = (stream_flag, &args.replay) {
-        eprintln!("error: {flag} cannot be combined with --replay: the file fixes the workload");
-        usage()
+        usage_error(format!(
+            "{flag} cannot be combined with --replay: the file fixes the workload"
+        ))
     }
+    args.scenario.arrivals = match (azure, trace) {
+        (true, Some(_)) => usage_error(
+            "--trace cannot be combined with --workload azure: the family draws its own arrivals",
+        ),
+        (true, None) => Arrivals::Azure {
+            apps,
+            tail_exponent,
+            trigger_mix,
+        },
+        (false, trace) => {
+            if let Some(flag) = azure_flag {
+                usage_error(format!(
+                    "{flag} shapes the azure family; it needs --workload azure"
+                ))
+            }
+            trace.unwrap_or(Arrivals::Poisson)
+        }
+    };
     if args.online_retrain && !args.rm.iter().any(|k| k.config().is_proactive()) {
-        eprintln!(
-            "error: --online-retrain needs a forecasting RM (bpred, fifer or --compare); \
-             the selected RM has no predictor to retrain"
-        );
-        usage()
+        usage_error(
+            "--online-retrain needs a forecasting RM (bpred, fifer or --compare); \
+             the selected RM has no predictor to retrain",
+        )
     }
     if !(0.0..=1.0).contains(&args.early_exit) {
-        eprintln!("error: --early-exit must be in [0, 1]");
-        usage()
-    }
-    if !(args.rate.is_finite() && args.rate > 0.0) {
-        eprintln!("error: --rate must be a positive finite number");
-        usage()
-    }
-    let max_secs = JobStream::MAX_HORIZON.as_secs();
-    if args.secs > max_secs {
-        eprintln!(
-            "error: --secs must be at most {max_secs} ({} days)",
-            max_secs / 86_400
-        );
-        usage()
-    }
-    if args.rate * args.secs as f64 > JobStream::MAX_JOBS as f64 {
-        eprintln!(
-            "error: --rate × --secs must be at most {} jobs",
-            JobStream::MAX_JOBS
-        );
-        usage()
-    }
-    if args.apps == 0 {
-        eprintln!("error: --apps must be at least 1");
-        usage()
+        usage_error("--early-exit must be in [0, 1]")
     }
     if args.tenants == 0 {
-        eprintln!("error: --tenants must be at least 1");
-        usage()
-    }
-    if !(args.tail_exp.is_finite() && args.tail_exp > 0.0) {
-        eprintln!("error: --tail-exp must be a positive finite number");
-        usage()
+        usage_error("--tenants must be at least 1")
     }
     args
 }
 
-fn build_stream(args: &Args) -> JobStream {
-    if let Some(path) = &args.replay {
-        return wio::load_stream(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot replay {path}: {e}");
-            exit(1)
-        });
-    }
-    let horizon = SimDuration::from_secs(args.secs);
-    if args.workload == "azure" {
-        let cfg = AzureWorkloadConfig {
-            apps: args.apps,
-            tail_exponent: args.tail_exp,
-            total_rate: args.rate,
-            trigger_mix: args.trigger_mix,
-            mix: args.mix,
-        };
-        return cfg.generate_stream(horizon, args.seed);
-    }
-    let trace: Box<dyn TraceGenerator> = match args.trace.as_str() {
-        "poisson" => Box::new(PoissonTrace::new(args.rate)),
-        // scale factor expressed against the traces' paper-scale averages
-        "wiki" => Box::new(WikiLikeTrace::scaled(args.rate / 1500.0)),
-        "wits" => Box::new(WitsLikeTrace::scaled(args.rate / 240.0, horizon, args.seed)),
-        other => {
-            eprintln!("error: unknown trace {other:?}");
-            usage()
+/// Loads the stream to replay, or generates the scenario's, after every
+/// check on the input has passed: a rejected input exits before any file
+/// is written. A replay sets the scenario's horizon to one second past
+/// its last arrival.
+fn checked_stream(args: &mut Args) -> JobStream {
+    let replayed = args.replay.as_ref().map(|path| {
+        wio::load_stream(path).unwrap_or_else(|e| fail(format!("cannot replay {path}: {e}")))
+    });
+    let checked = match &replayed {
+        Some(stream) => {
+            args.scenario.secs = stream
+                .jobs()
+                .last()
+                .map(|j| j.arrival.as_secs_f64().ceil() as u64 + 1)
+                .unwrap_or(1);
+            args.scenario.validate_warmup()
         }
+        None => args.scenario.validate(),
     };
-    JobStream::generate(trace.as_ref(), args.mix, horizon, args.seed)
+    if let Err(e) = checked {
+        usage_error(e)
+    }
+    if let Err(e) = args.faults.validate(args.scenario.cluster.nodes) {
+        eprintln!("error: --faults: {e}");
+        exit(2);
+    }
+    let stream = replayed.unwrap_or_else(|| args.scenario.stream());
+    if stream.is_empty() {
+        fail("workload is empty (rate or duration too small)")
+    }
+    stream
 }
 
 /// Streams `r`'s JSON artifact to `path` through a buffer, creating parent
@@ -328,41 +312,19 @@ fn write_json(path: &str, r: &SimResult) -> io::Result<()> {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut args = parse_args();
     let mut out = io::stdout().lock();
+    let stream = checked_stream(&mut args);
+    let secs = args.scenario.secs;
     if let Some(path) = &args.decision_trace {
         // fail before the replay, not after it; the run rewrites the file
         if let Err(e) = std::fs::File::create(path) {
-            eprintln!("error: cannot write {path}: {e}");
-            exit(1);
+            fail(format!("cannot write {path}: {e}"))
         }
-    }
-    let stream = build_stream(&args);
-    if stream.is_empty() {
-        eprintln!("error: workload is empty (rate or duration too small)");
-        exit(1);
-    }
-    let secs = args
-        .replay
-        .as_ref()
-        .map(|_| {
-            stream
-                .jobs()
-                .last()
-                .map(|j| j.arrival.as_secs_f64().ceil() as u64 + 1)
-                .unwrap_or(1)
-        })
-        .unwrap_or(args.secs);
-    let warmup = args.warmup.unwrap_or(secs / 6);
-    if warmup >= secs {
-        // no job would be measured, and the headline would read as zeros
-        eprintln!("error: --warmup must be below the horizon of {secs} s");
-        usage()
     }
     if let Some(path) = &args.save_workload {
         if let Err(e) = wio::save_stream(&stream, path) {
-            eprintln!("error: cannot save workload to {path}: {e}");
-            exit(1);
+            fail(format!("cannot save workload to {path}: {e}"))
         }
         say!(out, "saved {} jobs to {path}", stream.len());
     }
@@ -373,7 +335,7 @@ fn main() {
         "workload: {} jobs over {secs}s (avg {avg_rate:.1} req/s), mix {}, seed {}\n",
         stream.len(),
         stream.mix(),
-        args.seed
+        args.scenario.seed
     );
     say!(
         out,
@@ -392,43 +354,21 @@ fn main() {
     );
     let mut audit_failed = false;
     let cache = args.model_cache.as_ref().map(|dir| {
-        ModelCache::open(dir).unwrap_or_else(|e| {
-            eprintln!("error: cannot open model cache {dir}: {e}");
-            exit(1)
-        })
+        ModelCache::open(dir)
+            .unwrap_or_else(|e| fail(format!("cannot open model cache {dir}: {e}")))
     });
     for kind in &args.rm {
-        let mut cfg = if args.large {
-            SimConfig::large_scale(kind.config(), avg_rate)
-        } else {
-            SimConfig::prototype(kind.config(), avg_rate)
-        };
-        cfg.seed = args.seed;
-        cfg.warmup = SimDuration::from_secs(warmup);
-        cfg.idle_timeout = SimDuration::from_secs((secs / 6).clamp(60, 600));
-        if cfg.rm.keepalive.enabled {
-            // the histogram policy makes its own keep-alive decisions; the
-            // mechanism timeout only sets the idle-scan granularity
-            cfg.idle_timeout = SimDuration::from_secs(10);
-        }
+        let mut rm = kind.config();
+        rm.online_retrain = args.online_retrain;
+        let mut cfg = args.scenario.config(rm, &stream);
         cfg.early_exit_prob = args.early_exit;
         cfg.tenants = args.tenants;
         cfg.faults = args.faults.clone();
-        if let Err(e) = cfg.faults.validate(cfg.cluster.nodes) {
-            eprintln!("error: --faults: {e}");
-            exit(2);
-        }
         cfg.audit = args.audit;
-        cfg.rm.online_retrain = args.online_retrain;
         if let Some(path) = &args.decision_trace {
             // like --json, the last RM listed wins under --compare
             cfg.trace.capacity = 1 << 20;
             cfg.trace.jsonl = Some(path.clone());
-        }
-        if cfg.rm.is_proactive() {
-            let cut = (stream.len() * 6 / 10).max(1);
-            let arrivals: Vec<SimTime> = stream.iter().take(cut).map(|j| j.arrival).collect();
-            cfg.pretrain_series = window_max_series(&arrivals, 5);
         }
         let (sim, warm) = Simulation::new_served(cfg, &stream, cache.as_ref());
         match warm {
@@ -445,8 +385,7 @@ fn main() {
         if let Some(path) = &args.json {
             // the last RM listed wins when --compare is combined with --json
             if let Err(e) = write_json(path, &r) {
-                eprintln!("error: cannot write {path}: {e}");
-                exit(1);
+                fail(format!("cannot write {path}: {e}"))
             }
         }
         // one headline per RM: its latencies are sorted once for both rows
@@ -523,8 +462,7 @@ fn main() {
     }
     if let Some(path) = &args.out {
         if let Err(e) = fifer::metrics::report::write_file(path, &csv) {
-            eprintln!("error: cannot write {path}: {e}");
-            exit(1);
+            fail(format!("cannot write {path}: {e}"))
         }
         say!(out, "\nsummary written to {path}");
     }

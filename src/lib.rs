@@ -47,7 +47,7 @@ pub mod prelude {
     pub use fifer_core::WarmStart;
     pub use fifer_metrics::{SimDuration, SimTime};
     pub use fifer_predict::{LoadPredictor, ModelCache, PredictorKind};
-    pub use fifer_sim::{FaultPlan, SimConfig, SimResult, Simulation};
+    pub use fifer_sim::{Arrivals, FaultPlan, Scenario, SimConfig, SimResult, Simulation};
     pub use fifer_workloads::{
         Application, AzureWorkloadConfig, JobStream, Microservice, PoissonTrace, TraceGenerator,
         TriggerMix, WikiLikeTrace, WitsLikeTrace, WorkloadMix,

@@ -22,6 +22,13 @@ fn help_exits_with_usage() {
         err.contains("--workload"),
         "usage must document --workload: {err}"
     );
+    // --large names the cluster SimConfig::large_scale really builds
+    let large = fifer::sim::ClusterConfig::large_scale();
+    let shape = format!("({} nodes, {} cores)", large.nodes, large.total_cores());
+    assert!(
+        err.contains(&shape),
+        "usage must describe --large as {shape}: {err}"
+    );
 }
 
 #[test]
@@ -281,7 +288,8 @@ fn hybridhist_on_azure_runs_end_to_end() {
 
 #[test]
 fn azure_knobs_are_parsed_and_validated() {
-    // a legal custom family shape runs...
+    // a legal custom family shape runs; the malformed ones are rows of
+    // `out_of_range_inputs_are_named_errors`
     let out = fifer()
         .args([
             "--rm",
@@ -306,20 +314,6 @@ fn azure_knobs_are_parsed_and_validated() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // ...an unbalanced trigger mix is a named usage error
-    let bad = fifer()
-        .args(["--workload", "azure", "--trigger-mix", "50,30,20,10"])
-        .output()
-        .expect("spawn");
-    assert_eq!(bad.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("sum to 100"));
-    // ...and so is an unknown family
-    let unknown = fifer()
-        .args(["--workload", "martian"])
-        .output()
-        .expect("spawn");
-    assert_eq!(unknown.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&unknown.stderr).contains("unknown workload"));
 }
 
 #[test]
@@ -385,15 +379,42 @@ fn out_of_range_inputs_are_named_errors() {
             "--warmup must be below the horizon of 10 s",
         ),
         (&["--warmup", "99999"], 2, "--warmup must be below"),
+        (&["--trace", "bogus"], 2, "unknown trace"),
+        (&["--workload", "martian"], 2, "unknown workload"),
+        (
+            &["--workload", "azure", "--trigger-mix", "50,30,20,10"],
+            2,
+            "sum to 100",
+        ),
+        (&["--faults", "outage=99999@1+1"], 2, "outage node 99999"),
+        // a flag of the other workload family once ran the default one
+        (
+            &["--workload", "azure", "--trace", "wits"],
+            2,
+            "--trace cannot be combined with --workload azure",
+        ),
+        (&["--apps", "8"], 2, "--apps shapes the azure family"),
+        (&["--tail-exp", "1.1"], 2, "--tail-exp shapes the azure"),
+        (&["--trigger-mix", "40,30,20,10"], 2, "--trigger-mix shapes"),
     ] {
+        // every check runs before the first file is written
+        let dir = std::env::temp_dir().join(format!("fifer_cli_rejected_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
         let out = fifer()
+            .current_dir(&dir)
             .args(["--rm", "bline", "--secs", "10"])
+            .args(["--out", "s.csv", "--save-workload", "wl.csv"])
+            .args(["--decision-trace", "dt.jsonl"])
             .args(args)
             .output()
             .expect("spawn");
         assert_eq!(out.status.code(), Some(code), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(message), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        let left = std::fs::read_dir(&dir).expect("scratch dir").count();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(left, 0, "{args:?} left a file behind");
     }
 }
 
@@ -514,15 +535,23 @@ fn replay_warmup_is_checked_against_the_replayed_horizon() {
         "id,app,arrival_us,input_scale\n0,IPA,100,1.0\n1,IPA,1500000,1.0\n",
     )
     .expect("write workload");
+    let out = path.with_extension("out.csv");
+    let _ = std::fs::remove_file(&out);
     let run = |warmup: &str| {
         fifer()
             .args(["--rm", "bline", "--warmup", warmup, "--replay"])
             .arg(&path)
+            .arg("--out")
+            .arg(&out)
             .output()
             .expect("spawn")
     };
-    let (past, inside) = (run("3"), run("2"));
+    let past = run("3");
+    // rejected before the summary file is written
+    assert!(!out.exists());
+    let inside = run("2");
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&out);
     assert_eq!(past.status.code(), Some(2));
     let err = String::from_utf8_lossy(&past.stderr);
     assert!(

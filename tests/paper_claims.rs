@@ -12,6 +12,7 @@
 
 use fifer::prelude::*;
 use fifer::sim::driver::window_max_series;
+use fifer::sim::scenario::pretrain_series;
 use std::sync::OnceLock;
 
 fn poisson_stream(rate: f64, secs: u64, mix: WorkloadMix) -> JobStream {
@@ -27,11 +28,7 @@ fn run(kind: RmKind, s: &JobStream, rate: f64, warmup: u64) -> fifer::sim::SimRe
     let mut cfg = SimConfig::prototype(kind.config(), rate);
     cfg.warmup = SimDuration::from_secs(warmup);
     cfg.idle_timeout = SimDuration::from_secs(120);
-    if cfg.rm.is_proactive() {
-        let cut = s.len() * 6 / 10;
-        let arrivals: Vec<SimTime> = s.iter().take(cut).map(|j| j.arrival).collect();
-        cfg.pretrain_series = window_max_series(&arrivals, 5);
-    }
+    cfg.pretrain_series = pretrain_series(&cfg.rm, s);
     Simulation::new(cfg, s).run()
 }
 
