@@ -14,6 +14,15 @@ use fifer_metrics::{SimDuration, SimTime};
 /// maximum cell count inside the window (requests/second), matching the
 /// paper's "maximum arrival rate at each window".
 ///
+/// The cells form a ring of twice the retained history (`2 × window ×
+/// history_windows` seconds, 200 s for the paper sampler), so the sampler's
+/// memory is fixed whatever the horizon. The ring asks two things of its
+/// caller, and asserts both: between [`clear`](Self::clear)s, arrivals are
+/// recorded in non-decreasing time, and a query's `now` is at or after the
+/// latest recorded arrival. The simulator meets both: it records arrivals
+/// as its event loop commits them, and queries on monitor ticks of the
+/// same clock.
+///
 /// # Example
 ///
 /// ```
@@ -32,10 +41,11 @@ use fifer_metrics::{SimDuration, SimTime};
 pub struct WindowSampler {
     window: SimDuration,
     history_windows: usize,
-    /// 1-second cell counts, indexed by absolute second.
+    /// 1-second cell counts: second `s` of the ring's span (the seconds
+    /// up to `latest`) is counted in `cells[s % cells.len()]`.
     cells: Vec<u32>,
-    /// Cells below this second are already zeroed by [`Self::compact`].
-    zeroed_to: usize,
+    /// The second of the latest recorded arrival (0 before the first).
+    latest: usize,
 }
 
 impl WindowSampler {
@@ -53,11 +63,12 @@ impl WindowSampler {
             "window must be at least 1s"
         );
         assert!(history_windows > 0, "need at least one history window");
+        let wsec = (window.as_micros() / 1_000_000) as usize;
         WindowSampler {
             window,
             history_windows,
-            cells: Vec::new(),
-            zeroed_to: 0,
+            cells: vec![0; 2 * wsec * history_windows],
+            latest: 0,
         }
     }
 
@@ -66,32 +77,46 @@ impl WindowSampler {
         WindowSampler::new(SimDuration::from_secs(5), 20)
     }
 
-    /// Records one arrival.
+    /// Records one arrival, clearing the ring slots of the seconds it
+    /// moves past.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` falls in a second before the latest recorded arrival
+    /// (since the last [`clear`](Self::clear)).
     pub fn record_arrival(&mut self, t: SimTime) {
         let sec = t.as_secs_f64() as usize;
-        if self.cells.len() <= sec {
-            self.cells.resize(sec + 1, 0);
+        assert!(
+            sec >= self.latest,
+            "arrivals are recorded in time order (second {sec} after {})",
+            self.latest
+        );
+        let ring = self.cells.len();
+        if sec - self.latest >= ring {
+            self.cells.fill(0);
+        } else {
+            for s in self.latest + 1..=sec {
+                self.cells[s % ring] = 0;
+            }
         }
-        self.cells[sec] += 1;
+        self.latest = sec;
+        self.cells[sec % ring] += 1;
     }
 
     /// Window-max rate series ending at `now`, oldest first, truncated to
     /// the configured history. Partial trailing windows are included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` falls before the latest recorded arrival's second.
     pub fn window_max_rates(&self, now: SimTime) -> Vec<f64> {
-        let wsec = (self.window.as_micros() / 1_000_000) as usize;
         let now_sec = now.as_secs_f64().ceil() as usize;
-        let total_windows = now_sec.div_ceil(wsec);
-        let start_window = total_windows.saturating_sub(self.history_windows);
-        (start_window..total_windows)
-            .map(|w| {
-                let lo = w * wsec;
-                let hi = ((w + 1) * wsec).min(now_sec);
-                (lo..hi)
-                    .map(|s| self.cells.get(s).copied().unwrap_or(0))
-                    .max()
-                    .unwrap_or(0) as f64
-            })
-            .collect()
+        assert!(
+            now_sec >= self.latest,
+            "queries come at or after the latest arrival (second {})",
+            self.latest
+        );
+        self.window_maxima(now_sec, |s| self.count(s))
     }
 
     /// The global maximum rate over the retained history ending at `now` —
@@ -100,32 +125,39 @@ impl WindowSampler {
         self.window_max_rates(now).into_iter().fold(0.0, f64::max)
     }
 
-    /// Zeroes the cells older than twice the retained history before
-    /// `now`. Indices are preserved by zeroing rather than shifting.
-    ///
-    /// Each cell is zeroed once: a call zeroes only the cells between the
-    /// previous call's cut and its own, so a tick costs O(new seconds), not
-    /// O(elapsed seconds). Arrivals are recorded at or after the latest
-    /// `now`, so no cell below the cut is counted again and the cells are
-    /// the same as zeroing from second 0 on every call.
-    pub fn compact(&mut self, now: SimTime) {
-        let cut = self.keep_from(now).min(self.cells.len());
-        if self.zeroed_to < cut {
-            self.cells[self.zeroed_to..cut].fill(0);
-            self.zeroed_to = cut;
+    /// Clears all recorded arrivals; the next may start over from time
+    /// zero.
+    pub fn clear(&mut self) {
+        self.cells.fill(0);
+        self.latest = 0;
+    }
+
+    /// Arrivals counted in second `s`, which a query reads only within
+    /// the history before its `now` — inside the ring's span, since `now`
+    /// is at or after `latest`.
+    fn count(&self, s: usize) -> u32 {
+        let ring = self.cells.len();
+        debug_assert!(s + ring > self.latest, "second {s} has left the ring");
+        if s > self.latest {
+            0
+        } else {
+            self.cells[s % ring]
         }
     }
 
-    /// The first second [`Self::compact`] keeps at `now`.
-    fn keep_from(&self, now: SimTime) -> usize {
+    /// The maxima of the history windows before second `now_sec`, reading
+    /// second `s`'s arrival count as `count(s)`.
+    fn window_maxima(&self, now_sec: usize, count: impl Fn(usize) -> u32) -> Vec<f64> {
         let wsec = (self.window.as_micros() / 1_000_000) as usize;
-        (now.as_secs_f64() as usize).saturating_sub(wsec * self.history_windows * 2)
-    }
-
-    /// Clears all recorded arrivals.
-    pub fn clear(&mut self) {
-        self.cells.clear();
-        self.zeroed_to = 0;
+        let total_windows = now_sec.div_ceil(wsec);
+        let start_window = total_windows.saturating_sub(self.history_windows);
+        (start_window..total_windows)
+            .map(|w| {
+                let lo = w * wsec;
+                let hi = ((w + 1) * wsec).min(now_sec);
+                (lo..hi).map(&count).max().unwrap_or(0) as f64
+            })
+            .collect()
     }
 }
 
@@ -134,13 +166,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    impl WindowSampler {
-        /// The compaction as a sweep from second 0 on every call: the
-        /// oracle for the watermark in [`WindowSampler::compact`].
-        fn compact_full_sweep(&mut self, now: SimTime) {
-            for s in 0..self.keep_from(now).min(self.cells.len()) {
-                self.cells[s] = 0;
+    /// The unbounded sampler the ring replaced, as the oracle: one cell
+    /// per absolute second, emptied only by `clear`.
+    #[derive(Default)]
+    struct Unbounded(Vec<u32>);
+
+    impl Unbounded {
+        fn record_arrival(&mut self, t: SimTime) {
+            let sec = t.as_secs_f64() as usize;
+            if self.0.len() <= sec {
+                self.0.resize(sec + 1, 0);
             }
+            self.0[sec] += 1;
+        }
+
+        /// `sampler`'s windows over these cells.
+        fn window_max_rates(&self, sampler: &WindowSampler, now: SimTime) -> Vec<f64> {
+            let now_sec = now.as_secs_f64().ceil() as usize;
+            sampler.window_maxima(now_sec, |s| self.0.get(s).copied().unwrap_or(0))
         }
     }
 
@@ -216,57 +259,68 @@ mod tests {
     }
 
     #[test]
-    fn compact_preserves_recent_rates() {
+    fn ring_keeps_the_recent_history() {
+        // 5 s windows, 2 of them: a 20 s ring, wrapped 5 times by second 100
         let mut s = WindowSampler::new(SimDuration::from_secs(5), 2);
+        assert_eq!(s.cells.len(), 20);
         for sec in 0..100 {
-            s.record_arrival(secs(sec));
+            for _ in 0..sec % 10 + 1 {
+                s.record_arrival(secs(sec));
+            }
         }
-        let before = s.window_max_rates(secs(100));
-        s.compact(secs(100));
-        let after = s.window_max_rates(secs(100));
-        assert_eq!(before, after);
+        // windows [90, 95) and [95, 100): busiest seconds 94 (5) and 99 (10)
+        assert_eq!(s.window_max_rates(secs(100)), vec![5.0, 10.0]);
+        // a later query reads the seconds past the latest arrival as empty
+        assert_eq!(s.window_max_rates(secs(102)), vec![10.0, 0.0]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random arrival, compaction and clear sequences, monotone in time
-        /// between clears, leave the same cells and window maxima as the
-        /// full-sweep compaction. Gaps up to 400 s let the cut outrun the
-        /// recorded cells.
+        /// Random arrival and clear sequences, monotone in time between
+        /// clears, give the same window maxima and global maximum from the
+        /// ring as from the unbounded cells, queried at the latest arrival
+        /// and at later instants. Gaps up to 400 s outrun every ring drawn
+        /// here (2 s to 336 s).
         #[test]
-        fn watermark_compaction_matches_the_full_sweep(
+        fn ring_matches_the_unbounded_cells(
             window_s in 1u64..8,
             history in 1usize..25,
             steps in prop::collection::vec((0u64..400_000, 0u8..20), 1..300),
         ) {
-            let mut fast = WindowSampler::new(SimDuration::from_secs(window_s), history);
-            let mut oracle = fast.clone();
+            let mut ring = WindowSampler::new(SimDuration::from_secs(window_s), history);
+            let mut oracle = Unbounded::default();
             let mut now = SimTime::ZERO;
             for (gap_ms, op) in steps {
                 // mostly short gaps, so arrivals bunch into shared cells
                 let gap = if op % 4 == 0 { gap_ms } else { gap_ms % 3_000 };
                 now += SimDuration::from_millis(gap);
-                match op {
-                    0..=13 => {
-                        fast.record_arrival(now);
-                        oracle.record_arrival(now);
-                    }
-                    14..=18 => {
-                        fast.compact(now);
-                        oracle.compact_full_sweep(now);
-                    }
+                if op < 19 {
+                    ring.record_arrival(now);
+                    oracle.record_arrival(now);
+                } else {
                     // a cleared sampler may start over from time zero
-                    _ => {
-                        fast.clear();
-                        oracle.clear();
-                        now = SimTime::ZERO;
-                    }
+                    ring.clear();
+                    oracle.0.clear();
+                    now = SimTime::ZERO;
                 }
-                prop_assert_eq!(&fast.cells, &oracle.cells);
-                prop_assert_eq!(fast.window_max_rates(now), oracle.window_max_rates(now));
+                for later_ms in [0, 999, gap_ms % 60_000, gap_ms] {
+                    let at = now + SimDuration::from_millis(later_ms);
+                    let expected = oracle.window_max_rates(&ring, at);
+                    let global = expected.iter().copied().fold(0.0, f64::max);
+                    prop_assert_eq!(ring.window_max_rates(at), expected);
+                    prop_assert_eq!(ring.global_max_rate(at), global);
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "time order")]
+    fn out_of_order_arrival_rejected() {
+        let mut s = WindowSampler::paper_default();
+        s.record_arrival(secs(10));
+        s.record_arrival(secs(9));
     }
 
     #[test]

@@ -143,15 +143,12 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// The live containers, stage by stage (each stage's list holds
-    /// exactly its live containers, in ascending id order). Scans walk
-    /// these instead of `self.containers`, which keeps every container
-    /// ever spawned.
+    /// The live containers, in the table's arbitrary dense order: a
+    /// container leaves the table the moment it dies, so a scan costs
+    /// O(live containers). Every caller is order-free — it sorts its
+    /// result by id, or breaks ties by id.
     pub(crate) fn live_containers(&self) -> impl Iterator<Item = &Container> {
-        self.stages
-            .iter()
-            .flat_map(|s| &s.containers)
-            .map(|&id| &self.containers[id as usize])
+        self.containers.iter()
     }
 
     /// Snapshots every container idle past the reclamation timeout, in
@@ -248,14 +245,6 @@ pub(crate) fn container_view(c: &Container) -> ContainerView {
         node: c.node,
         last_used: c.last_used,
     }
-}
-
-/// A container that holds no work — warm-idle or still cold-starting with
-/// an empty local queue. Both the warm-pool top-up and its reclamation
-/// exemption count these (cold-empty containers will be unoccupied the
-/// moment they warm, so spawning past them would overshoot the floor).
-pub(crate) fn is_unoccupied(c: &Container) -> bool {
-    c.is_alive() && c.executing.is_none() && c.local_queue.is_empty()
 }
 
 /// Index of `(tenant, app)` in the flat per-application routing table.

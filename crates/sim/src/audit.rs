@@ -17,21 +17,26 @@
 //!   bound to a container (executing or locally queued).
 //! * **Slot and memory accounting** — per-node pod counts, CPU and memory
 //!   allocations, and executing counts reconcile with a fresh scan over
-//!   the container table; down nodes host nothing.
-//! * **Dispatch safety** — only warm containers execute (never dead or
+//!   the live containers; down nodes host nothing.
+//! * **Dispatch safety** — only warm containers execute (never
 //!   cold-starting ones), local queues respect batch sizes, and the
-//!   free-slot index agrees with actual container occupancy.
+//!   free-slot index agrees with actual container occupancy. Stage lists
+//!   and free-slot buckets name only live containers of their stage. A
+//!   dead container has left the table, drained: `ContainerTable::retire`
+//!   asserts it holds no task, and request conservation catches a task
+//!   lost on the way.
 //! * **Counter reconciliation** — the decision trace's lifetime counters
 //!   (spawns, kills, failures, requeues, drops) reconcile with the
 //!   driver's totals that end up in the [`SimResult`](crate::SimResult).
 //!
-//! Cheap O(stages + nodes) checks run on every event. The full
-//! container-table scan runs at monitor-tick commits and once more after
+//! Cheap O(stages + nodes) checks run on every event. The deep scan over
+//! the live containers runs at monitor-tick commits and once more after
 //! the queue drains, which keeps `--audit` usable at the 50k-core scale
-//! (a per-event full scan over a 100k-container table would dominate the
-//! run). A clean run reports zero violations.
+//! (a per-event deep scan would dominate the run). Dead containers have
+//! left the table, so a deep scan costs O(live containers), not
+//! O(containers ever spawned). A clean run reports zero violations.
 
-use crate::container::{Container, ContainerState};
+use crate::container::{Container, ContainerState, ContainerTable};
 use crate::driver::Simulation;
 use crate::engine::Event;
 use crate::stage::StageRuntime;
@@ -186,7 +191,7 @@ impl Simulation<'_> {
         }
     }
 
-    /// Full scan over the container table: per-node and per-stage resource
+    /// Deep scan over the live containers: per-node and per-stage resource
     /// accounting, dispatch safety, and request conservation.
     fn check_deep(&self, out: &mut Vec<String>) {
         let nodes = self.cluster.nodes();
@@ -194,7 +199,6 @@ impl Simulation<'_> {
             msgs,
             pods,
             executing,
-            alive,
             bound: bound_total,
             alloc,
             used,
@@ -203,6 +207,7 @@ impl Simulation<'_> {
         } = scan_containers(&self.containers, nodes.len());
         out.extend(msgs);
 
+        let alive = self.containers.len();
         if alive != self.live_count {
             out.push(format!(
                 "alive containers {} != live_count {}",
@@ -297,13 +302,12 @@ impl Simulation<'_> {
     }
 }
 
-/// Per-node tallies and violation messages from one pass over the
-/// container table.
+/// Per-node tallies and violation messages from one pass over the live
+/// containers.
 struct ContainerScan {
     msgs: Vec<String>,
     pods: Vec<usize>,
     executing: Vec<usize>,
-    alive: usize,
     bound: usize,
     /// Per-node sum of primary allocations.
     alloc: Vec<ResourceVec>,
@@ -315,37 +319,23 @@ struct ContainerScan {
     lent: Vec<ResourceVec>,
 }
 
-/// Dispatch-safety checks and per-node tallies over the container table.
-fn scan_containers(containers: &[Container], num_nodes: usize) -> ContainerScan {
+/// Dispatch-safety checks and per-node tallies over the live containers.
+fn scan_containers(containers: &ContainerTable, num_nodes: usize) -> ContainerScan {
     let mut scan = ContainerScan {
         msgs: Vec::new(),
         pods: vec![0; num_nodes],
         executing: vec![0; num_nodes],
-        alive: 0,
         bound: 0,
         alloc: vec![ResourceVec::ZERO; num_nodes],
         used: vec![ResourceVec::ZERO; num_nodes],
         borrowed: vec![ResourceVec::ZERO; num_nodes],
         lent: vec![ResourceVec::ZERO; num_nodes],
     };
-    for c in containers {
-        match c.state {
-            ContainerState::Dead => {
-                if c.executing.is_some() || !c.local_queue.is_empty() {
-                    scan.msgs
-                        .push(format!("dead container {} still holds tasks", c.id));
-                }
-                continue;
-            }
-            ContainerState::ColdStarting { .. } => {
-                if c.executing.is_some() {
-                    scan.msgs
-                        .push(format!("container {} executes while cold-starting", c.id));
-                }
-            }
-            ContainerState::Warm => {}
+    for c in containers.iter() {
+        if matches!(c.state, ContainerState::ColdStarting { .. }) && c.executing.is_some() {
+            scan.msgs
+                .push(format!("container {} executes while cold-starting", c.id));
         }
-        scan.alive += 1;
         scan.pods[c.node] += 1;
         scan.bound += c.local_queue.len() + usize::from(c.executing.is_some());
         if c.executing.is_some() {
@@ -383,13 +373,24 @@ fn scan_containers(containers: &[Container], num_nodes: usize) -> ContainerScan 
     scan
 }
 
+/// The live container `id` of stage `sidx`, or `None` when `id` retired
+/// or serves another stage.
+fn member(containers: &ContainerTable, sidx: usize, id: u64) -> Option<&Container> {
+    containers.get(id).filter(|c| c.stage == sidx)
+}
+
 /// Per-stage index/ledger checks over the stage table; pushes violation
 /// messages to `out` and returns the number of stage-listed containers.
-fn scan_stages(stages: &[StageRuntime], containers: &[Container], out: &mut Vec<String>) -> usize {
+fn scan_stages(
+    stages: &[StageRuntime],
+    containers: &ContainerTable,
+    out: &mut Vec<String>,
+) -> usize {
     let mut listed = 0usize;
     for (sidx, s) in stages.iter().enumerate() {
         let mut free = 0usize;
         let mut stage_exec = 0usize;
+        let mut bound_in_stage = 0usize;
         let mut stage_alloc = ResourceVec::ZERO;
         let mut stage_used = ResourceVec::ZERO;
         let mut seen = std::collections::BTreeSet::new();
@@ -397,19 +398,27 @@ fn scan_stages(stages: &[StageRuntime], containers: &[Container], out: &mut Vec<
             if !seen.insert(id) {
                 out.push(format!("stage {sidx} lists container {id} twice"));
             }
-            let c = &containers[id as usize];
-            if !c.is_alive() || c.stage != sidx {
+            let Some(c) = member(containers, sidx, id) else {
                 out.push(format!(
-                    "stage {sidx} lists container {id} that is dead or foreign"
+                    "stage {sidx} lists container {id} that is retired or foreign"
                 ));
                 continue;
-            }
+            };
             free += c.free_slots();
             stage_exec += usize::from(c.executing.is_some());
+            bound_in_stage += c.local_queue.len() + usize::from(c.executing.is_some());
             stage_alloc += c.alloc;
             stage_used += c.current_usage();
         }
         listed += s.containers.len();
+        for (slots, id) in s.free_index() {
+            if member(containers, sidx, id).is_none_or(|c| c.free_slots() != slots) {
+                out.push(format!(
+                    "stage {sidx}: free-slot bucket {slots} names container {id}, which is \
+                     retired, foreign or holds other than {slots} free slots"
+                ));
+            }
+        }
         if free != s.total_free_slots() {
             out.push(format!(
                 "stage {sidx}: free-slot index {} != scan {}",
@@ -437,14 +446,6 @@ fn scan_stages(stages: &[StageRuntime], containers: &[Container], out: &mut Vec<
         }
         // per-stage task ledger: everything that entered the queue is
         // pending, bound, executed, or was lost to a fault
-        let bound_in_stage: usize = s
-            .containers
-            .iter()
-            .map(|&id| {
-                let c = &containers[id as usize];
-                c.local_queue.len() + usize::from(c.executing.is_some())
-            })
-            .sum();
         let entered = s.arrivals + s.requeued;
         let accounted = s.tasks_executed + s.lost + s.pending() as u64 + bound_in_stage as u64;
         if entered != accounted {
@@ -461,6 +462,7 @@ fn scan_stages(stages: &[StageRuntime], containers: &[Container], out: &mut Vec<
 mod tests {
     use crate::config::SimConfig;
     use crate::driver::Simulation;
+    use fifer_core::policy::DecisionCause;
     use fifer_core::rm::RmKind;
     use fifer_metrics::{SimDuration, SimTime};
     use fifer_workloads::{JobStream, PoissonTrace, WorkloadMix};
@@ -530,6 +532,32 @@ mod tests {
         assert!(
             msgs.iter().any(|m| m.contains("exceeds allocated")),
             "expected the conservation chain to fire: {msgs:?}"
+        );
+    }
+
+    #[test]
+    fn retired_id_in_a_stage_index_is_reported_not_a_panic() {
+        let stream = jobs();
+        let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 5.0);
+        cfg.audit = true;
+        let mut s = Simulation::new(cfg, &stream);
+        let id = s
+            .spawn_container(0, SimTime::ZERO, DecisionCause::Startup)
+            .expect("an empty cluster fits a container");
+        // the table drops the container behind its stage's back: the
+        // stage list and the free-slot bucket still name it
+        s.containers.retire(id);
+        let mut msgs = Vec::new();
+        s.check_deep(&mut msgs);
+        assert!(
+            msgs.iter()
+                .any(|m| m.contains(&format!("lists container {id} that is retired"))),
+            "expected the stage-list check to fire: {msgs:?}"
+        );
+        assert!(
+            msgs.iter()
+                .any(|m| m.contains(&format!("free-slot bucket 1 names container {id}"))),
+            "expected the free-slot check to fire: {msgs:?}"
         );
     }
 

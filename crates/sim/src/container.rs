@@ -8,10 +8,15 @@
 //! period pulling the image and initializing the runtime before it can
 //! execute; requests may already be bound to it while cold (they are what
 //! the container was spawned for).
+//!
+//! A container that dies — reclaimed, crashed or preempted — leaves the
+//! [`ContainerTable`], so the simulator's container memory is bounded by
+//! the live containers, not by every container a run ever spawned.
 
 use fifer_core::resources::ResourceVec;
 use fifer_metrics::{SimDuration, SimTime};
 use std::collections::VecDeque;
+use std::ops::{Index, IndexMut};
 
 /// Deterministic per-container usage profile, sampled from the workload's
 /// function mix: what the container consumes while idle (runtime resident
@@ -76,7 +81,8 @@ pub struct BoundTask {
     pub retries: u32,
 }
 
-/// Lifecycle state of a container.
+/// Lifecycle state of a live container (a dead one leaves the
+/// [`ContainerTable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerState {
     /// Image pull + runtime init in progress until the given instant.
@@ -86,8 +92,6 @@ pub enum ContainerState {
     },
     /// Ready to execute.
     Warm,
-    /// Reclaimed (terminal).
-    Dead,
 }
 
 /// One container instance.
@@ -193,23 +197,20 @@ impl Container {
 
     /// `true` when warm, idle and empty — eligible for idle reclamation.
     pub fn is_idle(&self) -> bool {
-        matches!(self.state, ContainerState::Warm)
-            && self.executing.is_none()
-            && self.local_queue.is_empty()
+        matches!(self.state, ContainerState::Warm) && self.is_empty()
     }
 
-    /// `true` while alive (cold or warm).
-    pub fn is_alive(&self) -> bool {
-        !matches!(self.state, ContainerState::Dead)
+    /// `true` when it holds no task, executing or queued.
+    pub fn is_empty(&self) -> bool {
+        self.executing.is_none() && self.local_queue.is_empty()
     }
 
     /// Binds a task to this container's local queue.
     ///
     /// # Panics
     ///
-    /// Panics when full or dead.
+    /// Panics when full.
     pub fn bind(&mut self, task: BoundTask) {
-        assert!(self.is_alive(), "bind on dead container");
         assert!(self.free_slots() > 0, "bind on full container");
         self.local_queue.push_back(task);
         self.last_used = task.assigned;
@@ -244,18 +245,19 @@ impl Container {
         task
     }
 
-    /// Kills the container by fault, draining whatever it held. Returns the
+    /// Drains a dying container of whatever it held. Returns the
     /// interrupted executing task (if any) followed by the local queue in
-    /// bind order — the tasks the fault orphaned, for re-enqueueing.
+    /// bind order — the tasks its death orphaned, for re-enqueueing. An
+    /// empty container returns an empty, unallocated vector.
     ///
-    /// Unlike [`kill`](Self::kill) this accepts a busy container; unlike
-    /// `finish_executing` the interrupted task does not count as executed.
+    /// Unlike `finish_executing` the interrupted task does not count as
+    /// executed.
     pub fn fail(&mut self) -> Vec<BoundTask> {
-        let mut lost = Vec::with_capacity(self.local_queue.len() + 1);
+        let held = self.local_queue.len() + usize::from(self.executing.is_some());
+        let mut lost = Vec::with_capacity(held);
         lost.extend(self.executing.take());
         self.exec_until = None;
         lost.extend(self.local_queue.drain(..));
-        self.state = ContainerState::Dead;
         lost
     }
 
@@ -279,27 +281,131 @@ impl Container {
     pub fn warm_at(&self) -> SimTime {
         match self.state {
             ContainerState::ColdStarting { warm_at } => warm_at,
-            _ => self.spawned_at + self.cold_start,
+            ContainerState::Warm => self.spawned_at + self.cold_start,
         }
     }
+}
 
-    /// Kills the container.
+/// Position of a retired id in [`ContainerTable`]'s slot vector. No dense
+/// index reaches it, so a lookup of a retired id finds nothing.
+const RETIRED: u32 = u32::MAX;
+
+/// The live containers, addressed by id.
+///
+/// Ids are handed out in spawn order and never reused: the decision
+/// trace, the usage-profile hash, the policy's `ContainerView`s, kill
+/// decisions and the stages' free-slot sets all name containers by them.
+/// The containers themselves sit in a dense vector that holds only the
+/// live ones, and each id ever issued keeps a 4-byte slot with its
+/// position there (or [`RETIRED`]). Retiring swaps the last container into
+/// the gap, so the dense order is arbitrary; every scan that reports in id
+/// order sorts its result.
+#[derive(Debug, Default)]
+pub(crate) struct ContainerTable {
+    live: Vec<Container>,
+    slot: Vec<u32>,
+}
+
+impl ContainerTable {
+    /// The id the next spawned container takes: the number of ids issued.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.slot.len() as u64
+    }
+
+    /// Adds a freshly spawned container, whose id must be
+    /// [`next_id`](Self::next_id).
+    pub(crate) fn insert(&mut self, c: Container) {
+        assert_eq!(c.id, self.next_id(), "container ids follow spawn order");
+        let pos = u32::try_from(self.live.len())
+            .ok()
+            .filter(|&p| p != RETIRED)
+            .expect("live containers fit a u32 position");
+        self.slot.push(pos);
+        self.live.push(c);
+    }
+
+    /// The live container `id`, or `None` once it retired (or for an id
+    /// never issued).
+    #[inline]
+    pub(crate) fn get(&self, id: u64) -> Option<&Container> {
+        let pos = *self.slot.get(usize::try_from(id).ok()?)?;
+        self.live.get(pos as usize)
+    }
+
+    /// Mutable [`get`](Self::get).
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut Container> {
+        let pos = *self.slot.get(usize::try_from(id).ok()?)?;
+        self.live.get_mut(pos as usize)
+    }
+
+    /// Removes the live container `id`, dropping its local-queue buffer.
     ///
     /// # Panics
     ///
-    /// Panics if it still holds tasks.
-    pub fn kill(&mut self) {
-        assert!(
-            self.executing.is_none() && self.local_queue.is_empty(),
-            "kill on busy container"
-        );
-        self.state = ContainerState::Dead;
+    /// Panics if `id` is not live, or if the container still holds a task
+    /// (its death path must drain it first).
+    pub(crate) fn retire(&mut self, id: u64) {
+        let pos = self.slot[id as usize];
+        assert!(pos != RETIRED, "container {id} retired twice");
+        let c = self.live.swap_remove(pos as usize);
+        assert!(c.is_empty(), "retire on busy container {id}");
+        self.slot[id as usize] = RETIRED;
+        if let Some(moved) = self.live.get(pos as usize) {
+            self.slot[moved.id as usize] = pos;
+        }
     }
+
+    /// The live containers, in no particular order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Container> {
+        self.live.iter()
+    }
+
+    /// Number of live containers.
+    pub(crate) fn len(&self) -> usize {
+        self.live.len()
+    }
+}
+
+impl Index<u64> for ContainerTable {
+    type Output = Container;
+
+    /// The live container `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not live; ids that may be stale go through
+    /// [`ContainerTable::get`].
+    #[inline]
+    fn index(&self, id: u64) -> &Container {
+        match self.get(id) {
+            Some(c) => c,
+            None => not_live(id),
+        }
+    }
+}
+
+impl IndexMut<u64> for ContainerTable {
+    #[inline]
+    fn index_mut(&mut self, id: u64) -> &mut Container {
+        match self.get_mut(id) {
+            Some(c) => c,
+            None => not_live(id),
+        }
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn not_live(id: u64) -> ! {
+    panic!("container {id} is not live")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -325,7 +431,7 @@ mod tests {
         let c = Container::spawn(1, 0, 0, 4, secs(10), SimDuration::from_secs(5));
         assert_eq!(c.warm_at(), secs(15));
         assert!(matches!(c.state, ContainerState::ColdStarting { .. }));
-        assert!(c.is_alive());
+        assert!(c.is_empty());
         assert!(!c.is_idle());
     }
 
@@ -394,19 +500,36 @@ mod tests {
         c.bind(task(2, secs(4)));
     }
 
+    /// A table of `n` warm containers with ids `0..n`; container `id`
+    /// runs on node `id % 5`.
+    fn table_of(n: u64) -> ContainerTable {
+        let mut table = ContainerTable::default();
+        for id in 0..n {
+            let node = (id % 5) as usize;
+            let mut c = Container::spawn(id, 0, node, 2, SimTime::ZERO, SimDuration::from_secs(3));
+            c.warm_up(secs(3));
+            table.insert(c);
+        }
+        table
+    }
+
     #[test]
     #[should_panic(expected = "busy container")]
     fn kill_busy_panics() {
-        let mut c = warm_container(2);
-        c.bind(task(1, secs(4)));
-        c.kill();
+        let mut table = table_of(1);
+        table[0].bind(task(1, secs(4)));
+        table.retire(0);
     }
 
     #[test]
     fn kill_idle_succeeds() {
-        let mut c = warm_container(2);
-        c.kill();
-        assert!(!c.is_alive());
+        let mut table = table_of(3);
+        table.retire(0);
+        assert!(table.get(0).is_none());
+        assert_eq!(table.len(), 2);
+        // the last container moved into the gap and is still found by id
+        assert_eq!(table[2].node, 2);
+        assert_eq!(table.next_id(), 3, "a retired id is never reissued");
     }
 
     #[test]
@@ -429,7 +552,7 @@ mod tests {
             lost.iter().map(|t| t.job).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
-        assert!(!c.is_alive());
+        assert!(c.is_empty(), "a drained container can retire");
         assert_eq!(c.exec_until, None);
         assert_eq!(c.tasks_executed, 0, "interrupted task never completed");
     }
@@ -437,8 +560,14 @@ mod tests {
     #[test]
     fn fail_on_empty_container_loses_nothing() {
         let mut c = warm_container(2);
-        assert!(c.fail().is_empty());
-        assert!(!c.is_alive());
+        let lost = c.fail();
+        assert!(lost.is_empty());
+        assert_eq!(
+            lost.capacity(),
+            0,
+            "draining an empty container allocates nothing"
+        );
+        assert!(c.is_empty());
     }
 
     #[test]
@@ -477,5 +606,61 @@ mod tests {
         assert_eq!(c.current_usage(), c.usage.busy);
         c.finish_executing(secs(5));
         assert_eq!(c.current_usage(), c.usage.idle);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random spawn, retire, mutate and lookup sequences: after every
+        /// step the table agrees with a `BTreeMap` keyed by id on the next
+        /// id, on the lookup of every live, retired and never-issued id,
+        /// and on the live id set — however retirements reshuffled the
+        /// dense vector.
+        #[test]
+        fn table_agrees_with_a_btree_map(
+            ops in prop::collection::vec((0u8..4, any::<u64>()), 1..200),
+        ) {
+            let mut table = ContainerTable::default();
+            let mut oracle: BTreeMap<u64, Container> = BTreeMap::new();
+            let key = |c: &Container| (c.id, c.node, c.tasks_executed);
+            for (op, pick) in ops {
+                let issued = table.next_id();
+                match op {
+                    0 => {
+                        let node = (pick % 7) as usize;
+                        let c = Container::spawn(issued, 0, node, 2, SimTime::ZERO, SimDuration::ZERO);
+                        table.insert(c.clone());
+                        oracle.insert(issued, c);
+                    }
+                    1 if !oracle.is_empty() => {
+                        let id = *oracle.keys().nth((pick % oracle.len() as u64) as usize).unwrap();
+                        table.retire(id);
+                        oracle.remove(&id);
+                    }
+                    2 if !oracle.is_empty() => {
+                        let id = *oracle.keys().nth((pick % oracle.len() as u64) as usize).unwrap();
+                        table[id].tasks_executed = pick;
+                        oracle.get_mut(&id).unwrap().tasks_executed = pick;
+                    }
+                    _ => {
+                        let id = pick % (issued + 2);
+                        if let Some(c) = table.get_mut(id) {
+                            c.tasks_executed = c.tasks_executed.wrapping_add(1);
+                        }
+                        if let Some(c) = oracle.get_mut(&id) {
+                            c.tasks_executed = c.tasks_executed.wrapping_add(1);
+                        }
+                    }
+                }
+                prop_assert_eq!(table.next_id(), issued + u64::from(op == 0));
+                for id in 0..table.next_id() + 2 {
+                    prop_assert_eq!(table.get(id).map(key), oracle.get(&id).map(key));
+                }
+                let mut live: Vec<u64> = table.iter().map(|c| c.id).collect();
+                live.sort_unstable();
+                prop_assert_eq!(live, oracle.keys().copied().collect::<Vec<_>>());
+                prop_assert_eq!(table.len(), oracle.len());
+            }
+        }
     }
 }

@@ -77,16 +77,13 @@ impl Simulation<'_> {
             self.store.access(StoreOp::SlotUpdate);
             let wait = now.saturating_since(task.enqueued);
             self.stages[sidx].record_scheduled(now, wait);
-            let c = &mut self.containers[target as usize];
-            let prev_free = c.free_slots();
-            c.bind(BoundTask {
+            let task = BoundTask {
                 job: task.job,
                 enqueued: task.enqueued,
                 assigned: now,
                 retries: task.retries,
-            });
-            self.stages[sidx].update_free(target, prev_free, prev_free - 1);
-            self.try_start(target, now);
+            };
+            self.try_start(target, Some(task), now);
             bound += 1;
         }
 
@@ -116,7 +113,7 @@ impl Simulation<'_> {
         if selection == GreedyLeastFreeSlots {
             let bucket = self.stages[sidx].least_free_bucket()?;
             bucket.iter().max_by_key(|&id| {
-                let node = self.containers[id as usize].node;
+                let node = self.containers[id].node;
                 (self.cluster.nodes()[node].pods, std::cmp::Reverse(id))
             })
         } else {
@@ -124,10 +121,20 @@ impl Simulation<'_> {
         }
     }
 
-    /// Starts the container's next local task if it is warm and idle.
-    pub(crate) fn try_start(&mut self, cid: u64, now: SimTime) {
-        let (job, exec, node, crashes) = {
-            let c = &mut self.containers[cid as usize];
+    /// Binds `bind` (when given) to container `cid`'s local queue, then
+    /// starts the container's next local task if it is warm and idle.
+    pub(crate) fn try_start(&mut self, cid: u64, bind: Option<BoundTask>, now: SimTime) {
+        // one table lookup serves the bind and the start: everything read
+        // from the container later is captured here (settling a lease
+        // below may retire a borrower and move this container within the
+        // table)
+        let (job, exec, stage, node, delta, lending, crashes) = {
+            let c = &mut self.containers[cid];
+            if let Some(task) = bind {
+                let prev_free = c.free_slots();
+                c.bind(task);
+                self.stages[c.stage].update_free(cid, prev_free, prev_free - 1);
+            }
             let Some(task) = c.start_next(now) else {
                 return;
             };
@@ -156,10 +163,19 @@ impl Simulation<'_> {
             let crashes = f.crash_prob > 0.0 && self.fault_rng.gen_bool(f.crash_prob);
             // full exec is charged up front; a crash refunds the remainder
             c.exec_until = Some(now + exec);
-            (task.job, exec, c.node, crashes)
+            let delta = c.usage.busy - c.usage.idle;
+            (
+                task.job,
+                exec,
+                c.stage,
+                c.node,
+                delta,
+                !c.lent.is_zero(),
+                crashes,
+            )
         };
         self.jobs[job].breakdown.exec += exec;
-        self.stages[self.containers[cid as usize].stage].executing += 1;
+        self.stages[stage].executing += 1;
         self.cluster.set_executing(node, 1);
         if crashes {
             // the crash lands partway through the execution, replacing the
@@ -178,13 +194,9 @@ impl Simulation<'_> {
         }
         // idle → busy: a lender that went busy takes its lent headroom back
         // first, then the usage track steps up to the busy footprint
-        if !self.containers[cid as usize].lent.is_zero() {
+        if lending {
             self.settle_lender(cid, now);
         }
-        let (stage, delta) = {
-            let c = &self.containers[cid as usize];
-            (c.stage, c.usage.busy - c.usage.idle)
-        };
         self.cluster.add_usage(node, delta, now);
         self.stages[stage].used += delta;
     }

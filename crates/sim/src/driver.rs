@@ -34,7 +34,7 @@ use crate::config::{
     container_alloc, SimConfig, CONTAINER_CPU, CONTAINER_MEM_GB, MONITOR_INTERVAL,
     NODE_POWEROFF_TIMEOUT, REACTIVE_INTERVAL,
 };
-use crate::container::Container;
+use crate::container::ContainerTable;
 use crate::energy::{EnergyMeter, PowerModel};
 use crate::engine::{Event, EventQueue};
 use crate::fault::FaultKind;
@@ -62,7 +62,8 @@ pub struct Simulation<'a> {
     /// active fault plan. Never drawn from when the plan is inactive.
     pub(crate) fault_rng: StdRng,
     pub(crate) cluster: Cluster,
-    pub(crate) containers: Vec<Container>,
+    /// The live containers by id; a dead one leaves at once.
+    pub(crate) containers: ContainerTable,
     pub(crate) stages: Vec<StageRuntime>,
     /// Static mix share per stage (for fixed-pool sizing views).
     pub(crate) mix_share: Vec<f64>,
@@ -218,7 +219,7 @@ impl<'a> Simulation<'a> {
             fault_rng: StdRng::seed_from_u64(cfg.faults.seed ^ cfg.seed ^ 0xFA17_FA17),
             queue: EventQueue::new(),
             cluster,
-            containers: Vec::new(),
+            containers: ContainerTable::default(),
             stages,
             mix_share,
             apps,
@@ -403,7 +404,7 @@ impl<'a> Simulation<'a> {
                     let mut shrunk = 0usize;
                     for i in 0..self.stages[stage].containers.len() {
                         let cid = self.stages[stage].containers[i];
-                        let c = &self.containers[cid as usize];
+                        let c = &mut self.containers[cid];
                         if !c.is_idle() || !c.lent.is_zero() || !c.borrowed.is_zero() {
                             continue;
                         }
@@ -412,8 +413,8 @@ impl<'a> Simulation<'a> {
                             continue;
                         }
                         let delta = c.alloc - target;
+                        c.alloc = target;
                         let node = c.node;
-                        self.containers[cid as usize].alloc = target;
                         self.cluster.shrink(node, delta, now);
                         self.stages[stage].allocated -= delta;
                         shrunk += 1;
@@ -475,26 +476,26 @@ impl<'a> Simulation<'a> {
     }
 
     fn on_task_finish(&mut self, cid: u64, now: SimTime) {
-        let c = &mut self.containers[cid as usize];
-        if !c.is_alive() {
+        let Some(c) = self.containers.get_mut(cid) else {
             // stale: a fault killed the container (and re-enqueued its
             // tasks) after this finish was scheduled
             return;
-        }
+        };
         let sidx = c.stage;
         let node = c.node;
         let task = c.finish_executing(now);
         let free_after = c.free_slots();
+        // nothing below binds to this container before `try_start`, so an
+        // empty local queue means there is nothing to start: skip that
+        // second table lookup
+        let queued = !c.local_queue.is_empty();
+        // busy → idle: the usage track steps back down to the idle
+        // footprint (`try_start` below re-adds it if another task starts)
+        let delta = c.usage.busy - c.usage.idle;
         self.stages[sidx].update_free(cid, free_after - 1, free_after);
         self.stages[sidx].executing -= 1;
         self.cluster.set_executing(node, -1);
         self.stages[sidx].tasks_executed += 1;
-        // busy → idle: the usage track steps back down to the idle
-        // footprint (`try_start` below re-adds it if another task starts)
-        let delta = {
-            let c = &self.containers[cid as usize];
-            c.usage.busy - c.usage.idle
-        };
         self.cluster.sub_usage(node, delta, now);
         self.stages[sidx].used -= delta;
         self.store.access(StoreOp::JobStats);
@@ -552,7 +553,9 @@ impl<'a> Simulation<'a> {
 
         // keep the container busy: its local queue first (mechanism), then
         // let the policy decide what to do with the freed capacity
-        self.try_start(cid, now);
+        if queued {
+            self.try_start(cid, None, now);
+        }
         let mut out = std::mem::take(&mut self.decisions);
         {
             let sv = self.stage_view(sidx, SimDuration::ZERO);
@@ -564,25 +567,24 @@ impl<'a> Simulation<'a> {
     }
 
     fn on_warm(&mut self, cid: u64, now: SimTime) {
-        let c = &mut self.containers[cid as usize];
-        if !c.is_alive() {
-            return;
-        }
+        let Some(c) = self.containers.get_mut(cid) else {
+            return; // stale: the container died while cold-starting
+        };
         let sidx = c.stage;
         c.warm_up(now);
-        self.try_start(cid, now);
+        self.try_start(cid, None, now);
         self.dispatch(sidx, now, DecisionCause::ContainerWarm);
     }
 
     // ---- fault handlers -------------------------------------------------
 
     fn on_container_crash(&mut self, cid: u64, fault: FaultKind, now: SimTime) {
-        if !self.containers[cid as usize].is_alive() {
+        let Some(c) = self.containers.get(cid) else {
             // stale: the policy reclaimed it, or an earlier fault (e.g. a
             // node outage) got there first
             return;
-        }
-        let sidx = self.containers[cid as usize].stage;
+        };
+        let sidx = c.stage;
         self.crash_container(cid, now, fault);
         // the mechanism has cleaned up; the policy decides how to replace
         // the lost capacity (default: one-for-one respawn + re-drain)
@@ -610,7 +612,7 @@ impl<'a> Simulation<'a> {
             .collect();
         lost_views.sort_unstable_by_key(|v| v.container);
         for cid in lost_views.iter().map(|v| v.container) {
-            if !self.containers[cid as usize].is_alive() {
+            if self.containers.get(cid).is_none() {
                 // a borrower on this node was already preempted by an
                 // earlier victim's reclamation chain
                 continue;
@@ -766,7 +768,6 @@ impl<'a> Simulation<'a> {
             }
         }
 
-        self.sampler.compact(now);
         if !self.workload_drained() {
             self.queue
                 .schedule(now + MONITOR_INTERVAL, Event::MonitorTick);

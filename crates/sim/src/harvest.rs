@@ -28,6 +28,7 @@
 //! are scaled by [`LEND_HEADROOM_PCT`].
 
 use crate::driver::Simulation;
+use crate::lifecycle::Retired;
 use crate::stage::StageTask;
 use crate::stats_store::StoreOp;
 use crate::trace::SimEvent;
@@ -123,7 +124,7 @@ impl Simulation<'_> {
             return self.spawn_container(sidx, now, cause);
         };
         for p in &parts {
-            self.containers[p.lender as usize].lent = p.amount;
+            self.containers[p.lender].lent = p.amount;
         }
         self.cluster.borrow(node, request, now);
         self.cluster.place(node, ResourceVec::ZERO, now);
@@ -278,9 +279,9 @@ impl Simulation<'_> {
             self.ledger.leases.remove(li);
         }
         self.cluster.convert_lease(node, amount, now);
-        self.containers[lender as usize].lent = ResourceVec::ZERO;
+        self.containers[lender].lent = ResourceVec::ZERO;
         let bstage = {
-            let b = &mut self.containers[borrower as usize];
+            let b = &mut self.containers[borrower];
             b.alloc += amount;
             b.borrowed -= amount;
             b.stage
@@ -305,7 +306,7 @@ impl Simulation<'_> {
         let lease = self.ledger.leases.remove(li);
         let mut total = ResourceVec::ZERO;
         for p in &lease.parts {
-            self.containers[p.lender as usize].lent = ResourceVec::ZERO;
+            self.containers[p.lender].lent = ResourceVec::ZERO;
             total += p.amount;
         }
         self.cluster.repay(lease.node, total, now);
@@ -320,32 +321,14 @@ impl Simulation<'_> {
     /// policy-induced, not a fault). Counts as a kill for the spawn
     /// conservation identity.
     fn preempt_borrower(&mut self, cid: u64, lender: u64, now: SimTime) {
-        let (sidx, node, prev_free, exec_until, lost, alloc, usage) = {
-            let c = &mut self.containers[cid as usize];
-            let prev_free = c.free_slots();
-            let exec_until = c.exec_until;
-            let usage = c.current_usage();
-            let alloc = c.alloc;
-            let lost = c.fail();
-            (c.stage, c.node, prev_free, exec_until, lost, alloc, usage)
-        };
-        if let Some(until) = exec_until {
-            // refund the interrupted task's unexecuted remainder, exactly
-            // like the crash path
-            self.stages[sidx].executing -= 1;
-            self.cluster.set_executing(node, -1);
-            let j = &mut self.jobs[lost[0].job];
-            j.breakdown.exec = j.breakdown.exec.saturating_sub(until.saturating_since(now));
-        }
-        self.cluster.sub_usage(node, usage, now);
-        self.stages[sidx].used -= usage;
-        self.stages[sidx].allocated -= alloc;
-        self.dissolve_borrower(cid, now);
-        self.cluster.release(node, alloc, now);
-        self.stages[sidx].remove_free(cid, prev_free);
-        self.stages[sidx].containers.retain(|&id| id != cid);
-        self.live_count -= 1;
-        self.live_series.push(now, self.live_count as f64);
+        // a borrower never lends (one hop), so retiring it dissolves its
+        // lease and settles nothing else
+        let Retired {
+            stage: sidx,
+            node,
+            lost,
+            interrupted,
+        } = self.retire_container(cid, now);
         self.store.access(StoreOp::ContainerStats);
         self.trace.kills += 1;
         self.containers_preempted += 1;
@@ -365,8 +348,11 @@ impl Simulation<'_> {
             tasks: num_tasks,
         });
         for (i, t) in lost.into_iter().enumerate() {
-            let interrupted = i == 0 && exec_until.is_some();
-            let enqueued = if interrupted { now } else { t.enqueued };
+            let enqueued = if interrupted && i == 0 {
+                now
+            } else {
+                t.enqueued
+            };
             let task = StageTask {
                 job: t.job,
                 enqueued,

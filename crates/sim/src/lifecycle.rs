@@ -7,7 +7,6 @@
 //! capacity pressure and the §2.2.1 warm-pool floor top-up). They never
 //! decide *whether* to scale.
 
-use crate::accounting::is_unoccupied;
 use crate::container::{BoundTask, Container, UsageProfile};
 use crate::driver::Simulation;
 use crate::engine::Event;
@@ -19,6 +18,20 @@ use fifer_core::policy::DecisionCause;
 use fifer_core::resources::ResourceVec;
 use fifer_metrics::SimTime;
 use rand::Rng;
+
+/// What [`Simulation::retire_container`] hands back to the death path
+/// that called it.
+pub(crate) struct Retired {
+    /// The dead container's stage.
+    pub stage: usize,
+    /// The node it ran on.
+    pub node: usize,
+    /// The tasks it held: the executing task first, then its local queue
+    /// in bind order.
+    pub lost: Vec<BoundTask>,
+    /// Whether `lost[0]` was executing when the container died.
+    pub interrupted: bool,
+}
 
 /// The resource shape of a new container: its primary allocation, any
 /// lease-backed borrowed amount (zero for normal spawns), and the
@@ -62,7 +75,7 @@ impl Simulation<'_> {
     /// override, the request is exactly the default shape.
     pub(crate) fn spawn_request(&self, sidx: usize) -> (ResourceVec, UsageProfile) {
         let default = crate::config::container_alloc();
-        let id = self.containers.len() as u64;
+        let id = self.containers.next_id();
         let ms = self.stages[sidx].microservice;
         let profile = UsageProfile::sample(ms as u64, id, self.cfg.seed, default);
         let request = self.stages[sidx]
@@ -134,12 +147,12 @@ impl Simulation<'_> {
         let jitter = 0.9 + self.rng.gen_range(0.0..0.2);
         let cold = base.mul_f64(jitter);
         let stage = &mut self.stages[sidx];
-        let id = self.containers.len() as u64;
+        let id = self.containers.next_id();
         let mut c = Container::spawn(id, sidx, node, stage.batch_size, now, cold);
         c.alloc = alloc;
         c.borrowed = borrowed;
         c.usage = profile;
-        self.containers.push(c);
+        self.containers.insert(c);
         stage.containers.push(id);
         stage.update_free(id, 0, stage.batch_size);
         stage.containers_spawned += 1;
@@ -178,38 +191,37 @@ impl Simulation<'_> {
         id
     }
 
-    /// Kills `cid` by injected fault: releases its resources, refunds the
-    /// interrupted task's unexecuted time, and bounces every orphaned task
-    /// back into the stage's global queue (or drops its job once the retry
-    /// budget is spent). Mechanism-side — the policy is consulted
-    /// afterwards via `on_container_failed` / `on_node_down`.
-    pub(crate) fn crash_container(&mut self, cid: u64, now: SimTime, kind: FaultKind) {
-        let (sidx, node, prev_free, exec_until, lost, alloc, borrowed, lent, usage) = {
-            let c = &mut self.containers[cid as usize];
-            let prev_free = c.free_slots();
-            let exec_until = c.exec_until;
-            // captured before `fail` drains the executing slot: a busy
-            // container's death must return its *busy* footprint
-            let usage = c.current_usage();
-            let (alloc, borrowed, lent) = (c.alloc, c.borrowed, c.lent);
-            let lost = c.fail();
-            (
-                c.stage, c.node, prev_free, exec_until, lost, alloc, borrowed, lent, usage,
-            )
-        };
+    /// The retirement step every death path ends in — policy kill, fault
+    /// crash and harvest preemption alike: drains the container, refunds
+    /// an interrupted task's unexecuted time, releases its usage and
+    /// allocation on its stage and node, dissolves the lease it borrowed
+    /// through and settles the one it backed, drops it from its stage's
+    /// lists and the live count, and finally removes it from the table,
+    /// freeing its local-queue buffer. The removal comes last because
+    /// settling a dead lender still writes its `lent`.
+    pub(crate) fn retire_container(&mut self, cid: u64, now: SimTime) -> Retired {
+        let c = &mut self.containers[cid];
+        let (stage, node) = (c.stage, c.node);
+        let prev_free = c.free_slots();
+        let exec_until = c.exec_until;
+        // captured before `fail` drains the executing slot: a busy
+        // container's death must return its *busy* footprint
+        let usage = c.current_usage();
+        let (alloc, borrowed, lent) = (c.alloc, c.borrowed, c.lent);
+        let lost = c.fail();
         if let Some(until) = exec_until {
             // the interrupted task (always first out of `fail`): undo its
             // in-flight accounting. Its full exec time was charged at
             // dispatch; refunding the unexecuted remainder leaves exactly
             // the wall time it really ran on the books.
-            self.stages[sidx].executing -= 1;
+            self.stages[stage].executing -= 1;
             self.cluster.set_executing(node, -1);
             let j = &mut self.jobs[lost[0].job];
             j.breakdown.exec = j.breakdown.exec.saturating_sub(until.saturating_since(now));
         }
         self.cluster.sub_usage(node, usage, now);
-        self.stages[sidx].used -= usage;
-        self.stages[sidx].allocated -= alloc;
+        self.stages[stage].used -= usage;
+        self.stages[stage].allocated -= alloc;
         if !borrowed.is_zero() {
             // a dead borrower's lease dissolves: parts flow back to lenders
             self.dissolve_borrower(cid, now);
@@ -220,10 +232,30 @@ impl Simulation<'_> {
             // allocation freed at least as much as it had lent
             self.settle_dead_lender(cid, now);
         }
-        self.stages[sidx].remove_free(cid, prev_free);
-        self.stages[sidx].containers.retain(|&id| id != cid);
+        self.stages[stage].remove_free(cid, prev_free);
+        self.stages[stage].containers.retain(|&id| id != cid);
         self.live_count -= 1;
         self.live_series.push(now, self.live_count as f64);
+        self.containers.retire(cid);
+        Retired {
+            stage,
+            node,
+            lost,
+            interrupted: exec_until.is_some(),
+        }
+    }
+
+    /// Kills `cid` by injected fault: retires it and bounces every
+    /// orphaned task back into the stage's global queue (or drops its job
+    /// once the retry budget is spent). Mechanism-side — the policy is
+    /// consulted afterwards via `on_container_failed` / `on_node_down`.
+    pub(crate) fn crash_container(&mut self, cid: u64, now: SimTime, kind: FaultKind) {
+        let Retired {
+            stage: sidx,
+            node,
+            lost,
+            interrupted,
+        } = self.retire_container(cid, now);
         self.container_failures += 1;
         self.trace.container_failures += 1;
         self.trace.record(|| SimEvent::ContainerFailed {
@@ -234,8 +266,7 @@ impl Simulation<'_> {
             node,
         });
         for (i, t) in lost.into_iter().enumerate() {
-            let interrupted = i == 0 && exec_until.is_some();
-            self.requeue_or_drop(t, interrupted, sidx, now, kind);
+            self.requeue_or_drop(t, interrupted && i == 0, sidx, now, kind);
         }
     }
 
@@ -324,29 +355,18 @@ impl Simulation<'_> {
 
     /// Kills one idle container and releases its resources (primary
     /// allocation, usage footprint, and any lease it borrowed or backed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the container still holds a task.
     pub(crate) fn kill_container(&mut self, cid: u64, now: SimTime, cause: DecisionCause) {
-        let (sidx, node, prev_free, alloc, borrowed, lent, usage) = {
-            let c = &mut self.containers[cid as usize];
-            let prev_free = c.free_slots();
-            let usage = c.current_usage();
-            let (alloc, borrowed, lent) = (c.alloc, c.borrowed, c.lent);
-            c.kill();
-            (c.stage, c.node, prev_free, alloc, borrowed, lent, usage)
-        };
-        self.cluster.sub_usage(node, usage, now);
-        self.stages[sidx].used -= usage;
-        self.stages[sidx].allocated -= alloc;
-        if !borrowed.is_zero() {
-            self.dissolve_borrower(cid, now);
-        }
-        self.cluster.release(node, alloc, now);
-        if !lent.is_zero() {
-            self.settle_dead_lender(cid, now);
-        }
-        self.stages[sidx].remove_free(cid, prev_free);
-        self.stages[sidx].containers.retain(|&id| id != cid);
-        self.live_count -= 1;
-        self.live_series.push(now, self.live_count as f64);
+        assert!(
+            self.containers[cid].is_empty(),
+            "kill on busy container {cid}"
+        );
+        let Retired {
+            stage: sidx, node, ..
+        } = self.retire_container(cid, now);
         self.store.access(StoreOp::ContainerStats);
         self.trace.kills += 1;
         self.trace.record(|| SimEvent::Kill {
@@ -363,10 +383,7 @@ impl Simulation<'_> {
     /// the expired-idle snapshot — but a custom policy gets a trace record
     /// instead of a broken cluster).
     pub(crate) fn apply_kill(&mut self, cid: u64, now: SimTime, cause: DecisionCause) {
-        let valid = self
-            .containers
-            .get(cid as usize)
-            .is_some_and(|c| c.is_alive() && c.is_idle());
+        let valid = self.containers.get(cid).is_some_and(|c| c.is_idle());
         if valid {
             self.kill_container(cid, now, cause);
         } else {
@@ -387,10 +404,13 @@ impl Simulation<'_> {
             return;
         }
         for sidx in 0..self.stages.len() {
+            // unoccupied: warm-idle, or still cold-starting with an empty
+            // local queue — those are unoccupied the moment they warm, so
+            // spawning past them would overshoot the floor
             let unoccupied = self.stages[sidx]
                 .containers
                 .iter()
-                .filter(|&&id| is_unoccupied(&self.containers[id as usize]))
+                .filter(|&&id| self.containers[id].is_empty())
                 .count();
             for _ in unoccupied..self.cfg.min_warm_pool {
                 if self
@@ -457,15 +477,13 @@ mod tests {
         let b = sim
             .spawn_container(1, SimTime::ZERO, DecisionCause::Startup)
             .unwrap();
-        let warm = sim.containers[a as usize]
-            .warm_at()
-            .max(sim.containers[b as usize].warm_at());
-        sim.containers[a as usize].warm_up(warm + SimDuration::from_secs(5));
-        sim.containers[b as usize].warm_up(warm + SimDuration::from_secs(3));
+        let warm = sim.containers[a].warm_at().max(sim.containers[b].warm_at());
+        sim.containers[a].warm_up(warm + SimDuration::from_secs(5));
+        sim.containers[b].warm_up(warm + SimDuration::from_secs(3));
         // b is least recently used → evicted first
         assert!(sim.evict_lru_idle(0, warm + SimDuration::from_secs(10)));
-        assert!(!sim.containers[b as usize].is_alive());
-        assert!(sim.containers[a as usize].is_alive());
+        assert!(sim.containers.get(b).is_none(), "the victim left the table");
+        assert!(sim.containers.get(a).is_some());
     }
 
     #[test]
@@ -477,17 +495,17 @@ mod tests {
             .unwrap();
         // cold-starting container: not idle → kill refused
         sim.apply_kill(id, SimTime::ZERO, DecisionCause::IdleDeadline);
-        assert!(sim.containers[id as usize].is_alive());
+        assert!(sim.containers.get(id).is_some());
         assert_eq!(sim.live_count, 1);
         // unknown id: refused without panicking
         sim.apply_kill(999, SimTime::ZERO, DecisionCause::IdleDeadline);
         assert_eq!(sim.live_count, 1);
         // a valid target goes through
-        let warm = sim.containers[id as usize].warm_at();
-        sim.containers[id as usize].warm_up(warm);
+        let warm = sim.containers[id].warm_at();
+        sim.containers[id].warm_up(warm);
         let later = warm + SimDuration::from_secs(1);
         sim.apply_kill(id, later, DecisionCause::IdleDeadline);
-        assert!(!sim.containers[id as usize].is_alive());
+        assert!(sim.containers.get(id).is_none());
         assert_eq!(sim.live_count, 0);
         // double-kill of a dead container: refused
         sim.apply_kill(id, later, DecisionCause::IdleDeadline);

@@ -525,6 +525,15 @@ impl StageRuntime {
         self.free_buckets.iter().find(|b| !b.is_empty())
     }
 
+    /// The free-slot index as `(free slots, container id)` pairs, fewest
+    /// free slots first, ids ascending within a bucket (for the auditor).
+    pub fn free_index(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.free_buckets
+            .iter()
+            .enumerate()
+            .flat_map(|(slots, ids)| ids.iter().map(move |id| (slots, id)))
+    }
+
     /// Total free slots across the stage's containers (O(1), maintained on
     /// every index update).
     pub fn total_free_slots(&self) -> usize {

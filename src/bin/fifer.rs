@@ -82,48 +82,51 @@ struct Args {
 
 fn usage() -> ! {
     let large = ClusterConfig::large_scale();
+    // one literal written flush left, as printed: a `\` line continuation
+    // would also strip the indent of the wrapped description lines
     eprintln!(
-        "usage: fifer [options]\n\
-         \n\
-         --rm <bline|sbatch|rscale|bpred|fifer|harvest|hybridhist>  resource manager (default fifer)\n\
-         --compare                                 run all seven RMs\n\
-         --workload <paper|azure>                  workload family (default paper): paper uses\n\
-                                                   --trace; azure is the heavy-tailed mixed-trigger\n\
-                                                   family from the Azure characterization\n\
-         --apps <n>                                azure: number of applications (default 32)\n\
-         --tail-exp <s>                            azure: Zipf tail exponent (default 1.5)\n\
-         --trigger-mix <h,t,q,e>                   azure: percent of apps per trigger class,\n\
-                                                   http,timer,queue,event (default 55,20,15,10)\n\
-         --trace <poisson|wiki|wits>               paper: arrival trace (default poisson)\n\
-         --mix <heavy|medium|light>                workload mix (default heavy)\n\
-         --rate <req/s>                            poisson rate / trace scale basis (default 50)\n\
-         --secs <n>                                duration in seconds (default 600)\n\
-         --warmup <n>                              warmup excluded from metrics (default secs/6);\n\
-                                                   must be below the horizon\n\
-         --seed <n>                                RNG seed (default 42)\n\
-         --large                                   use the large-scale cluster ({} nodes, {} cores)\n\
-         --early-exit <p>                          dynamic-chain early-exit probability\n\
-         --tenants <n>                             isolated tenants sharing the cluster (default 1)\n\
-         --replay <file.csv>                       replay a saved workload instead of a trace; the\n\
-                                                   file fixes the workload, so --workload, --apps,\n\
-                                                   --tail-exp, --trigger-mix, --trace, --mix, --rate\n\
-                                                   and --secs are rejected with it\n\
-         --save-workload <file.csv>                save the generated workload\n\
-         --out <file.csv>                          write the summary row(s) as CSV\n\
-         --json <file.json>                        dump the full SimResult of the last RM as JSON\n\
-         --decision-trace <file.jsonl>             export the last RM's scaling decisions as JSONL\n\
-         --faults <spec>                           seeded fault plan, e.g.\n\
-                                                   seed=7,spawn=0.05@500,crash=0.02,straggler=0.1x4,retries=8,outage=2@100+60\n\
-         --model-cache <dir>                       checkpoint pretrained neural predictors in <dir>;\n\
-                                                   a repeated (model, seed, series) run warm-starts\n\
-                                                   from the cache with bit-identical forecasts\n\
-         --online-retrain                          keep fine-tuning the neural predictor on the\n\
-                                                   observed rate tail during the run (paper §8);\n\
-                                                   needs a forecasting RM (bpred, fifer or --compare)\n\
-         --audit                                   run the invariant auditor at every event commit\n\
-         \n\
-         exit status: 0 ok, 1 I/O or workload error, 2 usage error, 3 audit violations,\n\
-         141 stdout closed early",
+        "\
+usage: fifer [options]
+
+--rm <bline|sbatch|rscale|bpred|fifer|harvest|hybridhist>  resource manager (default fifer)
+--compare                                 run all seven RMs
+--workload <paper|azure>                  workload family (default paper): paper uses
+                                          --trace; azure is the heavy-tailed mixed-trigger
+                                          family from the Azure characterization
+--apps <n>                                azure: number of applications (default 32)
+--tail-exp <s>                            azure: Zipf tail exponent (default 1.5)
+--trigger-mix <h,t,q,e>                   azure: percent of apps per trigger class,
+                                          http,timer,queue,event (default 55,20,15,10)
+--trace <poisson|wiki|wits>               paper: arrival trace (default poisson)
+--mix <heavy|medium|light>                workload mix (default heavy)
+--rate <req/s>                            poisson rate / trace scale basis (default 50)
+--secs <n>                                duration in seconds (default 600)
+--warmup <n>                              warmup excluded from metrics (default secs/6);
+                                          must be below the horizon
+--seed <n>                                RNG seed (default 42)
+--large                                   use the large-scale cluster ({} nodes, {} cores)
+--early-exit <p>                          dynamic-chain early-exit probability
+--tenants <n>                             isolated tenants sharing the cluster (default 1)
+--replay <file.csv>                       replay a saved workload instead of a trace; the
+                                          file fixes the workload, so --workload, --apps,
+                                          --tail-exp, --trigger-mix, --trace, --mix, --rate
+                                          and --secs are rejected with it
+--save-workload <file.csv>                save the generated workload
+--out <file.csv>                          write the summary row(s) as CSV
+--json <file.json>                        dump the full SimResult of the last RM as JSON
+--decision-trace <file.jsonl>             export the last RM's scaling decisions as JSONL
+--faults <spec>                           seeded fault plan, e.g.
+                                          seed=7,spawn=0.05@500,crash=0.02,straggler=0.1x4,retries=8,outage=2@100+60
+--model-cache <dir>                       checkpoint pretrained neural predictors in <dir>;
+                                          a repeated (model, seed, series) run warm-starts
+                                          from the cache with bit-identical forecasts
+--online-retrain                          keep fine-tuning the neural predictor on the
+                                          observed rate tail during the run (paper §8);
+                                          needs a forecasting RM (bpred, fifer or --compare)
+--audit                                   run the invariant auditor at every event commit
+
+exit status:                              0 ok, 1 I/O or workload error, 2 usage error,
+                                          3 audit violations, 141 stdout closed early",
         large.nodes,
         large.total_cores(),
     );

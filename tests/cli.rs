@@ -29,6 +29,17 @@ fn help_exits_with_usage() {
         err.contains(&shape),
         "usage must describe --large as {shape}: {err}"
     );
+    // a wrapped description keeps the description column's indent
+    let indent = " ".repeat(42);
+    for line in err.lines().filter(|l| !l.trim().is_empty()) {
+        let heading = ["--", "usage", "exit status"]
+            .iter()
+            .any(|h| line.starts_with(h));
+        assert!(
+            heading || line.starts_with(&indent),
+            "continuation line lost its indent: {line:?}"
+        );
+    }
 }
 
 #[test]
