@@ -7,7 +7,8 @@
 //! * [`percentile`] — exact percentile/CDF estimation over latency samples,
 //! * [`timeseries`] — time-stamped series with windowed aggregation,
 //! * [`breakdown`] — per-request latency breakdowns (execution vs. cold-start
-//!   vs. queuing delay) as plotted in Figure 9 of the paper,
+//!   vs. queuing delay) as plotted in Figure 9 of the paper, and the
+//!   compact [`RecordLog`] the simulator keeps its per-request records in,
 //! * [`slo`] — service-level-objective accounting (violation fractions),
 //! * [`report`] — aligned text tables and CSV output used by the experiment
 //!   harness to regenerate the paper's tables and figure series.
@@ -35,7 +36,7 @@ pub mod slo;
 pub mod time;
 pub mod timeseries;
 
-pub use breakdown::{LatencyBreakdown, RequestRecord};
+pub use breakdown::{LatencyBreakdown, RecordLog, RequestRecord};
 pub use percentile::{Cdf, Samples};
 pub use slo::SloAccountant;
 pub use time::{SimDuration, SimTime};

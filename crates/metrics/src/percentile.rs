@@ -193,15 +193,21 @@ pub fn sorted_percentile(n: usize, p: f64, value_at: impl Fn(usize) -> f64) -> f
     if n == 0 {
         return 0.0;
     }
-    let rank = p / 100.0 * (n - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    let (lo, hi, frac) = percentile_ranks(n, p);
     if lo == hi {
         value_at(lo)
     } else {
-        let frac = rank - lo as f64;
         value_at(lo) * (1.0 - frac) + value_at(hi) * frac
     }
+}
+
+/// The closest ranks `lo ≤ hi` to the `p`-th percentile of `n > 0` sorted
+/// values, and the weight of `hi`: the only ranks [`sorted_percentile`]
+/// reads, so a caller can find those values without sorting all `n`.
+pub fn percentile_ranks(n: usize, p: f64) -> (usize, usize, f64) {
+    let rank = p / 100.0 * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
 }
 
 impl FromIterator<f64> for Samples {

@@ -1,6 +1,9 @@
 //! Property-based tests for the metrics foundations.
 
-use fifer_metrics::{percentile::Samples, SimDuration, SimTime, TimeSeries};
+use fifer_metrics::{
+    percentile::Samples, LatencyBreakdown, RecordLog, RequestRecord, SimDuration, SimTime,
+    TimeSeries,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -88,5 +91,105 @@ proptest! {
         prop_assert_eq!((t + d) - t, d);
         prop_assert_eq!((t + d) - d, t);
         prop_assert_eq!(t.saturating_since(t + d), SimDuration::ZERO);
+    }
+}
+
+/// Ids and instants: the extremes, anywhere, and small values whose
+/// differences are small.
+fn wide_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>(), 0u64..1_000]
+}
+
+/// Durations whose sum of three does not overflow.
+fn duration_us() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(u64::MAX / 4),
+        0u64..u64::MAX / 4,
+        0u64..10_000
+    ]
+}
+
+/// A record's fields: `(job_id, submitted, completed)` instants,
+/// `(exec, cold_start, queuing)`, and `(app index, slo_violated,
+/// completed at submitted + total)`.
+type RawRecord = ((u64, u64, u64), (u64, u64, u64), (usize, bool, bool));
+
+fn raw_record() -> impl Strategy<Value = RawRecord> {
+    (
+        (wide_u64(), wide_u64(), wide_u64()),
+        (duration_us(), duration_us(), duration_us()),
+        (0usize..4, any::<bool>(), any::<bool>()),
+    )
+}
+
+/// Few records, or enough to fill several 64 KiB chunks.
+fn raw_records() -> impl Strategy<Value = Vec<RawRecord>> {
+    prop_oneof![
+        prop::collection::vec(raw_record(), 0..50),
+        prop::collection::vec(raw_record(), 20_000..24_000),
+    ]
+}
+
+/// Builds the records, drawing app names from literals and from an equal
+/// string at another address.
+fn records(raw: &[RawRecord]) -> Vec<RequestRecord> {
+    let copy: &'static str = Box::leak(String::from("IPA").into_boxed_str());
+    let apps = ["IPA", "IMG", "DetectFatigue", copy];
+    raw.iter()
+        .map(
+            |&((job_id, submitted, other), (exec, cold, queuing), (app, slo, exact))| {
+                let breakdown = LatencyBreakdown {
+                    exec: SimDuration::from_micros(exec),
+                    cold_start: SimDuration::from_micros(cold),
+                    queuing: SimDuration::from_micros(queuing),
+                };
+                let completed = if exact {
+                    submitted.wrapping_add(exec + cold + queuing)
+                } else {
+                    other
+                };
+                RequestRecord {
+                    job_id,
+                    app: apps[app],
+                    submitted: SimTime::from_micros(submitted),
+                    completed: SimTime::from_micros(completed),
+                    breakdown,
+                    slo_violated: slo,
+                }
+            },
+        )
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A record log decodes back to exactly the records pushed, in order,
+    /// and reads like the `Vec` it replaces.
+    #[test]
+    fn record_log_round_trips_against_a_vec(raw in raw_records(), extra in raw_record()) {
+        let oracle = records(&raw);
+        let mut log: RecordLog = oracle.iter().cloned().collect();
+        prop_assert_eq!(log.len(), oracle.len());
+        prop_assert_eq!(log.is_empty(), oracle.is_empty());
+        prop_assert_eq!(log.iter().len(), oracle.len());
+        prop_assert!(log.iter().eq(oracle.iter().cloned()));
+        prop_assert_eq!(format!("{log:?}"), format!("{oracle:?}"));
+
+        // a clone keeps appending where it left off; its chunks end where
+        // the original's bytes did, so the two logs now split differently
+        let mut copy = log.clone();
+        prop_assert!(copy == log);
+        let mut longer = oracle.clone();
+        longer.extend(records(&[extra]));
+        copy.push(longer.last().expect("one extra record"));
+        log.push(longer.last().expect("one extra record"));
+        prop_assert!(copy == log);
+        prop_assert!(copy.iter().eq(longer.iter().cloned()));
+        // one flipped flag, same length, makes them differ
+        longer[0].slo_violated ^= true;
+        let flipped: RecordLog = longer.into_iter().collect();
+        prop_assert!(flipped != log);
     }
 }

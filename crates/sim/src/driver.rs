@@ -43,7 +43,7 @@ use crate::stage::{IdSet, StageRuntime, StageTask};
 use crate::stats_store::{StatsStore, StoreOp};
 use crate::trace::{SimEvent, SimTrace};
 use fifer_core::policy::{ContainerView, Decision, DecisionCause, ResourceManager, StageView};
-use fifer_metrics::{RequestRecord, SimDuration, SimTime, SloAccountant, TimeSeries};
+use fifer_metrics::{RecordLog, RequestRecord, SimDuration, SimTime, SloAccountant, TimeSeries};
 use fifer_predict::WindowSampler;
 use fifer_workloads::{JobStream, Microservice};
 use rand::rngs::StdRng;
@@ -98,7 +98,7 @@ pub struct Simulation<'a> {
     pub(crate) queue_series: TimeSeries,
     pub(crate) slo: SloAccountant,
     pub(crate) slo_whole_run: SloAccountant,
-    pub(crate) records: Vec<RequestRecord>,
+    pub(crate) records: RecordLog,
     pub(crate) last_completion: SimTime,
     /// Stages with (possibly) pending tasks since their last reactive
     /// check; the reactive tick visits only these, in index order, so idle
@@ -244,7 +244,7 @@ impl<'a> Simulation<'a> {
             queue_series: TimeSeries::new(),
             slo,
             slo_whole_run,
-            records: Vec::with_capacity(stream.len()),
+            records: RecordLog::default(),
             last_completion: SimTime::ZERO,
             dirty_stages: IdSet::new(),
             pending_tasks: 0,
@@ -533,7 +533,7 @@ impl<'a> Simulation<'a> {
             self.slo_whole_run.observe_record(&record);
             if !warmup_job {
                 self.slo.observe_record(&record);
-                self.records.push(record);
+                self.records.push(&record);
             }
             self.jobs_done += 1;
             self.last_completion = now;

@@ -1,8 +1,8 @@
 //! Everything the experiment harness needs from one simulation run.
 
 use fifer_metrics::breakdown::BreakdownSummary;
-use fifer_metrics::percentile::sorted_percentile;
-use fifer_metrics::{RequestRecord, SimDuration, SimTime, SloAccountant, TimeSeries};
+use fifer_metrics::percentile::{percentile_ranks, sorted_percentile};
+use fifer_metrics::{RecordLog, SimDuration, SimTime, SloAccountant, TimeSeries};
 use fifer_workloads::Microservice;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -34,8 +34,9 @@ impl StageStats {
 /// The outcome of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimResult {
-    /// One record per completed job, in completion order.
-    pub records: Vec<RequestRecord>,
+    /// One record per completed job submitted at or after the warmup
+    /// boundary (the measured jobs), in completion order.
+    pub records: RecordLog,
     /// SLO accounting over jobs submitted after the warmup boundary.
     pub slo: SloAccountant,
     /// SLO accounting over the whole run, cold-start transient included —
@@ -152,7 +153,7 @@ impl SimResult {
     pub fn breakdown_summary(&self) -> BreakdownSummary {
         let mut s = BreakdownSummary::new();
         for r in &self.records {
-            s.add(r);
+            s.add(&r);
         }
         s
     }
@@ -169,21 +170,62 @@ impl SimResult {
         p99
     }
 
-    /// End-to-end latency percentiles in ms over the records, from one
-    /// exact-size vector of integer-µs totals sorted once. Converting µs
-    /// to ms is monotone, so the picked values equal
-    /// [`BreakdownSummary::total_percentile_ms`]'s bit for bit without its
-    /// four sample vectors.
+    /// End-to-end latency percentiles in ms over the records, in two passes
+    /// over the log and without a per-record vector. Pass 1 counts the
+    /// integer-µs totals per [`latency_bucket`]; pass 2 keeps only the
+    /// totals in the (at most `2N`) buckets that hold the ranks the type-7
+    /// rule reads, and sorts them. A bucket never holds a larger total than
+    /// a later one, so a rank's total is its offset into its bucket's
+    /// sorted values. Converting µs to ms is monotone, so the picked values
+    /// equal [`BreakdownSummary::total_percentile_ms`]'s bit for bit.
     fn latency_percentiles_ms<const N: usize>(&self, ps: [f64; N]) -> [f64; N] {
-        let mut totals: Vec<u64> = self
-            .records
+        let n = self.records.len();
+        if n == 0 {
+            return ps.map(|p| sorted_percentile(0, p, |_| 0.0));
+        }
+        let totals = || self.records.iter().map(|r| r.breakdown.total().as_micros());
+        let mut counts = vec![0usize; LATENCY_BUCKETS];
+        for us in totals() {
+            counts[latency_bucket(us)] += 1;
+        }
+        let ranks: Vec<usize> = ps
             .iter()
-            .map(|r| r.breakdown.total().as_micros())
+            .flat_map(|&p| {
+                let (lo, hi, _) = percentile_ranks(n, p);
+                [lo, hi]
+            })
             .collect();
-        totals.sort_unstable();
+        // (bucket, its first rank) for each bucket holding a wanted rank
+        let mut held: Vec<(usize, usize)> = Vec::new();
+        let mut first = 0;
+        for (bucket, &count) in counts.iter().enumerate() {
+            if ranks
+                .iter()
+                .any(|&rank| first <= rank && rank < first + count)
+            {
+                held.push((bucket, first));
+            }
+            first += count;
+        }
+        let mut kept: Vec<u64> = totals()
+            .filter(|&us| {
+                let bucket = latency_bucket(us);
+                held.iter().any(|&(b, _)| b == bucket)
+            })
+            .collect();
+        kept.sort_unstable();
         ps.map(|p| {
-            sorted_percentile(totals.len(), p, |i| {
-                SimDuration::from_micros(totals[i]).as_millis_f64()
+            sorted_percentile(n, p, |rank| {
+                // `kept` is the held buckets' values, bucket after bucket
+                let mut start = 0;
+                for &(bucket, first) in &held {
+                    if rank < first + counts[bucket] {
+                        let us = kept[start + rank - first];
+                        return SimDuration::from_micros(us).as_millis_f64();
+                    }
+                    start += counts[bucket];
+                }
+                unreachable!("rank {rank} lies in no held bucket")
             })
         })
     }
@@ -240,9 +282,10 @@ impl SimResult {
         samples.percentile(p)
     }
 
-    /// Mean job throughput over the horizon in jobs/second.
+    /// Mean throughput of the measured jobs over the measured window
+    /// (warmup..horizon) in jobs/second; 0 when the window is empty.
     pub fn throughput(&self) -> f64 {
-        let secs = self.horizon.as_secs_f64();
+        let secs = self.horizon.saturating_since(self.warmup).as_secs_f64();
         if secs == 0.0 {
             0.0
         } else {
@@ -382,6 +425,22 @@ impl SimResult {
     }
 }
 
+/// Buckets of [`latency_bucket`]: 2^10 for the values below 2^10, then
+/// 2^10 for each of the 54 octaves above.
+const LATENCY_BUCKETS: usize = 55 << 10;
+
+/// Log-linear bucket of `us`: `us` itself below 2^10; above, its octave
+/// (bit length − 10) over the 10 bits after its leading one. The bucket
+/// never decreases as `us` grows.
+fn latency_bucket(us: u64) -> usize {
+    let bits = u64::BITS - us.leading_zeros();
+    if bits <= 10 {
+        us as usize
+    } else {
+        (((bits - 10) as usize) << 10) | ((us >> (bits - 11)) & 0x3ff) as usize
+    }
+}
+
 /// JSON number for an `f64` (`null` for non-finite values, which JSON
 /// cannot represent).
 struct JsonF64(f64);
@@ -484,7 +543,7 @@ impl SimResult {
 mod tests {
     use super::*;
     use fifer_metrics::breakdown::LatencyBreakdown;
-    use fifer_metrics::SimDuration;
+    use fifer_metrics::{RequestRecord, SimDuration};
 
     fn mk_result() -> SimResult {
         let mut slo = SloAccountant::new(SimDuration::from_millis(1000));
@@ -524,7 +583,7 @@ mod tests {
             },
         );
         SimResult {
-            records: vec![rec],
+            records: [rec].into_iter().collect(),
             slo_whole_run: slo.clone(),
             slo,
             live_containers: live,
@@ -627,6 +686,22 @@ mod tests {
         r
     }
 
+    /// The sorted-vector oracle of [`SimResult::latency_percentiles_ms`]:
+    /// every integer-µs total collected and sorted.
+    fn sorted_latency_percentiles_ms<const N: usize>(r: &SimResult, ps: [f64; N]) -> [f64; N] {
+        let mut totals: Vec<u64> = r
+            .records
+            .iter()
+            .map(|r| r.breakdown.total().as_micros())
+            .collect();
+        totals.sort_unstable();
+        ps.map(|p| {
+            sorted_percentile(totals.len(), p, |i| {
+                SimDuration::from_micros(totals[i]).as_millis_f64()
+            })
+        })
+    }
+
     #[test]
     fn headline_percentiles_match_the_breakdown_summary() {
         use rand::{Rng, SeedableRng};
@@ -636,13 +711,31 @@ mod tests {
             vec![150_000],
             vec![2_000_001, 99_999],
             vec![7_000; 5],                          // all tied
+            vec![0; 3],                              // all tied at zero
+            vec![(1 << 40) + 12_345; 1_000],         // all tied, far up
             vec![3_000, 1_000, 2_000, 1_000, 3_000], // odd count with ties
             vec![4_000, 1_001, 3_333, 2_000],        // even count
+            vec![1 << 40, 0],                        // the widest spread
         ];
-        for n in [3, 10, 100, 101, 1_000, 4_097] {
+        // both sides of every octave boundary up to 2^40 µs
+        cases.push(
+            (0..=40)
+                .flat_map(|k| [(1u64 << k) - 1, 1 << k, (1 << k) + 1])
+                .collect(),
+        );
+        for n in [0, 1, 2, 3, 10, 100, 101, 1_000, 4_097] {
             cases.push((0..n).map(|_| rng.gen_range(0..5_000_000)).collect());
             // a narrow range forces ties at the picked ranks
             cases.push((0..n).map(|_| rng.gen_range(0..20)).collect());
+            // log-uniform spreads cross octaves, up to 2^40 µs
+            cases.push(
+                (0..n)
+                    .map(|_| {
+                        let bits = rng.gen_range(0..41);
+                        rng.gen_range(0..1u64 << bits)
+                    })
+                    .collect(),
+            );
         }
         for totals in &cases {
             let r = with_totals(totals);
@@ -655,6 +748,42 @@ mod tests {
             assert_eq!(h.p99_ms, p99, "p99 over {n} records");
             assert_eq!(r.median_latency_ms(), p50, "median getter over {n} records");
             assert_eq!(r.p99_latency_ms(), p99, "p99 getter over {n} records");
+            // more ranks than the headline reads, against the sorted oracle
+            let ps = [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0];
+            assert_eq!(
+                r.latency_percentiles_ms(ps),
+                sorted_latency_percentiles_ms(&r, ps),
+                "percentiles over {n} records"
+            );
+        }
+    }
+
+    #[test]
+    fn latency_buckets_follow_value_order() {
+        assert_eq!(latency_bucket(0), 0);
+        assert_eq!(latency_bucket(1023), 1023);
+        assert_eq!(latency_bucket(1024), 1024);
+        assert_eq!(latency_bucket(u64::MAX), LATENCY_BUCKETS - 1);
+        // each octave's first, an inner and its last value, plus a dense run
+        let mut values: Vec<u64> = (0..64)
+            .flat_map(|k| {
+                [
+                    1u64 << k,
+                    (1 << k) + (1 << k) / 3,
+                    (1 << k) + ((1 << k) - 1),
+                ]
+            })
+            .chain(0..5_000)
+            .collect();
+        values.sort_unstable();
+        for w in values.windows(2) {
+            let (a, b) = (latency_bucket(w[0]), latency_bucket(w[1]));
+            assert!(
+                a <= b,
+                "{} µs in bucket {a}, {} µs in bucket {b}",
+                w[0],
+                w[1]
+            );
         }
     }
 

@@ -95,6 +95,23 @@ fn throughput_conserves_arrivals() {
 }
 
 #[test]
+fn throughput_counts_only_the_measured_window() {
+    // records hold only the jobs submitted after the warmup, so their rate
+    // is over the measured window, not the whole horizon (which would read
+    // half the arrival rate here)
+    let rate = 40.0;
+    let stream = face_security_stream(rate, 300, 13);
+    let mut cfg = SimConfig::prototype(RmKind::Fifer.config(), rate);
+    cfg.warmup = SimDuration::from_secs(150);
+    let r = Simulation::new(cfg, &stream).run();
+    let thr = r.throughput();
+    assert!(
+        (thr / rate - 1.0).abs() < 0.1,
+        "throughput {thr:.1}/s over the measured window must match arrivals {rate}/s"
+    );
+}
+
+#[test]
 fn response_floor_is_the_chain_runtime() {
     // nobody can finish faster than exec + transition overheads (minus the
     // jitter floor); verifies no time is silently skipped

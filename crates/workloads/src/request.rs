@@ -40,10 +40,11 @@ impl JobStream {
     pub const MAX_HORIZON: SimDuration = SimDuration::from_secs(30 * 24 * 3600);
 
     /// The most jobs a generated stream may hold (`--rate × --secs`):
-    /// 5 × 10^7. Streams are materialized before replay, and at about 100
-    /// bytes per job (the stream itself and one record per measured job)
-    /// this is already ~5 GB, so a larger request is rejected instead of
-    /// filling memory.
+    /// 5 × 10^7. Streams are materialized before replay, and at about 50
+    /// bytes per job at the peak (the 32 B stream itself, the generator's
+    /// temporaries and about 11 B of record per measured job) this is
+    /// already ~2.5 GB, so a larger request is rejected instead of filling
+    /// memory.
     pub const MAX_JOBS: u64 = 50_000_000;
 
     /// Builds a stream by sampling arrivals from `trace` over `duration`

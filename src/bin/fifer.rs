@@ -391,7 +391,7 @@ fn main() {
                 fail(format!("cannot write {path}: {e}"))
             }
         }
-        // one headline per RM: its latencies are sorted once for both rows
+        // one headline per RM: the median and P99 share its passes over the records
         let h = r.headline();
         say!(
             out,
