@@ -7,6 +7,7 @@
 //! records into the paper's metrics.
 
 use crate::time::{SimDuration, SimTime};
+use crate::varint::{unzigzag, zigzag, Chunks, Entry, Reader};
 use std::fmt;
 
 /// Response latency split into its three sources (all in sim time).
@@ -71,9 +72,6 @@ impl RequestRecord {
     }
 }
 
-/// Bytes per chunk of a [`RecordLog`].
-const CHUNK_BYTES: usize = 64 << 10;
-
 /// Longest encoding of one record: seven varints of at most 10 bytes.
 const MAX_RECORD_BYTES: usize = 7 * 10;
 
@@ -92,11 +90,11 @@ const MAX_RECORD_BYTES: usize = 7 * 10;
 ///
 /// The differences wrap in `u64` and the signed ones are zigzag-coded, so
 /// any record decodes back bit for bit, in push order. The bytes live in
-/// fixed 64 KiB chunks that no record straddles: the log never reallocates
-/// or copies what it holds. An empty log allocates nothing.
+/// fixed 64 KiB [`Chunks`] that no record straddles: the log never
+/// reallocates or copies what it holds. An empty log allocates nothing.
 #[derive(Clone, Default)]
 pub struct RecordLog {
-    chunks: Vec<Vec<u8>>,
+    bytes: Chunks,
     apps: Vec<&'static str>,
     len: usize,
     last_job: u64,
@@ -125,22 +123,11 @@ impl RecordLog {
             queuing,
             zigzag(unattributed),
         ];
-        let mut buf = [0; MAX_RECORD_BYTES];
-        let mut n = 0;
+        let mut entry = Entry::<MAX_RECORD_BYTES>::default();
         for v in fields {
-            put_varint(&mut buf, &mut n, v);
+            entry.varint(v);
         }
-        // a record never straddles two chunks, so no chunk ever grows
-        match self.chunks.last_mut() {
-            Some(chunk) if chunk.capacity() - chunk.len() >= n => {
-                chunk.extend_from_slice(&buf[..n])
-            }
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK_BYTES);
-                chunk.extend_from_slice(&buf[..n]);
-                self.chunks.push(chunk);
-            }
-        }
+        self.bytes.push(&entry);
         self.last_job = r.job_id;
         self.last_submitted = submitted;
         self.len += 1;
@@ -160,9 +147,7 @@ impl RecordLog {
     pub fn iter(&self) -> RecordIter<'_> {
         RecordIter {
             apps: &self.apps,
-            chunks: self.chunks.iter(),
-            bytes: &[],
-            pos: 0,
+            bytes: self.bytes.reader(),
             last_job: 0,
             last_submitted: 0,
             left: self.len,
@@ -190,49 +175,6 @@ impl RecordLog {
         self.apps.push(app);
         self.apps.len() - 1
     }
-}
-
-/// Appends `v` to `buf[*n..]` as an LEB128 varint: 7 bits per byte, low
-/// bits first, the high bit set on every byte but the last.
-fn put_varint(buf: &mut [u8], n: &mut usize, mut v: u64) {
-    while v >= 0x80 {
-        buf[*n] = v as u8 | 0x80;
-        v >>= 7;
-        *n += 1;
-    }
-    buf[*n] = v as u8;
-    *n += 1;
-}
-
-/// Reads the LEB128 varint at `bytes[*pos..]` and moves `pos` past it.
-fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let b = bytes[*pos];
-    *pos += 1;
-    if b < 0x80 {
-        return u64::from(b);
-    }
-    let mut v = u64::from(b & 0x7f);
-    let mut shift = 7;
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-/// Maps a wrapped difference, read as `i64`, to a `u64` that is small
-/// when its magnitude is: 0, −1, 1, −2, … → 0, 1, 2, 3, …
-fn zigzag(d: u64) -> u64 {
-    (d << 1) ^ ((d as i64) >> 63) as u64
-}
-
-/// Inverse of [`zigzag`].
-fn unzigzag(z: u64) -> u64 {
-    (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
 impl fmt::Debug for RecordLog {
@@ -274,10 +216,7 @@ impl<'a> IntoIterator for &'a RecordLog {
 #[derive(Debug, Clone)]
 pub struct RecordIter<'a> {
     apps: &'a [&'static str],
-    chunks: std::slice::Iter<'a, Vec<u8>>,
-    /// The current chunk, decoded up to `pos`.
-    bytes: &'a [u8],
-    pos: usize,
+    bytes: Reader<'a>,
     last_job: u64,
     last_submitted: u64,
     left: usize,
@@ -287,24 +226,20 @@ impl Iterator for RecordIter<'_> {
     type Item = RequestRecord;
 
     fn next(&mut self) -> Option<RequestRecord> {
-        if self.pos == self.bytes.len() {
-            // chunks hold whole records and are never empty
-            self.bytes = self.chunks.next()?;
-            self.pos = 0;
+        if !self.bytes.begin_entry() {
+            return None;
         }
-        let (bytes, pos) = (self.bytes, &mut self.pos);
-        let tag = get_varint(bytes, pos);
-        self.last_job = self.last_job.wrapping_add(unzigzag(get_varint(bytes, pos)));
-        self.last_submitted = self
-            .last_submitted
-            .wrapping_add(unzigzag(get_varint(bytes, pos)));
-        let exec = get_varint(bytes, pos);
-        let cold = get_varint(bytes, pos);
-        let queuing = get_varint(bytes, pos);
+        let r = &mut self.bytes;
+        let tag = r.varint();
+        self.last_job = self.last_job.wrapping_add(unzigzag(r.varint()));
+        self.last_submitted = self.last_submitted.wrapping_add(unzigzag(r.varint()));
+        let exec = r.varint();
+        let cold = r.varint();
+        let queuing = r.varint();
         let completed = self
             .last_submitted
             .wrapping_add(exec.wrapping_add(cold).wrapping_add(queuing))
-            .wrapping_add(unzigzag(get_varint(bytes, pos)));
+            .wrapping_add(unzigzag(r.varint()));
         self.left -= 1;
         Some(RequestRecord {
             job_id: self.last_job,

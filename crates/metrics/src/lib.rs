@@ -11,7 +11,9 @@
 //!   compact [`RecordLog`] the simulator keeps its per-request records in,
 //! * [`slo`] — service-level-objective accounting (violation fractions),
 //! * [`report`] — aligned text tables and CSV output used by the experiment
-//!   harness to regenerate the paper's tables and figure series.
+//!   harness to regenerate the paper's tables and figure series,
+//! * [`varint`] — the LEB128-in-64-KiB-chunks byte code behind the
+//!   record log and `fifer-workloads`' compact job stream.
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@ pub mod report;
 pub mod slo;
 pub mod time;
 pub mod timeseries;
+pub mod varint;
 
 pub use breakdown::{LatencyBreakdown, RecordLog, RequestRecord};
 pub use percentile::{Cdf, Samples};

@@ -17,11 +17,13 @@ use fifer_workloads::{Application, JobRequest, Microservice};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Index, IndexMut};
 
-/// Per-job live state. A job's application, submission time and input
-/// scale are read from the stream ([`Simulation::request`]); its tenant is
-/// its stream index modulo the tenant count.
-#[derive(Debug, Clone, Default)]
+/// Per-job live state. Its tenant is its stream index modulo the tenant
+/// count.
+#[derive(Debug, Clone)]
 pub(crate) struct JobState {
+    /// The job as the stream holds it (application, submission time and
+    /// input scale), copied in on arrival ([`Simulation::request`]).
+    pub(crate) request: JobRequest,
     /// Index into the app's chain of the stage the job is currently at.
     pub(crate) stage_pos: usize,
     pub(crate) breakdown: LatencyBreakdown,
@@ -44,14 +46,20 @@ pub(crate) struct JobWindow {
 }
 
 impl JobWindow {
-    /// Opens the state of `job`, which must be the stream's next arrival.
-    pub(crate) fn open(&mut self, job: usize) {
+    /// Opens the state of `job`, which must be the stream's next arrival,
+    /// with its `request`.
+    pub(crate) fn open(&mut self, job: usize, request: JobRequest) {
         debug_assert_eq!(
             job,
             self.base + self.live.len(),
             "jobs arrive in stream order"
         );
-        self.live.push_back(JobState::default());
+        self.live.push_back(JobState {
+            request,
+            stage_pos: 0,
+            breakdown: LatencyBreakdown::default(),
+            finished: false,
+        });
     }
 
     /// Marks `job` finished and retires the finished jobs at the front.
@@ -164,10 +172,10 @@ impl<'a> Simulation<'a> {
         expired
     }
 
-    /// The stream's request for `job` (its application, submission time
-    /// and input scale).
-    pub(crate) fn request(&self, job: usize) -> &'a JobRequest {
-        &self.stream.jobs()[job]
+    /// The request of `job`, a live job (its application, submission time
+    /// and input scale), read from the job window.
+    pub(crate) fn request(&self, job: usize) -> JobRequest {
+        self.jobs[job].request
     }
 
     /// Static routing of `job`'s application within its tenant.

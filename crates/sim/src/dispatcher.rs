@@ -152,7 +152,7 @@ impl Simulation<'_> {
             let ms = self.stages[c.stage].microservice;
             let mut exec = ms
                 .spec()
-                .sample_exec_time(self.stream.jobs()[task.job].input_scale, &mut self.rng);
+                .sample_exec_time(j.request.input_scale, &mut self.rng);
             // fault plan (draws guarded so an inactive plan never touches
             // the fault RNG): a straggler runs the task slowed by the
             // configured factor; a crash kills the container mid-task

@@ -299,12 +299,12 @@ impl<'a> Simulation<'a> {
         self.stage_views = views;
         self.decisions = out;
 
-        // arrivals are a static, time-ordered run: the queue reads them
-        // from the stream through a cursor (O(1) per event) instead of
-        // heaping or copying the stream. Attached here, after the startup
-        // decisions and before the first ticks, arrival `i` takes the
-        // sequence number it would take if scheduled here one by one.
-        self.queue.attach_arrivals(self.stream.jobs());
+        // arrivals are a static, time-ordered run: the queue decodes them
+        // from the stream in order (O(1) per event) instead of heaping or
+        // copying the stream. Attached here, after the startup decisions
+        // and before the first ticks, arrival `i` takes the sequence
+        // number it would take if scheduled here one by one.
+        self.queue.attach_arrivals(self.stream);
         if !self.stream.is_empty() {
             if self.rm.wants_reactive_ticks() {
                 self.queue
@@ -438,7 +438,7 @@ impl<'a> Simulation<'a> {
 
     fn on_arrival(&mut self, job: usize, now: SimTime) {
         self.jobs_arrived += 1;
-        self.jobs.open(job);
+        self.jobs.open(job, self.queue.arrived());
         self.sampler.record_arrival(now);
         self.enqueue_current_stage(job, now);
     }

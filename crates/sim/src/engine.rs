@@ -3,10 +3,10 @@
 //!
 //! [`EventQueue`] keeps its pending set in two parts. The job stream's
 //! arrivals are known up front and already time-ordered, so the queue
-//! reads them straight from the stream through a cursor — the bulk of a
-//! replay never touches a heap, and no copy of the stream is made.
-//! Everything scheduled at run time (stage hand-offs, warm-ups, task
-//! finishes, ticks, faults) goes into one binary heap.
+//! decodes them straight from the stream through its iterator, one job
+//! ahead — the bulk of a replay never touches a heap, and no copy of the
+//! stream is made. Everything scheduled at run time (stage hand-offs,
+//! warm-ups, task finishes, ticks, faults) goes into one binary heap.
 //! [`EventQueue::pop`] commits the smaller `(time, seq)` of the two heads.
 //!
 //! Sequence numbers come from one counter in schedule-call order (the
@@ -17,7 +17,8 @@
 
 use crate::fault::FaultKind;
 use fifer_metrics::SimTime;
-use fifer_workloads::JobRequest;
+use fifer_workloads::request::JobIter;
+use fifer_workloads::{JobRequest, JobStream};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -89,39 +90,45 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The event queue plus simulation clock: the job stream's arrivals read
-/// by cursor, and one heap for run-time schedules.
+/// The event queue plus simulation clock: the job stream's arrivals
+/// decoded in order, and one heap for run-time schedules.
 ///
 /// # Example
 ///
 /// ```
 /// use fifer_sim::engine::{Event, EventQueue};
 /// use fifer_metrics::SimTime;
-/// use fifer_workloads::{Application, JobRequest};
+/// use fifer_workloads::{Application, JobRequest, JobStream, WorkloadMix};
 ///
-/// let jobs = [JobRequest {
+/// let job = JobRequest {
 ///     id: 0,
 ///     app: Application::Ipa,
 ///     arrival: SimTime::from_secs(1),
 ///     input_scale: 1.0,
-/// }];
+/// };
+/// let stream = JobStream::from_jobs(vec![job], WorkloadMix::Heavy);
 /// let mut q = EventQueue::new();
-/// q.attach_arrivals(&jobs);
+/// q.attach_arrivals(&stream);
 /// q.schedule(SimTime::from_secs(2), Event::ReactiveTick);
 /// q.schedule(SimTime::from_secs(1), Event::MonitorTick);
 /// // equal times commit in schedule order: the arrival was first
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), Event::JobArrival { job: 0 })));
+/// assert_eq!(q.arrived(), job);
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), Event::MonitorTick)));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(2), Event::ReactiveTick)));
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug, Default)]
 pub struct EventQueue<'a> {
-    /// The attached arrival run, in arrival order; `arrivals[cursor..]`
-    /// are still pending. Job `i` arrives with sequence number
-    /// `arrival_seq + i`.
-    arrivals: &'a [JobRequest],
+    /// The attached stream's jobs after `next`, still to decode.
+    arrivals: JobIter<'a>,
+    /// The next pending arrival, job `cursor` of the stream, decoded one
+    /// job ahead so its time can be compared with the heap's head.
+    next: Option<JobRequest>,
     cursor: usize,
+    /// The job of the last [`Event::JobArrival`] popped.
+    arrived: Option<JobRequest>,
+    /// Job `i` arrives with sequence number `arrival_seq + i`.
     arrival_seq: u64,
     /// Everything scheduled through [`Self::schedule`].
     heap: BinaryHeap<Scheduled>,
@@ -142,31 +149,28 @@ impl<'a> EventQueue<'a> {
         self.now
     }
 
-    /// Attaches the job stream's arrivals: job `i` of `jobs` arrives as
-    /// [`Event::JobArrival`]` { job: i }` at its `arrival` time. The run
-    /// takes the next `jobs.len()` sequence numbers in one step, exactly
-    /// as scheduling each arrival here in order would.
+    /// Attaches the job stream's arrivals: job `i` of `stream` arrives as
+    /// [`Event::JobArrival`]` { job: i }` at its `arrival` time (a
+    /// [`JobStream`] is in arrival order by construction). The run takes
+    /// the next `stream.len()` sequence numbers in one step, exactly as
+    /// scheduling each arrival here in order would.
     ///
     /// # Panics
     ///
-    /// Panics if a run is already attached, if draining started, or if
-    /// `jobs` is not in non-decreasing arrival order.
-    pub fn attach_arrivals(&mut self, jobs: &'a [JobRequest]) {
+    /// Panics if a run is already attached or if draining started.
+    pub fn attach_arrivals(&mut self, stream: &'a JobStream) {
         assert!(
             !self.draining,
             "arrival run attached after draining started"
         );
         assert!(
-            self.arrivals.is_empty(),
+            self.next.is_none() && self.cursor == 0,
             "an arrival run is already attached"
         );
-        assert!(
-            jobs.is_sorted_by_key(|j| j.arrival),
-            "arrival run out of time order"
-        );
-        self.arrivals = jobs;
+        self.arrivals = stream.iter();
+        self.next = self.arrivals.next();
         self.arrival_seq = self.next_seq;
-        self.next_seq += jobs.len() as u64;
+        self.next_seq += stream.len() as u64;
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -190,30 +194,40 @@ impl<'a> EventQueue<'a> {
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.draining = true;
         let job = self.cursor;
+        let seq = self.arrival_seq + job as u64;
+        let heap = &self.heap;
         let arrival = self
-            .arrivals
-            .get(job)
-            .map(|j| (j.arrival, self.arrival_seq + job as u64));
-        let from_arrivals = match (arrival, self.heap.peek()) {
-            (Some(a), Some(h)) => a < h.key(),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let (at, event) = if from_arrivals {
-            self.cursor += 1;
-            (self.arrivals[job].arrival, Event::JobArrival { job })
-        } else {
-            let s = pop_heap(&mut self.heap)?;
-            (s.at, s.event)
+            .next
+            .filter(|a| heap.peek().is_none_or(|h| (a.arrival, seq) < h.key()));
+        let (at, event) = match arrival {
+            Some(a) => {
+                self.cursor += 1;
+                self.arrived = arrival;
+                self.next = self.arrivals.next();
+                (a.arrival, Event::JobArrival { job })
+            }
+            None => {
+                let s = pop_heap(&mut self.heap)?;
+                (s.at, s.event)
+            }
         };
         debug_assert!(at >= self.now, "queue yielded an out-of-order event");
         self.now = at;
         Some((at, event))
     }
 
+    /// The job of the last [`Event::JobArrival`] popped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no arrival has been popped yet.
+    pub fn arrived(&self) -> JobRequest {
+        self.arrived.expect("an arrival was popped")
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.arrivals.len() - self.cursor + self.heap.len()
+        self.arrivals.len() + usize::from(self.next.is_some()) + self.heap.len()
     }
 
     /// `true` when no events remain.
@@ -234,15 +248,15 @@ fn pop_heap(heap: &mut BinaryHeap<Scheduled>) -> Option<Scheduled> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fifer_workloads::Application;
+    use fifer_workloads::{Application, WorkloadMix};
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    /// Jobs arriving at `times` seconds.
-    fn jobs(times: &[u64]) -> Vec<JobRequest> {
-        times
+    /// A stream of jobs arriving at `times` seconds.
+    fn jobs(times: &[u64]) -> JobStream {
+        let jobs = times
             .iter()
             .enumerate()
             .map(|(i, &t)| JobRequest {
@@ -251,7 +265,8 @@ mod tests {
                 arrival: secs(t),
                 input_scale: 1.0,
             })
-            .collect()
+            .collect();
+        JobStream::from_jobs(jobs, WorkloadMix::Heavy)
     }
 
     #[test]
@@ -338,8 +353,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "run out of time order")]
+    #[should_panic(expected = "in arrival order")]
     fn out_of_order_arrivals_panic() {
+        // a run is a `JobStream`, which cannot hold them
         let run = jobs(&[2, 1]);
         let mut q = EventQueue::new();
         q.attach_arrivals(&run);

@@ -5,9 +5,9 @@
 //! system's cold-start, image-load and transition latencies (§5.2). This
 //! crate is that simulator, rebuilt from scratch:
 //!
-//! * [`engine`] — the event queue (the stream's arrivals read by cursor
-//!   plus one heap, committed in `(time, seq)` order) and the simulation
-//!   clock,
+//! * [`engine`] — the event queue (the stream's arrivals decoded in
+//!   order plus one heap, committed in `(time, seq)` order) and the
+//!   simulation clock,
 //! * [`config`] — simulation parameters (Tables 1–2 defaults),
 //! * [`cluster`] — nodes, CPU/memory accounting and the greedy
 //!   bin-packing node selection (§4.4.2),

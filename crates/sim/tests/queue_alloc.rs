@@ -1,9 +1,10 @@
 //! Steady-state allocation test for the event queue: once the first
 //! round of a replay has grown the run-time heap to its high-water
-//! capacity, further identically-shaped rounds — arrival-run pops,
-//! heap pushes at `now` and in the future, heap pops, a recurring tick —
-//! must not touch the allocator at all. A counting global allocator makes
-//! any regression an exact, reproducible failure.
+//! capacity, further identically-shaped rounds — arrival-run pops (each
+//! decoding the next job from the stream), heap pushes at `now` and in
+//! the future, heap pops, a recurring tick — must not touch the allocator
+//! at all. A counting global allocator makes any regression an exact,
+//! reproducible failure.
 //!
 //! This file holds exactly one `#[test]` — the allocation counter is
 //! process-global, and a second concurrently-running test would make the
@@ -11,7 +12,7 @@
 
 use fifer_metrics::{SimDuration, SimTime};
 use fifer_sim::engine::{Event, EventQueue};
-use fifer_workloads::{Application, JobRequest};
+use fifer_workloads::{Application, JobRequest, JobStream, WorkloadMix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,8 +94,9 @@ fn steady_state_rounds_do_not_allocate() {
             input_scale: 1.0,
         })
         .collect();
+    let stream = JobStream::from_jobs(jobs, WorkloadMix::Heavy);
     let mut q = EventQueue::new();
-    q.attach_arrivals(&jobs);
+    q.attach_arrivals(&stream);
     q.schedule(SimTime::from_millis(500), Event::MonitorTick);
 
     drain(&mut q, SimTime::ZERO + ROUND); // warm-up: round 0 grows the heap

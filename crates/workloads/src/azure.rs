@@ -26,6 +26,8 @@ use crate::traces::exp_gap;
 use fifer_metrics::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 
 /// How an application's invocations are triggered (the Azure trigger
@@ -265,45 +267,44 @@ impl AzureWorkloadConfig {
     /// Generates the family's job stream over `[0, duration)` along with
     /// the per-trigger-class job counts (in [`TriggerClass::ALL`] order) —
     /// the labeled variant golden fixtures pin.
+    ///
+    /// The per-app processes are superposed in `(arrival, rank)` order: a
+    /// k-way merge of the apps' sorted runs feeds the stream directly,
+    /// exactly as a stable sort of every arrival by that key would order
+    /// them (within one rank the merge keeps the run's order).
     pub fn generate_labeled(&self, duration: SimDuration, seed: u64) -> (JobStream, [u64; 4]) {
         let apps = self.build_apps(seed);
-        let end = duration.as_secs_f64();
-        // superpose the per-app processes, tagging each arrival with its
-        // app's rank; the final order is (arrival, rank), which is total
-        // because within one rank arrivals are sorted
-        let mut tagged: Vec<(SimTime, usize)> = Vec::new();
-        let mut per_trigger = [0u64; 4];
-        for app in &apps {
-            let mut rng = StdRng::seed_from_u64(mix64(seed ^ (app.rank as u64 + 1)));
-            let mut times = app_arrivals(app, end, &mut rng);
-            // queue bursts may straddle the next burst's start
-            times.sort_by(|a, b| a.partial_cmp(b).expect("finite arrival times"));
-            let class = TriggerClass::ALL
-                .iter()
-                .position(|&t| t == app.trigger)
-                .expect("trigger in ALL");
-            per_trigger[class] += times.len() as u64;
-            tagged.extend(
-                times
-                    .into_iter()
-                    .map(|t| (SimTime::from_secs_f64(t), app.rank)),
-            );
-        }
-        tagged.sort_by_key(|&(t, rank)| (t, rank));
+        let (runs, per_trigger) = app_runs(&apps, duration, seed);
+        // each rank's arrivals not yet in the heap
+        let mut rest: Vec<_> = runs.iter().map(|run| run.iter()).collect();
+        let mut heads: BinaryHeap<Reverse<(SimTime, usize)>> = rest
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(rank, run)| Some(Reverse((*run.next()?, rank))))
+            .collect();
         // input scales from a stream-level RNG, like JobStream::generate
         // (salt 2 keeps it disjoint from the generator's salt-1 RNG)
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(2));
-        let jobs: Vec<JobRequest> = tagged
-            .into_iter()
-            .enumerate()
-            .map(|(i, (arrival, rank))| JobRequest {
-                id: i as u64,
+        let mut stream = JobStream::new(self.mix);
+        let mut id = 0;
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((arrival, rank)) = *head;
+            stream.push(JobRequest {
+                id,
                 app: apps[rank].application,
                 arrival,
                 input_scale: rng.gen_range(0.9..1.1),
-            })
-            .collect();
-        (JobStream::from_jobs(jobs, self.mix), per_trigger)
+            });
+            id += 1;
+            match rest[rank].next() {
+                // replacing the head sifts it down when `head` drops
+                Some(&t) => *head = Reverse((t, rank)),
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
+        (stream, per_trigger)
     }
 
     /// Generates the family's job stream over `[0, duration)`,
@@ -323,6 +324,31 @@ fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Each app's arrivals over `[0, duration)`, in rank order, each run
+/// sorted, along with the per-trigger-class job counts.
+fn app_runs(apps: &[AzureApp], duration: SimDuration, seed: u64) -> (Vec<Vec<SimTime>>, [u64; 4]) {
+    let end = duration.as_secs_f64();
+    let mut per_trigger = [0u64; 4];
+    let runs = apps
+        .iter()
+        .map(|app| {
+            let mut rng = StdRng::seed_from_u64(mix64(seed ^ (app.rank as u64 + 1)));
+            let mut times = app_arrivals(app, end, &mut rng);
+            // queue bursts may straddle the next burst's start
+            times.sort_by(|a, b| a.partial_cmp(b).expect("finite arrival times"));
+            let class = TriggerClass::ALL
+                .iter()
+                .position(|&t| t == app.trigger)
+                .expect("trigger in ALL");
+            per_trigger[class] += times.len() as u64;
+            // in place: `f64` and `SimTime` have the same size, and the
+            // rounding to µs keeps the run sorted
+            times.into_iter().map(SimTime::from_secs_f64).collect()
+        })
+        .collect();
+    (runs, per_trigger)
 }
 
 /// Samples one app's arrival instants (seconds) over `[0, end)`.
@@ -397,6 +423,7 @@ fn app_arrivals(app: &AzureApp, end: f64, rng: &mut StdRng) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::apps::Application;
+    use crate::request::JobRequest;
 
     fn cfg() -> AzureWorkloadConfig {
         AzureWorkloadConfig::paper_default()
@@ -474,9 +501,8 @@ mod tests {
             assert!((0.9..1.1).contains(&j.input_scale));
             assert!(j.arrival < SimTime::from_secs(120));
         }
-        for w in s.jobs().windows(2) {
-            assert!(w[0].arrival <= w[1].arrival);
-        }
+        let arrivals: Vec<SimTime> = s.iter().map(|j| j.arrival).collect();
+        assert!(arrivals.is_sorted());
     }
 
     #[test]
@@ -565,8 +591,9 @@ mod tests {
         );
         // gaps concentrate near the 2 s period
         let mut near = 0;
-        for w in s.jobs().windows(2) {
-            let gap = w[1].arrival.saturating_since(w[0].arrival).as_secs_f64();
+        let arrivals: Vec<SimTime> = s.iter().map(|j| j.arrival).collect();
+        for w in arrivals.windows(2) {
+            let gap = w[1].saturating_since(w[0]).as_secs_f64();
             if (gap - 2.0).abs() < 0.5 {
                 near += 1;
             }
@@ -575,6 +602,76 @@ mod tests {
             near as f64 / n > 0.9,
             "timer gaps cluster at the period ({near}/{n})"
         );
+    }
+
+    /// The generator as the stable sort of every arrival by
+    /// `(arrival, rank)` it replaces, collected into a `Vec`: the merge's
+    /// oracle.
+    fn generate_by_sort(
+        c: &AzureWorkloadConfig,
+        duration: SimDuration,
+        seed: u64,
+    ) -> (Vec<JobRequest>, [u64; 4]) {
+        let apps = c.build_apps(seed);
+        let (runs, per_trigger) = app_runs(&apps, duration, seed);
+        let mut tagged: Vec<(SimTime, usize)> = runs
+            .iter()
+            .enumerate()
+            .flat_map(|(rank, run)| run.iter().map(move |&t| (t, rank)))
+            .collect();
+        tagged.sort_by_key(|&(t, rank)| (t, rank));
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(2));
+        let jobs = tagged
+            .into_iter()
+            .enumerate()
+            .map(|(i, (arrival, rank))| JobRequest {
+                id: i as u64,
+                app: apps[rank].application,
+                arrival,
+                input_scale: rng.gen_range(0.9..1.1),
+            })
+            .collect();
+        (jobs, per_trigger)
+    }
+
+    #[test]
+    fn merge_matches_the_stable_sort_bit_for_bit() {
+        let bits = |j: &JobRequest| (j.id, j.app, j.arrival.as_micros(), j.input_scale.to_bits());
+        let mut silent_apps = 0;
+        for apps in [1, 2, 400, 5000] {
+            // the paper's split; queue bursts that straddle the next
+            // burst's start; timers alone
+            for trigger_mix in [
+                TriggerMix::paper_default(),
+                TriggerMix::new(0, 0, 100, 0),
+                TriggerMix::new(0, 100, 0, 0),
+            ] {
+                for seed in [1, 42, 12345] {
+                    let c = AzureWorkloadConfig {
+                        apps,
+                        total_rate: 150.0,
+                        trigger_mix,
+                        mix: WorkloadMix::Heavy,
+                        ..cfg()
+                    };
+                    let d = mins(2);
+                    let (stream, counts) = c.generate_labeled(d, seed);
+                    let (oracle, oracle_counts) = generate_by_sort(&c, d, seed);
+                    let at = format!("{apps} apps, {trigger_mix:?}, seed {seed}");
+                    assert_eq!(counts, oracle_counts, "{at}");
+                    assert_eq!(counts.iter().sum::<u64>(), stream.len() as u64, "{at}");
+                    assert_eq!(stream.len(), oracle.len(), "{at}");
+                    assert!(!oracle.is_empty(), "{at}");
+                    assert!(
+                        stream.iter().map(|j| bits(&j)).eq(oracle.iter().map(bits)),
+                        "{at}"
+                    );
+                    let (runs, _) = app_runs(&c.build_apps(seed), d, seed);
+                    silent_apps += runs.iter().filter(|r| r.is_empty()).count();
+                }
+            }
+        }
+        assert!(silent_apps > 0, "some apps draw no arrival at all");
     }
 
     #[test]

@@ -11,10 +11,11 @@
 
 use crate::apps::{Application, WorkloadMix};
 use crate::request::{JobRequest, JobStream};
+use fifer_metrics::report::create_file;
 use fifer_metrics::SimTime;
 use std::fmt;
-use std::fs;
-use std::io;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::str::FromStr;
 
@@ -68,47 +69,71 @@ impl FromStr for Application {
     }
 }
 
-/// Serializes a stream to the CSV format.
-pub fn stream_to_csv(stream: &JobStream) -> String {
-    let mut out = String::from("id,app,arrival_us,input_scale\n");
+/// The CSV header line.
+const HEADER: &str = "id,app,arrival_us,input_scale";
+
+/// Writes a stream in the CSV format to `w`, line by line.
+fn write_stream<W: Write>(stream: &JobStream, w: &mut W) -> io::Result<()> {
+    writeln!(w, "{HEADER}")?;
     for j in stream {
-        out.push_str(&format!(
-            "{},{},{},{}\n",
+        writeln!(
+            w,
+            "{},{},{},{}",
             j.id,
             j.app,
             j.arrival.as_micros(),
             j.input_scale
-        ));
+        )?;
     }
-    out
+    Ok(())
 }
 
-/// Writes a stream to `path` (creating parent directories).
+/// Writes a stream to `path` through a buffer (creating parent
+/// directories).
 ///
 /// # Errors
 ///
 /// Returns any I/O error from directory creation or the write.
 pub fn save_stream<P: AsRef<Path>>(stream: &JobStream, path: P) -> io::Result<()> {
-    if let Some(parent) = path.as_ref().parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, stream_to_csv(stream))
+    let mut w = BufWriter::new(create_file(path)?);
+    write_stream(stream, &mut w)?;
+    w.flush()
 }
 
-/// Parses a stream from CSV text. The mix is recomputed as the first
-/// [`WorkloadMix`] whose pair of applications covers every job.
+/// Parses a stream from CSV text. The mix is the first [`WorkloadMix`]
+/// whose pair of applications covers every job.
 ///
 /// # Errors
 ///
-/// Returns [`ParseWorkloadError::Malformed`] on any bad line; jobs must be
-/// in non-decreasing arrival order, none past [`JobStream::MAX_HORIZON`],
-/// and their applications must belong to one mix — the simulator only
-/// builds the stage pools of the stream's mix.
+/// Returns [`ParseWorkloadError::Malformed`] on the first bad line: jobs
+/// must be in non-decreasing arrival order, none past
+/// [`JobStream::MAX_HORIZON`], their input scales positive and at most
+/// [`JobStream::MAX_INPUT_SCALE`], and their applications must belong to
+/// one mix — the simulator only builds the stage pools of the stream's
+/// mix.
 pub fn stream_from_csv(text: &str) -> Result<JobStream, ParseWorkloadError> {
-    let mut jobs = Vec::new();
-    for (i, line) in text.lines().enumerate() {
+    read_stream(text.as_bytes())
+}
+
+/// [`stream_from_csv`] over a reader, parsing line by line straight into
+/// the stream.
+fn read_stream<R: BufRead>(mut r: R) -> Result<JobStream, ParseWorkloadError> {
+    let mut stream = JobStream::new(WorkloadMix::ALL[0]);
+    // the applications seen so far, as a bit per `Application::ALL` index
+    let mut seen = 0u8;
+    let mut prev_id = 0;
+    let mut text = String::new();
+    for i in 0.. {
+        text.clear();
+        if r.read_line(&mut text)? == 0 {
+            break;
+        }
+        let line = match text.strip_suffix('\n') {
+            Some(l) => l.strip_suffix('\r').unwrap_or(l),
+            None => &text,
+        };
         if i == 0 {
-            if line.trim() != "id,app,arrival_us,input_scale" {
+            if line.trim() != HEADER {
                 return Err(ParseWorkloadError::Malformed {
                     line: 1,
                     reason: format!("unexpected header {line:?}"),
@@ -119,17 +144,14 @@ pub fn stream_from_csv(text: &str) -> Result<JobStream, ParseWorkloadError> {
         if line.trim().is_empty() {
             continue;
         }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 4 {
-            return Err(ParseWorkloadError::Malformed {
-                line: i + 1,
-                reason: format!("expected 4 fields, got {}", fields.len()),
-            });
-        }
         let bad = |reason: String| ParseWorkloadError::Malformed {
             line: i + 1,
             reason,
         };
+        let fields: Vec<&str> = line.split(',').collect();
+        if fields.len() != 4 {
+            return Err(bad(format!("expected 4 fields, got {}", fields.len())));
+        }
         let id: u64 = fields[0].parse().map_err(|e| bad(format!("id: {e}")))?;
         let app: Application = fields[1].parse().map_err(bad)?;
         let arrival_us: u64 = fields[2]
@@ -149,49 +171,63 @@ pub fn stream_from_csv(text: &str) -> Result<JobStream, ParseWorkloadError> {
         if !(input_scale.is_finite() && input_scale > 0.0) {
             return Err(bad(format!("input_scale {input_scale} must be positive")));
         }
-        jobs.push(JobRequest {
+        if input_scale > JobStream::MAX_INPUT_SCALE {
+            return Err(bad(format!(
+                "input_scale {input_scale} is above the cap of {}",
+                JobStream::MAX_INPUT_SCALE
+            )));
+        }
+        let arrival = SimTime::from_micros(arrival_us);
+        if let Some(last) = stream.last_arrival().filter(|&last| arrival < last) {
+            return Err(bad(format!(
+                "jobs {prev_id} and {id} out of arrival order ({} µs, then {arrival_us} µs)",
+                last.as_micros()
+            )));
+        }
+        let bit = 1 << app as u8;
+        if seen & bit == 0 {
+            seen |= bit;
+            if mix_covering(seen).is_none() {
+                let apps: Vec<&str> = Application::ALL
+                    .into_iter()
+                    .filter(|&a| seen & (1 << a as u8) != 0)
+                    .map(Application::name)
+                    .collect();
+                return Err(bad(format!(
+                    "applications {} belong to no single workload mix",
+                    apps.join(", ")
+                )));
+            }
+        }
+        stream.push(JobRequest {
             id,
             app,
-            arrival: SimTime::from_micros(arrival_us),
+            arrival,
             input_scale,
         });
+        prev_id = id;
     }
-    if let Some(w) = jobs.windows(2).find(|w| w[0].arrival > w[1].arrival) {
-        return Err(ParseWorkloadError::Malformed {
-            line: 0,
-            reason: format!("jobs {} and {} out of arrival order", w[0].id, w[1].id),
-        });
-    }
-    // infer the mix from the pair of applications the file uses
-    let mix = WorkloadMix::ALL.into_iter().find(|m| {
-        let apps = m.applications();
-        jobs.iter().all(|j| apps.contains(&j.app))
-    });
-    let Some(mix) = mix else {
-        let apps: Vec<&str> = Application::ALL
-            .into_iter()
-            .filter(|a| jobs.iter().any(|j| j.app == *a))
-            .map(Application::name)
-            .collect();
-        return Err(ParseWorkloadError::Malformed {
-            line: 0,
-            reason: format!(
-                "applications {} belong to no single workload mix",
-                apps.join(", ")
-            ),
-        });
-    };
-    Ok(JobStream::from_jobs(jobs, mix))
+    let mix = mix_covering(seen).expect("checked at every line");
+    Ok(stream.with_mix(mix))
 }
 
-/// Loads a stream from a CSV file.
+/// Loads a stream from a CSV file, reading it line by line.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors and malformed content.
+/// Propagates I/O errors (non-UTF-8 text included) and malformed content,
+/// as [`stream_from_csv`] names it.
 pub fn load_stream<P: AsRef<Path>>(path: P) -> Result<JobStream, ParseWorkloadError> {
-    let text = fs::read_to_string(path)?;
-    stream_from_csv(&text)
+    read_stream(BufReader::new(File::open(path)?))
+}
+
+/// The first mix whose two applications include every one in `seen` (a
+/// bit per [`Application::ALL`] index, which is declaration order).
+fn mix_covering(seen: u8) -> Option<WorkloadMix> {
+    WorkloadMix::ALL.into_iter().find(|m| {
+        let [a, b] = m.applications();
+        seen & !((1 << a as u8) | (1 << b as u8)) == 0
+    })
 }
 
 #[cfg(test)]
@@ -199,6 +235,14 @@ mod tests {
     use super::*;
     use crate::traces::PoissonTrace;
     use fifer_metrics::SimDuration;
+    use std::fs;
+
+    /// The CSV text [`save_stream`] writes.
+    fn stream_to_csv(stream: &JobStream) -> String {
+        let mut out = Vec::new();
+        write_stream(stream, &mut out).expect("writing to a Vec");
+        String::from_utf8(out).expect("CSV is UTF-8")
+    }
 
     fn sample_stream() -> JobStream {
         JobStream::generate(
@@ -278,7 +322,41 @@ mod tests {
     fn out_of_order_arrivals_rejected() {
         let csv = "id,app,arrival_us,input_scale\n0,IPA,200,1.0\n1,IPA,100,1.0\n";
         let err = stream_from_csv(csv).unwrap_err();
-        assert!(err.to_string().contains("out of arrival order"));
+        assert!(err.to_string().contains("out of arrival order"), "{err}");
+        // the offending line is named, past an empty line and an equal arrival
+        let csv = "id,app,arrival_us,input_scale\n0,IPA,200,1.0\n\n1,IPA,200,1.0\n2,IPA,199,1.0\n";
+        let err = stream_from_csv(csv).unwrap_err();
+        assert!(
+            matches!(err, ParseWorkloadError::Malformed { line: 5, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("jobs 1 and 2"), "{err}");
+    }
+
+    #[test]
+    fn input_scales_above_the_cap_rejected() {
+        let cap = JobStream::MAX_INPUT_SCALE;
+        let at_cap = format!("id,app,arrival_us,input_scale\n0,IPA,100,{cap}\n");
+        assert_eq!(stream_from_csv(&at_cap).expect("parse").len(), 1);
+        for scale in ["1000.0000001", "1e12", "1e15", "inf", "NaN"] {
+            let csv = format!("id,app,arrival_us,input_scale\n0,IPA,100,1.0\n1,IPA,200,{scale}\n");
+            let err = stream_from_csv(&csv).unwrap_err();
+            assert!(
+                matches!(err, ParseWorkloadError::Malformed { line: 3, .. }),
+                "{scale}: {err}"
+            );
+        }
+        let csv = "id,app,arrival_us,input_scale\n0,IPA,100,1e15\n";
+        let err = stream_from_csv(csv).unwrap_err().to_string();
+        assert!(err.contains("above the cap of 1000"), "{err}");
+    }
+
+    #[test]
+    fn crlf_lines_and_a_missing_final_newline_parse() {
+        let csv = "id,app,arrival_us,input_scale\r\n0,IPA,100,1.5\r\n1,IPA,200,1.25";
+        let s = stream_from_csv(csv).expect("parse");
+        let scales: Vec<f64> = s.iter().map(|j| j.input_scale).collect();
+        assert_eq!(scales, [1.5, 1.25]);
     }
 
     #[test]

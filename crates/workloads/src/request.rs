@@ -7,9 +7,11 @@
 
 use crate::apps::{Application, WorkloadMix};
 use crate::traces::TraceGenerator;
+use fifer_metrics::varint::{unzigzag, zigzag, Chunks, Entry, Reader};
 use fifer_metrics::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
 
 /// One job (chain invocation) entering the system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,10 +26,32 @@ pub struct JobRequest {
     pub input_scale: f64,
 }
 
+/// Longest encoding of one job: two varints and the input scale's bytes.
+const MAX_JOB_BYTES: usize = 10 + 10 + 8;
+
 /// A complete, arrival-ordered workload: the unit fed to the simulator.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The jobs are kept in an exact, append-only compact encoding of about
+/// 11 bytes per job (a `Vec<JobRequest>` holds 32). A job is:
+/// 1. one varint holding the zigzag of `id − (previous id + 1)`, shifted
+///    left two bits, with the app's [`Application::ALL`] index in the low
+///    bits — one byte for sequential ids;
+/// 2. one varint of the arrival's distance from the previous arrival, in
+///    µs (arrivals never go back, so it is never negative);
+/// 3. the input scale's 8 raw bytes, so any `f64` survives.
+///
+/// Every id, app, arrival and input scale decodes back bit for bit, in
+/// order. The bytes live in fixed 64 KiB [`Chunks`] that no job straddles,
+/// so the stream never reallocates. [`Self::iter`] decodes the jobs by
+/// value.
+#[derive(Clone)]
 pub struct JobStream {
-    jobs: Vec<JobRequest>,
+    bytes: Chunks,
+    len: usize,
+    /// The previous job's id plus one (0 before the first job).
+    next_id: u64,
+    /// The latest arrival (zero before the first job).
+    last_arrival: SimTime,
     mix: WorkloadMix,
 }
 
@@ -40,12 +64,56 @@ impl JobStream {
     pub const MAX_HORIZON: SimDuration = SimDuration::from_secs(30 * 24 * 3600);
 
     /// The most jobs a generated stream may hold (`--rate × --secs`):
-    /// 5 × 10^7. Streams are materialized before replay, and at about 50
-    /// bytes per job at the peak (the 32 B stream itself, the generator's
-    /// temporaries and about 11 B of record per measured job) this is
-    /// already ~2.5 GB, so a larger request is rejected instead of filling
-    /// memory.
+    /// 5 × 10^7. Streams are materialized before replay, and at about 20
+    /// bytes per job at the peak (the 11 B stream plus about 11 B of
+    /// record per measured job during replay, or the Azure generator's
+    /// 8 B-per-arrival runs beside the growing stream) this is already
+    /// ~1 GB, so a larger request is rejected instead of filling memory.
     pub const MAX_JOBS: u64 = 50_000_000;
+
+    /// The largest input scale a replayed workload may carry. Execution
+    /// times scale with it; the generators draw 0.9–1.1, and at 1000× the
+    /// slowest stage (HS, 151.2 ms) would average about 151 s per task. A
+    /// far larger scale saturates the simulator's clock, so a replayed
+    /// CSV beyond it is rejected up front.
+    pub const MAX_INPUT_SCALE: f64 = 1000.0;
+
+    /// An empty stream of `mix`.
+    pub(crate) fn new(mix: WorkloadMix) -> Self {
+        JobStream {
+            bytes: Chunks::default(),
+            len: 0,
+            next_id: 0,
+            last_arrival: SimTime::ZERO,
+            mix,
+        }
+    }
+
+    /// Appends `job`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `job` arrives before the stream's latest arrival.
+    pub(crate) fn push(&mut self, job: JobRequest) {
+        assert!(
+            job.arrival >= self.last_arrival,
+            "jobs must be in arrival order"
+        );
+        let mut entry = Entry::<MAX_JOB_BYTES>::default();
+        // `Application::ALL` lists the apps in declaration order
+        entry.tagged_varint::<2>(zigzag(job.id.wrapping_sub(self.next_id)), job.app as u64);
+        entry.varint(job.arrival.as_micros() - self.last_arrival.as_micros());
+        entry.bytes(&job.input_scale.to_bits().to_le_bytes());
+        self.bytes.push(&entry);
+        self.next_id = job.id.wrapping_add(1);
+        self.last_arrival = job.arrival;
+        self.len += 1;
+    }
+
+    /// Sets the mix (for a loader that learns it from the jobs).
+    pub(crate) fn with_mix(self, mix: WorkloadMix) -> Self {
+        JobStream { mix, ..self }
+    }
 
     /// Builds a stream by sampling arrivals from `trace` over `duration`
     /// and assigning each to one of the mix's two applications uniformly at
@@ -63,17 +131,16 @@ impl JobStream {
         let arrivals = trace.generate(duration, seed);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
         let apps = mix.applications();
-        let jobs = arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(i, arrival)| JobRequest {
+        let mut stream = JobStream::new(mix);
+        for (i, arrival) in arrivals.into_iter().enumerate() {
+            stream.push(JobRequest {
                 id: i as u64,
                 app: apps[usize::from(rng.gen_bool(0.5))],
                 arrival,
                 input_scale: rng.gen_range(0.9..1.1),
-            })
-            .collect();
-        JobStream { jobs, mix }
+            });
+        }
+        stream
     }
 
     /// Builds a stream from explicit jobs (for tests and worked examples).
@@ -82,18 +149,11 @@ impl JobStream {
     ///
     /// Panics if the jobs are not in non-decreasing arrival order.
     pub fn from_jobs(jobs: Vec<JobRequest>, mix: WorkloadMix) -> Self {
-        for w in jobs.windows(2) {
-            assert!(
-                w[0].arrival <= w[1].arrival,
-                "jobs must be in arrival order"
-            );
+        let mut stream = JobStream::new(mix);
+        for job in jobs {
+            stream.push(job);
         }
-        JobStream { jobs, mix }
-    }
-
-    /// The jobs in arrival order.
-    pub fn jobs(&self) -> &[JobRequest] {
-        &self.jobs
+        stream
     }
 
     /// The mix this stream was drawn from.
@@ -103,35 +163,100 @@ impl JobStream {
 
     /// Number of jobs.
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.len
     }
 
     /// `true` when the stream carries no jobs.
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.len == 0
     }
 
-    /// Iterates over the jobs.
-    pub fn iter(&self) -> std::slice::Iter<'_, JobRequest> {
-        self.jobs.iter()
+    /// The last job's arrival, `None` for an empty stream.
+    pub fn last_arrival(&self) -> Option<SimTime> {
+        (!self.is_empty()).then_some(self.last_arrival)
+    }
+
+    /// The jobs, decoded in arrival order.
+    pub fn iter(&self) -> JobIter<'_> {
+        JobIter {
+            bytes: self.bytes.reader(),
+            left: self.len,
+            next_id: 0,
+            arrival: 0,
+        }
     }
 
     /// Fraction of jobs belonging to `app`.
     pub fn app_fraction(&self, app: Application) -> f64 {
-        if self.jobs.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.jobs.iter().filter(|j| j.app == app).count() as f64 / self.jobs.len() as f64
+        self.iter().filter(|j| j.app == app).count() as f64 / self.len as f64
+    }
+}
+
+impl fmt::Debug for JobStream {
+    /// Prints the decoded jobs as a list, like a `Vec<JobRequest>`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+impl PartialEq for JobStream {
+    /// Compares the mixes and the decoded jobs (`f64` equality on the
+    /// input scales, as `JobRequest`'s own `PartialEq`).
+    fn eq(&self, other: &Self) -> bool {
+        self.mix == other.mix && self.len == other.len && self.iter().eq(other)
     }
 }
 
 impl<'a> IntoIterator for &'a JobStream {
-    type Item = &'a JobRequest;
-    type IntoIter = std::slice::Iter<'a, JobRequest>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.jobs.iter()
+    type Item = JobRequest;
+    type IntoIter = JobIter<'a>;
+
+    fn into_iter(self) -> JobIter<'a> {
+        self.iter()
     }
 }
+
+/// Decodes a [`JobStream`] in arrival order ([`JobStream::iter`]). The
+/// default iterator is empty.
+#[derive(Debug, Clone, Default)]
+pub struct JobIter<'a> {
+    bytes: Reader<'a>,
+    left: usize,
+    next_id: u64,
+    /// The previous arrival, µs.
+    arrival: u64,
+}
+
+impl Iterator for JobIter<'_> {
+    type Item = JobRequest;
+
+    fn next(&mut self) -> Option<JobRequest> {
+        if !self.bytes.begin_entry() {
+            return None;
+        }
+        let (id_gap, app) = self.bytes.tagged_varint::<2>();
+        let id = self.next_id.wrapping_add(unzigzag(id_gap));
+        self.next_id = id.wrapping_add(1);
+        self.arrival += self.bytes.varint();
+        let input_scale = f64::from_bits(u64::from_le_bytes(self.bytes.bytes()));
+        self.left -= 1;
+        Some(JobRequest {
+            id,
+            app: Application::ALL[app as usize],
+            arrival: SimTime::from_micros(self.arrival),
+            input_scale,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for JobIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -154,9 +279,9 @@ mod tests {
         for (i, j) in s.iter().enumerate() {
             assert_eq!(j.id, i as u64);
         }
-        for w in s.jobs().windows(2) {
-            assert!(w[0].arrival <= w[1].arrival);
-        }
+        let arrivals: Vec<SimTime> = s.iter().map(|j| j.arrival).collect();
+        assert!(arrivals.is_sorted());
+        assert_eq!(s.last_arrival(), arrivals.last().copied());
     }
 
     #[test]

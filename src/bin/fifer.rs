@@ -284,10 +284,8 @@ fn checked_stream(args: &mut Args) -> JobStream {
     let checked = match &replayed {
         Some(stream) => {
             args.scenario.secs = stream
-                .jobs()
-                .last()
-                .map(|j| j.arrival.as_secs_f64().ceil() as u64 + 1)
-                .unwrap_or(1);
+                .last_arrival()
+                .map_or(1, |t| t.as_secs_f64().ceil() as u64 + 1);
             args.scenario.validate_warmup()
         }
         None => args.scenario.validate(),

@@ -515,6 +515,32 @@ fn replay_of_far_future_arrival_fails_cleanly() {
 }
 
 #[test]
+fn replay_of_huge_input_scale_fails_cleanly() {
+    // a scale past `JobStream::MAX_INPUT_SCALE` once saturated the
+    // simulator's clock: 1e15 panicked ("cannot schedule into the past")
+    // and 1e12 ran for ages
+    for scale in ["1e15", "1e12"] {
+        let path = std::env::temp_dir().join(format!("fifer_cli_huge_scale_{scale}.csv"));
+        std::fs::write(
+            &path,
+            format!("id,app,arrival_us,input_scale\n0,IPA,100,1.0\n1,IPA,200,{scale}\n"),
+        )
+        .expect("write workload");
+        let out = fifer()
+            .args(["--rm", "bline", "--replay"])
+            .arg(&path)
+            .output()
+            .expect("spawn");
+        let _ = std::fs::remove_file(&path);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{scale}: {err}");
+        assert!(err.contains("cannot replay"), "{scale}: {err}");
+        assert!(err.contains("line 3"), "{scale}: {err}");
+        assert!(err.contains("above the cap of 1000"), "{scale}: {err}");
+    }
+}
+
+#[test]
 fn replay_spanning_two_mixes_fails_cleanly() {
     // IPA runs in the Heavy and Medium mixes, FaceSecurity only in Light:
     // no one mix's stage pools can route both

@@ -559,7 +559,8 @@ proptest! {
                 }
             })
             .collect();
-        q.attach_arrivals(&arrivals);
+        let stream = JobStream::from_jobs(arrivals.clone(), WorkloadMix::Heavy);
+        q.attach_arrivals(&stream);
         for (job, j) in arrivals.iter().enumerate() {
             oracle.schedule(j.arrival, Event::JobArrival { job });
         }
@@ -573,7 +574,10 @@ proptest! {
         loop {
             let got = q.pop();
             prop_assert_eq!(got, oracle.pop(), "pop {} diverged", pops);
-            let Some((t, _)) = got else { break };
+            let Some((t, event)) = got else { break };
+            if let Event::JobArrival { job } = event {
+                prop_assert_eq!(q.arrived(), arrivals[job]);
+            }
             prop_assert_eq!(q.now(), oracle.now);
             for &d in fanout.get(pops).map(Vec::as_slice).unwrap_or_default() {
                 schedule_both(&mut q, &mut oracle, t + SimDuration::from_micros(d));
