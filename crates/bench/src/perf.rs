@@ -1,5 +1,5 @@
-//! Dispatch-path micro-measurement helpers shared by the criterion
-//! benches (`benches/simulator.rs`) and the `bench` binary.
+//! Dispatch-path micro-measurement helpers shared by `experiments ovh`
+//! (§6.1.5's table) and the `bench` binary's dispatch section.
 //!
 //! The overhaul replaced the simulator's per-dispatch linear scan over the
 //! stage queue with an indexed priority queue (`O(log Q)` pop). These

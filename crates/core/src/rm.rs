@@ -114,10 +114,11 @@ pub struct RmConfig {
     /// Hybrid-histogram keep-alive / pre-warm (off for every RM but the
     /// seventh).
     pub keepalive: KeepAliveConfig,
-    /// Keep fine-tuning a neural predictor on the observed rate tail during
-    /// the run (the paper's §8 "the LSTM model parameters can be constantly
+    /// Keep fine-tuning the predictor on the observed rate tail during the
+    /// run (the paper's §8 "the LSTM model parameters can be constantly
     /// updated by retraining in the background" extension). Off by default;
-    /// only proactive scaling builds a predictor to retrain.
+    /// only a [predictor](Self::predictor) that
+    /// [retrains online](PredictorKind::retrains_online) is touched.
     pub online_retrain: bool,
 }
 
@@ -139,9 +140,17 @@ impl RmConfig {
         self
     }
 
+    /// The load predictor a proactive RM forecasts with.
+    pub fn predictor(&self) -> Option<PredictorKind> {
+        match self.scaling {
+            ScalingMode::ReactivePlusProactive(kind) => Some(kind),
+            _ => None,
+        }
+    }
+
     /// `true` when this RM pre-spawns containers from forecasts.
     pub fn is_proactive(&self) -> bool {
-        matches!(self.scaling, ScalingMode::ReactivePlusProactive(_))
+        self.predictor().is_some()
     }
 }
 

@@ -104,6 +104,14 @@ impl PredictorKind {
         )
     }
 
+    /// `true` for the models whose
+    /// [`enable_online_retraining`](LoadPredictor::enable_online_retraining)
+    /// arms a retraining loop: the LSTM alone. Every other kind keeps the
+    /// trait's no-op.
+    pub fn retrains_online(self) -> bool {
+        self == PredictorKind::Lstm
+    }
+
     /// Instantiates the predictor with its paper-default configuration and
     /// the given weight-initialization seed.
     pub fn build(self, seed: u64) -> Box<dyn LoadPredictor + Send> {
@@ -167,6 +175,32 @@ mod tests {
         assert!(PredictorKind::WeaveNet.is_neural());
         let neural = PredictorKind::ALL.iter().filter(|k| k.is_neural()).count();
         assert_eq!(neural, 4);
+    }
+
+    /// Arming online retraining changes a kind's forecasts exactly when
+    /// [`PredictorKind::retrains_online`] says it retrains.
+    #[test]
+    fn retrains_online_matches_the_retraining_hook() {
+        let series: Vec<f64> = (0..40)
+            .map(|i| 6.0 + 3.0 * (i as f64 * 0.3).sin())
+            .collect();
+        for kind in PredictorKind::ALL {
+            let forecasts = |online: bool| -> Vec<f64> {
+                let mut p = kind.build(1);
+                if online {
+                    p.enable_online_retraining(8, 1);
+                }
+                series
+                    .iter()
+                    .map(|&v| {
+                        p.observe(v);
+                        p.forecast()
+                    })
+                    .collect()
+            };
+            let moved = forecasts(true) != forecasts(false);
+            assert_eq!(moved, kind.retrains_online(), "{kind}");
+        }
     }
 
     #[test]

@@ -73,7 +73,6 @@ fn main() {
     // the custom policy, with the decision trace enabled
     let mut cfg = SimConfig::prototype(RmKind::Bline.config(), rate);
     cfg.trace.capacity = 65_536;
-    cfg.trace.jsonl = args.get(3).cloned();
     let (hedge, trace) =
         Simulation::with_resource_manager(cfg, &stream, Box::new(HedgePolicy)).run_with_trace();
 
@@ -108,6 +107,7 @@ fn main() {
     }
     println!("spawns by cause: {by_cause:?}");
     if let Some(path) = args.get(3) {
+        std::fs::write(path, trace.to_jsonl()).expect("write the decision trace");
         println!("decision trace written to {path}");
     }
 }

@@ -116,8 +116,8 @@ pub struct SimConfig {
     pub min_warm_pool: usize,
     /// RNG seed for exec-time jitter and any stochastic choices.
     pub seed: u64,
-    /// Structured decision trace (ring capacity + optional JSONL export).
-    /// Disabled by default; see [`crate::trace`].
+    /// Structured decision trace (ring capacity). Disabled by default; see
+    /// [`crate::trace`].
     pub trace: TraceConfig,
     /// Deterministic fault-injection plan (spawn faults, crashes,
     /// stragglers, node outages). [`FaultPlan::none`] — the default —
@@ -189,10 +189,6 @@ impl SimConfig {
             "early-exit probability must be in [0, 1]"
         );
         assert!(self.tenants >= 1, "need at least one tenant");
-        assert!(
-            self.trace.jsonl.is_none() || self.trace.capacity > 0,
-            "decision-trace JSONL export requires a nonzero trace capacity"
-        );
         if let Err(e) = self.faults.validate(self.cluster.nodes) {
             panic!("{e}");
         }

@@ -10,7 +10,7 @@
 //! the container was spawned for).
 //!
 //! A container that dies — reclaimed, crashed or preempted — leaves the
-//! [`ContainerTable`], so the simulator's container memory is bounded by
+//! `ContainerTable`, so the simulator's container memory is bounded by
 //! the live containers, not by every container a run ever spawned.
 
 use fifer_core::resources::ResourceVec;
@@ -82,7 +82,7 @@ pub struct BoundTask {
 }
 
 /// Lifecycle state of a live container (a dead one leaves the
-/// [`ContainerTable`]).
+/// `ContainerTable`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerState {
     /// Image pull + runtime init in progress until the given instant.

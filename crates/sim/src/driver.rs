@@ -277,12 +277,7 @@ impl<'a> Simulation<'a> {
     }
 
     /// Runs the simulation and also returns the decision trace (empty
-    /// unless `cfg.trace.capacity > 0`). With `cfg.trace.jsonl` set, the
-    /// retained events are additionally exported as JSON Lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured JSONL export path cannot be written.
+    /// unless `cfg.trace.capacity > 0`).
     pub fn run_with_trace(mut self) -> (SimResult, SimTrace) {
         // startup hook: SBatch provisions its fixed pool up front (§5.3)
         let mut views = std::mem::take(&mut self.stage_views);
@@ -320,16 +315,8 @@ impl<'a> Simulation<'a> {
                 self.queue.schedule(o.up_at, Event::NodeUp { node: o.node });
             }
         }
-        let progress_enabled = std::env::var_os("FIFER_TRACE").is_some();
         while let Some((now, event)) = self.queue.pop() {
             self.events_processed += 1;
-            if progress_enabled && self.events_processed.is_multiple_of(100_000) {
-                eprintln!(
-                    "[trace] {} events, t={now}, pending={}",
-                    self.events_processed,
-                    self.queue.len()
-                );
-            }
             match event {
                 Event::JobArrival { job } => self.on_arrival(job, now),
                 Event::StageEnqueue { job } => self.on_stage_enqueue(job, now),
@@ -351,11 +338,6 @@ impl<'a> Simulation<'a> {
             self.audit_final();
         }
         let trace = std::mem::take(&mut self.trace);
-        if let Some(path) = self.cfg.trace.jsonl.clone() {
-            trace
-                .export_jsonl(&path)
-                .unwrap_or_else(|e| panic!("writing decision trace to {path}: {e}"));
-        }
         (self.finish(), trace)
     }
 
@@ -1007,15 +989,6 @@ mod tests {
         let stream = small_stream(1.0, 5, 1);
         let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 1.0);
         cfg.early_exit_prob = 1.5;
-        let _ = Simulation::new(cfg, &stream);
-    }
-
-    #[test]
-    #[should_panic(expected = "JSONL export requires a nonzero trace capacity")]
-    fn jsonl_without_capacity_rejected() {
-        let stream = small_stream(1.0, 5, 1);
-        let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 1.0);
-        cfg.trace.jsonl = Some("/tmp/never-written.jsonl".into());
         let _ = Simulation::new(cfg, &stream);
     }
 

@@ -18,14 +18,14 @@
 //! Tracing is configured via [`TraceConfig`] on
 //! [`SimConfig`](crate::config::SimConfig) and is zero-cost when disabled:
 //! `SimTrace::record` takes a closure and returns before evaluating it.
-//! With [`TraceConfig::jsonl`] set, the retained events are exported as
-//! JSON Lines at the end of the run.
+//! [`SimTrace::write_jsonl`] streams the retained events as JSON Lines to
+//! any writer; the `fifer` CLI's `--decision-trace` writes them to a file.
 
 use crate::fault::FaultKind;
 use fifer_core::policy::DecisionCause;
 use fifer_metrics::SimTime;
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io;
 
 /// Decision-trace configuration (part of `SimConfig`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -34,9 +34,6 @@ pub struct TraceConfig {
     /// (the default): no events are recorded and no counters are kept
     /// beyond plain integer adds.
     pub capacity: usize,
-    /// Optional JSON Lines export path; the retained events are written
-    /// there when the run finishes. Requires a nonzero `capacity`.
-    pub jsonl: Option<String>,
 }
 
 /// One applied (or rejected) decision, with cause attribution.
@@ -441,22 +438,21 @@ impl SimTrace {
         self.ring.is_empty()
     }
 
-    /// The retained events as JSON Lines (one object per line), each
-    /// prefixed with its global commit sequence number.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+    /// Writes the retained events as JSON Lines (one object per line),
+    /// each prefixed with its global commit sequence number.
+    pub fn write_jsonl(&self, w: &mut impl io::Write) -> io::Result<()> {
         for (seq, e) in &self.ring {
-            let body = e.to_json();
-            out.push_str(&format!("{{\"seq\":{seq},{}", &body[1..]));
-            out.push('\n');
+            writeln!(w, "{{\"seq\":{seq},{}", &e.to_json()[1..])?;
         }
-        out
+        Ok(())
     }
 
-    /// Writes [`Self::to_jsonl`] to `path`.
-    pub fn export_jsonl(&self, path: &str) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_jsonl().as_bytes())
+    /// [`Self::write_jsonl`]'s output as one string.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = Vec::new();
+        self.write_jsonl(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the JSON Lines are UTF-8")
     }
 }
 

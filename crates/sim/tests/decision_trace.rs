@@ -144,25 +144,6 @@ fn tracing_does_not_perturb_the_simulation() {
     assert_eq!(untraced, traced);
 }
 
-/// JSONL export writes one object per retained event.
-#[test]
-fn jsonl_export_round_trips_through_the_config() {
-    let path = std::env::temp_dir().join("fifer_decision_trace_test.jsonl");
-    let path_str = path.to_str().expect("utf-8 temp path").to_string();
-    let s = stream(3.0, 10, 2);
-    let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 3.0);
-    cfg.trace.capacity = 4096;
-    cfg.trace.jsonl = Some(path_str.clone());
-    let (_, trace) = Simulation::new(cfg, &s).run_with_trace();
-    let contents = std::fs::read_to_string(&path).expect("export must exist");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(contents.lines().count(), trace.len());
-    for line in contents.lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"cause\""));
-    }
-}
-
 /// Idle reclamation racing a dispatch (§4.4.1 edge case): with a short
 /// idle timeout, a quiet gap between two jobs lets the monitor kill the
 /// warm container, so the second job pays a second cold start; stretching

@@ -345,7 +345,11 @@ fn app_runs(apps: &[AzureApp], duration: SimDuration, seed: u64) -> (Vec<Vec<Sim
             per_trigger[class] += times.len() as u64;
             // in place: `f64` and `SimTime` have the same size, and the
             // rounding to µs keeps the run sorted
-            times.into_iter().map(SimTime::from_secs_f64).collect()
+            let mut run: Vec<SimTime> = times.into_iter().map(SimTime::from_secs_f64).collect();
+            // drop the spare capacity `app_arrivals` grew by doubling: the
+            // runs are held until the merge ends
+            run.shrink_to_fit();
+            run
         })
         .collect();
     (runs, per_trigger)

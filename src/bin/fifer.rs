@@ -15,7 +15,7 @@
 //! reports for a producer stopped by `SIGPIPE`.
 
 use fifer::prelude::*;
-use fifer::sim::ClusterConfig;
+use fifer::sim::{ClusterConfig, SimTrace};
 use fifer::workloads::io as wio;
 use std::io::{self, Write};
 use std::process::exit;
@@ -36,6 +36,9 @@ const STREAM_FLAGS: [&str; 8] = [
 /// The flags that shape only the azure family; without `--workload azure`
 /// they would be ignored.
 const AZURE_FLAGS: [&str; 3] = ["--apps", "--tail-exp", "--trigger-mix"];
+
+/// Decisions `--decision-trace` keeps: the last 2^20 of the run.
+const DECISION_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Writes one line of the report to stdout, ending the run through
 /// [`stdout_failed`] if it cannot.
@@ -114,15 +117,17 @@ usage: fifer [options]
 --save-workload <file.csv>                save the generated workload
 --out <file.csv>                          write the summary row(s) as CSV
 --json <file.json>                        dump the full SimResult of the last RM as JSON
---decision-trace <file.jsonl>             export the last RM's scaling decisions as JSONL
+--decision-trace <file.jsonl>             export the last RM's scaling decisions as JSONL;
+                                          the file holds the last 2^20 decisions
 --faults <spec>                           seeded fault plan, e.g.
                                           seed=7,spawn=0.05@500,crash=0.02,straggler=0.1x4,retries=8,outage=2@100+60
 --model-cache <dir>                       checkpoint pretrained neural predictors in <dir>;
                                           a repeated (model, seed, series) run warm-starts
-                                          from the cache with bit-identical forecasts
---online-retrain                          keep fine-tuning the neural predictor on the
+                                          from the cache with bit-identical forecasts;
+                                          needs a neural predictor (fifer or --compare)
+--online-retrain                          keep fine-tuning the LSTM predictor on the
                                           observed rate tail during the run (paper §8);
-                                          needs a forecasting RM (bpred, fifer or --compare)
+                                          needs an LSTM-forecasting RM (fifer or --compare)
 --audit                                   run the invariant auditor at every event commit
 
 exit status:                              0 ok, 1 I/O or workload error, 2 usage error,
@@ -258,10 +263,18 @@ fn parse_args() -> Args {
             trace.unwrap_or(Arrivals::Poisson)
         }
     };
-    if args.online_retrain && !args.rm.iter().any(|k| k.config().is_proactive()) {
+    // a flag no selected RM's predictor can act on would be inert
+    let predictors = || args.rm.iter().filter_map(|k| k.config().predictor());
+    if args.model_cache.is_some() && !predictors().any(PredictorKind::is_neural) {
         usage_error(
-            "--online-retrain needs a forecasting RM (bpred, fifer or --compare); \
-             the selected RM has no predictor to retrain",
+            "--model-cache needs a neural predictor (fifer or --compare); \
+             the selected RM has no model to cache",
+        )
+    }
+    if args.online_retrain && !predictors().any(PredictorKind::retrains_online) {
+        usage_error(
+            "--online-retrain needs an LSTM-forecasting RM (fifer or --compare); \
+             the selected RM has no predictor that retrains online",
         )
     }
     if !(0.0..=1.0).contains(&args.early_exit) {
@@ -312,17 +325,24 @@ fn write_json(path: &str, r: &SimResult) -> io::Result<()> {
     w.flush()
 }
 
+/// Streams the retained decisions to `file` as JSON Lines through a buffer.
+fn write_decisions(file: std::fs::File, trace: &SimTrace) -> io::Result<()> {
+    let mut w = io::BufWriter::new(file);
+    trace.write_jsonl(&mut w)?;
+    w.flush()
+}
+
 fn main() {
     let mut args = parse_args();
     let mut out = io::stdout().lock();
     let stream = checked_stream(&mut args);
     let secs = args.scenario.secs;
-    if let Some(path) = &args.decision_trace {
-        // fail before the replay, not after it; the run rewrites the file
-        if let Err(e) = std::fs::File::create(path) {
-            fail(format!("cannot write {path}: {e}"))
-        }
-    }
+    // fail before the replay, not after it; the last RM's run fills the file
+    let mut decision_trace = args.decision_trace.as_ref().map(|path| {
+        let file = fifer::metrics::report::create_file(path)
+            .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+        (path, file)
+    });
     if let Some(path) = &args.save_workload {
         if let Err(e) = wio::save_stream(&stream, path) {
             fail(format!("cannot save workload to {path}: {e}"))
@@ -358,7 +378,10 @@ fn main() {
         ModelCache::open(dir)
             .unwrap_or_else(|e| fail(format!("cannot open model cache {dir}: {e}")))
     });
-    for kind in &args.rm {
+    for (i, kind) in args.rm.iter().enumerate() {
+        // like --json, the last RM listed wins under --compare: only its
+        // run keeps a ring
+        let last = i + 1 == args.rm.len();
         let mut rm = kind.config();
         rm.online_retrain = args.online_retrain;
         let mut cfg = args.scenario.config(rm, &stream);
@@ -366,10 +389,8 @@ fn main() {
         cfg.tenants = args.tenants;
         cfg.faults = args.faults.clone();
         cfg.audit = args.audit;
-        if let Some(path) = &args.decision_trace {
-            // like --json, the last RM listed wins under --compare
-            cfg.trace.capacity = 1 << 20;
-            cfg.trace.jsonl = Some(path.clone());
+        if last && decision_trace.is_some() {
+            cfg.trace.capacity = DECISION_TRACE_CAPACITY;
         }
         let (sim, warm) = Simulation::new_served(cfg, &stream, cache.as_ref());
         match warm {
@@ -382,7 +403,19 @@ fn main() {
             }
             _ => {}
         }
-        let r = sim.run();
+        let (r, trace) = sim.run_with_trace();
+        if let Some((path, file)) = decision_trace.take_if(|_| last) {
+            if let Err(e) = write_decisions(file, &trace) {
+                fail(format!("cannot write {path}: {e}"))
+            }
+            if trace.dropped > 0 {
+                eprintln!(
+                    "--decision-trace kept the last {} of {} decisions",
+                    trace.len(),
+                    trace.len() as u64 + trace.dropped
+                );
+            }
+        }
         if let Some(path) = &args.json {
             // the last RM listed wins when --compare is combined with --json
             if let Err(e) = write_json(path, &r) {

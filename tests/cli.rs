@@ -1,7 +1,9 @@
 //! End-to-end tests of the `fifer` CLI binary: argument handling, a real
 //! run, and the save/replay round trip.
 
+use std::collections::{BTreeMap, HashMap};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn fifer() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fifer"))
@@ -79,22 +81,216 @@ fn invalid_early_exit_rejected() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--early-exit"));
 }
 
-#[test]
-fn small_run_prints_summary_row() {
+/// The workload the `--replay` row replays, present in every scratch
+/// run's directory: three IPA jobs over 4 s.
+const REPLAY_CSV: &str =
+    "id,app,arrival_us,input_scale\n0,IPA,100000,1.0\n1,IPA,2000000,1.0\n2,IPA,4000000,1.5\n";
+
+/// What one run shows: its exit status, its output and every file it left
+/// in its working directory (a directory reads as empty).
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    code: Option<i32>,
+    stdout: String,
+    stderr: String,
+    files: BTreeMap<String, Vec<u8>>,
+}
+
+/// Runs `fifer` with the whitespace-separated `args` in a fresh directory
+/// holding only `replay.csv`.
+fn run_in_scratch(args: &str) -> Outcome {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let n = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("fifer_cli_run_{}_{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    std::fs::write(dir.join("replay.csv"), REPLAY_CSV).expect("write the replay fixture");
     let out = fifer()
-        .args([
-            "--rm", "bline", "--rate", "5", "--secs", "30", "--seed", "3",
-        ])
+        .current_dir(&dir)
+        .args(args.split_whitespace())
         .output()
         .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    let files = std::fs::read_dir(&dir)
+        .expect("scratch dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let name = e.file_name().into_string().expect("utf-8 name");
+            (name, std::fs::read(e.path()).unwrap_or_default())
+        })
+        .filter(|(name, _)| name != "replay.csv")
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    Outcome {
+        code: out.status.code(),
+        stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
+        stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+        files,
+    }
+}
+
+/// The short run most flag rows start from.
+const SMALL: &str = "--rm bline --rate 5 --secs 30 --seed 3";
+
+/// [`SMALL`] on the azure family.
+const AZURE: &str = "--rm bline --rate 5 --secs 30 --seed 3 --workload azure";
+
+/// [`SMALL`] under Fifer, whose LSTM a model cache can hold.
+const FIFER: &str = "--rm fifer --rate 5 --secs 30 --seed 3";
+
+/// The flag surface: one row per flag `fifer --help` prints, a base
+/// command line and the flag with its value, appended to it. The flag
+/// must change the run's stdout or a file it writes. Flags are read left
+/// to right, so a row may override a flag its base sets.
+const SURFACE: [(&str, &str); 24] = [
+    (SMALL, "--rm sbatch"),
+    (SMALL, "--compare"),
+    (SMALL, "--workload azure"),
+    (AZURE, "--apps 8"),
+    (AZURE, "--tail-exp 1.1"),
+    (AZURE, "--trigger-mix 40,30,20,10"),
+    (SMALL, "--trace wits"),
+    (SMALL, "--mix light"),
+    (SMALL, "--rate 6"),
+    (SMALL, "--secs 40"),
+    (SMALL, "--warmup 1"),
+    (SMALL, "--seed 4"),
+    (SMALL, "--large"),
+    (SMALL, "--early-exit 0.5"),
+    (FIFER, "--tenants 3"),
+    // the replayed file fixes the workload: no stream flag in the base
+    ("--rm bline --seed 3", "--replay replay.csv"),
+    (SMALL, "--save-workload wl.csv"),
+    (SMALL, "--out s.csv"),
+    (SMALL, "--json r.json"),
+    (SMALL, "--decision-trace dt.jsonl"),
+    (SMALL, "--faults seed=7,crash=0.05,outage=1@5+5"),
+    (FIFER, "--model-cache mc"),
+    // the first retrain comes after 30 monitor samples (300 s)
+    (
+        "--rm fifer --rate 10 --secs 400 --seed 3",
+        "--online-retrain",
+    ),
+    (SMALL, "--audit"),
+];
+
+/// The first word of `args`: the flag of a row.
+fn flag(args: &str) -> &str {
+    args.split_whitespace().next().expect("a flag")
+}
+
+/// Every flag `--help` prints changes a run, deterministically, and no
+/// row names a flag `--help` no longer prints. The flags that act on a
+/// predictor are refused, naming themselves, under every RM whose
+/// predictor they cannot touch.
+#[test]
+fn every_help_flag_changes_a_run() {
+    let help = fifer().arg("--help").output().expect("spawn");
+    let help = String::from_utf8_lossy(&help.stderr);
+    let printed: Vec<&str> = help
+        .lines()
+        .filter(|l| l.starts_with("--"))
+        .map(flag)
+        .collect();
+    let rows: Vec<&str> = SURFACE.iter().map(|(_, with)| flag(with)).collect();
+    for flag in &printed {
+        assert!(rows.contains(flag), "{flag} has no row in SURFACE");
+    }
+    for flag in &rows {
+        assert!(printed.contains(flag), "--help no longer prints {flag}");
+    }
+
+    let mut bases: HashMap<&str, Outcome> = HashMap::new();
+    for (base, with) in SURFACE {
+        let before = bases.entry(base).or_insert_with(|| run_in_scratch(base));
+        assert_eq!(before.code, Some(0), "{base}: {}", before.stderr);
+        let args = format!("{base} {with}");
+        let after = run_in_scratch(&args);
+        assert_eq!(after.code, Some(0), "{args}: {}", after.stderr);
+        assert!(
+            (&after.stdout, &after.files) != (&before.stdout, &before.files),
+            "{} is inert on {base}",
+            flag(with)
+        );
+        assert_eq!(after, run_in_scratch(&args), "{args} is not deterministic");
+    }
+
+    for rm in [
+        "bline",
+        "sbatch",
+        "rscale",
+        "bpred",
+        "harvest",
+        "hybridhist",
+    ] {
+        for with in ["--model-cache mc", "--online-retrain"] {
+            let args = format!("--rm {rm} {with}");
+            let refused = run_in_scratch(&args);
+            assert_eq!(refused.code, Some(2), "{args}");
+            let named = format!("error: {} needs", flag(with));
+            assert!(
+                refused.stderr.contains(&named),
+                "{args}: {}",
+                refused.stderr
+            );
+            assert!(refused.files.is_empty(), "{args} left {:?}", refused.files);
+        }
+    }
+}
+
+/// The `--decision-trace` file is, byte for byte, the JSON Lines of the
+/// last RM's trace, as the library records it for the same scenario.
+#[test]
+fn decision_trace_file_is_the_last_rms_trace() {
+    use fifer::prelude::*;
+    let ran = run_in_scratch(&format!("{SMALL} --compare --decision-trace dt.jsonl"));
+    assert_eq!(ran.code, Some(0), "{}", ran.stderr);
+    let scenario = Scenario {
+        rate: 5.0,
+        secs: 30,
+        seed: 3,
+        ..Scenario::default()
+    };
+    let stream = scenario.stream();
+    let mut cfg = scenario.config(RmKind::HybridHist.config(), &stream);
+    cfg.trace.capacity = 1 << 20;
+    let (_, trace) = Simulation::new(cfg, &stream).run_with_trace();
+    assert!(!trace.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&ran.files["dt.jsonl"]),
+        trace.to_jsonl()
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Bline"), "{stdout}");
-    assert!(stdout.contains("jobs over 30s"));
+}
+
+/// A run past the ring's 2^20 decisions says how many it kept of how
+/// many, and the file holds the most recent ones. Slow lane: the file
+/// takes about 96 MB.
+#[test]
+#[ignore]
+fn decision_trace_names_the_decisions_it_dropped() {
+    let out =
+        run_in_scratch("--rm bline --rate 150 --secs 2400 --seed 42 --decision-trace dt.jsonl");
+    assert_eq!(out.code, Some(0), "{}", out.stderr);
+    let kept = 1u64 << 20;
+    let total: u64 = out
+        .stderr
+        .trim()
+        .strip_prefix(&format!("--decision-trace kept the last {kept} of "))
+        .and_then(|rest| rest.strip_suffix(" decisions"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no dropped-decisions line: {}", out.stderr));
+    assert!(total > kept, "{}", out.stderr);
+    let file = String::from_utf8_lossy(&out.files["dt.jsonl"]);
+    assert_eq!(file.lines().count() as u64, kept);
+    let first = format!("{{\"seq\":{},", total - kept);
+    assert!(file.starts_with(&first), "{}", &file[..80]);
+}
+
+#[test]
+fn small_run_prints_summary_row() {
+    let out = run_in_scratch(SMALL);
+    assert_eq!(out.code, Some(0), "{}", out.stderr);
+    assert!(out.stdout.contains("Bline"), "{}", out.stdout);
+    assert!(out.stdout.contains("jobs over 30s"), "{}", out.stdout);
 }
 
 #[test]
@@ -141,51 +337,19 @@ fn save_and_replay_round_trip() {
 
 #[test]
 fn json_export_round_trips() {
-    let dir = std::env::temp_dir().join("fifer_cli_json_test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let json = dir.join("r.json");
-    let out = fifer()
-        .args([
-            "--rm", "bline", "--rate", "5", "--secs", "20", "--seed", "6",
-        ])
-        .arg("--json")
-        .arg(&json)
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let body = std::fs::read_to_string(&json).expect("json written");
+    let out = run_in_scratch(&format!("{SMALL} --json r.json"));
+    assert_eq!(out.code, Some(0), "{}", out.stderr);
+    let body = String::from_utf8_lossy(&out.files["r.json"]);
     assert!(body.contains("\"records\""));
     assert!(body.contains("\"total_spawns\""));
     assert!(body.contains("\"energy_joules\""));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn tenants_flag_is_accepted() {
-    let out = fifer()
-        .args([
-            "--rm",
-            "fifer",
-            "--rate",
-            "4",
-            "--secs",
-            "15",
-            "--tenants",
-            "3",
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("Fifer"));
+    let out = run_in_scratch("--rm fifer --rate 4 --secs 15 --tenants 3");
+    assert_eq!(out.code, Some(0), "{}", out.stderr);
+    assert!(out.stdout.contains("Fifer"), "{}", out.stdout);
 }
 
 #[test]
@@ -243,29 +407,23 @@ fn harvest_rm_reports_utilization_and_stays_audit_clean() {
 
 #[test]
 fn online_retrain_reaches_the_fifer_predictor() {
-    let run = |online: bool| -> String {
-        let mut cmd = fifer();
-        cmd.args([
-            "--rm", "fifer", "--rate", "10", "--secs", "400", "--seed", "3",
-        ]);
-        if online {
-            cmd.arg("--online-retrain");
-        }
-        let out = cmd.output().expect("spawn");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
+    let run = |args: &str| -> String {
+        let out = run_in_scratch(args);
+        assert_eq!(out.code, Some(0), "{args}: {}", out.stderr);
+        out.stdout
     };
-    let frozen = run(false);
-    let online = run(true);
+    let base = "--rm fifer --rate 10 --secs 400 --seed 3";
+    let frozen = run(base);
+    let online = run(&format!("{base} --online-retrain"));
     assert_ne!(
         frozen, online,
         "retraining the LSTM online must change the run's scaling"
     );
-    assert_eq!(online, run(true), "online retraining is deterministic");
+    assert_eq!(
+        online,
+        run(&format!("{base} --online-retrain")),
+        "online retraining is deterministic"
+    );
 }
 
 #[test]
@@ -301,30 +459,11 @@ fn hybridhist_on_azure_runs_end_to_end() {
 fn azure_knobs_are_parsed_and_validated() {
     // a legal custom family shape runs; the malformed ones are rows of
     // `out_of_range_inputs_are_named_errors`
-    let out = fifer()
-        .args([
-            "--rm",
-            "bline",
-            "--workload",
-            "azure",
-            "--apps",
-            "8",
-            "--tail-exp",
-            "1.1",
-            "--trigger-mix",
-            "40,30,20,10",
-            "--rate",
-            "10",
-            "--secs",
-            "30",
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    let out = run_in_scratch(
+        "--rm bline --workload azure --apps 8 --tail-exp 1.1 \
+         --trigger-mix 40,30,20,10 --rate 10 --secs 30",
     );
+    assert_eq!(out.code, Some(0), "{}", out.stderr);
 }
 
 #[test]
@@ -363,10 +502,11 @@ fn out_of_range_inputs_are_named_errors() {
             2,
             "--tail-exp must be",
         ),
+        // a parent that is not a directory cannot be created, even by root
         (
-            &["--decision-trace", "/nonexistent/x.jsonl"],
+            &["--decision-trace", "/dev/null/x.jsonl"],
             1,
-            "cannot write /nonexistent/x.jsonl",
+            "cannot write /dev/null/x.jsonl",
         ),
         (&["--secs", "2592001"], 2, "--secs must be at most 2592000"),
         (
@@ -374,11 +514,22 @@ fn out_of_range_inputs_are_named_errors() {
             2,
             "--rate × --secs must be",
         ),
-        // only proactive scaling has a predictor to retrain
+        // only the LSTM retrains online, and only a neural predictor has
+        // a checkpoint to cache: the flags were once accepted and inert
         (
             &["--online-retrain"],
             2,
-            "--online-retrain needs a forecasting RM",
+            "--online-retrain needs an LSTM-forecasting RM",
+        ),
+        (
+            &["--online-retrain", "--rm", "bpred"],
+            2,
+            "--online-retrain needs an LSTM-forecasting RM",
+        ),
+        (
+            &["--model-cache", "mc"],
+            2,
+            "--model-cache needs a neural predictor",
         ),
         // zero tenants once ran one silently
         (&["--tenants", "0"], 2, "--tenants must be at least 1"),
@@ -409,23 +560,12 @@ fn out_of_range_inputs_are_named_errors() {
         (&["--trigger-mix", "40,30,20,10"], 2, "--trigger-mix shapes"),
     ] {
         // every check runs before the first file is written
-        let dir = std::env::temp_dir().join(format!("fifer_cli_rejected_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let out = fifer()
-            .current_dir(&dir)
-            .args(["--rm", "bline", "--secs", "10"])
-            .args(["--out", "s.csv", "--save-workload", "wl.csv"])
-            .args(["--decision-trace", "dt.jsonl"])
-            .args(args)
-            .output()
-            .expect("spawn");
-        assert_eq!(out.status.code(), Some(code), "{args:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(message), "{args:?}: {err}");
+        let writes = "--out s.csv --save-workload wl.csv --decision-trace dt.jsonl";
+        let out = run_in_scratch(&format!("--rm bline --secs 10 {writes} {}", args.join(" ")));
+        assert_eq!(out.code, Some(code), "{args:?}");
+        assert!(out.stderr.contains(message), "{args:?}: {}", out.stderr);
         assert!(out.stdout.is_empty(), "{args:?} printed a report");
-        let left = std::fs::read_dir(&dir).expect("scratch dir").count();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(left, 0, "{args:?} left a file behind");
+        assert!(out.files.is_empty(), "{args:?} left {:?}", out.files.keys());
     }
 }
 
@@ -456,7 +596,8 @@ fn stream_flags_under_replay_are_named_errors() {
     let help = fifer().arg("--help").output().expect("spawn");
     let usage = String::from_utf8_lossy(&help.stderr);
     assert!(usage.contains("are rejected with it"), "{usage}");
-    assert!(usage.contains("needs a forecasting RM"), "{usage}");
+    assert!(usage.contains("needs an LSTM-forecasting RM"), "{usage}");
+    assert!(usage.contains("needs a neural predictor"), "{usage}");
 }
 
 #[test]
