@@ -18,8 +18,8 @@
 //!    replay's own training series, its walk-forward accuracy on the
 //!    held-out 40% tail, the checkpoint round-trip (store and load cost,
 //!    forecast bit-identity), and `fifer_e2e_s` — that pretrain plus the
-//!    Fifer event replay, which `--validate` holds under a ceiling on
-//!    full-scale ≥ 4-core runs.
+//!    Fifer event replay, which `--validate` holds under a ceiling (one
+//!    for full runs, one for `--quick` runs).
 //! 4. **utilization** — the resource-accounting view of the same replay
 //!    runs: allocated vs used core-hours per RM, the waste
 //!    (allocated-but-unused core-hours), the harvested core-hours, and
@@ -150,11 +150,13 @@ const MAX_WILD_HH_COLD_VS_BLINE: f64 = 1.0;
 /// the quick horizon is dominated by the histogram warm-up transient.
 const MAX_WILD_HH_MEMTIME_VS_BLINE: f64 = 1.5;
 /// End-to-end Fifer (paper-LSTM pretrain + event replay) must land under
-/// this wall-clock on a full-scale run. Hardware-gated: only enforced
-/// where the recorded `workers_available` (detected usable cores) is at
-/// least 4, and only on full (non-quick) runs where the horizon is
-/// Table-4 scale.
+/// this wall-clock on a full-scale run. Fifer pretrains one model on one
+/// thread, so the ceiling holds whatever the core count.
 const MAX_NN_FIFER_E2E_S: f64 = 40.0;
+/// The same ceiling for `--quick` runs (152-point series): about 2.5× the
+/// 2.2 s measured on one pinned CPU of a shared 2-vCPU Xeon VM, where the
+/// libm activations and three-division Adam update took 3.0 s.
+const MAX_NN_FIFER_E2E_QUICK_S: f64 = 5.5;
 
 fn main() {
     let mut quick = false;
@@ -683,12 +685,9 @@ fn validate(body: &str) -> Result<(), Vec<String>> {
             ));
         }
     }
-    // the end-to-end ceiling is enforced only where the recorded core
-    // count can express it
-    let workers = num_at(&doc, &mut problems, "workers_available");
-    // the checkpoint round-trip must be bit-exact, and on full-scale runs
-    // on real hardware the end-to-end Fifer wall-clock must stay under
-    // its ceiling
+    num_at(&doc, &mut problems, "workers_available");
+    // the checkpoint round-trip must be bit-exact, and the end-to-end
+    // Fifer wall-clock must stay under its ceiling
     for field in [
         "series_len",
         "pretrain_ns",
@@ -708,9 +707,14 @@ fn validate(body: &str) -> Result<(), Vec<String>> {
     }
     let quick_run = matches!(doc.path("quick"), Some(Json::Bool(true)));
     if let Some(e2e) = num_at(&doc, &mut problems, "nn.fifer_e2e_s") {
-        if !quick_run && workers.is_some_and(|w| w >= 4.0) && e2e > MAX_NN_FIFER_E2E_S {
+        let ceiling = if quick_run {
+            MAX_NN_FIFER_E2E_QUICK_S
+        } else {
+            MAX_NN_FIFER_E2E_S
+        };
+        if e2e > ceiling {
             problems.push(format!(
-                "nn end-to-end Fifer {e2e:.2} s above ceiling {MAX_NN_FIFER_E2E_S} s"
+                "nn end-to-end Fifer {e2e:.2} s above ceiling {ceiling} s"
             ));
         }
     }

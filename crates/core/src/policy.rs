@@ -1463,4 +1463,64 @@ mod tests {
             "a saturated stage still gets a (clamped) size"
         );
     }
+
+    /// FNV-1a 64, the checkpoint trailer's checksum.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `bytes` with its format version set to `version` and the
+    /// trailing checksum re-stamped, so only the version check can
+    /// refuse it.
+    fn restamped(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let n = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..n]);
+        bytes[n..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// A version-1 checkpoint holds a model the current numerics never
+    /// produce. Under the run's key it is refused: the build trains cold
+    /// and replaces it with a current-version checkpoint, from which the
+    /// next build warm-starts with the cold model's forecasts, bit for
+    /// bit.
+    #[test]
+    fn version_1_checkpoint_falls_back_cold_and_is_replaced() {
+        use fifer_predict::checkpoint::VERSION;
+        let dir = std::env::temp_dir().join(format!(
+            "fifer_core_version_1_checkpoint_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ModelCache::open(&dir).expect("cache dir");
+        let (kind, seed) = (PredictorKind::Lstm, 3);
+        let series: Vec<f64> = (0..40).map(|i| 20.0 + f64::from(i % 9) * 4.0).collect();
+        let key = ModelCache::key(&format!("{kind:?}"), seed, &series);
+        let untrained = kind.build(seed).checkpoint().expect("an LSTM checkpoint");
+        assert_eq!(untrained[8..12], VERSION.to_le_bytes());
+        // the same bytes stamped with the current version restore: only
+        // the version refuses the stale entry
+        let current = restamped(untrained.clone(), VERSION);
+        assert!(kind.build(seed).restore(&current).is_ok());
+        let stale = restamped(untrained, 1);
+        cache.store(&key, &stale).expect("store");
+
+        let (mut cold, served) = build_predictor(kind, seed, &series, false, Some(&cache));
+        assert_eq!(served, WarmStart::Cold);
+        let replaced = cache.load(&key).expect("a cache entry");
+        assert_eq!(replaced[8..12], VERSION.to_le_bytes());
+        assert_eq!(replaced, cold.checkpoint().expect("an LSTM checkpoint"));
+
+        let (mut warm, served) = build_predictor(kind, seed, &series, false, Some(&cache));
+        assert_eq!(served, WarmStart::Warm);
+        for &v in series.iter().rev() {
+            cold.observe(v);
+            warm.observe(v);
+            assert_eq!(cold.forecast().to_bits(), warm.forecast().to_bits());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

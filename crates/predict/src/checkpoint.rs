@@ -8,7 +8,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"FIFERCKP"
-//! 8       4     format version (little-endian u32, currently 1)
+//! 8       4     format version (little-endian u32, currently 2)
 //! 12      1     model tag (1 = feedforward, 2 = weavenet, 3 = deepar,
 //!               4 = lstm)
 //! 13      …     model payload (see DESIGN.md §15)
@@ -39,8 +39,12 @@ use std::path::{Path, PathBuf};
 /// File magic: identifies a Fifer neural checkpoint.
 pub const MAGIC: [u8; 8] = *b"FIFERCKP";
 
-/// Current checkpoint format version.
-pub const VERSION: u32 = 1;
+/// Current checkpoint format version. Version 2 has version 1's layout,
+/// but its models are trained with the predictor's own activations and
+/// reordered Adam update (`nn::math`, `nn::adam`): a version-1 model is
+/// one this build never produces, so warm-starting from it would make a
+/// cached run differ from a cold one.
+pub const VERSION: u32 = 2;
 
 /// Model tag for [`SimpleFfPredictor`](crate::SimpleFfPredictor).
 pub(crate) const TAG_FEEDFORWARD: u8 = 1;

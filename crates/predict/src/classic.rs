@@ -5,6 +5,7 @@
 //! seconds for every T" — i.e. they keep a sliding window of recent rate
 //! samples and refit on each forecast.
 
+use crate::nn::sigmoid;
 use crate::predictor::LoadPredictor;
 use std::collections::VecDeque;
 
@@ -271,10 +272,6 @@ impl LoadPredictor for LogisticTrend {
     fn reset(&mut self) {
         self.window.clear();
     }
-}
-
-fn sigmoid(z: f64) -> f64 {
-    1.0 / (1.0 + (-z).exp())
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 
 use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter, TAG_DEEPAR};
 use crate::models::LagWindow;
+use crate::nn::math::exp;
 use crate::nn::{Dense, LstmCell, LstmState};
 use crate::predictor::LoadPredictor;
 use crate::train::{windowed_pairs, Scaler, TrainConfig};
@@ -87,7 +88,7 @@ impl DeepArPredictor {
         }
         self.head.forward_into(&self.state.h, &mut self.head_out);
         let mu = self.head_out[0];
-        let sigma = self.head_out[1].clamp(-6.0, 3.0).exp();
+        let sigma = exp(self.head_out[1].clamp(-6.0, 3.0));
         if !for_training {
             self.cell.clear_cache();
         }
@@ -234,7 +235,7 @@ mod reference {
             }
             let out = self.head.forward(&state.h);
             let mu = out[0];
-            let sigma = out[1].clamp(-6.0, 3.0).exp();
+            let sigma = exp(out[1].clamp(-6.0, 3.0));
             let h = state.h;
             if !for_training {
                 self.cell.clear_cache();

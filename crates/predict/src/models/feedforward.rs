@@ -3,6 +3,7 @@
 
 use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter, TAG_FEEDFORWARD};
 use crate::models::LagWindow;
+use crate::nn::math::tanh_slice;
 use crate::nn::Dense;
 use crate::predictor::LoadPredictor;
 use crate::train::{windowed_pairs, Scaler, TrainConfig};
@@ -77,9 +78,8 @@ impl SimpleFfPredictor {
     /// the backward pass.
     fn predict_normalized_flat(&mut self, x: &[f64]) -> f64 {
         self.l1.forward_into(x, &mut self.h_pre);
-        for (hv, pv) in self.h.iter_mut().zip(&self.h_pre) {
-            *hv = pv.tanh();
-        }
+        self.h.copy_from_slice(&self.h_pre);
+        tanh_slice(&mut self.h);
         self.l2.forward_into(&self.h, &mut self.out);
         self.out[0]
     }
@@ -210,10 +210,11 @@ impl LoadPredictor for SimpleFfPredictor {
 mod reference {
     use super::*;
     use crate::models::ReferenceNn;
+    use crate::nn::math::tanh;
 
     impl SimpleFfPredictor {
         fn predict_normalized(&self, x: &[f64]) -> f64 {
-            let h: Vec<f64> = self.l1.forward(x).iter().map(|v| v.tanh()).collect();
+            let h: Vec<f64> = self.l1.forward(x).iter().map(|&v| tanh(v)).collect();
             self.l2.forward(&h)[0]
         }
     }
@@ -229,7 +230,7 @@ mod reference {
             for _ in 0..self.cfg.epochs {
                 for (x, y) in &pairs {
                     let h_pre = self.l1.forward(x);
-                    let h: Vec<f64> = h_pre.iter().map(|v| v.tanh()).collect();
+                    let h: Vec<f64> = h_pre.iter().map(|&v| tanh(v)).collect();
                     let out = self.l2.forward(&h)[0];
                     let dy = [2.0 * (out - y)];
                     let dh = self.l2.backward(&h, &dy);

@@ -66,14 +66,24 @@ impl Adam {
         // long before i32::MAX, so saturation changes no result
         let exponent = i32::try_from(t).unwrap_or(i32::MAX);
         let bc1 = 1.0 - self.beta1.powi(exponent);
-        let bc2 = 1.0 - self.beta2.powi(exponent);
-        for i in 0..params.len() {
-            let g = if grads[i].is_finite() { grads[i] } else { 0.0 };
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let sqrt_bc2 = (1.0 - self.beta2.powi(exponent)).sqrt();
+        // Kingma & Ba's reordering after Algorithm 1: the bias corrections
+        // fold into the step size and ε, which equals
+        // lr·m̂/(√v̂ + ε) in exact arithmetic with one division and one
+        // square root per parameter instead of three divisions
+        let step = self.lr * sqrt_bc2 / bc1;
+        let eps = self.eps * sqrt_bc2;
+        let (b1, b2) = (self.beta1, self.beta2);
+        for (((p, &g), m), v) in params
+            .iter_mut()
+            .zip(grads)
+            .zip(&mut self.m)
+            .zip(&mut self.v)
+        {
+            let g = if g.is_finite() { g } else { 0.0 };
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            *p -= step * *m / (v.sqrt() + eps);
         }
     }
 

@@ -165,9 +165,23 @@ impl Dense {
 }
 
 /// Clips a gradient buffer to a global L2 norm — the standard RNN exploding-
-/// gradient guard.
+/// gradient guard. The squared norm is summed in eight independent lanes
+/// (element `i` into lane `i mod 8`), combined pairwise in a fixed order,
+/// so the sum vectorizes instead of running as one serial chain.
 pub(crate) fn clip(g: &mut [f64], max_norm: f64) {
-    let norm: f64 = g.iter().map(|v| v * v).sum::<f64>().sqrt();
+    let mut lanes = [0.0; 8];
+    let chunks = g.chunks_exact(8);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for (l, v) in lanes.iter_mut().zip(c) {
+            *l += v * v;
+        }
+    }
+    for (l, v) in lanes.iter_mut().zip(tail) {
+        *l += v * v;
+    }
+    let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+    let norm = (((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))).sqrt();
     if norm > max_norm && norm.is_finite() {
         let s = max_norm / norm;
         g.iter_mut().for_each(|v| *v *= s);

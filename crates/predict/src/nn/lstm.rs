@@ -15,7 +15,10 @@ use crate::nn::linalg::{matvec, matvec_transposed};
 use crate::nn::linalg::{
     matvec_colmajor_into, matvec_transposed_into, outer_accumulate_seq, transpose_into, xavier,
 };
-use crate::nn::{sigmoid, sigmoid_deriv, tanh_deriv};
+#[cfg(test)]
+use crate::nn::math::{sigmoid, tanh};
+use crate::nn::math::{sigmoid_slice, tanh_slice};
+use crate::nn::{sigmoid_deriv, tanh_deriv};
 use rand::Rng;
 
 /// Hidden/cell state pair carried across timesteps.
@@ -218,17 +221,13 @@ impl LstmCell {
         for ((zv, zhv), bv) in self.z.iter_mut().zip(&self.zh).zip(&self.b) {
             *zv += zhv + bv;
         }
+        // the activations run over whole gate rows, where they vectorize
         let g0 = self.gate_acts.len();
-        self.gate_acts.resize(g0 + gates, 0.0);
-        {
-            let gr = &mut self.gate_acts[g0..];
-            for k in 0..h {
-                gr[k] = sigmoid(self.z[k]);
-                gr[h + k] = sigmoid(self.z[h + k]);
-                gr[2 * h + k] = self.z[2 * h + k].tanh();
-                gr[3 * h + k] = sigmoid(self.z[3 * h + k]);
-            }
-        }
+        self.gate_acts.extend_from_slice(&self.z);
+        let gr = &mut self.gate_acts[g0..];
+        sigmoid_slice(&mut gr[..2 * h]);
+        tanh_slice(&mut gr[2 * h..3 * h]);
+        sigmoid_slice(&mut gr[3 * h..]);
         let gr = &self.gate_acts[g0..];
         let c0 = self.cs.len();
         self.cs.resize(c0 + h, 0.0);
@@ -236,13 +235,12 @@ impl LstmCell {
             self.cs[c0 + k] = gr[h + k] * state.c[k] + gr[k] * gr[2 * h + k];
         }
         let tc0 = self.tanh_cs.len();
-        self.tanh_cs.resize(tc0 + h, 0.0);
+        self.tanh_cs.extend_from_slice(&self.cs[c0..]);
+        tanh_slice(&mut self.tanh_cs[tc0..]);
         let h0 = self.hs.len();
         self.hs.resize(h0 + h, 0.0);
         for k in 0..h {
-            let tc = self.cs[c0 + k].tanh();
-            self.tanh_cs[tc0 + k] = tc;
-            self.hs[h0 + k] = gr[3 * h + k] * tc;
+            self.hs[h0 + k] = gr[3 * h + k] * self.tanh_cs[tc0 + k];
         }
         state.h.copy_from_slice(&self.hs[h0..]);
         state.c.copy_from_slice(&self.cs[c0..]);
@@ -456,13 +454,13 @@ impl LstmCell {
         let h = self.hidden;
         let i: Vec<f64> = z[0..h].iter().map(|&v| sigmoid(v)).collect();
         let f: Vec<f64> = z[h..2 * h].iter().map(|&v| sigmoid(v)).collect();
-        let g: Vec<f64> = z[2 * h..3 * h].iter().map(|&v| v.tanh()).collect();
+        let g: Vec<f64> = z[2 * h..3 * h].iter().map(|&v| tanh(v)).collect();
         let o: Vec<f64> = z[3 * h..4 * h].iter().map(|&v| sigmoid(v)).collect();
         let mut c = vec![0.0; h];
         for k in 0..h {
             c[k] = f[k] * prev.c[k] + i[k] * g[k];
         }
-        let tanh_c: Vec<f64> = c.iter().map(|&v| v.tanh()).collect();
+        let tanh_c: Vec<f64> = c.iter().map(|&v| tanh(v)).collect();
         let mut h_out = vec![0.0; h];
         for k in 0..h {
             h_out[k] = o[k] * tanh_c[k];

@@ -5,8 +5,10 @@
 //! the approved dependency set, so this module implements the pieces those
 //! frameworks provided: vector/matrix primitives ([`linalg`]), the Adam
 //! optimizer ([`adam`]), a dense layer ([`dense`]), an LSTM cell with full
-//! backpropagation-through-time ([`lstm`]), and a dilated causal 1-D
-//! convolution ([`conv`]) for the WeaveNet-style model.
+//! backpropagation-through-time ([`lstm`]), a dilated causal 1-D
+//! convolution ([`conv`]) for the WeaveNet-style model, and the
+//! activations' own `exp`, `sigmoid` and `tanh` ([`math`]), so no model
+//! calls the platform's libm.
 //!
 //! Everything operates at batch size 1 (as in the paper) on `f64`, keeping
 //! the code simple, dependency-free and deterministic: all weight
@@ -17,6 +19,7 @@ pub mod conv;
 pub mod dense;
 pub mod linalg;
 pub mod lstm;
+pub mod math;
 
 pub use adam::Adam;
 pub use conv::CausalConv1d;
@@ -25,16 +28,7 @@ pub use linalg::{
     matvec_colmajor_into, matvec_into, matvec_transposed_into, outer_accumulate_seq, transpose_into,
 };
 pub use lstm::{LstmCell, LstmState};
-
-/// Numerically stable logistic sigmoid.
-pub fn sigmoid(z: f64) -> f64 {
-    if z >= 0.0 {
-        1.0 / (1.0 + (-z).exp())
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
-    }
-}
+pub use math::sigmoid;
 
 /// Derivative of the sigmoid given its *output* `s`.
 pub fn sigmoid_deriv(s: f64) -> f64 {
@@ -68,7 +62,7 @@ mod tests {
     fn derivative_formulas() {
         let s = sigmoid(0.3);
         assert!((sigmoid_deriv(s) - s * (1.0 - s)).abs() < 1e-15);
-        let t = 0.5_f64.tanh();
+        let t = math::tanh(0.5);
         assert!((tanh_deriv(t) - (1.0 - t * t)).abs() < 1e-15);
     }
 

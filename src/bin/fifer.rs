@@ -317,10 +317,17 @@ fn checked_stream(args: &mut Args) -> JobStream {
     stream
 }
 
-/// Streams `r`'s JSON artifact to `path` through a buffer, creating parent
-/// directories as needed.
-fn write_json(path: &str, r: &SimResult) -> io::Result<()> {
-    let mut w = io::BufWriter::new(fifer::metrics::report::create_file(path)?);
+/// Creates the output file at `path` (and its parent directories), or
+/// exits naming it.
+fn create(path: &str) -> (&str, std::fs::File) {
+    let file = fifer::metrics::report::create_file(path)
+        .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+    (path, file)
+}
+
+/// Streams `r`'s JSON artifact to `file` through a buffer.
+fn write_json(file: std::fs::File, r: &SimResult) -> io::Result<()> {
+    let mut w = io::BufWriter::new(file);
     r.write_json(&mut w)?;
     w.flush()
 }
@@ -337,12 +344,10 @@ fn main() {
     let mut out = io::stdout().lock();
     let stream = checked_stream(&mut args);
     let secs = args.scenario.secs;
-    // fail before the replay, not after it; the last RM's run fills the file
-    let mut decision_trace = args.decision_trace.as_ref().map(|path| {
-        let file = fifer::metrics::report::create_file(path)
-            .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
-        (path, file)
-    });
+    // fail before the replay, not after it; the last RM's run fills each
+    // file
+    let mut decision_trace = args.decision_trace.as_deref().map(create);
+    let mut json = args.json.as_deref().map(create);
     if let Some(path) = &args.save_workload {
         if let Err(e) = wio::save_stream(&stream, path) {
             fail(format!("cannot save workload to {path}: {e}"))
@@ -379,8 +384,8 @@ fn main() {
             .unwrap_or_else(|e| fail(format!("cannot open model cache {dir}: {e}")))
     });
     for (i, kind) in args.rm.iter().enumerate() {
-        // like --json, the last RM listed wins under --compare: only its
-        // run keeps a ring
+        // the last RM listed wins under --compare: only its run keeps a
+        // ring, and only its result is written as JSON
         let last = i + 1 == args.rm.len();
         let mut rm = kind.config();
         rm.online_retrain = args.online_retrain;
@@ -416,9 +421,8 @@ fn main() {
                 );
             }
         }
-        if let Some(path) = &args.json {
-            // the last RM listed wins when --compare is combined with --json
-            if let Err(e) = write_json(path, &r) {
+        if let Some((path, file)) = json.take_if(|_| last) {
+            if let Err(e) = write_json(file, &r) {
                 fail(format!("cannot write {path}: {e}"))
             }
         }

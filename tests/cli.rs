@@ -345,6 +345,36 @@ fn json_export_round_trips() {
     assert!(body.contains("\"energy_joules\""));
 }
 
+/// `--json` under `--compare` prints one document: the last RM's, not
+/// one per RM.
+#[test]
+fn compare_prints_one_json_document() {
+    let out = fifer()
+        .args("--compare --rate 5 --secs 30 --seed 3 --json /dev/stdout".split_whitespace())
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().filter(|l| *l == "{").count(), 1, "{stdout}");
+}
+
+/// The `--json` file under `--compare` is, byte for byte, the file the
+/// same command line writes for the last RM alone; an unwritable path
+/// fails before any run.
+#[test]
+fn compare_json_file_is_the_last_rms_file() {
+    let compared = run_in_scratch("--compare --rate 5 --secs 30 --seed 3 --json r.json");
+    let alone = run_in_scratch("--rm hybridhist --rate 5 --secs 30 --seed 3 --json r.json");
+    assert_eq!(compared.code, Some(0), "{}", compared.stderr);
+    assert_eq!(alone.code, Some(0), "{}", alone.stderr);
+    assert!(compared.files["r.json"] == alone.files["r.json"]);
+
+    let refused = run_in_scratch("--compare --rate 5 --secs 30 --seed 3 --json /proc/none/r.json");
+    assert_eq!(refused.code, Some(1));
+    assert!(refused.stderr.contains("cannot write /proc/none/r.json"));
+    assert!(refused.stdout.is_empty(), "{}", refused.stdout);
+}
+
 #[test]
 fn tenants_flag_is_accepted() {
     let out = run_in_scratch("--rm fifer --rate 4 --secs 15 --tenants 3");
