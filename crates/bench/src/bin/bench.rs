@@ -154,9 +154,9 @@ const MAX_WILD_HH_MEMTIME_VS_BLINE: f64 = 1.5;
 /// thread, so the ceiling holds whatever the core count.
 const MAX_NN_FIFER_E2E_S: f64 = 40.0;
 /// The same ceiling for `--quick` runs (152-point series): about 2.5× the
-/// 2.2 s measured on one pinned CPU of a shared 2-vCPU Xeon VM, where the
-/// libm activations and three-division Adam update took 3.0 s.
-const MAX_NN_FIFER_E2E_QUICK_S: f64 = 5.5;
+/// 1.33 s measured on one pinned CPU of a shared 2-vCPU Xeon VM, where the
+/// `f64` predictor substrate took 2.35 s.
+const MAX_NN_FIFER_E2E_QUICK_S: f64 = 3.3;
 
 fn main() {
     let mut quick = false;

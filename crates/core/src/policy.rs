@@ -1482,11 +1482,12 @@ mod tests {
         bytes
     }
 
-    /// A version-1 checkpoint holds a model the current numerics never
-    /// produce. Under the run's key it is refused: the build trains cold
-    /// and replaces it with a current-version checkpoint, from which the
-    /// next build warm-starts with the cold model's forecasts, bit for
-    /// bit.
+    /// A version-1 or version-2 checkpoint holds a model the current
+    /// numerics never produce (version 2 stored `f64` weights, version 1
+    /// a model trained with libm's activations). Under the run's key it is
+    /// refused: the build trains cold and replaces it with a
+    /// current-version checkpoint, from which the next build warm-starts
+    /// with the cold model's forecasts, bit for bit.
     #[test]
     fn version_1_checkpoint_falls_back_cold_and_is_replaced() {
         use fifer_predict::checkpoint::VERSION;
@@ -1494,8 +1495,6 @@ mod tests {
             "fifer_core_version_1_checkpoint_{}",
             std::process::id()
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ModelCache::open(&dir).expect("cache dir");
         let (kind, seed) = (PredictorKind::Lstm, 3);
         let series: Vec<f64> = (0..40).map(|i| 20.0 + f64::from(i % 9) * 4.0).collect();
         let key = ModelCache::key(&format!("{kind:?}"), seed, &series);
@@ -1505,21 +1504,25 @@ mod tests {
         // the version refuses the stale entry
         let current = restamped(untrained.clone(), VERSION);
         assert!(kind.build(seed).restore(&current).is_ok());
-        let stale = restamped(untrained, 1);
-        cache.store(&key, &stale).expect("store");
+        for stale_version in [1, 2] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let cache = ModelCache::open(&dir).expect("cache dir");
+            let stale = restamped(untrained.clone(), stale_version);
+            cache.store(&key, &stale).expect("store");
 
-        let (mut cold, served) = build_predictor(kind, seed, &series, false, Some(&cache));
-        assert_eq!(served, WarmStart::Cold);
-        let replaced = cache.load(&key).expect("a cache entry");
-        assert_eq!(replaced[8..12], VERSION.to_le_bytes());
-        assert_eq!(replaced, cold.checkpoint().expect("an LSTM checkpoint"));
+            let (mut cold, served) = build_predictor(kind, seed, &series, false, Some(&cache));
+            assert_eq!(served, WarmStart::Cold, "version {stale_version}");
+            let replaced = cache.load(&key).expect("a cache entry");
+            assert_eq!(replaced[8..12], VERSION.to_le_bytes());
+            assert_eq!(replaced, cold.checkpoint().expect("an LSTM checkpoint"));
 
-        let (mut warm, served) = build_predictor(kind, seed, &series, false, Some(&cache));
-        assert_eq!(served, WarmStart::Warm);
-        for &v in series.iter().rev() {
-            cold.observe(v);
-            warm.observe(v);
-            assert_eq!(cold.forecast().to_bits(), warm.forecast().to_bits());
+            let (mut warm, served) = build_predictor(kind, seed, &series, false, Some(&cache));
+            assert_eq!(served, WarmStart::Warm, "version {stale_version}");
+            for &v in series.iter().rev() {
+                cold.observe(v);
+                warm.observe(v);
+                assert_eq!(cold.forecast().to_bits(), warm.forecast().to_bits());
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

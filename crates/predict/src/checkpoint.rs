@@ -8,17 +8,19 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"FIFERCKP"
-//! 8       4     format version (little-endian u32, currently 2)
+//! 8       4     format version (little-endian u32, currently 3)
 //! 12      1     model tag (1 = feedforward, 2 = weavenet, 3 = deepar,
 //!               4 = lstm)
 //! 13      …     model payload (see DESIGN.md §15)
 //! end-8   8     FNV-1a 64 checksum of every preceding byte
 //! ```
 //!
-//! All integers are little-endian; every `f64` is written as the
-//! little-endian bytes of [`f64::to_bits`], so a value restored from a
-//! checkpoint is the *identical* IEEE-754 datum that was saved — the
-//! warm-start == cold-start forecast bit-identity tests depend on this.
+//! All integers are little-endian; every weight and Adam moment is an
+//! `f32` written as the little-endian bytes of [`f32::to_bits`], and every
+//! other float (training config, scaler bounds) an `f64` written as those
+//! of [`f64::to_bits`], so a value restored from a checkpoint is the
+//! *identical* IEEE-754 datum that was saved — the warm-start ==
+//! cold-start forecast bit-identity tests depend on this.
 //! Vectors are length-prefixed (u64 element count) and validated against
 //! the restoring model's architecture, so a checkpoint from a
 //! differently-shaped model fails loud instead of silently corrupting
@@ -39,12 +41,14 @@ use std::path::{Path, PathBuf};
 /// File magic: identifies a Fifer neural checkpoint.
 pub const MAGIC: [u8; 8] = *b"FIFERCKP";
 
-/// Current checkpoint format version. Version 2 has version 1's layout,
-/// but its models are trained with the predictor's own activations and
-/// reordered Adam update (`nn::math`, `nn::adam`): a version-1 model is
-/// one this build never produces, so warm-starting from it would make a
+/// Current checkpoint format version. Version 3 stores every weight and
+/// Adam moment as an `f32`, the precision the `nn` layers train in;
+/// versions 1 and 2 stored them as `f64`. Version 2 had version 1's
+/// layout with models trained by the predictor's own activations and
+/// reordered Adam update (`nn::math`, `nn::adam`). An older model is one
+/// this build never produces, so warm-starting from it would make a
 /// cached run differ from a cold one.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Model tag for [`SimpleFfPredictor`](crate::SimpleFfPredictor).
 pub(crate) const TAG_FEEDFORWARD: u8 = 1;
@@ -147,11 +151,16 @@ impl CkptWriter {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Length-prefixed `f64` vector.
-    pub(crate) fn f64s(&mut self, vs: &[f64]) {
+    /// Writes the exact bit pattern of `v`.
+    pub(crate) fn f32(&mut self, v: f32) {
+        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    /// Length-prefixed `f32` vector.
+    pub(crate) fn f32s(&mut self, vs: &[f32]) {
         self.u64(vs.len() as u64);
         for &v in vs {
-            self.f64(v);
+            self.f32(v);
         }
     }
 
@@ -235,14 +244,20 @@ impl<'a> CkptReader<'a> {
         )))
     }
 
-    /// Reads a length-prefixed `f64` vector into `out`, which must already
+    pub(crate) fn f32(&mut self) -> Result<f32, CheckpointError> {
+        Ok(f32::from_bits(u32::from_le_bytes(
+            self.take(4)?.try_into().unwrap(),
+        )))
+    }
+
+    /// Reads a length-prefixed `f32` vector into `out`, which must already
     /// have the architectural length — a mismatch is a [`ModelMismatch`],
     /// not a resize.
     ///
     /// [`ModelMismatch`]: CheckpointError::ModelMismatch
-    pub(crate) fn f64s_into(
+    pub(crate) fn f32s_into(
         &mut self,
-        out: &mut [f64],
+        out: &mut [f32],
         what: &'static str,
     ) -> Result<(), CheckpointError> {
         let n = self.u64()? as usize;
@@ -250,7 +265,7 @@ impl<'a> CkptReader<'a> {
             return Err(CheckpointError::ModelMismatch(what));
         }
         for v in out.iter_mut() {
-            *v = self.f64()?;
+            *v = self.f32()?;
         }
         Ok(())
     }
@@ -339,7 +354,8 @@ mod tests {
         w.u32(1234);
         w.u64(u64::MAX - 3);
         w.f64(-0.0);
-        w.f64s(&[1.5, f64::MIN_POSITIVE, -3.25]);
+        w.f32(-0.0);
+        w.f32s(&[1.5, f32::MIN_POSITIVE, -3.25]);
         let bytes = w.finish();
         let (tag, mut r) = CkptReader::open(&bytes).unwrap();
         assert_eq!(tag, 4);
@@ -347,9 +363,10 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 1234);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0_f64).to_bits());
+        assert_eq!(r.f32().unwrap().to_bits(), (-0.0_f32).to_bits());
         let mut out = [0.0; 3];
-        r.f64s_into(&mut out, "vec").unwrap();
-        assert_eq!(out, [1.5, f64::MIN_POSITIVE, -3.25]);
+        r.f32s_into(&mut out, "vec").unwrap();
+        assert_eq!(out, [1.5, f32::MIN_POSITIVE, -3.25]);
         r.expect_end().unwrap();
     }
 
@@ -384,7 +401,7 @@ mod tests {
     #[test]
     fn every_flipped_byte_is_detected() {
         let mut w = CkptWriter::new(2);
-        w.f64s(&[0.25, 0.5, 0.75]);
+        w.f32s(&[0.25, 0.5, 0.75]);
         let bytes = w.finish();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
@@ -399,7 +416,7 @@ mod tests {
     #[test]
     fn truncation_rejected() {
         let mut w = CkptWriter::new(2);
-        w.f64s(&[0.25, 0.5, 0.75]);
+        w.f32s(&[0.25, 0.5, 0.75]);
         let bytes = w.finish();
         for cut in 0..bytes.len() {
             assert!(
@@ -412,12 +429,12 @@ mod tests {
     #[test]
     fn vector_length_mismatch_is_model_mismatch() {
         let mut w = CkptWriter::new(1);
-        w.f64s(&[1.0, 2.0]);
+        w.f32s(&[1.0, 2.0]);
         let bytes = w.finish();
         let (_, mut r) = CkptReader::open(&bytes).unwrap();
         let mut out = [0.0; 3];
         assert!(matches!(
-            r.f64s_into(&mut out, "weights").unwrap_err(),
+            r.f32s_into(&mut out, "weights").unwrap_err(),
             CheckpointError::ModelMismatch("weights")
         ));
     }

@@ -5,7 +5,7 @@
 //! seconds for every T" — i.e. they keep a sliding window of recent rate
 //! samples and refit on each forecast.
 
-use crate::nn::sigmoid;
+use crate::nn::math::sigmoid_f64;
 use crate::predictor::LoadPredictor;
 use std::collections::VecDeque;
 
@@ -253,7 +253,7 @@ impl LoadPredictor for LogisticTrend {
         for _ in 0..self.gd_steps {
             let (mut ga, mut gb) = (0.0, 0.0);
             for (&x, &yn) in xs.iter().zip(&ys) {
-                let s = sigmoid(a + b * x);
+                let s = sigmoid_f64(a + b * x);
                 let common = 2.0 * (s - yn) * s * (1.0 - s) / n;
                 ga += common;
                 gb += common * x;
@@ -262,7 +262,7 @@ impl LoadPredictor for LogisticTrend {
             b -= self.lr * gb;
         }
         let x_next = 1.0;
-        (ceiling * sigmoid(a + b * x_next)).max(0.0)
+        (ceiling * sigmoid_f64(a + b * x_next)).max(0.0)
     }
 
     fn name(&self) -> &'static str {

@@ -3,11 +3,11 @@
 //! the family GluonTS's `DeepAREstimator` represents in Figure 6a.
 
 use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter, TAG_DEEPAR};
-use crate::models::LagWindow;
+use crate::models::{normalize_into, LagWindow};
 use crate::nn::math::exp;
 use crate::nn::{Dense, LstmCell, LstmState};
 use crate::predictor::LoadPredictor;
-use crate::train::{windowed_pairs, Scaler, TrainConfig};
+use crate::train::{Scaler, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,24 +31,25 @@ pub struct DeepArPredictor {
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
-    norm_buf: Vec<f64>,
+    norm_buf: Vec<f32>,
     /// Reusable recurrent state.
     state: LstmState,
     /// Scratch: head output `(μ, log σ)`.
-    head_out: Vec<f64>,
+    head_out: Vec<f32>,
     /// Scratch: dL/dh at the last timestep.
-    dh_last: Vec<f64>,
+    dh_last: Vec<f32>,
     /// Scratch: flat `steps × hidden` loss gradient.
-    dh_flat: Vec<f64>,
+    dh_flat: Vec<f32>,
 }
 
 impl DeepArPredictor {
     /// Creates the model with `hidden` LSTM units.
     pub fn new(cfg: TrainConfig, hidden: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
+        let lr = cfg.lr as f32;
         DeepArPredictor {
-            cell: LstmCell::new(1, hidden, cfg.lr, &mut rng),
-            head: Dense::new(hidden, 2, cfg.lr, &mut rng),
+            cell: LstmCell::new(1, hidden, lr, &mut rng),
+            head: Dense::new(hidden, 2, lr, &mut rng),
             scaler: Scaler::fit(&[]),
             window: LagWindow::new(cfg.lags),
             cfg,
@@ -81,7 +82,7 @@ impl DeepArPredictor {
     /// space: advances the reusable state through the flat workspace and
     /// evaluates the head in place, leaving the final hidden vector in
     /// `self.state.h`.
-    fn run_flat(&mut self, x: &[f64], for_training: bool) -> (f64, f64) {
+    fn run_flat(&mut self, x: &[f32], for_training: bool) -> (f32, f32) {
         self.state.reset();
         for &v in x {
             self.cell.forward_step_into(&[v], &mut self.state);
@@ -95,11 +96,13 @@ impl DeepArPredictor {
         (mu, sigma)
     }
 
-    /// One training pass over every window pair — Gaussian NLL
-    /// `0.5·((y−μ)/σ)² + ln σ`.
-    fn fit_pass(&mut self, pairs: &[(Vec<f64>, f64)]) {
+    /// One training pass over every window of a normalized series, sliced
+    /// straight out of it — Gaussian NLL `0.5·((y−μ)/σ)² + ln σ`.
+    fn fit_pass(&mut self, norm: &[f32]) {
         let hidden = self.cell.hidden();
-        for (x, target) in pairs {
+        let lags = self.cfg.lags;
+        for w in norm.windows(lags + 1) {
+            let (x, target) = (&w[..lags], w[lags]);
             let (mu, sigma) = self.run_flat(x, true);
             let z = (target - mu) / sigma;
             let dmu = -z / sigma;
@@ -178,23 +181,23 @@ impl LoadPredictor for DeepArPredictor {
         if !self.trained {
             return *self.raw_buf.last().expect("window is non-empty");
         }
-        self.scaler
-            .transform_series_into(&self.raw_buf, &mut self.norm_buf);
+        normalize_into(&self.scaler, &self.raw_buf, &mut self.norm_buf);
         let x = std::mem::take(&mut self.norm_buf);
         let (mu, sigma) = self.run_flat(&x, false);
         self.norm_buf = x;
+        let (mu, sigma) = (f64::from(mu), f64::from(sigma));
         self.scaler.inverse(mu + self.sigma_bias * sigma).max(0.0)
     }
 
     fn pretrain(&mut self, series: &[f64]) {
         self.scaler = Scaler::fit(series);
-        let norm = self.scaler.transform_series(series);
-        let pairs = windowed_pairs(&norm, self.cfg.lags);
-        if pairs.is_empty() {
+        let mut norm = Vec::new();
+        normalize_into(&self.scaler, series, &mut norm);
+        if norm.len() <= self.cfg.lags {
             return;
         }
         for _ in 0..self.cfg.epochs {
-            self.fit_pass(&pairs);
+            self.fit_pass(&norm);
         }
         self.trained = true;
         self.epochs_run = self.cfg.epochs;
@@ -224,11 +227,12 @@ impl LoadPredictor for DeepArPredictor {
 mod reference {
     use super::*;
     use crate::models::ReferenceNn;
+    use crate::train::windowed_pairs;
 
     impl DeepArPredictor {
         /// Runs the LSTM over a window and returns `(μ, σ)` in normalized
         /// space, plus the final hidden vector when training.
-        fn run(&mut self, x: &[f64], for_training: bool) -> (f64, f64, Vec<f64>) {
+        fn run(&mut self, x: &[f32], for_training: bool) -> (f32, f32, Vec<f32>) {
             let mut state = LstmState::zeros(self.cell.hidden());
             for &v in x {
                 state = self.cell.forward_step(&[v], &state);
@@ -255,8 +259,9 @@ mod reference {
             let hidden = self.cell.hidden();
             for _ in 0..self.cfg.epochs {
                 for (x, target) in &pairs {
-                    let (mu, sigma, h) = self.run(x, true);
-                    let z = (target - mu) / sigma;
+                    let x: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+                    let (mu, sigma, h) = self.run(&x, true);
+                    let z = (*target as f32 - mu) / sigma;
                     let dmu = -z / sigma;
                     let dlog_sigma = 1.0 - z * z;
                     let dh = self.head.backward(&h, &[dmu, dlog_sigma]);
@@ -278,8 +283,10 @@ mod reference {
             if !self.trained {
                 return *raw.last().expect("window is non-empty");
             }
-            let x = self.scaler.transform_series(&raw);
+            let mut x = Vec::new();
+            normalize_into(&self.scaler, &raw, &mut x);
             let (mu, sigma, _) = self.run(&x, false);
+            let (mu, sigma) = (f64::from(mu), f64::from(sigma));
             self.scaler.inverse(mu + self.sigma_bias * sigma).max(0.0)
         }
     }

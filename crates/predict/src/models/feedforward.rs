@@ -2,11 +2,11 @@
 //! matching GluonTS's `SimpleFeedForwardEstimator` baseline in Figure 6a.
 
 use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter, TAG_FEEDFORWARD};
-use crate::models::LagWindow;
+use crate::models::{normalize_into, LagWindow};
 use crate::nn::math::tanh_slice;
 use crate::nn::Dense;
 use crate::predictor::LoadPredictor;
-use crate::train::{windowed_pairs, Scaler, TrainConfig};
+use crate::train::{Scaler, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,26 +27,27 @@ pub struct SimpleFfPredictor {
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
-    norm_buf: Vec<f64>,
+    norm_buf: Vec<f32>,
     /// Scratch: hidden pre-activations.
-    h_pre: Vec<f64>,
+    h_pre: Vec<f32>,
     /// Scratch: hidden post-tanh activations.
-    h: Vec<f64>,
+    h: Vec<f32>,
     /// Scratch: model output (length 1).
-    out: Vec<f64>,
+    out: Vec<f32>,
     /// Scratch: dL/dh.
-    dh: Vec<f64>,
+    dh: Vec<f32>,
     /// Scratch: dL/dh before the tanh gate.
-    dh_pre: Vec<f64>,
+    dh_pre: Vec<f32>,
 }
 
 impl SimpleFfPredictor {
     /// Creates the model with `hidden` units; weight init is seeded.
     pub fn new(cfg: TrainConfig, hidden: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
+        let lr = cfg.lr as f32;
         SimpleFfPredictor {
-            l1: Dense::new(cfg.lags, hidden, cfg.lr, &mut rng),
-            l2: Dense::new(hidden, 1, cfg.lr, &mut rng),
+            l1: Dense::new(cfg.lags, hidden, lr, &mut rng),
+            l2: Dense::new(hidden, 1, lr, &mut rng),
             scaler: Scaler::fit(&[]),
             window: LagWindow::new(cfg.lags),
             cfg,
@@ -76,7 +77,7 @@ impl SimpleFfPredictor {
 
     /// Scratch-buffer forward; leaves hidden activations in `self.h` for
     /// the backward pass.
-    fn predict_normalized_flat(&mut self, x: &[f64]) -> f64 {
+    fn predict_normalized_flat(&mut self, x: &[f32]) -> f32 {
         self.l1.forward_into(x, &mut self.h_pre);
         self.h.copy_from_slice(&self.h_pre);
         tanh_slice(&mut self.h);
@@ -84,10 +85,12 @@ impl SimpleFfPredictor {
         self.out[0]
     }
 
-    /// One training pass over every window pair, reusing the scratch
-    /// buffers.
-    fn fit_pass(&mut self, pairs: &[(Vec<f64>, f64)]) {
-        for (x, y) in pairs {
+    /// One training pass over every window of a normalized series, sliced
+    /// straight out of it, reusing the scratch buffers.
+    fn fit_pass(&mut self, norm: &[f32]) {
+        let lags = self.cfg.lags;
+        for w in norm.windows(lags + 1) {
+            let (x, y) = (&w[..lags], w[lags]);
             let out = self.predict_normalized_flat(x);
             let dy = [2.0 * (out - y)];
             self.l2.backward_into(&self.h, &dy, &mut self.dh);
@@ -165,23 +168,22 @@ impl LoadPredictor for SimpleFfPredictor {
             // untrained fallback: last observation
             return *self.raw_buf.last().expect("window is non-empty");
         }
-        self.scaler
-            .transform_series_into(&self.raw_buf, &mut self.norm_buf);
+        normalize_into(&self.scaler, &self.raw_buf, &mut self.norm_buf);
         let x = std::mem::take(&mut self.norm_buf);
         let y = self.predict_normalized_flat(&x);
         self.norm_buf = x;
-        self.scaler.inverse(y).max(0.0)
+        self.scaler.inverse(f64::from(y)).max(0.0)
     }
 
     fn pretrain(&mut self, series: &[f64]) {
         self.scaler = Scaler::fit(series);
-        let norm = self.scaler.transform_series(series);
-        let pairs = windowed_pairs(&norm, self.cfg.lags);
-        if pairs.is_empty() {
+        let mut norm = Vec::new();
+        normalize_into(&self.scaler, series, &mut norm);
+        if norm.len() <= self.cfg.lags {
             return;
         }
         for _ in 0..self.cfg.epochs {
-            self.fit_pass(&pairs);
+            self.fit_pass(&norm);
         }
         self.trained = true;
         self.epochs_run = self.cfg.epochs;
@@ -211,10 +213,11 @@ mod reference {
     use super::*;
     use crate::models::ReferenceNn;
     use crate::nn::math::tanh;
+    use crate::train::windowed_pairs;
 
     impl SimpleFfPredictor {
-        fn predict_normalized(&self, x: &[f64]) -> f64 {
-            let h: Vec<f64> = self.l1.forward(x).iter().map(|&v| tanh(v)).collect();
+        fn predict_normalized(&self, x: &[f32]) -> f32 {
+            let h: Vec<f32> = self.l1.forward(x).iter().map(|&v| tanh(v)).collect();
             self.l2.forward(&h)[0]
         }
     }
@@ -229,17 +232,18 @@ mod reference {
             }
             for _ in 0..self.cfg.epochs {
                 for (x, y) in &pairs {
-                    let h_pre = self.l1.forward(x);
-                    let h: Vec<f64> = h_pre.iter().map(|&v| tanh(v)).collect();
+                    let x: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+                    let h_pre = self.l1.forward(&x);
+                    let h: Vec<f32> = h_pre.iter().map(|&v| tanh(v)).collect();
                     let out = self.l2.forward(&h)[0];
-                    let dy = [2.0 * (out - y)];
+                    let dy = [2.0 * (out - *y as f32)];
                     let dh = self.l2.backward(&h, &dy);
-                    let dh_pre: Vec<f64> = dh
+                    let dh_pre: Vec<f32> = dh
                         .iter()
                         .zip(&h)
                         .map(|(g, hv)| g * crate::nn::tanh_deriv(*hv))
                         .collect();
-                    self.l1.backward(x, &dh_pre);
+                    self.l1.backward(&x, &dh_pre);
                     self.apply_grads();
                 }
             }
@@ -255,8 +259,10 @@ mod reference {
             if !self.trained {
                 return *raw.last().expect("window is non-empty");
             }
-            let x = self.scaler.transform_series(&raw);
-            self.scaler.inverse(self.predict_normalized(&x)).max(0.0)
+            let mut x = Vec::new();
+            normalize_into(&self.scaler, &raw, &mut x);
+            let y = self.predict_normalized(&x);
+            self.scaler.inverse(f64::from(y)).max(0.0)
         }
     }
 }

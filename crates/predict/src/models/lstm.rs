@@ -2,7 +2,7 @@
 //! trained for 100 epochs at batch size 1 with time-step prediction.
 
 use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter, TAG_LSTM};
-use crate::models::LagWindow;
+use crate::models::{normalize_into, LagWindow};
 use crate::nn::{Dense, LstmCell, LstmState};
 use crate::predictor::LoadPredictor;
 use crate::train::{Scaler, TrainConfig};
@@ -39,26 +39,26 @@ pub struct LstmPredictor {
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
-    norm_buf: Vec<f64>,
+    norm_buf: Vec<f32>,
     /// Scratch: current layer's input sequence, `steps × in_dim` flat.
-    in_flat: Vec<f64>,
+    in_flat: Vec<f32>,
     /// Scratch: current layer's hidden sequence, ping-ponged with
     /// `in_flat` between layers.
-    out_flat: Vec<f64>,
+    out_flat: Vec<f32>,
     /// Scratch: flat `steps × hidden` loss gradient for the layer being
     /// backpropagated.
-    dh_flat: Vec<f64>,
+    dh_flat: Vec<f32>,
     /// Scratch: flat input gradient, ping-ponged with `dh_flat`.
-    dx_flat: Vec<f64>,
+    dx_flat: Vec<f32>,
     /// Reusable per-layer recurrent states.
     states: Vec<LstmState>,
     /// Scratch: head output (length 1).
-    head_out: Vec<f64>,
+    head_out: Vec<f32>,
     /// Scratch: head input gradient (length `hidden`).
-    dh_last: Vec<f64>,
+    dh_last: Vec<f32>,
     /// Scratch: normalized training series — reused across retraining
     /// rounds so steady-state online retraining allocates nothing.
-    train_norm: Vec<f64>,
+    train_norm: Vec<f32>,
 }
 
 impl LstmPredictor {
@@ -70,13 +70,14 @@ impl LstmPredictor {
     pub fn new(cfg: TrainConfig, hidden: usize, seed: u64, num_layers: usize) -> Self {
         assert!(num_layers > 0, "need at least one LSTM layer");
         let mut rng = StdRng::seed_from_u64(seed);
+        let lr = cfg.lr as f32;
         let mut layers = Vec::with_capacity(num_layers);
         for l in 0..num_layers {
             let input = if l == 0 { 1 } else { hidden };
-            layers.push(LstmCell::new(input, hidden, cfg.lr, &mut rng));
+            layers.push(LstmCell::new(input, hidden, lr, &mut rng));
         }
         LstmPredictor {
-            head: Dense::new(hidden, 1, cfg.lr, &mut rng),
+            head: Dense::new(hidden, 1, lr, &mut rng),
             states: layers
                 .iter()
                 .map(|c| LstmState::zeros(c.hidden()))
@@ -137,7 +138,7 @@ impl LstmPredictor {
     /// out of it.
     fn train_epochs(&mut self, series: &[f64], epochs: usize) -> usize {
         let mut norm = std::mem::take(&mut self.train_norm);
-        self.scaler.transform_series_into(series, &mut norm);
+        normalize_into(&self.scaler, series, &mut norm);
         if norm.len() <= self.cfg.lags {
             self.train_norm = norm;
             return 0;
@@ -152,7 +153,7 @@ impl LstmPredictor {
 
     /// One pass over every training window of a pre-normalized series,
     /// sliced directly out of `norm` (zero allocations).
-    fn fit_pass_norm(&mut self, norm: &[f64]) {
+    fn fit_pass_norm(&mut self, norm: &[f32]) {
         let lags = self.cfg.lags;
         for i in 0..norm.len() - lags {
             let y = self.forward_flat(&norm[i..i + lags], true);
@@ -227,7 +228,7 @@ impl LstmPredictor {
     /// layer's hidden sequence in `in_flat` (`steps × hidden`) for
     /// [`backward_flat_stack`](Self::backward_flat_stack). Allocation-free
     /// in steady state.
-    fn forward_flat(&mut self, x: &[f64], for_training: bool) -> f64 {
+    fn forward_flat(&mut self, x: &[f32], for_training: bool) -> f32 {
         let steps = x.len();
         self.in_flat.clear();
         self.in_flat.extend_from_slice(x);
@@ -259,7 +260,7 @@ impl LstmPredictor {
     /// `in_flat`), then chains `backward_flat` down the stack,
     /// ping-ponging the flat gradient buffers. The bottom layer skips the
     /// dL/dx matvec entirely — nothing consumes it.
-    fn backward_flat_stack(&mut self, derr: f64, steps: usize) {
+    fn backward_flat_stack(&mut self, derr: f32, steps: usize) {
         let top = self.layers.len() - 1;
         let hidden = self.layers[top].hidden();
         let last_h = &self.in_flat[(steps - 1) * hidden..steps * hidden];
@@ -319,12 +320,11 @@ impl LoadPredictor for LstmPredictor {
         if !self.trained {
             return *self.raw_buf.last().expect("window is non-empty");
         }
-        self.scaler
-            .transform_series_into(&self.raw_buf, &mut self.norm_buf);
+        normalize_into(&self.scaler, &self.raw_buf, &mut self.norm_buf);
         let x = std::mem::take(&mut self.norm_buf);
         let y = self.forward_flat(&x, false);
         self.norm_buf = x;
-        self.scaler.inverse(y).max(0.0)
+        self.scaler.inverse(f64::from(y)).max(0.0)
     }
 
     fn pretrain(&mut self, series: &[f64]) {
@@ -373,8 +373,8 @@ mod reference {
         /// Runs the stack over a normalized window; caches activations when
         /// `for_training`, otherwise clears them. Returns per-layer hidden
         /// sequences (needed for BPTT) and the final prediction.
-        fn run_stack(&mut self, x: &[f64], for_training: bool) -> (Vec<Vec<Vec<f64>>>, f64) {
-            let mut inputs: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
+        fn run_stack(&mut self, x: &[f32], for_training: bool) -> (Vec<Vec<Vec<f32>>>, f32) {
+            let mut inputs: Vec<Vec<f32>> = x.iter().map(|&v| vec![v]).collect();
             let num_layers = self.layers.len();
             let mut per_layer_h = Vec::with_capacity(num_layers);
             for (l, cell) in self.layers.iter_mut().enumerate() {
@@ -416,8 +416,9 @@ mod reference {
             }
             for _ in 0..self.cfg.epochs {
                 for (x, target) in &pairs {
-                    let (per_layer_h, y) = self.run_stack(x, true);
-                    let derr = 2.0 * (y - target);
+                    let x: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+                    let (per_layer_h, y) = self.run_stack(&x, true);
+                    let derr = 2.0 * (y - *target as f32);
                     let steps = x.len();
                     let top = self.layers.len() - 1;
                     let dh_last = self.head.backward(&per_layer_h[top][steps - 1], &[derr]);
@@ -444,9 +445,10 @@ mod reference {
             if !self.trained {
                 return *raw.last().expect("window is non-empty");
             }
-            let x = self.scaler.transform_series(&raw);
+            let mut x = Vec::new();
+            normalize_into(&self.scaler, &raw, &mut x);
             let (_, y) = self.run_stack(&x, false);
-            self.scaler.inverse(y).max(0.0)
+            self.scaler.inverse(f64::from(y)).max(0.0)
         }
     }
 }

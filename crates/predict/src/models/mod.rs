@@ -1,9 +1,14 @@
 //! The four neural predictors compared in Figure 6a, built on [`crate::nn`].
 //!
 //! All four share the same protocol: [`pretrain`](crate::LoadPredictor::pretrain)
-//! fits a [`Scaler`](crate::train::Scaler) and runs the training loop on the
-//! historical series; at runtime the model keeps a rolling lag window of
-//! observations and forecasts one step ahead.
+//! fits a [`Scaler`] and runs the training loop on the historical series;
+//! at runtime the model keeps a rolling lag window of observations and
+//! forecasts one step ahead.
+//!
+//! The models are where `f64` meets the `f32` of [`crate::nn`]: a series
+//! or lag window is normalized in `f64` and narrowed once
+//! (`normalize_into`), and a forecast is widened back to `f64` before
+//! [`Scaler::inverse`].
 
 mod deepar;
 mod feedforward;
@@ -15,7 +20,15 @@ pub use feedforward::SimpleFfPredictor;
 pub use lstm::LstmPredictor;
 pub use weavenet::WeaveNetPredictor;
 
+use crate::train::Scaler;
 use std::collections::VecDeque;
+
+/// Normalizes `series` with `scaler` into `out`, narrowed to the `f32`
+/// the `nn` layers compute in. Reuses `out`'s capacity.
+pub(crate) fn normalize_into(scaler: &Scaler, series: &[f64], out: &mut Vec<f32>) {
+    out.clear();
+    out.extend(series.iter().map(|&v| scaler.transform(v) as f32));
+}
 
 /// Test oracle for the four neural models. Each model keeps its original
 /// per-step-allocating NN stack beside the product one, under

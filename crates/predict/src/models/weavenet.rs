@@ -3,10 +3,10 @@
 //! WaveNet-family baseline in Figure 6a.
 
 use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter, TAG_WEAVENET};
-use crate::models::LagWindow;
+use crate::models::{normalize_into, LagWindow};
 use crate::nn::{CausalConv1d, Dense};
 use crate::predictor::LoadPredictor;
-use crate::train::{windowed_pairs, Scaler, TrainConfig};
+use crate::train::{Scaler, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -14,9 +14,9 @@ use rand::SeedableRng;
 /// ReLU dies under per-sample Adam updates on this small network (every
 /// unit's pre-activation can go negative at the only timestep that
 /// receives gradient), collapsing the model to a constant.
-const LEAK: f64 = 0.1;
+const LEAK: f32 = 0.1;
 
-fn leaky_relu(v: f64) -> f64 {
+fn leaky_relu(v: f32) -> f32 {
     if v >= 0.0 {
         v
     } else {
@@ -41,23 +41,23 @@ pub struct WeaveNetPredictor {
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
-    norm_buf: Vec<f64>,
+    norm_buf: Vec<f32>,
     /// Scratch: current layer input, `steps × ch` flat.
-    feat_flat: Vec<f64>,
+    feat_flat: Vec<f32>,
     /// Scratch: conv pre-activation output.
-    conv_out: Vec<f64>,
+    conv_out: Vec<f32>,
     /// Per-layer post-ReLU activations, `steps × ch` flat each
     /// (fixed count — one reused buffer per conv layer).
-    acts_flat: Vec<Vec<f64>>,
+    acts_flat: Vec<Vec<f32>>,
     /// Scratch: head output (length 1).
-    head_out: Vec<f64>,
+    head_out: Vec<f32>,
     /// Scratch: head input gradient (top channel count).
-    dlast: Vec<f64>,
+    dlast: Vec<f32>,
     /// Scratch: flat `steps × ch` loss gradient for the layer being
     /// backpropagated.
-    dy_flat: Vec<f64>,
+    dy_flat: Vec<f32>,
     /// Scratch: flat input gradient, ping-ponged with `dy_flat`.
-    dx_flat: Vec<f64>,
+    dx_flat: Vec<f32>,
 }
 
 impl WeaveNetPredictor {
@@ -65,6 +65,7 @@ impl WeaveNetPredictor {
     /// per layer until the receptive field covers the lag window.
     pub fn new(cfg: TrainConfig, channels: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
+        let lr = cfg.lr as f32;
         let mut convs = Vec::new();
         let mut dilation = 1;
         let mut in_ch = 1;
@@ -72,17 +73,15 @@ impl WeaveNetPredictor {
             &convs.iter().map(CausalConv1d::dilation).collect::<Vec<_>>(),
         ) < cfg.lags
         {
-            convs.push(CausalConv1d::new(
-                in_ch, channels, dilation, cfg.lr, &mut rng,
-            ));
+            convs.push(CausalConv1d::new(in_ch, channels, dilation, lr, &mut rng));
             in_ch = channels;
             dilation *= 2;
         }
         if convs.is_empty() {
-            convs.push(CausalConv1d::new(1, channels, 1, cfg.lr, &mut rng));
+            convs.push(CausalConv1d::new(1, channels, 1, lr, &mut rng));
         }
         WeaveNetPredictor {
-            head: Dense::new(channels, 1, cfg.lr, &mut rng),
+            head: Dense::new(channels, 1, lr, &mut rng),
             acts_flat: vec![Vec::new(); convs.len()],
             convs,
             scaler: Scaler::fit(&[]),
@@ -115,7 +114,7 @@ impl WeaveNetPredictor {
     /// Forward pass over the flat layout: leaves each layer's post-ReLU
     /// activations in `acts_flat` for the backward pass and returns the
     /// prediction. Allocation-free in steady state.
-    fn run_flat(&mut self, x: &[f64]) -> f64 {
+    fn run_flat(&mut self, x: &[f32]) -> f32 {
         let steps = x.len();
         self.feat_flat.clear();
         self.feat_flat.extend_from_slice(x);
@@ -137,7 +136,7 @@ impl WeaveNetPredictor {
     /// timestep of the top layer, applies the leaky-ReLU gate per layer,
     /// and chains `backward_flat` down the stack ping-ponging the flat
     /// gradient buffers.
-    fn backward_flat_stack(&mut self, derr: f64, steps: usize) {
+    fn backward_flat_stack(&mut self, derr: f32, steps: usize) {
         let top = self.convs.len() - 1;
         let top_ch = self.convs[top].out_ch();
         let last = &self.acts_flat[top][(steps - 1) * top_ch..steps * top_ch];
@@ -157,10 +156,12 @@ impl WeaveNetPredictor {
         }
     }
 
-    /// One training pass over every window pair, reusing the flat
-    /// buffers.
-    fn fit_pass(&mut self, pairs: &[(Vec<f64>, f64)]) {
-        for (x, target) in pairs {
+    /// One training pass over every window of a normalized series, sliced
+    /// straight out of it, reusing the flat buffers.
+    fn fit_pass(&mut self, norm: &[f32]) {
+        let lags = self.cfg.lags;
+        for w in norm.windows(lags + 1) {
+            let (x, target) = (&w[..lags], w[lags]);
             let y = self.run_flat(x);
             let derr = 2.0 * (y - target);
             self.backward_flat_stack(derr, x.len());
@@ -241,23 +242,22 @@ impl LoadPredictor for WeaveNetPredictor {
         if !self.trained {
             return *self.raw_buf.last().expect("window is non-empty");
         }
-        self.scaler
-            .transform_series_into(&self.raw_buf, &mut self.norm_buf);
+        normalize_into(&self.scaler, &self.raw_buf, &mut self.norm_buf);
         let x = std::mem::take(&mut self.norm_buf);
         let y = self.run_flat(&x);
         self.norm_buf = x;
-        self.scaler.inverse(y).max(0.0)
+        self.scaler.inverse(f64::from(y)).max(0.0)
     }
 
     fn pretrain(&mut self, series: &[f64]) {
         self.scaler = Scaler::fit(series);
-        let norm = self.scaler.transform_series(series);
-        let pairs = windowed_pairs(&norm, self.cfg.lags);
-        if pairs.is_empty() {
+        let mut norm = Vec::new();
+        normalize_into(&self.scaler, series, &mut norm);
+        if norm.len() <= self.cfg.lags {
             return;
         }
         for _ in 0..self.cfg.epochs {
-            self.fit_pass(&pairs);
+            self.fit_pass(&norm);
         }
         self.trained = true;
         self.epochs_run = self.cfg.epochs;
@@ -286,12 +286,13 @@ impl LoadPredictor for WeaveNetPredictor {
 mod reference {
     use super::*;
     use crate::models::ReferenceNn;
+    use crate::train::windowed_pairs;
 
     impl WeaveNetPredictor {
         /// Forward pass. Returns per-layer post-ReLU activations (for
         /// backward) and the prediction.
-        fn run(&mut self, x: &[f64]) -> (Vec<Vec<Vec<f64>>>, f64) {
-            let mut feat: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
+        fn run(&mut self, x: &[f32]) -> (Vec<Vec<Vec<f32>>>, f32) {
+            let mut feat: Vec<Vec<f32>> = x.iter().map(|&v| vec![v]).collect();
             let mut activations = Vec::with_capacity(self.convs.len());
             for conv in self.convs.iter_mut() {
                 let pre = conv.forward(&feat);
@@ -317,14 +318,15 @@ mod reference {
             }
             for _ in 0..self.cfg.epochs {
                 for (x, target) in &pairs {
-                    let (activations, y) = self.run(x);
-                    let derr = 2.0 * (y - target);
+                    let x: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+                    let (activations, y) = self.run(&x);
+                    let derr = 2.0 * (y - *target as f32);
                     let steps = x.len();
                     let top_act = activations.last().expect("at least one conv layer");
                     let dlast = self.head.backward(&top_act[steps - 1], &[derr]);
                     // seed gradient only at the final timestep of the top layer
                     let top_ch = self.convs.last().expect("non-empty stack").out_ch();
-                    let mut dy: Vec<Vec<f64>> = vec![vec![0.0; top_ch]; steps];
+                    let mut dy: Vec<Vec<f32>> = vec![vec![0.0; top_ch]; steps];
                     dy[steps - 1] = dlast;
                     for l in (0..self.convs.len()).rev() {
                         // leaky-ReLU gate: damp gradient on the negative branch
@@ -352,9 +354,10 @@ mod reference {
             if !self.trained {
                 return *raw.last().expect("window is non-empty");
             }
-            let x = self.scaler.transform_series(&raw);
+            let mut x = Vec::new();
+            normalize_into(&self.scaler, &raw, &mut x);
             let (_, y) = self.run(&x);
-            self.scaler.inverse(y).max(0.0)
+            self.scaler.inverse(f64::from(y)).max(0.0)
         }
     }
 }

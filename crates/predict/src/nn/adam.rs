@@ -9,7 +9,7 @@ use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter};
 /// ```
 /// use fifer_predict::nn::Adam;
 ///
-/// let mut params = vec![1.0_f64];
+/// let mut params = vec![1.0_f32];
 /// let mut opt = Adam::new(1, 0.1);
 /// for step in 1..=100 {
 ///     // gradient of f(p) = p² is 2p; Adam should drive p toward 0
@@ -20,12 +20,12 @@ use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Adam {
-    lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    m: Vec<f64>,
-    v: Vec<f64>,
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 impl Adam {
@@ -35,7 +35,7 @@ impl Adam {
     /// # Panics
     ///
     /// Panics if `lr` is not positive and finite.
-    pub fn new(n: usize, lr: f64) -> Self {
+    pub fn new(n: usize, lr: f32) -> Self {
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
         Adam {
             lr,
@@ -53,7 +53,7 @@ impl Adam {
     /// # Panics
     ///
     /// Panics if buffer lengths disagree or `t == 0`.
-    pub fn step(&mut self, params: &mut [f64], grads: &[f64], t: u64) {
+    pub fn step(&mut self, params: &mut [f32], grads: &[f32], t: u64) {
         assert_eq!(
             params.len(),
             self.m.len(),
@@ -90,9 +90,9 @@ impl Adam {
     /// Serializes the optimizer state (learning rate + both moment
     /// buffers) into a checkpoint.
     pub(crate) fn save_state(&self, w: &mut CkptWriter) {
-        w.f64(self.lr);
-        w.f64s(&self.m);
-        w.f64s(&self.v);
+        w.f32(self.lr);
+        w.f32s(&self.m);
+        w.f32s(&self.v);
     }
 
     /// Restores optimizer state saved by [`save_state`](Self::save_state).
@@ -100,12 +100,12 @@ impl Adam {
     /// bit-for-bit — a drifted hyper-parameter would silently change the
     /// remaining training schedule.
     pub(crate) fn load_state(&mut self, r: &mut CkptReader<'_>) -> Result<(), CheckpointError> {
-        let lr = r.f64()?;
+        let lr = r.f32()?;
         if lr.to_bits() != self.lr.to_bits() {
             return Err(CheckpointError::ModelMismatch("adam learning rate"));
         }
-        r.f64s_into(&mut self.m, "adam first moment")?;
-        r.f64s_into(&mut self.v, "adam second moment")?;
+        r.f32s_into(&mut self.m, "adam first moment")?;
+        r.f32s_into(&mut self.v, "adam second moment")?;
         Ok(())
     }
 }
@@ -119,7 +119,7 @@ mod tests {
         let mut p = vec![5.0, -3.0];
         let mut opt = Adam::new(2, 0.05);
         for t in 1..=2000 {
-            let g: Vec<f64> = p.iter().map(|&x| 2.0 * x).collect();
+            let g: Vec<f32> = p.iter().map(|&x| 2.0 * x).collect();
             opt.step(&mut p, &g, t);
         }
         assert!(p[0].abs() < 1e-2 && p[1].abs() < 1e-2, "{p:?}");
@@ -139,7 +139,7 @@ mod tests {
     fn non_finite_gradients_are_skipped() {
         let mut p = vec![1.0];
         let mut opt = Adam::new(1, 0.1);
-        opt.step(&mut p, &[f64::NAN], 1);
+        opt.step(&mut p, &[f32::NAN], 1);
         assert!(p[0].is_finite());
     }
 

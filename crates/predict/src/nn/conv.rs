@@ -22,18 +22,18 @@ pub struct CausalConv1d {
     dilation: usize,
     /// Weights, `out_ch × (2·in_ch)` row-major: per output channel, the
     /// `in_ch` taps at `t-d` followed by the `in_ch` taps at `t`.
-    w: Vec<f64>,
-    b: Vec<f64>,
-    dw: Vec<f64>,
-    db: Vec<f64>,
+    w: Vec<f32>,
+    b: Vec<f32>,
+    dw: Vec<f32>,
+    db: Vec<f32>,
     opt_w: Adam,
     opt_b: Adam,
     /// Input of the latest `Vec<Vec>` oracle forward pass.
     #[cfg(test)]
-    cache: Option<Vec<Vec<f64>>>,
+    cache: Option<Vec<Vec<f32>>>,
     /// Input of the latest [`forward_flat`](Self::forward_flat) as
     /// `steps × in_ch`.
-    cache_flat: Vec<f64>,
+    cache_flat: Vec<f32>,
     /// Timesteps in `cache_flat` (0 = no flat forward pending).
     cache_steps: usize,
 }
@@ -48,7 +48,7 @@ impl CausalConv1d {
         in_ch: usize,
         out_ch: usize,
         dilation: usize,
-        lr: f64,
+        lr: f32,
         rng: &mut R,
     ) -> Self {
         assert!(in_ch > 0 && out_ch > 0, "channel counts must be positive");
@@ -93,7 +93,7 @@ impl CausalConv1d {
     /// # Panics
     ///
     /// Panics if `x.len()` is not a multiple of the input channel count.
-    pub fn forward_flat(&mut self, x: &[f64], y: &mut Vec<f64>) {
+    pub fn forward_flat(&mut self, x: &[f32], y: &mut Vec<f32>) {
         assert_eq!(x.len() % self.in_ch, 0, "channel count mismatch");
         let steps = x.len() / self.in_ch;
         let d = self.dilation;
@@ -131,7 +131,7 @@ impl CausalConv1d {
     ///
     /// Panics if no flat forward pass is cached or `dy` has the wrong
     /// length.
-    pub fn backward_flat(&mut self, dy: &[f64], dx: &mut Vec<f64>) {
+    pub fn backward_flat(&mut self, dy: &[f32], dx: &mut Vec<f32>) {
         let steps = self.cache_steps;
         assert!(steps > 0, "backward without forward");
         assert_eq!(
@@ -164,7 +164,7 @@ impl CausalConv1d {
     }
 
     /// Read-only view of the trainable parameters `(w, b)`.
-    pub fn weights(&self) -> (&[f64], &[f64]) {
+    pub fn weights(&self) -> (&[f32], &[f32]) {
         (&self.w, &self.b)
     }
 
@@ -185,8 +185,8 @@ impl CausalConv1d {
         w.u32(self.in_ch as u32);
         w.u32(self.out_ch as u32);
         w.u32(self.dilation as u32);
-        w.f64s(&self.w);
-        w.f64s(&self.b);
+        w.f32s(&self.w);
+        w.f32s(&self.b);
         self.opt_w.save_state(w);
         self.opt_b.save_state(w);
     }
@@ -200,8 +200,8 @@ impl CausalConv1d {
         {
             return Err(CheckpointError::ModelMismatch("conv layer shape"));
         }
-        r.f64s_into(&mut self.w, "conv weights")?;
-        r.f64s_into(&mut self.b, "conv bias")?;
+        r.f32s_into(&mut self.w, "conv weights")?;
+        r.f32s_into(&mut self.b, "conv bias")?;
         self.opt_w.load_state(r)?;
         self.opt_b.load_state(r)?;
         self.dw.iter_mut().for_each(|v| *v = 0.0);
@@ -222,13 +222,13 @@ impl CausalConv1d {
     /// # Panics
     ///
     /// Panics if any timestep has the wrong channel count.
-    pub(crate) fn forward(&mut self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub(crate) fn forward(&mut self, x: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let d = self.dilation;
         let mut out = Vec::with_capacity(x.len());
         for (t, xt) in x.iter().enumerate() {
             assert_eq!(xt.len(), self.in_ch, "channel count mismatch at t={t}");
             let mut yt = self.b.clone();
-            let past: Option<&Vec<f64>> = t.checked_sub(d).map(|p| &x[p]);
+            let past: Option<&Vec<f32>> = t.checked_sub(d).map(|p| &x[p]);
             for (o, yv) in yt.iter_mut().enumerate() {
                 let row = &self.w[o * 2 * self.in_ch..(o + 1) * 2 * self.in_ch];
                 if let Some(xp) = past {
@@ -253,7 +253,7 @@ impl CausalConv1d {
     ///
     /// Panics if no forward pass is cached or `dy` has a different length
     /// than the cached input.
-    pub(crate) fn backward(&mut self, dy: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub(crate) fn backward(&mut self, dy: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let x = self.cache.take().expect("backward without forward");
         assert_eq!(dy.len(), x.len(), "gradient sequence length mismatch");
         let d = self.dilation;
@@ -291,7 +291,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn seq(vals: &[f64]) -> Vec<Vec<f64>> {
+    fn seq(vals: &[f32]) -> Vec<Vec<f32>> {
         vals.iter().map(|&v| vec![v]).collect()
     }
 
@@ -326,13 +326,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut conv = CausalConv1d::new(2, 2, 1, 0.01, &mut rng);
         let x = vec![vec![0.3, -0.2], vec![0.5, 0.1], vec![-0.4, 0.8]];
-        let loss = |conv: &mut CausalConv1d, x: &[Vec<f64>]| -> f64 {
+        let loss = |conv: &mut CausalConv1d, x: &[Vec<f32>]| -> f32 {
             conv.forward(x).iter().flatten().sum()
         };
         let _ = loss(&mut conv, &x);
         let dy = vec![vec![1.0; 2]; 3];
         let dx = conv.backward(&dy);
-        let h = 1e-6;
+        let h = 1.0 / 16.0;
         for t in 0..x.len() {
             for c in 0..2 {
                 let mut xp = x.clone();
@@ -341,7 +341,7 @@ mod tests {
                 xm[t][c] -= h;
                 let numeric = (loss(&mut conv, &xp) - loss(&mut conv, &xm)) / (2.0 * h);
                 assert!(
-                    (numeric - dx[t][c]).abs() < 1e-6,
+                    (numeric - dx[t][c]).abs() < 1e-5,
                     "dx[{t}][{c}] numeric {numeric} vs {}",
                     dx[t][c]
                 );
@@ -356,13 +356,13 @@ mod tests {
         let mut conv = CausalConv1d::new(1, 1, 1, 0.05, &mut rng);
         let mut step = 0;
         for e in 0..400 {
-            let xs: Vec<f64> = (0..6).map(|i| ((i + e) as f64 * 0.7).sin()).collect();
+            let xs: Vec<f32> = (0..6).map(|i| ((i + e) as f32 * 0.7).sin()).collect();
             let x = seq(&xs);
             let y = conv.forward(&x);
             let mut dy = Vec::new();
             for t in 0..x.len() {
                 let target = if t == 0 { xs[0] } else { xs[t] - xs[t - 1] };
-                dy.push(vec![2.0 * (y[t][0] - target) / x.len() as f64]);
+                dy.push(vec![2.0 * (y[t][0] - target) / x.len() as f32]);
             }
             conv.backward(&dy);
             step += 1;
@@ -380,15 +380,15 @@ mod tests {
         let mut r2 = StdRng::seed_from_u64(7);
         let mut reference = CausalConv1d::new(2, 3, 2, 0.01, &mut r1);
         let mut optimized = CausalConv1d::new(2, 3, 2, 0.01, &mut r2);
-        let x: Vec<Vec<f64>> = (0..5)
-            .map(|t| vec![(t as f64 * 0.9).sin(), (t as f64 * 0.4).cos()])
+        let x: Vec<Vec<f32>> = (0..5)
+            .map(|t| vec![(t as f32 * 0.9).sin(), (t as f32 * 0.4).cos()])
             .collect();
-        let x_flat: Vec<f64> = x.concat();
+        let x_flat: Vec<f32> = x.concat();
         let y_ref = reference.forward(&x);
         let mut y_flat = Vec::new();
         optimized.forward_flat(&x_flat, &mut y_flat);
         assert_eq!(y_flat, y_ref.concat());
-        let dy: Vec<Vec<f64>> = (0..5).map(|t| vec![0.1 * t as f64; 3]).collect();
+        let dy: Vec<Vec<f32>> = (0..5).map(|t| vec![0.1 * t as f32; 3]).collect();
         let dx_ref = reference.backward(&dy);
         let mut dx_flat = Vec::new();
         optimized.backward_flat(&dy.concat(), &mut dx_flat);

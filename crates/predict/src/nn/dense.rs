@@ -16,10 +16,10 @@ use rand::Rng;
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,
-    w: Vec<f64>,
-    b: Vec<f64>,
-    dw: Vec<f64>,
-    db: Vec<f64>,
+    w: Vec<f32>,
+    b: Vec<f32>,
+    dw: Vec<f32>,
+    db: Vec<f32>,
     opt_w: Adam,
     opt_b: Adam,
 }
@@ -30,7 +30,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new<R: Rng + ?Sized>(in_dim: usize, out_dim: usize, lr: f64, rng: &mut R) -> Self {
+    pub fn new<R: Rng + ?Sized>(in_dim: usize, out_dim: usize, lr: f32, rng: &mut R) -> Self {
         assert!(in_dim > 0 && out_dim > 0, "dimensions must be positive");
         Dense {
             in_dim,
@@ -59,7 +59,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if `y.len() != out_dim`.
-    pub fn forward_into(&self, x: &[f64], y: &mut [f64]) {
+    pub fn forward_into(&self, x: &[f32], y: &mut [f32]) {
         matvec_into(&self.w, self.out_dim, self.in_dim, x, y);
         for (yv, bv) in y.iter_mut().zip(&self.b) {
             *yv += bv;
@@ -73,7 +73,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if `dy.len() != out_dim`.
-    pub fn accumulate_grads(&mut self, x: &[f64], dy: &[f64]) {
+    pub fn accumulate_grads(&mut self, x: &[f32], dy: &[f32]) {
         assert_eq!(dy.len(), self.out_dim, "output gradient length mismatch");
         outer_accumulate(&mut self.dw, dy, x);
         for (d, g) in self.db.iter_mut().zip(dy) {
@@ -87,7 +87,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics on gradient/output length mismatches.
-    pub fn backward_into(&mut self, x: &[f64], dy: &[f64], dx: &mut [f64]) {
+    pub fn backward_into(&mut self, x: &[f32], dy: &[f32], dx: &mut [f32]) {
         assert_eq!(dy.len(), self.out_dim, "output gradient length mismatch");
         outer_accumulate(&mut self.dw, dy, x);
         for (d, g) in self.db.iter_mut().zip(dy) {
@@ -108,7 +108,7 @@ impl Dense {
     }
 
     /// Immutable view of the weights (for tests/inspection).
-    pub fn weights(&self) -> &[f64] {
+    pub fn weights(&self) -> &[f32] {
         &self.w
     }
 
@@ -118,8 +118,8 @@ impl Dense {
     pub(crate) fn save_state(&self, w: &mut CkptWriter) {
         w.u32(self.in_dim as u32);
         w.u32(self.out_dim as u32);
-        w.f64s(&self.w);
-        w.f64s(&self.b);
+        w.f32s(&self.w);
+        w.f32s(&self.b);
         self.opt_w.save_state(w);
         self.opt_b.save_state(w);
     }
@@ -130,8 +130,8 @@ impl Dense {
         if r.u32()? as usize != self.in_dim || r.u32()? as usize != self.out_dim {
             return Err(CheckpointError::ModelMismatch("dense layer dimensions"));
         }
-        r.f64s_into(&mut self.w, "dense weights")?;
-        r.f64s_into(&mut self.b, "dense bias")?;
+        r.f32s_into(&mut self.w, "dense weights")?;
+        r.f32s_into(&mut self.b, "dense bias")?;
         self.opt_w.load_state(r)?;
         self.opt_b.load_state(r)?;
         self.dw.iter_mut().for_each(|v| *v = 0.0);
@@ -145,7 +145,7 @@ impl Dense {
 #[cfg(test)]
 impl Dense {
     /// Forward pass.
-    pub(crate) fn forward(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward(&self, x: &[f32]) -> Vec<f32> {
         let mut y = matvec(&self.w, self.out_dim, self.in_dim, x);
         for (yv, bv) in y.iter_mut().zip(&self.b) {
             *yv += bv;
@@ -154,7 +154,7 @@ impl Dense {
     }
 
     /// Backward pass: accumulates dW, db and returns dL/dx.
-    pub(crate) fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
+    pub(crate) fn backward(&mut self, x: &[f32], dy: &[f32]) -> Vec<f32> {
         assert_eq!(dy.len(), self.out_dim, "output gradient length mismatch");
         outer_accumulate(&mut self.dw, dy, x);
         for (d, g) in self.db.iter_mut().zip(dy) {
@@ -168,7 +168,7 @@ impl Dense {
 /// gradient guard. The squared norm is summed in eight independent lanes
 /// (element `i` into lane `i mod 8`), combined pairwise in a fixed order,
 /// so the sum vectorizes instead of running as one serial chain.
-pub(crate) fn clip(g: &mut [f64], max_norm: f64) {
+pub(crate) fn clip(g: &mut [f32], max_norm: f32) {
     let mut lanes = [0.0; 8];
     let chunks = g.chunks_exact(8);
     let tail = chunks.remainder();
@@ -212,14 +212,14 @@ mod tests {
         // loss = sum(y); dL/dy = ones
         let dy = [1.0, 1.0, 1.0];
         let dx = layer.backward(&x, &dy);
-        let h = 1e-6;
+        let h = 1.0 / 16.0;
         for i in 0..x.len() {
             let mut xp = x;
             xp[i] += h;
             let mut xm = x;
             xm[i] -= h;
-            let lp: f64 = layer.forward(&xp).iter().sum();
-            let lm: f64 = layer.forward(&xm).iter().sum();
+            let lp: f32 = layer.forward(&xp).iter().sum();
+            let lm: f32 = layer.forward(&xm).iter().sum();
             let numeric = (lp - lm) / (2.0 * h);
             assert!(
                 (numeric - dx[i]).abs() < 1e-6,
@@ -258,7 +258,7 @@ mod tests {
         let mut layer = Dense::new(1, 1, 0.05, &mut rng);
         let mut t = 0;
         for _ in 0..500 {
-            for x in [-1.0, 0.0, 1.0, 2.0_f64] {
+            for x in [-1.0, 0.0, 1.0, 2.0_f32] {
                 t += 1;
                 let y = layer.forward(&[x])[0];
                 let target = 2.0 * x + 1.0;
@@ -312,13 +312,13 @@ mod tests {
     fn clip_bounds_norm() {
         let mut g = vec![3.0, 4.0]; // norm 5
         clip(&mut g, 1.0);
-        let norm: f64 = g.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let norm: f32 = g.iter().map(|v| v * v).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn clip_zeroes_non_finite() {
-        let mut g = vec![f64::NAN, 1.0];
+        let mut g = vec![f32::NAN, 1.0];
         clip(&mut g, 1.0);
         assert_eq!(g, vec![0.0, 0.0]);
     }

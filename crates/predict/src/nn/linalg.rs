@@ -1,6 +1,7 @@
-//! Vector and (flat row-major) matrix primitives for batch-size-1 training.
+//! Vector and (flat row-major) `f32` matrix primitives for batch-size-1
+//! training.
 //!
-//! The matrix-vector kernels write into a caller-owned `&mut [f64]`
+//! The matrix-vector kernels write into a caller-owned `&mut [f32]`
 //! output slice, so the training and forecast loops never allocate. The
 //! original allocating forms (`matvec`, `matvec_transposed`) survive only
 //! under `#[cfg(test)]`, as the oracle the write-into and column-major
@@ -21,7 +22,7 @@ use rand::Rng;
 
 /// Output elements a tiled matvec holds in registers across its whole
 /// reduction (and the height of the column strips in
-/// [`outer_accumulate_seq`]).
+/// [`outer_accumulate_seq`]): four AVX2 registers of `f32`.
 pub(crate) const TILE: usize = 32;
 
 /// Rows of the `dW` block [`outer_accumulate_seq`] holds in registers.
@@ -37,7 +38,7 @@ pub(crate) const BLOCK_COLS: usize = 16;
 ///
 /// Panics if dimensions disagree.
 #[cfg(test)]
-pub(crate) fn matvec(w: &[f64], rows: usize, cols: usize, x: &[f64]) -> Vec<f64> {
+pub(crate) fn matvec(w: &[f32], rows: usize, cols: usize, x: &[f32]) -> Vec<f32> {
     assert_eq!(w.len(), rows * cols, "weight shape mismatch");
     assert_eq!(x.len(), cols, "input length mismatch");
     let mut y = vec![0.0; rows];
@@ -58,7 +59,7 @@ pub(crate) fn matvec(w: &[f64], rows: usize, cols: usize, x: &[f64]) -> Vec<f64>
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn matvec_into(w: &[f64], rows: usize, cols: usize, x: &[f64], y: &mut [f64]) {
+pub fn matvec_into(w: &[f32], rows: usize, cols: usize, x: &[f32], y: &mut [f32]) {
     assert_eq!(w.len(), rows * cols, "weight shape mismatch");
     assert_eq!(x.len(), cols, "input length mismatch");
     assert_eq!(y.len(), rows, "output length mismatch");
@@ -82,7 +83,7 @@ pub fn matvec_into(w: &[f64], rows: usize, cols: usize, x: &[f64], y: &mut [f64]
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn matvec_colmajor_into(wt: &[f64], rows: usize, cols: usize, x: &[f64], y: &mut [f64]) {
+pub fn matvec_colmajor_into(wt: &[f32], rows: usize, cols: usize, x: &[f32], y: &mut [f32]) {
     assert_eq!(wt.len(), rows * cols, "weight shape mismatch");
     assert_eq!(x.len(), cols, "input length mismatch");
     assert_eq!(y.len(), rows, "output length mismatch");
@@ -97,7 +98,7 @@ pub fn matvec_colmajor_into(wt: &[f64], rows: usize, cols: usize, x: &[f64], y: 
 /// # Panics
 ///
 /// Panics if lengths disagree.
-pub fn transpose_into(w: &[f64], rows: usize, cols: usize, wt: &mut [f64]) {
+pub fn transpose_into(w: &[f32], rows: usize, cols: usize, wt: &mut [f32]) {
     assert_eq!(w.len(), rows * cols, "weight shape mismatch");
     assert_eq!(wt.len(), rows * cols, "mirror length mismatch");
     for r in 0..rows {
@@ -115,7 +116,7 @@ pub fn transpose_into(w: &[f64], rows: usize, cols: usize, wt: &mut [f64]) {
 ///
 /// Panics if dimensions disagree.
 #[cfg(test)]
-pub(crate) fn matvec_transposed(w: &[f64], rows: usize, cols: usize, g: &[f64]) -> Vec<f64> {
+pub(crate) fn matvec_transposed(w: &[f32], rows: usize, cols: usize, g: &[f32]) -> Vec<f32> {
     assert_eq!(w.len(), rows * cols, "weight shape mismatch");
     assert_eq!(g.len(), rows, "gradient length mismatch");
     let mut y = vec![0.0; cols];
@@ -132,7 +133,7 @@ pub(crate) fn matvec_transposed(w: &[f64], rows: usize, cols: usize, g: &[f64]) 
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn matvec_transposed_into(w: &[f64], rows: usize, cols: usize, g: &[f64], y: &mut [f64]) {
+pub fn matvec_transposed_into(w: &[f32], rows: usize, cols: usize, g: &[f32], y: &mut [f32]) {
     assert_eq!(w.len(), rows * cols, "weight shape mismatch");
     assert_eq!(g.len(), rows, "gradient length mismatch");
     assert_eq!(y.len(), cols, "output length mismatch");
@@ -144,7 +145,7 @@ pub fn matvec_transposed_into(w: &[f64], rows: usize, cols: usize, g: &[f64], y:
 /// layouts reduce to this shape — the column-major mirror of W is Wᵀ row
 /// by row. Full tiles of `y` stay in a local array for the whole sweep
 /// over `v`; the remainder runs the untiled axpy loop.
-fn transposed_tiled(m: &[f64], v: &[f64], y: &mut [f64]) {
+fn transposed_tiled(m: &[f32], v: &[f32], y: &mut [f32]) {
     let n = y.len();
     let mut tiles = y.chunks_exact_mut(TILE);
     let mut j0 = 0;
@@ -174,7 +175,7 @@ fn transposed_tiled(m: &[f64], v: &[f64], y: &mut [f64]) {
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn outer_accumulate(dw: &mut [f64], g: &[f64], x: &[f64]) {
+pub fn outer_accumulate(dw: &mut [f32], g: &[f32], x: &[f32]) {
     assert_eq!(dw.len(), g.len() * x.len(), "gradient shape mismatch");
     for (r, &gr) in g.iter().enumerate() {
         let row = &mut dw[r * x.len()..(r + 1) * x.len()];
@@ -198,7 +199,7 @@ pub fn outer_accumulate(dw: &mut [f64], g: &[f64], x: &[f64]) {
 /// # Panics
 ///
 /// Panics if `steps` is zero or the shapes disagree.
-pub fn outer_accumulate_seq(dw: &mut [f64], gs: &[f64], xs: &[f64], steps: usize) {
+pub fn outer_accumulate_seq(dw: &mut [f32], gs: &[f32], xs: &[f32], steps: usize) {
     assert!(steps > 0, "need at least one step");
     let (rows, cols) = (gs.len() / steps, xs.len() / steps);
     assert_eq!(gs.len(), steps * rows, "gradient sequence shape mismatch");
@@ -235,9 +236,9 @@ pub fn outer_accumulate_seq(dw: &mut [f64], gs: &[f64], xs: &[f64], steps: usize
 /// block in a local array across all steps.
 #[inline(always)]
 fn accumulate_block<const R: usize, const C: usize>(
-    dw: &mut [f64],
-    gs: &[f64],
-    xs: &[f64],
+    dw: &mut [f32],
+    gs: &[f32],
+    xs: &[f32],
     (rows, cols): (usize, usize),
     r0: usize,
     c0: usize,
@@ -266,7 +267,7 @@ fn accumulate_block<const R: usize, const C: usize>(
 /// # Panics
 ///
 /// Panics if lengths disagree.
-pub fn add_assign(a: &mut [f64], b: &[f64]) {
+pub fn add_assign(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len());
     for (av, bv) in a.iter_mut().zip(b) {
         *av += bv;
@@ -274,8 +275,8 @@ pub fn add_assign(a: &mut [f64], b: &[f64]) {
 }
 
 /// Xavier/Glorot uniform initialization for a `rows × cols` weight matrix.
-pub fn xavier<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Vec<f64> {
-    let bound = (6.0 / (rows + cols) as f64).sqrt();
+pub fn xavier<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Vec<f32> {
+    let bound = (6.0 / (rows + cols) as f32).sqrt();
     (0..rows * cols)
         .map(|_| rng.gen_range(-bound..bound))
         .collect()
@@ -302,8 +303,8 @@ mod tests {
         let g = [0.3, -0.6];
         let wx = matvec(&w, 2, 3, &x);
         let wtg = matvec_transposed(&w, 2, 3, &g);
-        let lhs: f64 = wtg.iter().zip(&x).map(|(a, b)| a * b).sum();
-        let rhs: f64 = g.iter().zip(&wx).map(|(a, b)| a * b).sum();
+        let lhs: f32 = wtg.iter().zip(&x).map(|(a, b)| a * b).sum();
+        let rhs: f32 = g.iter().zip(&wx).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-12);
     }
 
@@ -325,7 +326,7 @@ mod tests {
     fn xavier_respects_bound_and_seed() {
         let mut rng = StdRng::seed_from_u64(9);
         let w = xavier(8, 8, &mut rng);
-        let bound = (6.0 / 16.0_f64).sqrt();
+        let bound = (6.0 / 16.0_f32).sqrt();
         assert!(w.iter().all(|v| v.abs() < bound));
         let mut rng2 = StdRng::seed_from_u64(9);
         assert_eq!(w, xavier(8, 8, &mut rng2));
@@ -352,24 +353,24 @@ mod tests {
         let shapes = [(1, 1), (3, 5), (128, 32), (128, 1), (7, 13), (32, 128)];
         for (rows, cols) in shapes.into_iter().chain(edges) {
             let w = xavier(rows, cols, &mut rng);
-            let x: Vec<f64> = (0..cols)
-                .map(|i| (i as f64 - 2.0) * 1e3_f64.powi(i as i32 % 5 - 2))
+            let x: Vec<f32> = (0..cols)
+                .map(|i| (i as f32 - 2.0) * 1e3_f32.powi(i as i32 % 5 - 2))
                 .collect();
-            let g: Vec<f64> = (0..rows).map(|i| (i as f64 * 0.37).sin() * 1e-3).collect();
+            let g: Vec<f32> = (0..rows).map(|i| (i as f32 * 0.37).sin() * 1e-3).collect();
 
             let y_ref = matvec(&w, rows, cols, &x);
-            let mut y = vec![f64::NAN; rows];
+            let mut y = vec![f32::NAN; rows];
             matvec_into(&w, rows, cols, &x, &mut y);
             assert_eq!(y, y_ref, "matvec_into {rows}x{cols}");
 
             let mut wt = vec![0.0; rows * cols];
             transpose_into(&w, rows, cols, &mut wt);
-            let mut y2 = vec![f64::NAN; rows];
+            let mut y2 = vec![f32::NAN; rows];
             matvec_colmajor_into(&wt, rows, cols, &x, &mut y2);
             assert_eq!(y2, y_ref, "matvec_colmajor_into {rows}x{cols}");
 
             let t_ref = matvec_transposed(&w, rows, cols, &g);
-            let mut t = vec![f64::NAN; cols];
+            let mut t = vec![f32::NAN; cols];
             matvec_transposed_into(&w, rows, cols, &g, &mut t);
             assert_eq!(t, t_ref, "matvec_transposed_into {rows}x{cols}");
             // Wᵀ·g is the row-major dot product over the explicit transpose
@@ -399,13 +400,13 @@ mod tests {
         for rows in rows_set {
             for cols in cols_set {
                 for steps in [1, 3, 20] {
-                    let gs: Vec<f64> = (0..steps * rows)
-                        .map(|i| (i as f64 * 0.61).sin() * 1e2_f64.powi(i as i32 % 5 - 2))
+                    let gs: Vec<f32> = (0..steps * rows)
+                        .map(|i| (i as f32 * 0.61).sin() * 1e2_f32.powi(i as i32 % 5 - 2))
                         .collect();
-                    let xs: Vec<f64> = (0..steps * cols)
-                        .map(|i| (i as f64 * 0.29).cos() * 1e3_f64.powi(i as i32 % 3 - 1))
+                    let xs: Vec<f32> = (0..steps * cols)
+                        .map(|i| (i as f32 * 0.29).cos() * 1e3_f32.powi(i as i32 % 3 - 1))
                         .collect();
-                    let init: Vec<f64> = (0..rows * cols).map(|i| (i as f64 * 0.7).sin()).collect();
+                    let init: Vec<f32> = (0..rows * cols).map(|i| (i as f32 * 0.7).sin()).collect();
                     let mut expect = init.clone();
                     for t in (0..steps).rev() {
                         let g = &gs[t * rows..(t + 1) * rows];

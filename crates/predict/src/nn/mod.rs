@@ -10,9 +10,12 @@
 //! activations' own `exp`, `sigmoid` and `tanh` ([`math`]), so no model
 //! calls the platform's libm.
 //!
-//! Everything operates at batch size 1 (as in the paper) on `f64`, keeping
-//! the code simple, dependency-free and deterministic: all weight
-//! initialization flows from a caller-provided seeded RNG.
+//! Everything operates at batch size 1 (as in the paper) in single
+//! precision: weights, gradients, Adam moments and activations are `f32`,
+//! as in Keras/TensorFlow's default `float32`. The models convert their
+//! `f64` rate series at the boundary (`crate::models`). The code stays
+//! simple, dependency-free and deterministic: all weight initialization
+//! flows from a caller-provided seeded RNG.
 
 pub mod adam;
 pub mod conv;
@@ -28,20 +31,20 @@ pub use linalg::{
     matvec_colmajor_into, matvec_into, matvec_transposed_into, outer_accumulate_seq, transpose_into,
 };
 pub use lstm::{LstmCell, LstmState};
-pub use math::sigmoid;
 
 /// Derivative of the sigmoid given its *output* `s`.
-pub fn sigmoid_deriv(s: f64) -> f64 {
+pub fn sigmoid_deriv(s: f32) -> f32 {
     s * (1.0 - s)
 }
 
 /// Derivative of tanh given its *output* `t`.
-pub fn tanh_deriv(t: f64) -> f64 {
+pub fn tanh_deriv(t: f32) -> f32 {
     1.0 - t * t
 }
 
 #[cfg(test)]
 mod tests {
+    use super::math::sigmoid;
     use super::*;
 
     #[test]
@@ -69,9 +72,9 @@ mod tests {
     #[test]
     fn sigmoid_derivative_matches_finite_difference() {
         let z = 0.7;
-        let h = 1e-6;
+        let h = 1.0 / 64.0;
         let numeric = (sigmoid(z + h) - sigmoid(z - h)) / (2.0 * h);
         let analytic = sigmoid_deriv(sigmoid(z));
-        assert!((numeric - analytic).abs() < 1e-8);
+        assert!((numeric - analytic).abs() < 1e-5);
     }
 }

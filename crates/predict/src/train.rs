@@ -56,14 +56,6 @@ impl Scaler {
         series.iter().map(|&v| self.transform(v)).collect()
     }
 
-    /// Write-into form of [`transform_series`](Self::transform_series):
-    /// reuses the caller's buffer so per-forecast normalization stays
-    /// allocation-free.
-    pub fn transform_series_into(&self, series: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(series.iter().map(|&v| self.transform(v)));
-    }
-
     /// Serializes the fitted bounds into a checkpoint (exact bit
     /// patterns).
     pub(crate) fn save_state(&self, w: &mut CkptWriter) {

@@ -47,7 +47,7 @@ fn allocations() -> u64 {
 }
 
 /// One forward/backward/Adam round over the sequence `xs`.
-fn cell_round(cell: &mut LstmCell, state: &mut LstmState, xs: &[Vec<f64>], dh_seq: &[f64], t: u64) {
+fn cell_round(cell: &mut LstmCell, state: &mut LstmState, xs: &[Vec<f32>], dh_seq: &[f32], t: u64) {
     state.reset();
     for x in xs {
         cell.forward_step_into(x, state);
@@ -62,14 +62,14 @@ fn cell_round(cell: &mut LstmCell, state: &mut LstmState, xs: &[Vec<f64>], dh_se
 fn assert_cell_rounds_allocation_free(input: usize, hidden: usize) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut cell = LstmCell::new(input, hidden, 1e-2, &mut rng);
-    let xs: Vec<Vec<f64>> = (0..12)
+    let xs: Vec<Vec<f32>> = (0..12)
         .map(|t| {
             (0..input)
-                .map(|i| ((t * input + i) as f64 * 0.13).sin())
+                .map(|i| ((t * input + i) as f32 * 0.13).sin())
                 .collect()
         })
         .collect();
-    let dh_seq = vec![0.01_f64; 12 * hidden];
+    let dh_seq = vec![0.01_f32; 12 * hidden];
     let mut state = LstmState::zeros(hidden);
     cell_round(&mut cell, &mut state, &xs, &dh_seq, 1);
     let before = allocations();

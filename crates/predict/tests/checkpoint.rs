@@ -91,6 +91,26 @@ fn round_trip_is_bit_identical_for_every_model() {
     }
 }
 
+/// Format version 3 stores every weight and Adam moment as the 4 bytes of
+/// an `f32`: a checkpoint is parameters × (weight, first and second
+/// moment) × 4 bytes, plus a few hundred bytes of header, config, scaler
+/// and length prefixes. An `f64` payload would be twice as large.
+#[test]
+fn weights_and_moments_take_four_bytes_each() {
+    let hidden = 12;
+    let cell = |input: usize| 4 * hidden * (input + hidden + 1);
+    let params = cell(1) + cell(hidden) + hidden + 1;
+    let bytes = LstmPredictor::new(TrainConfig::fast(), hidden, 7, 2)
+        .checkpoint()
+        .expect("checkpointable");
+    let payload = 3 * params * 4;
+    assert!(
+        (payload..payload + 512).contains(&bytes.len()),
+        "{} bytes for {params} parameters",
+        bytes.len()
+    );
+}
+
 #[test]
 fn every_flipped_byte_is_rejected() {
     // flip ONE byte at a time across the whole buffer: header bytes hit

@@ -1,5 +1,7 @@
 //! Pins the predictor's numbers: a trained paper LSTM's forecasts and the
-//! `nn::math` activations, each as one FNV-1a digest over bit patterns.
+//! `nn::math` activations (the `f32` ones the layers use and the `f64`
+//! ones `LogisticTrend` uses), each as one FNV-1a digest over bit
+//! patterns.
 //!
 //! Neither digest touches the platform's libm (the series and the input
 //! grid are built from integer arithmetic and IEEE-754 division, and the
@@ -8,16 +10,14 @@
 //! goldens and run digests downstream do not always show it: a forecast
 //! that moves in its last bits can leave every scaling decision as it was.
 
-use fifer_predict::nn::math::{exp, sigmoid, tanh};
+use fifer_predict::nn::math::{exp, exp_f64, sigmoid, sigmoid_f64, tanh};
 use fifer_predict::PredictorKind;
 
-fn fnv1a64(values: impl IntoIterator<Item = f64>) -> u64 {
+fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
@@ -52,11 +52,19 @@ fn trained_lstm_and_activations_are_pinned() {
         })
         .collect();
     assert!(forecasts.iter().all(|f| f.is_finite() && *f > 0.0));
-    let grid: Vec<f64> = (-5000..=5000).map(|i| f64::from(i) / 97.0).collect();
-    let activations = grid.iter().flat_map(|&x| [exp(x), sigmoid(x), tanh(x)]);
+    let forecasts = forecasts.iter().flat_map(|f| f.to_bits().to_le_bytes());
+    let activations = (-5000..=5000).flat_map(|i| {
+        let (x, xd) = (i as f32 / 97.0, f64::from(i) / 97.0);
+        let narrow = [exp(x), sigmoid(x), tanh(x)].map(f32::to_bits);
+        let wide = [exp_f64(xd), sigmoid_f64(xd)].map(f64::to_bits);
+        narrow
+            .into_iter()
+            .flat_map(u32::to_le_bytes)
+            .chain(wide.into_iter().flat_map(u64::to_le_bytes))
+    });
     assert_eq!(
         (fnv1a64(forecasts), fnv1a64(activations)),
-        (0x61da_807b_cc7b_ea14, 0xf6a4_880f_2bc3_8d45),
+        (0x0ceb_4f3c_0861_55eb, 0xe8ea_cee3_ae49_fe59),
         "the trained LSTM's forecasts or the activations changed"
     );
 }

@@ -97,7 +97,8 @@ usage: fifer [options]
                                           --trace; azure is the heavy-tailed mixed-trigger
                                           family from the Azure characterization
 --apps <n>                                azure: number of applications (default 32)
---tail-exp <s>                            azure: Zipf tail exponent (default 1.5)
+--tail-exp <s>                            azure: Zipf tail exponent (default 1.5);
+                                          needs --apps 2 or more
 --trigger-mix <h,t,q,e>                   azure: percent of apps per trigger class,
                                           http,timer,queue,event (default 55,20,15,10)
 --trace <poisson|wiki|wits>               paper: arrival trace (default poisson)
@@ -172,7 +173,7 @@ fn parse_args() -> Args {
     // the family flags, combined into `args.scenario.arrivals` at the end
     let mut azure = false;
     let mut trace = None;
-    let (mut apps, mut tail_exponent) = (32, 1.5);
+    let (mut apps, mut tail_exponent) = (32, None);
     let mut trigger_mix = TriggerMix::paper_default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -208,7 +209,7 @@ fn parse_args() -> Args {
                 }
             }
             "--apps" => apps = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--tail-exp" => tail_exponent = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--tail-exp" => tail_exponent = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
             "--trigger-mix" => {
                 trigger_mix = TriggerMix::parse(&value(&mut i)).unwrap_or_else(|e| usage_error(e))
             }
@@ -251,7 +252,7 @@ fn parse_args() -> Args {
         ),
         (true, None) => Arrivals::Azure {
             apps,
-            tail_exponent,
+            tail_exponent: tail_exponent.unwrap_or(1.5),
             trigger_mix,
         },
         (false, trace) => {
@@ -263,7 +264,10 @@ fn parse_args() -> Args {
             trace.unwrap_or(Arrivals::Poisson)
         }
     };
-    // a flag no selected RM's predictor can act on would be inert
+    // a flag that cannot act on the run would be inert
+    if tail_exponent.is_some() && apps == 1 {
+        usage_error("--tail-exp needs --apps 2 or more: with one app every job goes to it")
+    }
     let predictors = || args.rm.iter().filter_map(|k| k.config().predictor());
     if args.model_cache.is_some() && !predictors().any(PredictorKind::is_neural) {
         usage_error(

@@ -532,6 +532,12 @@ fn out_of_range_inputs_are_named_errors() {
             2,
             "--tail-exp must be",
         ),
+        // with one app every job goes to it: the exponent shapes nothing
+        (
+            &["--workload", "azure", "--apps", "1", "--tail-exp", "2.5"],
+            2,
+            "--tail-exp needs --apps 2 or more",
+        ),
         // a parent that is not a directory cannot be created, even by root
         (
             &["--decision-trace", "/dev/null/x.jsonl"],

@@ -13,29 +13,54 @@ fn stream(rate: f64, secs: u64, mix: WorkloadMix, seed: u64) -> JobStream {
     )
 }
 
+/// The prototype config for `kind` at `rate`, scanning idle containers as
+/// `fifer` does over a `secs`-second run: every 10 s for keep-alive RMs,
+/// so HybridHist makes its own keep-alive decisions.
+fn config(kind: RmKind, rate: f64, secs: u64) -> SimConfig {
+    let mut cfg = SimConfig::prototype(kind.config(), rate);
+    let scenario = Scenario {
+        secs,
+        ..Scenario::default()
+    };
+    cfg.idle_timeout = scenario.idle_timeout(&cfg.rm);
+    cfg
+}
+
+/// Asserts HybridHist's records differ from Bline's on at least one of
+/// `runs` (kind, records) — otherwise its keep-alive policy never acted.
+fn assert_hybridhist_differs_from_bline(runs: &[(RmKind, SimResult)]) {
+    let records = |want: RmKind| runs.iter().filter(move |(k, _)| *k == want);
+    let differs = records(RmKind::HybridHist)
+        .zip(records(RmKind::Bline))
+        .any(|((_, h), (_, b))| h.records != b.records);
+    assert!(differs, "HybridHist ran as Bline on every stream");
+}
+
 #[test]
 fn all_rms_complete_every_job_on_every_mix() {
+    let mut runs = Vec::new();
     for mix in WorkloadMix::ALL {
         let s = stream(6.0, 40, mix, 1);
         for kind in RmKind::ALL {
-            let cfg = SimConfig::prototype(kind.config(), 6.0);
-            let r = Simulation::new(cfg, &s).run();
+            let r = Simulation::new(config(kind, 6.0, 40), &s).run();
             assert_eq!(
                 r.records.len(),
                 s.len(),
                 "{kind}/{mix}: every job must complete"
             );
             assert!(r.failed_spawns == 0 || r.total_spawns > 0);
+            runs.push((kind, r));
         }
     }
+    assert_hybridhist_differs_from_bline(&runs);
 }
 
 #[test]
 fn latency_breakdown_accounts_for_every_microsecond() {
     let s = stream(10.0, 60, WorkloadMix::Heavy, 2);
+    let mut runs = Vec::new();
     for kind in RmKind::ALL {
-        let cfg = SimConfig::prototype(kind.config(), 10.0);
-        let r = Simulation::new(cfg, &s).run();
+        let r = Simulation::new(config(kind, 10.0, 60), &s).run();
         for rec in &r.records {
             assert_eq!(
                 rec.breakdown.total(),
@@ -44,7 +69,9 @@ fn latency_breakdown_accounts_for_every_microsecond() {
                 rec.job_id
             );
         }
+        runs.push((kind, r));
     }
+    assert_hybridhist_differs_from_bline(&runs);
 }
 
 #[test]
