@@ -124,7 +124,9 @@ pub fn predictor(ctx: &Ctx) {
     for (label, r) in ctx.run_labeled(specs) {
         t.row(vec![
             label,
-            fmt_f64(r.slo_violation_fraction(), 4),
+            // six decimals: the verdict is "at or below 0.01%", and four
+            // would print anything from 0.005% to 0.015% as 0.0001
+            fmt_f64(r.slo_violation_fraction(), 6),
             fmt_f64(r.avg_live_containers(), 1),
             r.spawns_in_window().to_string(),
             r.blocking_cold_starts.to_string(),

@@ -90,21 +90,23 @@ fn main() {
     }
 
     // audit the hedge run through its trace
-    println!(
-        "trace: {} events retained ({} dropped), spawns={} kills={} failed={} dispatched={}",
-        trace.len(),
-        trace.dropped,
-        trace.spawns,
-        trace.kills,
-        trace.failed_spawns,
-        trace.dispatched_tasks,
-    );
+    let (mut kills, mut failed, mut dispatched) = (0, 0, 0);
     let mut by_cause: std::collections::BTreeMap<&str, usize> = Default::default();
     for e in trace.events() {
-        if let SimEvent::Spawn { cause, .. } = e {
-            *by_cause.entry(cause.as_str()).or_default() += 1;
+        match e {
+            SimEvent::Spawn { cause, .. } => *by_cause.entry(cause.as_str()).or_default() += 1,
+            SimEvent::Kill { .. } => kills += 1,
+            SimEvent::SpawnFailed { .. } => failed += 1,
+            SimEvent::Dispatch { tasks, .. } => dispatched += tasks,
+            _ => {}
         }
     }
+    println!(
+        "trace: {} events retained ({} dropped), spawns={} kills={kills} failed={failed} dispatched={dispatched}",
+        trace.len(),
+        trace.dropped,
+        by_cause.values().sum::<usize>(),
+    );
     println!("spawns by cause: {by_cause:?}");
     if let Some(path) = args.get(3) {
         std::fs::write(path, trace.to_jsonl()).expect("write the decision trace");

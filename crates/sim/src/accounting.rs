@@ -212,11 +212,14 @@ impl<'a> Simulation<'a> {
             live_containers: self.live_series,
             cumulative_spawns: self.spawn_series,
             stages,
-            total_spawns: self.total_spawns,
+            // ids follow spawn order, so the next id counts every spawn
+            total_spawns: self.containers.next_id(),
             blocking_cold_starts: self.blocking_cold_starts,
             failed_spawns: self.failed_spawns,
             container_failures: self.container_failures,
-            tasks_crashed: self.tasks_crashed,
+            // a stage's `lost` counts the tasks its containers' faults
+            // orphaned
+            tasks_crashed: self.stages.iter().map(|s| s.lost).sum(),
             tasks_requeued: self.tasks_requeued,
             jobs_dropped: self.jobs_dropped,
             node_outages: self.node_outages,

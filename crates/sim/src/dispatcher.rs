@@ -88,7 +88,6 @@ impl Simulation<'_> {
         }
 
         if bound > 0 {
-            self.trace.dispatched_tasks += bound as u64;
             self.trace.record(|| SimEvent::Dispatch {
                 at: now,
                 cause,

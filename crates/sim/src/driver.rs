@@ -41,7 +41,7 @@ use crate::fault::FaultKind;
 use crate::results::SimResult;
 use crate::stage::{IdSet, StageRuntime, StageTask};
 use crate::stats_store::{StatsStore, StoreOp};
-use crate::trace::{SimEvent, SimTrace};
+use crate::trace::{Recorder, SimEvent, SimTrace};
 use fifer_core::policy::{ContainerView, Decision, DecisionCause, ResourceManager, StageView};
 use fifer_metrics::{RecordLog, RequestRecord, SimDuration, SimTime, SloAccountant, TimeSeries};
 use fifer_predict::WindowSampler;
@@ -79,8 +79,8 @@ pub struct Simulation<'a> {
     pub(crate) sampler: WindowSampler,
     pub(crate) meter: EnergyMeter,
     pub(crate) store: StatsStore,
-    /// Structured decision trace (no-op unless configured).
-    pub(crate) trace: SimTrace,
+    /// Structured decision trace: a ring, a stream, both or neither.
+    pub(crate) trace: Recorder<'a>,
     /// Reusable decision buffer for policy hooks (avoids per-event allocs).
     decisions: Vec<Decision>,
     /// Reusable stage-view buffer for the tick hooks.
@@ -88,8 +88,6 @@ pub struct Simulation<'a> {
     // progress + metrics
     pub(crate) jobs_done: usize,
     pub(crate) jobs_arrived: u64,
-    pub(crate) live_count: usize,
-    pub(crate) total_spawns: u64,
     pub(crate) blocking_cold_starts: u64,
     pub(crate) failed_spawns: u64,
     pub(crate) live_series: TimeSeries,
@@ -113,8 +111,6 @@ pub struct Simulation<'a> {
     // fault injection
     /// Containers killed by injected faults.
     pub(crate) container_failures: u64,
-    /// Tasks orphaned by faulted containers.
-    pub(crate) tasks_crashed: u64,
     /// Orphaned tasks bounced back into global queues.
     pub(crate) tasks_requeued: u64,
     /// Jobs abandoned after the retry budget ran out.
@@ -213,7 +209,7 @@ impl<'a> Simulation<'a> {
             .collect();
         let slo = SloAccountant::new(cfg.slo);
         let slo_whole_run = SloAccountant::new(cfg.slo);
-        let trace = SimTrace::new(cfg.trace.capacity);
+        let trace = Recorder::new(cfg.trace.capacity);
         Simulation {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xF1FE_F1FE),
             fault_rng: StdRng::seed_from_u64(cfg.faults.seed ^ cfg.seed ^ 0xFA17_FA17),
@@ -234,8 +230,6 @@ impl<'a> Simulation<'a> {
             stage_views: Vec::new(),
             jobs_done: 0,
             jobs_arrived: 0,
-            live_count: 0,
-            total_spawns: 0,
             blocking_cold_starts: 0,
             failed_spawns: 0,
             live_series: TimeSeries::new(),
@@ -251,7 +245,6 @@ impl<'a> Simulation<'a> {
             peak_queue_depth: 0,
             events_processed: 0,
             container_failures: 0,
-            tasks_crashed: 0,
             tasks_requeued: 0,
             jobs_dropped: 0,
             node_outages: 0,
@@ -271,13 +264,24 @@ impl<'a> Simulation<'a> {
         }
     }
 
+    /// Streams every decision of the run to `w`, one JSON line each,
+    /// written when the mechanism applies it: the lines
+    /// [`SimTrace::write_jsonl`] exports for a ring that never fills. The
+    /// run flushes `w` when it ends. The first write error stops the
+    /// stream and lands in the [`stream_error`](SimTrace::stream_error)
+    /// of the trace [`run_with_trace`](Self::run_with_trace) returns.
+    pub fn stream_decisions(&mut self, w: impl std::io::Write + 'a) {
+        self.trace.stream_to(Box::new(w));
+    }
+
     /// Runs the simulation to completion and returns the results.
     pub fn run(self) -> SimResult {
         self.run_with_trace().0
     }
 
-    /// Runs the simulation and also returns the decision trace (empty
-    /// unless `cfg.trace.capacity > 0`).
+    /// Runs the simulation and also returns the decision trace's ring
+    /// (empty unless `cfg.trace.capacity > 0`) and the outcome of its
+    /// stream.
     pub fn run_with_trace(mut self) -> (SimResult, SimTrace) {
         // startup hook: SBatch provisions its fixed pool up front (§5.3)
         let mut views = std::mem::take(&mut self.stage_views);
@@ -337,7 +341,7 @@ impl<'a> Simulation<'a> {
         if self.cfg.audit {
             self.audit_final();
         }
-        let trace = std::mem::take(&mut self.trace);
+        let trace = std::mem::take(&mut self.trace).finish();
         (self.finish(), trace)
     }
 

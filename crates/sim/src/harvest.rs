@@ -130,8 +130,6 @@ impl Simulation<'_> {
         self.cluster.place(node, ResourceVec::ZERO, now);
         self.harvest_spawns += 1;
         self.leases_created += 1;
-        self.trace.harvest_spawns += 1;
-        self.trace.leases_created += 1;
         let num_parts = parts.len();
         let shape = crate::lifecycle::SpawnShape {
             alloc: ResourceVec::ZERO,
@@ -290,7 +288,6 @@ impl Simulation<'_> {
         self.lease_parts_reclaimed += 1;
         if ended {
             self.leases_ended += 1;
-            self.trace.leases_ended += 1;
         }
     }
 
@@ -311,15 +308,13 @@ impl Simulation<'_> {
         }
         self.cluster.repay(lease.node, total, now);
         self.leases_ended += 1;
-        self.trace.leases_ended += 1;
     }
 
     /// Preempts a lease-backed borrower whose lender needs its headroom
     /// back and whose backing cannot be re-homed: the container dies, its
     /// lease dissolves, and its tasks bounce back into the stage queue
     /// *without* consuming fault-retry budget (preemption is
-    /// policy-induced, not a fault). Counts as a kill for the spawn
-    /// conservation identity.
+    /// policy-induced, not a fault).
     fn preempt_borrower(&mut self, cid: u64, lender: u64, now: SimTime) {
         // a borrower never lends (one hop), so retiring it dissolves its
         // lease and settles nothing else
@@ -330,7 +325,6 @@ impl Simulation<'_> {
             interrupted,
         } = self.retire_container(cid, now);
         self.store.access(StoreOp::ContainerStats);
-        self.trace.kills += 1;
         self.containers_preempted += 1;
         let num_tasks = lost.len();
         self.trace.record(|| SimEvent::LeaseReclaimed {
@@ -369,7 +363,6 @@ impl Simulation<'_> {
             self.peak_queue_depth = self.peak_queue_depth.max(self.pending_tasks as u64);
             self.dirty_stages.insert(sidx as u64);
             self.tasks_preempted += 1;
-            self.trace.preempted_tasks += 1;
         }
         // the preempted stage may respawn right away (possibly harvesting
         // someone else's headroom); bounded — every preemption removed a

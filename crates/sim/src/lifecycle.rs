@@ -96,7 +96,6 @@ impl Simulation<'_> {
         let (request, profile) = self.spawn_request(sidx);
         let Some(node) = self.place_node_with_eviction(sidx, now, request) else {
             self.failed_spawns += 1;
-            self.trace.failed_spawns += 1;
             self.trace.record(|| SimEvent::SpawnFailed {
                 at: now,
                 cause,
@@ -159,12 +158,11 @@ impl Simulation<'_> {
         stage.allocated += alloc;
         stage.used += profile.idle;
         self.cluster.add_usage(node, profile.idle, now);
-        self.total_spawns += 1;
-        self.live_count += 1;
-        self.spawn_series.push(now, self.total_spawns as f64);
-        self.live_series.push(now, self.live_count as f64);
+        // ids follow spawn order, so the next id counts every spawn
+        self.spawn_series
+            .push(now, self.containers.next_id() as f64);
+        self.live_series.push(now, self.containers.len() as f64);
         self.store.access(StoreOp::ContainerStats);
-        self.trace.spawns += 1;
         self.trace.record(|| SimEvent::Spawn {
             at: now,
             cause,
@@ -196,9 +194,9 @@ impl Simulation<'_> {
     /// an interrupted task's unexecuted time, releases its usage and
     /// allocation on its stage and node, dissolves the lease it borrowed
     /// through and settles the one it backed, drops it from its stage's
-    /// lists and the live count, and finally removes it from the table,
-    /// freeing its local-queue buffer. The removal comes last because
-    /// settling a dead lender still writes its `lent`.
+    /// lists, and finally removes it from the table, freeing its
+    /// local-queue buffer, and samples the live count. The removal comes
+    /// last because settling a dead lender still writes its `lent`.
     pub(crate) fn retire_container(&mut self, cid: u64, now: SimTime) -> Retired {
         let c = &mut self.containers[cid];
         let (stage, node) = (c.stage, c.node);
@@ -234,9 +232,8 @@ impl Simulation<'_> {
         }
         self.stages[stage].remove_free(cid, prev_free);
         self.stages[stage].containers.retain(|&id| id != cid);
-        self.live_count -= 1;
-        self.live_series.push(now, self.live_count as f64);
         self.containers.retire(cid);
+        self.live_series.push(now, self.containers.len() as f64);
         Retired {
             stage,
             node,
@@ -257,7 +254,6 @@ impl Simulation<'_> {
             interrupted,
         } = self.retire_container(cid, now);
         self.container_failures += 1;
-        self.trace.container_failures += 1;
         self.trace.record(|| SimEvent::ContainerFailed {
             at: now,
             fault: kind,
@@ -281,7 +277,6 @@ impl Simulation<'_> {
         kind: FaultKind,
     ) {
         self.stages[sidx].lost += 1;
-        self.tasks_crashed += 1;
         let retries = t.retries + 1;
         if retries > self.cfg.faults.max_retries {
             self.drop_job(t.job, now, t.retries);
@@ -304,7 +299,6 @@ impl Simulation<'_> {
         self.peak_queue_depth = self.peak_queue_depth.max(self.pending_tasks as u64);
         self.dirty_stages.insert(sidx as u64);
         self.tasks_requeued += 1;
-        self.trace.requeued_tasks += 1;
         self.trace.record(|| SimEvent::TaskRequeued {
             at: now,
             fault: kind,
@@ -320,7 +314,6 @@ impl Simulation<'_> {
     fn drop_job(&mut self, job: usize, now: SimTime, retries: u32) {
         self.jobs.finish(job);
         self.jobs_dropped += 1;
-        self.trace.dropped_jobs += 1;
         self.trace.record(|| SimEvent::JobDropped {
             at: now,
             job,
@@ -368,7 +361,6 @@ impl Simulation<'_> {
             stage: sidx, node, ..
         } = self.retire_container(cid, now);
         self.store.access(StoreOp::ContainerStats);
-        self.trace.kills += 1;
         self.trace.record(|| SimEvent::Kill {
             at: now,
             cause,
@@ -461,10 +453,14 @@ mod tests {
         sim.containers[0].warm_up(warm);
         let later = warm + SimDuration::from_secs(1);
         assert!(!sim.evict_lru_idle(1, later));
-        assert_eq!(sim.live_count, 1, "no-op evictions must not kill anyone");
+        assert_eq!(
+            sim.containers.len(),
+            1,
+            "no-op evictions must not kill anyone"
+        );
         // …and from any other stage's perspective it is fair game
         assert!(sim.evict_lru_idle(0, later));
-        assert_eq!(sim.live_count, 0);
+        assert_eq!(sim.containers.len(), 0);
     }
 
     #[test]
@@ -496,19 +492,19 @@ mod tests {
         // cold-starting container: not idle → kill refused
         sim.apply_kill(id, SimTime::ZERO, DecisionCause::IdleDeadline);
         assert!(sim.containers.get(id).is_some());
-        assert_eq!(sim.live_count, 1);
+        assert_eq!(sim.containers.len(), 1);
         // unknown id: refused without panicking
         sim.apply_kill(999, SimTime::ZERO, DecisionCause::IdleDeadline);
-        assert_eq!(sim.live_count, 1);
+        assert_eq!(sim.containers.len(), 1);
         // a valid target goes through
         let warm = sim.containers[id].warm_at();
         sim.containers[id].warm_up(warm);
         let later = warm + SimDuration::from_secs(1);
         sim.apply_kill(id, later, DecisionCause::IdleDeadline);
         assert!(sim.containers.get(id).is_none());
-        assert_eq!(sim.live_count, 0);
+        assert_eq!(sim.containers.len(), 0);
         // double-kill of a dead container: refused
         sim.apply_kill(id, later, DecisionCause::IdleDeadline);
-        assert_eq!(sim.live_count, 0);
+        assert_eq!(sim.containers.len(), 0);
     }
 }

@@ -3,36 +3,37 @@
 //! Every decision the mechanism applies — spawns, kills, dispatches, and
 //! their rejections — can be recorded as a [`SimEvent`] with
 //! [`DecisionCause`] attribution, making runs debuggable and replayable.
-//! Events land in a bounded ring buffer ([`SimTrace`]) so long runs keep
-//! the most recent window; lifetime counters (spawns, kills, failed
-//! spawns, dispatched tasks) are maintained independently of the ring so
-//! they always reconcile with [`SimResult`](crate::results::SimResult)
-//! totals even after the ring wraps.
+//! One `record` call numbers each decision and feeds two sinks through one
+//! serializer: the stream that
+//! [`Simulation::stream_decisions`](crate::driver::Simulation::stream_decisions)
+//! attaches gets each decision as one JSON line when it is applied (the
+//! `fifer` CLI's `--decision-trace` file), and a ring of
+//! [`TraceConfig::capacity`] keeps the most recent ones ([`SimTrace`]). The
+//! trace keeps no counters: the run's totals are in
+//! [`SimResult`](crate::results::SimResult).
 //!
 //! Every recorded event carries a **global sequence number** assigned at
 //! commit time from one monotonic counter. Because the engine commits
 //! events in a single `(time, seq)` total order, the sequence numbers —
-//! and therefore the JSONL export — are stable from run to run: a trace
-//! replays in exactly one deterministic order.
+//! and therefore the JSONL — are stable from run to run: a trace replays
+//! in exactly one deterministic order, and a ring that never fills exports
+//! the stream's bytes.
 //!
-//! Tracing is configured via [`TraceConfig`] on
-//! [`SimConfig`](crate::config::SimConfig) and is zero-cost when disabled:
-//! `SimTrace::record` takes a closure and returns before evaluating it.
-//! [`SimTrace::write_jsonl`] streams the retained events as JSON Lines to
-//! any writer; the `fifer` CLI's `--decision-trace` writes them to a file.
+//! Tracing is zero-cost with neither sink on: `record` takes a closure and
+//! returns before evaluating it.
 
 use crate::fault::FaultKind;
 use fifer_core::policy::DecisionCause;
 use fifer_metrics::SimTime;
 use std::collections::VecDeque;
-use std::io;
+use std::fmt;
+use std::io::{self, Write};
 
 /// Decision-trace configuration (part of `SimConfig`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Events retained in the ring buffer. `0` disables tracing entirely
-    /// (the default): no events are recorded and no counters are kept
-    /// beyond plain integer adds.
+    /// Events retained in the ring buffer. `0` (the default) keeps no
+    /// ring; with no stream attached either, nothing is recorded.
     pub capacity: usize,
 }
 
@@ -215,6 +216,14 @@ pub enum SimEvent {
 impl SimEvent {
     /// One JSON object describing this event (no trailing newline).
     pub fn to_json(&self) -> String {
+        self.fields(|fields| format!("{{{fields}}}"))
+    }
+
+    /// Hands `f` this event's JSON fields, `"event":…` through its last
+    /// field, without the braces: the one serializer behind
+    /// [`Self::to_json`], the stream and the ring's export. The arguments
+    /// format lazily, straight into the caller's destination.
+    fn fields<R>(&self, f: impl FnOnce(fmt::Arguments) -> R) -> R {
         match *self {
             SimEvent::Spawn {
                 at,
@@ -222,80 +231,80 @@ impl SimEvent {
                 container,
                 stage,
                 node,
-            } => format!(
-                "{{\"event\":\"spawn\",\"at_s\":{},\"cause\":\"{}\",\"container\":{container},\"stage\":{stage},\"node\":{node}}}",
+            } => f(format_args!(
+                "\"event\":\"spawn\",\"at_s\":{},\"cause\":\"{}\",\"container\":{container},\"stage\":{stage},\"node\":{node}",
                 at.as_secs_f64(),
                 cause.as_str(),
-            ),
-            SimEvent::SpawnFailed { at, cause, stage } => format!(
-                "{{\"event\":\"spawn_failed\",\"at_s\":{},\"cause\":\"{}\",\"stage\":{stage}}}",
+            )),
+            SimEvent::SpawnFailed { at, cause, stage } => f(format_args!(
+                "\"event\":\"spawn_failed\",\"at_s\":{},\"cause\":\"{}\",\"stage\":{stage}",
                 at.as_secs_f64(),
                 cause.as_str(),
-            ),
+            )),
             SimEvent::Kill {
                 at,
                 cause,
                 container,
                 stage,
                 node,
-            } => format!(
-                "{{\"event\":\"kill\",\"at_s\":{},\"cause\":\"{}\",\"container\":{container},\"stage\":{stage},\"node\":{node}}}",
+            } => f(format_args!(
+                "\"event\":\"kill\",\"at_s\":{},\"cause\":\"{}\",\"container\":{container},\"stage\":{stage},\"node\":{node}",
                 at.as_secs_f64(),
                 cause.as_str(),
-            ),
+            )),
             SimEvent::KillRejected {
                 at,
                 cause,
                 container,
-            } => format!(
-                "{{\"event\":\"kill_rejected\",\"at_s\":{},\"cause\":\"{}\",\"container\":{container}}}",
+            } => f(format_args!(
+                "\"event\":\"kill_rejected\",\"at_s\":{},\"cause\":\"{}\",\"container\":{container}",
                 at.as_secs_f64(),
                 cause.as_str(),
-            ),
+            )),
             SimEvent::Dispatch {
                 at,
                 cause,
                 stage,
                 tasks,
-            } => format!(
-                "{{\"event\":\"dispatch\",\"at_s\":{},\"cause\":\"{}\",\"stage\":{stage},\"tasks\":{tasks}}}",
+            } => f(format_args!(
+                "\"event\":\"dispatch\",\"at_s\":{},\"cause\":\"{}\",\"stage\":{stage},\"tasks\":{tasks}",
                 at.as_secs_f64(),
                 cause.as_str(),
-            ),
+            )),
             SimEvent::ContainerFailed {
                 at,
                 fault,
                 container,
                 stage,
                 node,
-            } => format!(
-                "{{\"event\":\"container_failed\",\"at_s\":{},\"fault\":\"{}\",\"container\":{container},\"stage\":{stage},\"node\":{node}}}",
+            } => f(format_args!(
+                "\"event\":\"container_failed\",\"at_s\":{},\"fault\":\"{}\",\"container\":{container},\"stage\":{stage},\"node\":{node}",
                 at.as_secs_f64(),
                 fault.as_str(),
-            ),
-            SimEvent::NodeDown { at, node, lost } => format!(
-                "{{\"event\":\"node_down\",\"at_s\":{},\"node\":{node},\"lost\":{lost}}}",
+            )),
+            SimEvent::NodeDown { at, node, lost } => f(format_args!(
+                "\"event\":\"node_down\",\"at_s\":{},\"node\":{node},\"lost\":{lost}",
                 at.as_secs_f64(),
-            ),
-            SimEvent::NodeUp { at, node } => format!(
-                "{{\"event\":\"node_up\",\"at_s\":{},\"node\":{node}}}",
+            )),
+            SimEvent::NodeUp { at, node } => f(format_args!(
+                "\"event\":\"node_up\",\"at_s\":{},\"node\":{node}",
                 at.as_secs_f64(),
-            ),
+            )),
             SimEvent::TaskRequeued {
                 at,
                 fault,
                 job,
                 stage,
                 retries,
-            } => format!(
-                "{{\"event\":\"task_requeued\",\"at_s\":{},\"fault\":\"{}\",\"job\":{job},\"stage\":{stage},\"retries\":{retries}}}",
+            } => f(format_args!(
+                "\"event\":\"task_requeued\",\"at_s\":{},\"fault\":\"{}\",\"job\":{job},\"stage\":{stage},\"retries\":{retries}",
                 at.as_secs_f64(),
                 fault.as_str(),
-            ),
-            SimEvent::JobDropped { at, job, retries } => format!(
-                "{{\"event\":\"job_dropped\",\"at_s\":{},\"job\":{job},\"retries\":{retries}}}",
+            )),
+            SimEvent::JobDropped { at, job, retries } => f(format_args!(
+                "\"event\":\"job_dropped\",\"at_s\":{},\"job\":{job},\"retries\":{retries}",
                 at.as_secs_f64(),
-            ),
+            )),
             SimEvent::HarvestLease {
                 at,
                 container,
@@ -303,42 +312,47 @@ impl SimEvent {
                 node,
                 parts,
                 cpu_milli,
-            } => format!(
-                "{{\"event\":\"harvest_lease\",\"at_s\":{},\"container\":{container},\"stage\":{stage},\"node\":{node},\"parts\":{parts},\"cpu_milli\":{cpu_milli}}}",
+            } => f(format_args!(
+                "\"event\":\"harvest_lease\",\"at_s\":{},\"container\":{container},\"stage\":{stage},\"node\":{node},\"parts\":{parts},\"cpu_milli\":{cpu_milli}",
                 at.as_secs_f64(),
-            ),
+            )),
             SimEvent::LeaseReclaimed {
                 at,
                 lender,
                 borrower,
                 node,
                 preempted,
-            } => format!(
-                "{{\"event\":\"lease_reclaimed\",\"at_s\":{},\"lender\":{lender},\"borrower\":{borrower},\"node\":{node},\"preempted\":{preempted}}}",
+            } => f(format_args!(
+                "\"event\":\"lease_reclaimed\",\"at_s\":{},\"lender\":{lender},\"borrower\":{borrower},\"node\":{node},\"preempted\":{preempted}",
                 at.as_secs_f64(),
-            ),
+            )),
             SimEvent::Preempt {
                 at,
                 container,
                 stage,
                 node,
                 tasks,
-            } => format!(
-                "{{\"event\":\"preempt\",\"at_s\":{},\"container\":{container},\"stage\":{stage},\"node\":{node},\"tasks\":{tasks}}}",
+            } => f(format_args!(
+                "\"event\":\"preempt\",\"at_s\":{},\"container\":{container},\"stage\":{stage},\"node\":{node},\"tasks\":{tasks}",
                 at.as_secs_f64(),
-            ),
+            )),
             SimEvent::Resize {
                 at,
                 stage,
                 cpu_milli,
                 mem_mb,
                 shrunk,
-            } => format!(
-                "{{\"event\":\"resize\",\"at_s\":{},\"stage\":{stage},\"cpu_milli\":{cpu_milli},\"mem_mb\":{mem_mb},\"shrunk\":{shrunk}}}",
+            } => f(format_args!(
+                "\"event\":\"resize\",\"at_s\":{},\"stage\":{stage},\"cpu_milli\":{cpu_milli},\"mem_mb\":{mem_mb},\"shrunk\":{shrunk}",
                 at.as_secs_f64(),
-            ),
+            )),
         }
     }
+}
+
+/// Writes one JSON Lines record: `{"seq":N,` and the event's fields.
+fn write_line(w: &mut dyn Write, seq: u64, event: &SimEvent) -> io::Result<()> {
+    event.fields(|fields| writeln!(w, "{{\"seq\":{seq},{fields}}}"))
 }
 
 /// The ring-buffered decision trace of one run.
@@ -347,76 +361,19 @@ impl SimEvent {
 /// empty (and free) unless [`TraceConfig::capacity`] is nonzero.
 #[derive(Debug, Default)]
 pub struct SimTrace {
-    enabled: bool,
     capacity: usize,
+    /// The most recent events with their global commit sequence numbers,
+    /// which survive the ring's wrap.
     ring: VecDeque<(u64, SimEvent)>,
-    /// Commit-ordered sequence number for the next recorded event. Never
-    /// reset, so retained events keep their global position even after
-    /// the ring wraps.
-    next_seq: u64,
     /// Events evicted from the ring after it filled.
     pub dropped: u64,
-    /// Lifetime container spawns (reconciles with `SimResult::total_spawns`).
-    pub spawns: u64,
-    /// Lifetime container kills (`spawns − kills` = containers alive at end).
-    pub kills: u64,
-    /// Lifetime spawn decisions that found no capacity.
-    pub failed_spawns: u64,
-    /// Lifetime tasks bound by dispatch passes.
-    pub dispatched_tasks: u64,
-    /// Lifetime containers killed by injected faults (disjoint from
-    /// `kills`, which counts policy reclamations).
-    pub container_failures: u64,
-    /// Lifetime tasks bounced back into global queues by faults.
-    pub requeued_tasks: u64,
-    /// Lifetime jobs dropped after exhausting the retry budget.
-    pub dropped_jobs: u64,
-    /// Lifetime containers spawned on harvested (lease-backed) resources.
-    pub harvest_spawns: u64,
-    /// Lifetime harvest leases created.
-    pub leases_created: u64,
-    /// Lifetime harvest leases ended (fully re-backed, dissolved by
-    /// borrower death, or preempted). `created − ended` = live leases.
-    pub leases_ended: u64,
-    /// Lifetime tasks bounced back into global queues by lease preemption
-    /// (no retry budget charged — disjoint from `requeued_tasks`).
-    pub preempted_tasks: u64,
+    /// The first error met writing the stream attached by
+    /// [`Simulation::stream_decisions`](crate::driver::Simulation::stream_decisions),
+    /// mid-run or in its final flush; the stream stopped there.
+    pub stream_error: Option<io::Error>,
 }
 
 impl SimTrace {
-    /// A trace retaining up to `capacity` events (0 = disabled).
-    pub fn new(capacity: usize) -> Self {
-        SimTrace {
-            enabled: capacity > 0,
-            capacity,
-            // bound the eager allocation: a huge configured capacity only
-            // costs memory once that many events actually occur
-            ring: VecDeque::with_capacity(capacity.min(4096)),
-            ..SimTrace::default()
-        }
-    }
-
-    /// Whether events are being recorded.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records an event, stamping it with the next global sequence
-    /// number. The closure is only evaluated when tracing is enabled, so
-    /// disabled runs pay one branch per call site.
-    #[inline]
-    pub(crate) fn record(&mut self, event: impl FnOnce() -> SimEvent) {
-        if !self.enabled {
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back((self.next_seq, event()));
-        self.next_seq += 1;
-    }
-
     /// Retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &SimEvent> {
         self.ring.iter().map(|(_, e)| e)
@@ -439,10 +396,11 @@ impl SimTrace {
     }
 
     /// Writes the retained events as JSON Lines (one object per line),
-    /// each prefixed with its global commit sequence number.
-    pub fn write_jsonl(&self, w: &mut impl io::Write) -> io::Result<()> {
+    /// each prefixed with its global commit sequence number: the lines the
+    /// stream wrote for them.
+    pub fn write_jsonl(&self, w: &mut impl Write) -> io::Result<()> {
         for (seq, e) in &self.ring {
-            writeln!(w, "{{\"seq\":{seq},{}", &e.to_json()[1..])?;
+            write_line(w, *seq, e)?;
         }
         Ok(())
     }
@@ -453,6 +411,86 @@ impl SimTrace {
         self.write_jsonl(&mut out)
             .expect("writing to a Vec cannot fail");
         String::from_utf8(out).expect("the JSON Lines are UTF-8")
+    }
+}
+
+/// What the mechanism records its decisions through: numbers each one in
+/// commit order, writes its line to the attached stream and keeps it in
+/// the ring.
+#[derive(Default)]
+pub(crate) struct Recorder<'w> {
+    /// Whether a ring or a stream takes the decisions.
+    enabled: bool,
+    /// Commit-ordered sequence number of the next decision.
+    next_seq: u64,
+    /// The stream, until its first write error.
+    stream: Option<Box<dyn Write + 'w>>,
+    trace: SimTrace,
+}
+
+impl<'w> Recorder<'w> {
+    /// A recorder keeping the last `capacity` decisions in its ring.
+    pub(crate) fn new(capacity: usize) -> Self {
+        Recorder {
+            enabled: capacity > 0,
+            trace: SimTrace {
+                capacity,
+                // bound the eager allocation: a huge configured capacity
+                // only costs memory once that many events actually occur
+                ring: VecDeque::with_capacity(capacity.min(4096)),
+                ..SimTrace::default()
+            },
+            ..Recorder::default()
+        }
+    }
+
+    /// Writes every decision recorded from now on to `w`.
+    pub(crate) fn stream_to(&mut self, w: Box<dyn Write + 'w>) {
+        self.stream = Some(w);
+        self.enabled = true;
+    }
+
+    /// Records a decision, stamping it with the next global sequence
+    /// number. The closure is only evaluated when a sink is on, so
+    /// untraced runs pay one branch per call site.
+    #[inline]
+    pub(crate) fn record(&mut self, event: impl FnOnce() -> SimEvent) {
+        if !self.enabled {
+            return;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.feed(seq, event());
+    }
+
+    /// Writes the decision's line, then keeps it as the ring's newest,
+    /// evicting the oldest once the ring is full.
+    fn feed(&mut self, seq: u64, event: SimEvent) {
+        if let Some(w) = &mut self.stream {
+            if let Err(e) = write_line(w.as_mut(), seq, &event) {
+                self.trace.stream_error = Some(e);
+                self.stream = None;
+            }
+        }
+        let t = &mut self.trace;
+        if t.capacity > 0 {
+            if t.ring.len() == t.capacity {
+                t.ring.pop_front();
+                t.dropped += 1;
+            }
+            t.ring.push_back((seq, event));
+        }
+    }
+
+    /// Flushes the stream and hands back the ring, with the stream's
+    /// first error if it met one.
+    pub(crate) fn finish(mut self) -> SimTrace {
+        if let Some(mut w) = self.stream.take() {
+            if let Err(e) = w.flush() {
+                self.trace.stream_error = Some(e);
+            }
+        }
+        self.trace
     }
 }
 
@@ -470,20 +508,27 @@ mod tests {
         }
     }
 
+    /// The ring a recorder of `capacity` keeps after recording `n` spawns.
+    fn spawns(capacity: usize, n: u64) -> SimTrace {
+        let mut r = Recorder::new(capacity);
+        for i in 0..n {
+            r.record(|| spawn_at(i, i));
+        }
+        r.finish()
+    }
+
     #[test]
     fn disabled_trace_records_nothing() {
-        let mut t = SimTrace::new(0);
-        t.record(|| panic!("closure must not run when disabled"));
+        let mut r = Recorder::new(0);
+        r.record(|| panic!("closure must not run when disabled"));
+        let t = r.finish();
         assert!(t.is_empty());
-        assert!(!t.enabled());
+        assert_eq!(t.dropped, 0);
     }
 
     #[test]
     fn ring_keeps_the_most_recent_window() {
-        let mut t = SimTrace::new(2);
-        for i in 0..5 {
-            t.record(|| spawn_at(i, i));
-        }
+        let t = spawns(2, 5);
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped, 3);
         let kept: Vec<u64> = t
@@ -498,14 +543,17 @@ mod tests {
 
     #[test]
     fn jsonl_is_one_object_per_line() {
-        let mut t = SimTrace::new(8);
-        t.record(|| spawn_at(1, 0));
-        t.record(|| SimEvent::Dispatch {
+        let mut streamed = Vec::new();
+        let mut r = Recorder::new(8);
+        r.stream_to(Box::new(&mut streamed));
+        r.record(|| spawn_at(1, 0));
+        r.record(|| SimEvent::Dispatch {
             at: SimTime::from_secs(2),
             cause: DecisionCause::Arrival,
             stage: 3,
             tasks: 4,
         });
+        let t = r.finish();
         let jsonl = t.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -517,19 +565,50 @@ mod tests {
             lines[1],
             "{\"seq\":1,\"event\":\"dispatch\",\"at_s\":2,\"cause\":\"arrival\",\"stage\":3,\"tasks\":4}"
         );
+        assert!(t.stream_error.is_none());
+        assert_eq!(
+            streamed,
+            jsonl.as_bytes(),
+            "the stream writes the ring's lines"
+        );
     }
 
     #[test]
     fn sequence_numbers_survive_ring_wrap() {
-        let mut t = SimTrace::new(2);
-        for i in 0..5 {
-            t.record(|| spawn_at(i, i));
-        }
+        let t = spawns(2, 5);
         // the ring kept the last two events, still carrying their global
         // commit positions (3 and 4), not ring-local indices
         let seqs: Vec<u64> = t.entries().map(|(s, _)| s).collect();
         assert_eq!(seqs, [3, 4]);
         assert!(t.to_jsonl().starts_with("{\"seq\":3,"));
+    }
+
+    /// A writer whose every write fails, as on a full disk.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::from(io::ErrorKind::StorageFull))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stream_error_is_kept_and_the_ring_still_fills() {
+        let mut r = Recorder::new(8);
+        r.stream_to(Box::new(Full));
+        for i in 0..3 {
+            r.record(|| spawn_at(i, i));
+        }
+        let t = r.finish();
+        assert_eq!(
+            t.stream_error.as_ref().map(io::Error::kind),
+            Some(io::ErrorKind::StorageFull)
+        );
+        assert_eq!(t.len(), 3, "a failed stream does not stop the ring");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Tests for the structured decision trace: every retained event carries a
-//! cause, the lifetime counters reconcile with the run's results, tracing
-//! never perturbs the simulation, and the idle-reclaim timing edge cases
-//! behave (a reclaimed container costs a fresh cold start; a long enough
-//! timeout keeps it warm across an arrival gap).
+//! cause, the stream holds every decision and ends in the ring's lines, a
+//! complete trace's events add up to the run's totals, tracing never
+//! perturbs the simulation, and the idle-reclaim timing edge cases behave
+//! (a reclaimed container costs a fresh cold start; a long enough timeout
+//! keeps it warm across an arrival gap).
 
 use fifer_core::policy::DecisionCause;
 use fifer_core::rm::RmKind;
@@ -10,7 +11,7 @@ use fifer_metrics::{SimDuration, SimTime};
 use fifer_sim::config::SimConfig;
 use fifer_sim::driver::Simulation;
 use fifer_sim::trace::SimEvent;
-use fifer_sim::SimTrace;
+use fifer_sim::{Arrivals, FaultPlan, Scenario, SimResult, SimTrace};
 use fifer_workloads::{Application, JobRequest, JobStream, PoissonTrace, WorkloadMix};
 
 fn stream(rate: f64, secs: u64, seed: u64) -> JobStream {
@@ -22,57 +23,148 @@ fn stream(rate: f64, secs: u64, seed: u64) -> JobStream {
     )
 }
 
-fn traced_run(
-    kind: RmKind,
-    rate: f64,
-    secs: u64,
-    capacity: usize,
-) -> (fifer_sim::SimResult, SimTrace) {
+fn traced_run(kind: RmKind, rate: f64, secs: u64, capacity: usize) -> (SimResult, SimTrace) {
     let s = stream(rate, secs, 7);
     let mut cfg = SimConfig::prototype(kind.config(), rate);
     cfg.trace.capacity = capacity;
     Simulation::new(cfg, &s).run_with_trace()
 }
 
-/// The trace's lifetime counters must reconcile exactly with the result's
-/// container accounting, independent of ring capacity.
+/// The decisions `event` counts in `trace`'s ring.
+fn count(trace: &SimTrace, event: fn(&SimEvent) -> bool) -> u64 {
+    trace.events().filter(|e| event(e)).count() as u64
+}
+
+/// Runs `scenario` under `kind` and the fault plan `faults` with a ring
+/// that holds the whole run.
+fn complete_run(scenario: &Scenario, kind: RmKind, faults: &str) -> (SimResult, SimTrace) {
+    let stream = scenario.stream();
+    let mut cfg = scenario.config(kind.config(), &stream);
+    cfg.faults = FaultPlan::parse(faults).expect("the fault plan parses");
+    cfg.trace.capacity = 1 << 20;
+    let (result, trace) = Simulation::new(cfg, &stream).run_with_trace();
+    assert_eq!(trace.dropped, 0, "{kind}: the ring must hold the whole run");
+    (result, trace)
+}
+
+/// Asserts that `trace`'s events add up to `r`'s totals.
+fn reconcile(kind: RmKind, r: &SimResult, trace: &SimTrace) {
+    let spawns = count(trace, |e| matches!(e, SimEvent::Spawn { .. }));
+    let kills = count(trace, |e| matches!(e, SimEvent::Kill { .. }));
+    let failures = count(trace, |e| matches!(e, SimEvent::ContainerFailed { .. }));
+    let preempts = count(trace, |e| matches!(e, SimEvent::Preempt { .. }));
+    let preempted_tasks: usize = trace
+        .events()
+        .map(|e| match e {
+            SimEvent::Preempt { tasks, .. } => *tasks,
+            _ => 0,
+        })
+        .sum();
+    let live = r
+        .live_containers
+        .points()
+        .last()
+        .map_or(0, |&(_, v)| v as u64);
+    assert_eq!(spawns, r.total_spawns, "{kind}: spawns");
+    assert_eq!(
+        count(trace, |e| matches!(e, SimEvent::SpawnFailed { .. })),
+        r.failed_spawns,
+        "{kind}: failed spawns"
+    );
+    assert_eq!(failures, r.container_failures, "{kind}: container failures");
+    assert_eq!(
+        count(trace, |e| matches!(e, SimEvent::TaskRequeued { .. })),
+        r.tasks_requeued,
+        "{kind}: requeued tasks"
+    );
+    assert_eq!(
+        count(trace, |e| matches!(e, SimEvent::JobDropped { .. })),
+        r.jobs_dropped,
+        "{kind}: dropped jobs"
+    );
+    let leases = count(trace, |e| matches!(e, SimEvent::HarvestLease { .. }));
+    assert_eq!(leases, r.harvest_spawns, "{kind}: harvest spawns");
+    assert_eq!(leases, r.leases_created, "{kind}: leases created");
+    assert_eq!(preempts, r.containers_preempted, "{kind}: preemptions");
+    assert_eq!(
+        preempted_tasks as u64, r.tasks_preempted,
+        "{kind}: preempted tasks"
+    );
+    assert_eq!(
+        kills + failures + preempts + live,
+        spawns,
+        "{kind}: every container spawned is killed, failed, preempted or alive"
+    );
+}
+
+/// A complete trace's events add up to the run's totals: the trace keeps
+/// no counters of its own, so what it emitted is what is checked. Every
+/// RM drops jobs under a retry budget of one, and a WITS harvest run
+/// preempts borrowers, so every identity has something to count.
 #[test]
 fn trace_counters_reconcile_with_results() {
+    let plan = "seed=2024,spawn=0.05@400,crash=0.03,straggler=0.1x3,outage=1@30+15";
+    let poisson = Scenario {
+        rate: 10.0,
+        secs: 120,
+        ..Scenario::default()
+    };
     for kind in RmKind::ALL {
-        let (result, trace) = traced_run(kind, 5.0, 30, 100_000);
-        assert!(!trace.is_empty(), "{kind}: traced run must retain events");
-        assert_eq!(
-            trace.spawns, result.total_spawns,
-            "{kind}: trace spawns must match result"
+        let (r, trace) = complete_run(&poisson, kind, &format!("{plan},retries=1"));
+        assert!(
+            r.jobs_dropped > 0,
+            "{kind}: a retry budget of one drops jobs"
         );
-        assert_eq!(
-            trace.failed_spawns, result.failed_spawns,
-            "{kind}: trace failed spawns must match result"
-        );
-        let final_live = result
-            .live_containers
-            .points()
-            .last()
-            .map(|&(_, v)| v as u64)
-            .unwrap_or(0);
-        assert_eq!(
-            trace.kills,
-            result.total_spawns - final_live,
-            "{kind}: every container is either alive at the end or killed"
-        );
-        // with a huge ring, the retained events match the counters too
-        assert_eq!(trace.dropped, 0);
-        let spawn_events = trace
-            .events()
-            .filter(|e| matches!(e, SimEvent::Spawn { .. }))
-            .count() as u64;
-        let kill_events = trace
-            .events()
-            .filter(|e| matches!(e, SimEvent::Kill { .. }))
-            .count() as u64;
-        assert_eq!(spawn_events, trace.spawns);
-        assert_eq!(kill_events, trace.kills);
+        reconcile(kind, &r, &trace);
     }
+    let wits = Scenario {
+        arrivals: Arrivals::Wits,
+        rate: 30.0,
+        secs: 600,
+        seed: 1,
+        ..Scenario::default()
+    };
+    let (r, trace) = complete_run(&wits, RmKind::Harvest, &format!("{plan},retries=16"));
+    assert!(r.containers_preempted > 0, "the run preempts borrowers");
+    reconcile(RmKind::Harvest, &r, &trace);
+}
+
+/// The stream holds every decision, numbered from 0 without a gap, and
+/// ends in the lines of a ring fed by the same run: its last 64 when the
+/// ring overflows, all of them when the ring holds the run.
+#[test]
+fn stream_holds_every_decision_and_ends_in_the_ring() {
+    let s = stream(5.0, 30, 7);
+    let streamed = |capacity: usize| {
+        let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 5.0);
+        cfg.trace.capacity = capacity;
+        let mut jsonl = Vec::new();
+        let mut sim = Simulation::new(cfg, &s);
+        sim.stream_decisions(&mut jsonl);
+        let (_, trace) = sim.run_with_trace();
+        assert!(trace.stream_error.is_none());
+        (
+            String::from_utf8(jsonl).expect("the JSON Lines are UTF-8"),
+            trace,
+        )
+    };
+
+    let (jsonl, ring) = streamed(64);
+    let lines: Vec<&str> = jsonl.lines().collect();
+    assert!(ring.dropped > 0, "the run must overflow a ring of 64");
+    assert_eq!(lines.len() as u64, ring.dropped + ring.len() as u64);
+    for (seq, line) in lines.iter().enumerate() {
+        assert!(line.starts_with(&format!("{{\"seq\":{seq},")), "{line}");
+    }
+    assert_eq!(
+        lines[lines.len() - 64..].concat(),
+        ring.to_jsonl().replace('\n', "")
+    );
+
+    let (whole, ring) = streamed(1 << 20);
+    assert_eq!(ring.dropped, 0);
+    assert_eq!(whole, ring.to_jsonl());
+    assert_eq!(whole, jsonl, "the ring's size does not change the stream");
 }
 
 /// Cause attribution follows each policy's actual mechanism: Bline spawns
@@ -117,14 +209,16 @@ fn causes_attribute_spawns_to_the_right_policy_path() {
     );
 }
 
-/// A saturated ring drops the oldest events but keeps counting.
+/// A saturated ring keeps the complete run's last decisions, with the
+/// sequence numbers the complete run gave them.
 #[test]
-fn ring_saturation_keeps_counters_exact() {
-    let (result, trace) = traced_run(RmKind::Bline, 5.0, 30, 8);
-    assert_eq!(trace.len(), 8, "ring must be full");
-    assert!(trace.dropped > 0, "this run emits far more than 8 events");
-    assert_eq!(trace.spawns, result.total_spawns);
-    assert_eq!(trace.failed_spawns, result.failed_spawns);
+fn saturated_ring_keeps_the_complete_runs_last_decisions() {
+    let (_, whole) = traced_run(RmKind::Bline, 5.0, 30, 100_000);
+    let (_, ring) = traced_run(RmKind::Bline, 5.0, 30, 8);
+    assert_eq!(ring.len(), 8, "ring must be full");
+    assert_eq!(ring.dropped as usize, whole.len() - 8);
+    let tail: Vec<(u64, &SimEvent)> = whole.entries().skip(whole.len() - 8).collect();
+    assert_eq!(ring.entries().collect::<Vec<_>>(), tail);
 }
 
 /// Tracing is observation only: a traced run and an untraced run of the
@@ -139,7 +233,9 @@ fn tracing_does_not_perturb_the_simulation() {
     let traced = {
         let mut cfg = SimConfig::prototype(RmKind::Fifer.config(), 5.0);
         cfg.trace.capacity = 65_536;
-        Simulation::new(cfg, &s).run().to_json()
+        let mut sim = Simulation::new(cfg, &s);
+        sim.stream_decisions(std::io::sink());
+        sim.run().to_json()
     };
     assert_eq!(untraced, traced);
 }
@@ -180,26 +276,29 @@ fn idle_timeout_racing_a_dispatch_costs_a_cold_start() {
 
     assert_eq!(reclaimed.records.len(), 2);
     assert_eq!(kept.records.len(), 2);
+    let kills = |trace: &SimTrace| count(trace, |e| matches!(e, SimEvent::Kill { .. }));
     assert!(
-        rtrace.kills > 0,
+        kills(&rtrace) > 0,
         "short timeout must reclaim between the jobs"
     );
-    assert_eq!(ktrace.kills, 0, "long timeout must not reclaim mid-run");
+    assert_eq!(kills(&ktrace), 0, "long timeout must not reclaim mid-run");
     assert!(
-        rtrace.spawns > ktrace.spawns,
+        reclaimed.total_spawns > kept.total_spawns,
         "reclaim-then-arrival forces respawns ({} vs {})",
-        rtrace.spawns,
-        ktrace.spawns
+        reclaimed.total_spawns,
+        kept.total_spawns
     );
     assert!(
         reclaimed.blocking_cold_starts > kept.blocking_cold_starts,
         "the racing job pays the cold start"
     );
-    let idle_kills = rtrace
-        .events()
-        .filter(
-            |e| matches!(e, SimEvent::Kill { cause, .. } if *cause == DecisionCause::IdleDeadline),
-        )
-        .count() as u64;
-    assert_eq!(idle_kills, rtrace.kills, "all kills here are idle reclaims");
+    let idle_kills = count(
+        &rtrace,
+        |e| matches!(e, SimEvent::Kill { cause, .. } if *cause == DecisionCause::IdleDeadline),
+    );
+    assert_eq!(
+        idle_kills,
+        kills(&rtrace),
+        "all kills here are idle reclaims"
+    );
 }

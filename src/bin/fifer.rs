@@ -15,7 +15,7 @@
 //! reports for a producer stopped by `SIGPIPE`.
 
 use fifer::prelude::*;
-use fifer::sim::{ClusterConfig, SimTrace};
+use fifer::sim::ClusterConfig;
 use fifer::workloads::io as wio;
 use std::io::{self, Write};
 use std::process::exit;
@@ -36,9 +36,6 @@ const STREAM_FLAGS: [&str; 8] = [
 /// The flags that shape only the azure family; without `--workload azure`
 /// they would be ignored.
 const AZURE_FLAGS: [&str; 3] = ["--apps", "--tail-exp", "--trigger-mix"];
-
-/// Decisions `--decision-trace` keeps: the last 2^20 of the run.
-const DECISION_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Writes one line of the report to stdout, ending the run through
 /// [`stdout_failed`] if it cannot.
@@ -118,8 +115,8 @@ usage: fifer [options]
 --save-workload <file.csv>                save the generated workload
 --out <file.csv>                          write the summary row(s) as CSV
 --json <file.json>                        dump the full SimResult of the last RM as JSON
---decision-trace <file.jsonl>             export the last RM's scaling decisions as JSONL;
-                                          the file holds the last 2^20 decisions
+--decision-trace <file.jsonl>             stream every scaling decision of the last RM as
+                                          JSONL, one line written as each is applied
 --faults <spec>                           seeded fault plan, e.g.
                                           seed=7,spawn=0.05@500,crash=0.02,straggler=0.1x4,retries=8,outage=2@100+60
 --model-cache <dir>                       checkpoint pretrained neural predictors in <dir>;
@@ -336,13 +333,6 @@ fn write_json(file: std::fs::File, r: &SimResult) -> io::Result<()> {
     w.flush()
 }
 
-/// Streams the retained decisions to `file` as JSON Lines through a buffer.
-fn write_decisions(file: std::fs::File, trace: &SimTrace) -> io::Result<()> {
-    let mut w = io::BufWriter::new(file);
-    trace.write_jsonl(&mut w)?;
-    w.flush()
-}
-
 fn main() {
     let mut args = parse_args();
     let mut out = io::stdout().lock();
@@ -388,8 +378,8 @@ fn main() {
             .unwrap_or_else(|e| fail(format!("cannot open model cache {dir}: {e}")))
     });
     for (i, kind) in args.rm.iter().enumerate() {
-        // the last RM listed wins under --compare: only its run keeps a
-        // ring, and only its result is written as JSON
+        // the last RM listed wins under --compare: only its decisions are
+        // streamed, and only its result is written as JSON
         let last = i + 1 == args.rm.len();
         let mut rm = kind.config();
         rm.online_retrain = args.online_retrain;
@@ -398,10 +388,11 @@ fn main() {
         cfg.tenants = args.tenants;
         cfg.faults = args.faults.clone();
         cfg.audit = args.audit;
-        if last && decision_trace.is_some() {
-            cfg.trace.capacity = DECISION_TRACE_CAPACITY;
-        }
-        let (sim, warm) = Simulation::new_served(cfg, &stream, cache.as_ref());
+        let (mut sim, warm) = Simulation::new_served(cfg, &stream, cache.as_ref());
+        let decisions = decision_trace.take_if(|_| last).map(|(path, file)| {
+            sim.stream_decisions(io::BufWriter::new(file));
+            path
+        });
         match warm {
             WarmStart::Warm => say!(out, "{kind}: predictor warm-started from model cache"),
             WarmStart::Cold if cache.is_some() => {
@@ -413,17 +404,8 @@ fn main() {
             _ => {}
         }
         let (r, trace) = sim.run_with_trace();
-        if let Some((path, file)) = decision_trace.take_if(|_| last) {
-            if let Err(e) = write_decisions(file, &trace) {
-                fail(format!("cannot write {path}: {e}"))
-            }
-            if trace.dropped > 0 {
-                eprintln!(
-                    "--decision-trace kept the last {} of {} decisions",
-                    trace.len(),
-                    trace.len() as u64 + trace.dropped
-                );
-            }
+        if let (Some(path), Some(e)) = (decisions, trace.stream_error) {
+            fail(format!("cannot write {path}: {e}"))
         }
         if let Some((path, file)) = json.take_if(|_| last) {
             if let Err(e) = write_json(file, &r) {

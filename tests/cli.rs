@@ -261,28 +261,59 @@ fn decision_trace_file_is_the_last_rms_trace() {
     );
 }
 
-/// A run past the ring's 2^20 decisions says how many it kept of how
-/// many, and the file holds the most recent ones. Slow lane: the file
-/// takes about 96 MB.
+/// A run past 2^20 decisions streams every one of them: the file's seqs
+/// run from 0 without a gap, and its last 2^20 lines are the library's
+/// ring export at that capacity for the same scenario. Slow lane: the
+/// file holds 1.5M decisions in about 138 MB.
 #[test]
 #[ignore]
-fn decision_trace_names_the_decisions_it_dropped() {
+fn decision_trace_streams_every_decision() {
+    use fifer::prelude::*;
     let out =
         run_in_scratch("--rm bline --rate 150 --secs 2400 --seed 42 --decision-trace dt.jsonl");
     assert_eq!(out.code, Some(0), "{}", out.stderr);
-    let kept = 1u64 << 20;
-    let total: u64 = out
-        .stderr
-        .trim()
-        .strip_prefix(&format!("--decision-trace kept the last {kept} of "))
-        .and_then(|rest| rest.strip_suffix(" decisions"))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no dropped-decisions line: {}", out.stderr));
-    assert!(total > kept, "{}", out.stderr);
-    let file = String::from_utf8_lossy(&out.files["dt.jsonl"]);
-    assert_eq!(file.lines().count() as u64, kept);
-    let first = format!("{{\"seq\":{},", total - kept);
-    assert!(file.starts_with(&first), "{}", &file[..80]);
+    assert!(out.stderr.is_empty(), "{}", out.stderr);
+    let file = &out.files["dt.jsonl"];
+    let kept = 1usize << 20;
+    let mut starts = vec![0];
+    for (seq, line) in file.split_inclusive(|&b| b == b'\n').enumerate() {
+        let prefix = format!("{{\"seq\":{seq},");
+        assert!(
+            line.starts_with(prefix.as_bytes()),
+            "line {seq} is not seq {seq}"
+        );
+        starts.push(starts[seq] + line.len());
+    }
+    let lines = starts.len() - 1;
+    assert!(lines > kept, "{lines} decisions");
+    let scenario = Scenario {
+        rate: 150.0,
+        secs: 2400,
+        ..Scenario::default()
+    };
+    let stream = scenario.stream();
+    let mut cfg = scenario.config(RmKind::Bline.config(), &stream);
+    cfg.trace.capacity = kept;
+    let (_, trace) = Simulation::new(cfg, &stream).run_with_trace();
+    assert_eq!(trace.dropped as usize, lines - kept);
+    assert!(
+        file[starts[lines - kept]..] == *trace.to_jsonl().as_bytes(),
+        "the file's last 2^20 lines are not the ring's export"
+    );
+}
+
+/// A write error met while the decisions stream is reported, not lost in
+/// the writer's buffer: `/dev/full` opens, and every write to it fails.
+/// The run prints its header before the first decision is written.
+#[test]
+fn decision_trace_write_error_is_a_named_error() {
+    let out = run_in_scratch("--rm bline --secs 10 --decision-trace /dev/full");
+    assert_eq!(out.code, Some(1), "{}", out.stderr);
+    assert!(
+        out.stderr.contains("cannot write /dev/full"),
+        "{}",
+        out.stderr
+    );
 }
 
 #[test]
