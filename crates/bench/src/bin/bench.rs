@@ -23,45 +23,40 @@
 //! 4. **utilization** — the resource-accounting view of the same replay
 //!    runs: allocated vs used core-hours per RM, the waste
 //!    (allocated-but-unused core-hours), the harvested core-hours, and
-//!    the lease counters. `--validate` enforces that Harvest cuts waste
-//!    to ≤ 90% of Bline's without raising the SLO violation fraction by
-//!    more than one point — the headline claim of the harvesting layer.
+//!    the lease counters. `--validate` checks the harvesting claim,
+//!    [`claims::harvest_cuts_waste`].
 //! 5. **wild** — all seven RMs head-to-head on the Azure-characterization
-//!    workload family (heavy-tailed per-app rates, mixed trigger
-//!    classes), every RM at the same short 10 s idle scan so the
-//!    keep-alive *policy* is the only variable. `--validate` enforces the
-//!    hybrid-histogram claim: HybridHist cold-starts strictly less than
-//!    Bline (equality would mean the keep-alive policy went inert again)
-//!    while its memory-time (time-weighted live containers) stays within
-//!    a bounded factor of Bline's on full runs (the quick horizon is
-//!    dominated by the histogram warm-up transient).
+//!    workload family ([`claims::wild_scenario`], 600 s in every mode),
+//!    every RM at the same short 10 s idle scan so the keep-alive *policy*
+//!    is the only variable. `--validate` checks the hybrid-histogram
+//!    claim, [`claims::hybridhist_saves_cold_starts`].
 //!
-//! `--validate` re-parses the written JSON and fails (exit 4) if the
-//! shape is wrong or a regression floor is crossed — the CI smoke lane.
+//! The sections make one typed [`Report`]. `render_json` writes it, and
+//! `--validate` checks it in memory — every number in the document is
+//! finite, no regression floor is crossed, both claims hold — and exits
+//! 4 otherwise: the CI smoke lane.
 //!
 //! ```text
 //! bench                        # full run, writes BENCH_simulator.json
-//! bench --quick --validate     # 1/6 horizon + floor checks (CI)
+//! bench --quick --validate     # 1/6 replay horizon + checks (CI)
 //! bench --depth 50000 --out /tmp/b.json
 //! ```
 
-use fifer_bench::json::Json;
+use fifer_bench::claims::{self, Utilization, WildRow};
 use fifer_bench::perf::{deep_queue_tasks, drain_indexed, drain_linear, time_median};
 use fifer_bench::pool::{detected_cores, par_map};
-use fifer_bench::runner::RunSpec;
 use fifer_core::policy::ResourceManager;
 use fifer_core::rm::RmKind;
 use fifer_core::scheduling::SchedulingPolicy;
 use fifer_core::WarmStart;
 use fifer_metrics::report::write_file;
-use fifer_metrics::SimDuration;
 use fifer_predict::train::train_test_split;
 use fifer_predict::{accuracy, LoadPredictor, LstmPredictor, ModelCache, PredictorKind};
 use fifer_sim::config::MONITOR_INTERVAL;
 use fifer_sim::driver::Simulation;
 use fifer_sim::scenario::pretrain_series;
 use fifer_sim::{Arrivals, Scenario, SimConfig};
-use fifer_workloads::{JobStream, TriggerMix, WorkloadMix};
+use fifer_workloads::JobStream;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -71,42 +66,27 @@ struct DispatchRow {
     linear_ns: u128,
 }
 
+impl DispatchRow {
+    fn speedup(&self) -> f64 {
+        self.linear_ns as f64 / self.indexed_ns as f64
+    }
+}
+
 /// One RM's replay: its timing and the resource accounting of the run.
 struct ReplayRow {
-    rm: String,
     warm: WarmStart,
     pretrain_s: f64,
     replay_s: f64,
     events: u64,
     peak_queue_depth: u64,
     jobs: usize,
-    slo_violation_fraction: f64,
-    alloc_core_hours: f64,
-    used_core_hours: f64,
-    harvested_core_hours: f64,
-    harvest_spawns: u64,
-    leases_created: u64,
-    leases_ended: u64,
-    containers_preempted: u64,
+    util: Utilization,
 }
 
-struct WildRow {
-    rm: String,
-    jobs: usize,
-    cold_starts: u64,
-    blocking_cold_starts: u64,
-    avg_containers: f64,
-    slo_violation_fraction: f64,
-    median_ms: f64,
-    p99_ms: f64,
-}
-
-struct WildSection {
-    horizon_s: f64,
-    apps: usize,
-    tail_exponent: f64,
-    total_rate: f64,
-    rows: Vec<WildRow>,
+impl ReplayRow {
+    fn events_per_sec(&self) -> f64 {
+        self.events as f64 / self.replay_s
+    }
 }
 
 struct NnRow {
@@ -117,19 +97,15 @@ struct NnRow {
     /// Walk-forward accuracy on the held-out 40% test tail of a model
     /// pre-trained on the first 60%.
     accuracy: f64,
-    warm_start: WarmStartStats,
-    /// End-to-end Fifer wall-clock: the timed pre-training plus the
-    /// measured Fifer event replay.
-    fifer_e2e_s: f64,
-}
-
-/// Checkpoint round-trip: serialize the trained model, restore it into a
-/// fresh one, and walk both in lockstep over the test tail comparing
-/// forecasts bit-for-bit.
-struct WarmStartStats {
+    /// Checkpoint round-trip: serialize the trained model, restore it into
+    /// a fresh one, and walk both in lockstep over the test tail comparing
+    /// forecasts bit-for-bit.
     store_ns: u128,
     load_ns: u128,
     bit_identical: bool,
+    /// End-to-end Fifer wall-clock: the timed pre-training plus the
+    /// measured Fifer event replay.
+    fifer_e2e_s: f64,
 }
 
 /// Regression floors for `--validate`. Deliberately conservative — they
@@ -137,18 +113,6 @@ struct WarmStartStats {
 /// machine-to-machine noise.
 const MIN_DISPATCH_SPEEDUP: f64 = 1.5;
 const MIN_FIFER_EVENTS_PER_SEC: f64 = 200_000.0;
-/// Harvesting must cut allocated-but-unused core-hours to at most this
-/// fraction of Bline's waste on the same replay…
-const MAX_HARVEST_WASTE_VS_BLINE: f64 = 0.9;
-/// …without raising the SLO violation fraction by more than one point.
-const MAX_HARVEST_SLO_DELTA: f64 = 0.01;
-/// On the `wild` section, the hybrid-histogram keep-alive policy must not
-/// cold-start more than Bline does at the same 10 s idle scan…
-const MAX_WILD_HH_COLD_VS_BLINE: f64 = 1.0;
-/// …and the memory it spends to get there (time-weighted live
-/// containers) must stay within this factor of Bline's. Full runs only:
-/// the quick horizon is dominated by the histogram warm-up transient.
-const MAX_WILD_HH_MEMTIME_VS_BLINE: f64 = 1.5;
 /// End-to-end Fifer (paper-LSTM pretrain + event replay) must land under
 /// this wall-clock on a full-scale run. Fifer pretrains one model on one
 /// thread, so the ceiling holds whatever the core count.
@@ -227,17 +191,7 @@ fn main() {
         "\n## trace replay: wiki trace, heavy mix, all RMs{}",
         if quick { " (quick)" } else { "" }
     );
-    let mut spec = RunSpec::large_scale(
-        "replay",
-        RmKind::Fifer.config(),
-        WorkloadMix::Heavy,
-        Arrivals::Wiki,
-        150.0,
-    );
-    if quick {
-        spec = spec.quick();
-    }
-    let scenario = spec.scenario;
+    let scenario = claims::replay_scenario(quick);
     let stream = scenario.stream();
     // pre-train every RM's predictor in parallel (offline cost), then
     // time each replay serially so wall-clocks don't contend. With
@@ -249,53 +203,44 @@ fn main() {
             std::process::exit(1);
         })
     });
-    let prepared = prepare(&scenario, &stream, cache.as_ref());
     let mut replay = Vec::new();
-    for (kind, cfg, rm, warm, pretrain_s) in prepared {
-        let sim = Simulation::with_resource_manager(cfg, &stream, rm);
+    let config = |kind: RmKind| scenario.config(kind.config(), &stream);
+    for (rm, cfg, policy, warm, pretrain_s) in prepare(config, cache.as_ref()) {
+        let sim = Simulation::with_resource_manager(cfg, &stream, policy);
         let t0 = Instant::now();
         let r = sim.run();
-        let replay_s = t0.elapsed().as_secs_f64();
+        let row = ReplayRow {
+            warm,
+            pretrain_s,
+            replay_s: t0.elapsed().as_secs_f64(),
+            events: r.events_processed,
+            peak_queue_depth: r.peak_queue_depth,
+            jobs: r.records.len(),
+            util: Utilization::of(&r),
+        };
         let warm_note = match warm {
             WarmStart::Warm => " [warm-start from model cache]",
             WarmStart::Cold if cache.is_some() => " [cold start, checkpoint stored]",
             _ => "",
         };
         println!(
-            "{kind}: pretrain {:.2} s{warm_note}, replay {:.2} s, {} events ({:.0} events/s), peak queue {}, {} jobs",
-            pretrain_s,
-            replay_s,
-            r.events_processed,
-            r.events_processed as f64 / replay_s,
-            r.peak_queue_depth,
-            r.records.len(),
+            "{rm}: pretrain {:.2} s{warm_note}, replay {:.2} s, {} events ({:.0} events/s), peak queue {}, {} jobs",
+            row.pretrain_s,
+            row.replay_s,
+            row.events,
+            row.events_per_sec(),
+            row.peak_queue_depth,
+            row.jobs,
         );
-        replay.push(ReplayRow {
-            rm: kind.to_string(),
-            warm,
-            pretrain_s,
-            replay_s,
-            events: r.events_processed,
-            peak_queue_depth: r.peak_queue_depth,
-            jobs: r.records.len(),
-            slo_violation_fraction: r.slo_violation_fraction(),
-            alloc_core_hours: r.alloc_core_hours,
-            used_core_hours: r.used_core_hours,
-            harvested_core_hours: r.harvested_core_hours,
-            harvest_spawns: r.harvest_spawns,
-            leases_created: r.leases_created,
-            leases_ended: r.leases_ended,
-            containers_preempted: r.containers_preempted,
-        });
+        replay.push((rm, row));
     }
     println!("\n## utilization: allocated vs used core-hours per RM");
-    for u in &replay {
+    for (rm, ReplayRow { util: u, .. }) in &replay {
         println!(
-            "{}: alloc {:.2} core-h, used {:.2} core-h, waste {:.2} core-h, harvested {:.2} core-h{}",
-            u.rm,
+            "{rm}: alloc {:.2} core-h, used {:.2} core-h, waste {:.2} core-h, harvested {:.2} core-h{}",
             u.alloc_core_hours,
             u.used_core_hours,
-            u.alloc_core_hours - u.used_core_hours,
+            u.waste_core_hours(),
             u.harvested_core_hours,
             if u.harvest_spawns > 0 {
                 format!(
@@ -308,16 +253,12 @@ fn main() {
         );
     }
 
-    println!(
-        "\n## wild: Azure-characterization family, all RMs{}",
-        if quick { " (quick)" } else { "" }
-    );
-    let wild = wild_bench(quick);
-    for row in &wild.rows {
+    println!("\n## wild: Azure-characterization family, all RMs");
+    let wild = wild_bench();
+    for (rm, row) in &wild {
         println!(
-            "{}: {} jobs, {} cold starts ({} blocking), {:.1} avg containers, \
+            "{rm}: {} jobs, {} cold starts ({} blocking), {:.1} avg containers, \
              slo_viol {:.2}%, median {:.0} ms, p99 {:.0} ms",
-            row.rm,
             row.jobs,
             row.cold_starts,
             row.blocking_cold_starts,
@@ -329,75 +270,66 @@ fn main() {
     }
 
     println!("\n## nn: Fifer LSTM pretrain + forecast");
-    let fifer_replay_s = replay
-        .iter()
-        .find(|r| r.rm == "Fifer")
-        .map(|r| r.replay_s)
-        .unwrap_or(0.0);
-    let nn = nn_bench(&scenario, &stream, fifer_replay_s);
+    let nn = nn_bench(&scenario, &stream, row(&replay, RmKind::Fifer).replay_s);
     println!(
-        "pretrain: {:.2} s ({} series points)",
+        "pretrain: {:.2} s ({} series points)\n\
+         forecast: {:.0} ns/call over {} calls\n\
+         walk-forward accuracy: {:.4}\n\
+         warm start: store {:.2} ms, load {:.2} ms, forecasts bit-identical: {}\n\
+         fifer end-to-end (pretrain + replay): {:.2} s",
         nn.pretrain_ns as f64 / 1e9,
         nn.series_len,
-    );
-    println!(
-        "forecast: {:.0} ns/call over {} calls",
-        nn.forecast_ns_per_call, nn.forecast_calls,
-    );
-    println!("walk-forward accuracy: {:.4}", nn.accuracy);
-    println!(
-        "warm start: store {:.2} ms, load {:.2} ms, forecasts bit-identical: {}",
-        nn.warm_start.store_ns as f64 / 1e6,
-        nn.warm_start.load_ns as f64 / 1e6,
-        nn.warm_start.bit_identical,
-    );
-    println!(
-        "fifer end-to-end (pretrain + replay): {:.2} s",
+        nn.forecast_ns_per_call,
+        nn.forecast_calls,
+        nn.accuracy,
+        nn.store_ns as f64 / 1e6,
+        nn.load_ns as f64 / 1e6,
+        nn.bit_identical,
         nn.fifer_e2e_s,
     );
 
-    let json = render_json(
+    let report = Report {
         quick,
+        workers_available: detected_cores(),
         depth,
         reps,
-        &dispatch,
-        scenario.horizon().as_secs_f64(),
-        &replay,
-        &nn,
-        &wild,
-    );
-    if let Err(e) = write_file(&out, &json) {
+        dispatch,
+        replay_horizon_s: scenario.horizon().as_secs_f64(),
+        replay,
+        nn,
+        wild,
+    };
+    if let Err(e) = write_file(&out, &render_json(&report)) {
         eprintln!("error: cannot write {out}: {e}");
         std::process::exit(1);
     }
     println!("\nwritten to {out}");
 
     if validate_out {
-        let body = std::fs::read_to_string(&out).unwrap_or_else(|e| {
-            eprintln!("error: cannot re-read {out}: {e}");
-            std::process::exit(4);
-        });
-        match validate(&body) {
-            Ok(()) => println!("validate: OK (shape + regression floors)"),
-            Err(problems) => {
-                for p in &problems {
-                    eprintln!("validate: {p}");
-                }
-                std::process::exit(4);
-            }
+        let problems = validate(&report);
+        for p in &problems {
+            eprintln!("validate: {p}");
         }
+        if !problems.is_empty() {
+            std::process::exit(4);
+        }
+        println!("validate: OK (finite numbers, regression floors, claims)");
     }
 }
 
-/// One RM built for a replay: its config, its resource manager, how its
-/// predictor was served and the seconds building it took (pretraining).
+/// One RM built for a run: its kind, its config, its resource manager,
+/// how its predictor was served and the seconds building it took
+/// (pretraining).
 type Prepared = (RmKind, SimConfig, Box<dyn ResourceManager>, WarmStart, f64);
 
-/// Builds every RM's config for `stream` and its resource manager, in
+/// Builds every RM's config with `config` and its resource manager, in
 /// parallel: pretraining the predictors is the costly part.
-fn prepare(scenario: &Scenario, stream: &JobStream, cache: Option<&ModelCache>) -> Vec<Prepared> {
+fn prepare(
+    config: impl Fn(RmKind) -> SimConfig + Sync,
+    cache: Option<&ModelCache>,
+) -> Vec<Prepared> {
     par_map(RmKind::ALL.to_vec(), detected_cores(), |kind| {
-        let cfg = scenario.config(kind.config(), stream);
+        let cfg = config(kind);
         let t0 = Instant::now();
         let (rm, warm) = cfg
             .rm
@@ -406,51 +338,17 @@ fn prepare(scenario: &Scenario, stream: &JobStream, cache: Option<&ModelCache>) 
     })
 }
 
-/// Runs every RM head-to-head on one Azure-family stream (paper-default
-/// family shape, 600 s full / 100 s quick), every RM at a 10 s idle scan
-/// so the keep-alive policy is the only variable: the mechanism offers
-/// each RM the same reclamation opportunities and the policy decides who
-/// dies.
-fn wild_bench(quick: bool) -> WildSection {
-    let secs = if quick { 100 } else { 600 };
-    let (apps, tail_exponent) = (32, 1.5);
-    let scenario = Scenario {
-        arrivals: Arrivals::Azure {
-            apps,
-            tail_exponent,
-            trigger_mix: TriggerMix::paper_default(),
-        },
-        mix: WorkloadMix::Medium,
-        rate: 20.0,
-        secs,
-        warmup: Some(SimDuration::from_secs(secs) / 6),
-        ..Scenario::default()
-    };
-    let stream = scenario.stream();
-    let rows = prepare(&scenario, &stream, None)
+/// Runs every RM head-to-head on [`claims::wild_scenario`], each at the
+/// same 10 s idle scan ([`claims::wild_config`]).
+fn wild_bench() -> Vec<(RmKind, WildRow)> {
+    let stream = claims::wild_scenario().stream();
+    prepare(|kind| claims::wild_config(kind, &stream), None)
         .into_iter()
-        .map(|(kind, mut cfg, rm, ..)| {
-            cfg.idle_timeout = SimDuration::from_secs(10);
+        .map(|(kind, cfg, rm, ..)| {
             let r = Simulation::with_resource_manager(cfg, &stream, rm).run();
-            WildRow {
-                rm: kind.to_string(),
-                jobs: r.records.len(),
-                cold_starts: r.total_spawns,
-                blocking_cold_starts: r.blocking_cold_starts,
-                avg_containers: r.avg_live_containers(),
-                slo_violation_fraction: r.slo_violation_fraction(),
-                median_ms: r.median_latency_ms(),
-                p99_ms: r.p99_latency_ms(),
-            }
+            (kind, WildRow::of(&r))
         })
-        .collect();
-    WildSection {
-        horizon_s: scenario.horizon().as_secs_f64(),
-        apps,
-        tail_exponent,
-        total_rate: scenario.rate,
-        rows,
-    }
+        .collect()
 }
 
 /// Times the Fifer LSTM on the replay run's own pre-training series:
@@ -524,306 +422,245 @@ fn nn_bench(scenario: &Scenario, stream: &JobStream, fifer_replay_s: f64) -> NnR
         forecast_calls,
         forecast_ns_per_call,
         accuracy: accuracy(&preds, test),
-        warm_start: WarmStartStats {
-            store_ns,
-            load_ns,
-            bit_identical,
-        },
+        store_ns,
+        load_ns,
+        bit_identical,
         fifer_e2e_s: pretrain_ns as f64 / 1e9 + fifer_replay_s,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_json(
+/// Everything one `bench` run measured: what `render_json` writes and
+/// `validate` checks.
+struct Report {
     quick: bool,
+    workers_available: usize,
     depth: usize,
     reps: usize,
-    dispatch: &[DispatchRow],
-    horizon_s: f64,
-    replay: &[ReplayRow],
-    nn: &NnRow,
-    wild: &WildSection,
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"simulator\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"workers_available\": {},\n", detected_cores()));
-    s.push_str(&format!(
-        "  \"dispatch\": {{\n    \"depth\": {depth},\n    \"reps\": {reps},\n    \"policies\": {{\n"
-    ));
-    for (i, d) in dispatch.iter().enumerate() {
-        let speedup = d.linear_ns as f64 / d.indexed_ns as f64;
-        s.push_str(&format!(
-            "      \"{}\": {{ \"indexed_ns\": {}, \"linear_ns\": {}, \"speedup\": {:.2} }}{}\n",
-            d.policy,
-            d.indexed_ns,
-            d.linear_ns,
-            speedup,
-            if i + 1 < dispatch.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    }\n  },\n");
-    s.push_str(&format!(
-        "  \"replay\": {{\n    \"trace\": \"wiki\",\n    \"mix\": \"heavy\",\n    \"horizon_s\": {horizon_s},\n    \"rms\": {{\n"
-    ));
-    for (i, r) in replay.iter().enumerate() {
-        let wall = r.pretrain_s + r.replay_s;
-        let warm = match r.warm {
-            WarmStart::Warm => "warm",
-            WarmStart::Cold => "cold",
-            WarmStart::NotApplicable => "n/a",
-        };
-        s.push_str(&format!(
-            "      \"{}\": {{ \"wall_clock_s\": {:.3}, \"pretrain_s\": {:.3}, \"replay_s\": {:.3}, \"warm_start\": \"{}\", \"events_processed\": {}, \"events_per_sec\": {:.0}, \"peak_queue_depth\": {}, \"jobs\": {}, \"slo_violation_fraction\": {:.6} }}{}\n",
-            r.rm,
-            wall,
-            r.pretrain_s,
-            r.replay_s,
-            warm,
-            r.events,
-            r.events as f64 / r.replay_s,
-            r.peak_queue_depth,
-            r.jobs,
-            r.slo_violation_fraction,
-            if i + 1 < replay.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    }\n  },\n");
-    s.push_str(&format!(
-        "  \"nn\": {{\n    \"model\": \"lstm\",\n    \"series_len\": {},\n    \"pretrain_ns\": {},\n    \"forecast_calls\": {},\n    \"forecast_ns_per_call\": {:.0},\n    \"accuracy\": {:.6},\n",
-        nn.series_len, nn.pretrain_ns, nn.forecast_calls, nn.forecast_ns_per_call, nn.accuracy,
-    ));
-    s.push_str(&format!(
-        "    \"warm_start\": {{ \"store_ns\": {}, \"load_ns\": {}, \"bit_identical\": {} }},\n    \"fifer_e2e_s\": {:.3}\n  }},\n",
-        nn.warm_start.store_ns, nn.warm_start.load_ns, nn.warm_start.bit_identical, nn.fifer_e2e_s,
-    ));
-    s.push_str("  \"utilization\": {\n    \"rms\": {\n");
-    for (i, u) in replay.iter().enumerate() {
-        s.push_str(&format!(
-            "      \"{}\": {{ \"alloc_core_hours\": {:.6}, \"used_core_hours\": {:.6}, \"waste_core_hours\": {:.6}, \"harvested_core_hours\": {:.6}, \"slo_violation_fraction\": {:.6}, \"harvest_spawns\": {}, \"leases_created\": {}, \"leases_ended\": {}, \"containers_preempted\": {} }}{}\n",
-            u.rm,
-            u.alloc_core_hours,
-            u.used_core_hours,
-            u.alloc_core_hours - u.used_core_hours,
-            u.harvested_core_hours,
-            u.slo_violation_fraction,
-            u.harvest_spawns,
-            u.leases_created,
-            u.leases_ended,
-            u.containers_preempted,
-            if i + 1 < replay.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    }\n  },\n");
-    s.push_str(&format!(
-        "  \"wild\": {{\n    \"workload\": \"azure\",\n    \"horizon_s\": {},\n    \"apps\": {},\n    \"tail_exponent\": {},\n    \"total_rate\": {},\n    \"rms\": {{\n",
-        wild.horizon_s, wild.apps, wild.tail_exponent, wild.total_rate,
-    ));
-    for (i, w) in wild.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "      \"{}\": {{ \"jobs\": {}, \"cold_starts\": {}, \"blocking_cold_starts\": {}, \"avg_containers\": {:.6}, \"slo_violation_fraction\": {:.6}, \"median_ms\": {:.3}, \"p99_ms\": {:.3} }}{}\n",
-            w.rm,
-            w.jobs,
-            w.cold_starts,
-            w.blocking_cold_starts,
-            w.avg_containers,
-            w.slo_violation_fraction,
-            w.median_ms,
-            w.p99_ms,
-            if i + 1 < wild.rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    }\n  }\n");
-    s.push_str("}\n");
-    s
+    dispatch: Vec<DispatchRow>,
+    replay_horizon_s: f64,
+    replay: Vec<(RmKind, ReplayRow)>,
+    nn: NnRow,
+    wild: Vec<(RmKind, WildRow)>,
 }
 
-/// Shape + regression-floor validation of a rendered BENCH document.
-fn validate(body: &str) -> Result<(), Vec<String>> {
-    let mut problems = Vec::new();
-    let doc = match Json::parse(body) {
-        Ok(d) => d,
-        Err(e) => return Err(vec![format!("JSON does not parse: {e}")]),
-    };
-    fn num_at(doc: &Json, problems: &mut Vec<String>, path: &str) -> Option<f64> {
-        match doc.path(path).and_then(Json::as_f64) {
-            Some(v) => Some(v),
-            None => {
-                problems.push(format!("missing numeric field {path:?}"));
-                None
-            }
-        }
+/// `rm`'s row: every section has one per RM.
+fn row<T>(rows: &[(RmKind, T)], rm: RmKind) -> &T {
+    let (_, row) = rows
+        .iter()
+        .find(|(kind, _)| *kind == rm)
+        .expect("a row per RM");
+    row
+}
+
+/// `BENCH_simulator.json`'s bytes for `report`.
+fn render_json(report: &Report) -> String {
+    /// `"<key>": {`, one line per row, `}` — at the depth of a section's
+    /// fields.
+    fn rows(key: &str, rows: impl Iterator<Item = String>) -> String {
+        let rows: Vec<String> = rows.map(|row| format!("      {row}")).collect();
+        format!("    \"{key}\": {{\n{}\n    }}", rows.join(",\n"))
     }
-    for policy in ["lsf", "edf"] {
-        if let Some(speedup) = num_at(
-            &doc,
-            &mut problems,
-            &format!("dispatch.policies.{policy}.speedup"),
-        ) {
-            if speedup < MIN_DISPATCH_SPEEDUP {
+    let policies = rows(
+        "policies",
+        report.dispatch.iter().map(|d| {
+            format!(
+                "\"{}\": {{ \"indexed_ns\": {}, \"linear_ns\": {}, \"speedup\": {:.2} }}",
+                d.policy,
+                d.indexed_ns,
+                d.linear_ns,
+                d.speedup(),
+            )
+        }),
+    );
+    let replay = rows(
+        "rms",
+        report.replay.iter().map(|(rm, r)| {
+            let warm = match r.warm {
+                WarmStart::Warm => "warm",
+                WarmStart::Cold => "cold",
+                WarmStart::NotApplicable => "n/a",
+            };
+            format!(
+                "\"{rm}\": {{ \"wall_clock_s\": {:.3}, \"pretrain_s\": {:.3}, \"replay_s\": {:.3}, \"warm_start\": \"{warm}\", \"events_processed\": {}, \"events_per_sec\": {:.0}, \"peak_queue_depth\": {}, \"jobs\": {}, \"slo_violation_fraction\": {:.6} }}",
+                r.pretrain_s + r.replay_s,
+                r.pretrain_s,
+                r.replay_s,
+                r.events,
+                r.events_per_sec(),
+                r.peak_queue_depth,
+                r.jobs,
+                r.util.slo_violation_fraction,
+            )
+        }),
+    );
+    let utilization = rows(
+        "rms",
+        report.replay.iter().map(|(rm, ReplayRow { util: u, .. })| {
+            format!(
+                "\"{rm}\": {{ \"alloc_core_hours\": {:.6}, \"used_core_hours\": {:.6}, \"waste_core_hours\": {:.6}, \"harvested_core_hours\": {:.6}, \"slo_violation_fraction\": {:.6}, \"harvest_spawns\": {}, \"leases_created\": {}, \"leases_ended\": {}, \"containers_preempted\": {} }}",
+                u.alloc_core_hours,
+                u.used_core_hours,
+                u.waste_core_hours(),
+                u.harvested_core_hours,
+                u.slo_violation_fraction,
+                u.harvest_spawns,
+                u.leases_created,
+                u.leases_ended,
+                u.containers_preempted,
+            )
+        }),
+    );
+    let wild = rows(
+        "rms",
+        report.wild.iter().map(|(rm, w)| {
+            format!(
+                "\"{rm}\": {{ \"jobs\": {}, \"cold_starts\": {}, \"blocking_cold_starts\": {}, \"avg_containers\": {:.6}, \"slo_violation_fraction\": {:.6}, \"median_ms\": {:.3}, \"p99_ms\": {:.3} }}",
+                w.jobs,
+                w.cold_starts,
+                w.blocking_cold_starts,
+                w.avg_containers,
+                w.slo_violation_fraction,
+                w.median_ms,
+                w.p99_ms,
+            )
+        }),
+    );
+    let nn = &report.nn;
+    let wild_scenario = claims::wild_scenario();
+    let Arrivals::Azure {
+        apps,
+        tail_exponent,
+        ..
+    } = wild_scenario.arrivals
+    else {
+        unreachable!("the wild scenario is an Azure-family scenario")
+    };
+    format!(
+        r#"{{
+  "bench": "simulator",
+  "quick": {},
+  "workers_available": {},
+  "dispatch": {{
+    "depth": {},
+    "reps": {},
+{policies}
+  }},
+  "replay": {{
+    "trace": "wiki",
+    "mix": "heavy",
+    "horizon_s": {},
+{replay}
+  }},
+  "nn": {{
+    "model": "lstm",
+    "series_len": {},
+    "pretrain_ns": {},
+    "forecast_calls": {},
+    "forecast_ns_per_call": {:.0},
+    "accuracy": {:.6},
+    "warm_start": {{ "store_ns": {}, "load_ns": {}, "bit_identical": {} }},
+    "fifer_e2e_s": {:.3}
+  }},
+  "utilization": {{
+{utilization}
+  }},
+  "wild": {{
+    "workload": "azure",
+    "horizon_s": {},
+    "apps": {apps},
+    "tail_exponent": {tail_exponent},
+    "total_rate": {},
+{wild}
+  }}
+}}
+"#,
+        report.quick,
+        report.workers_available,
+        report.depth,
+        report.reps,
+        report.replay_horizon_s,
+        nn.series_len,
+        nn.pretrain_ns,
+        nn.forecast_calls,
+        nn.forecast_ns_per_call,
+        nn.accuracy,
+        nn.store_ns,
+        nn.load_ns,
+        nn.bit_identical,
+        nn.fifer_e2e_s,
+        wild_scenario.horizon().as_secs_f64(),
+        wild_scenario.rate,
+    )
+}
+
+/// Checks a measured report: every number it renders is finite, no
+/// regression floor is crossed and both extension claims hold.
+fn validate(report: &Report) -> Vec<String> {
+    let mut problems = Vec::new();
+    // JSON has no NaN or infinity, and a float renders as one of them
+    // exactly when it is not finite
+    for (i, line) in render_json(report).lines().enumerate() {
+        for field in line.split([',', '{', '}']) {
+            if let Some((key, value @ ("NaN" | "inf" | "-inf"))) = field.trim().split_once(": ") {
                 problems.push(format!(
-                    "dispatch {policy} speedup {speedup:.2} below floor {MIN_DISPATCH_SPEEDUP}"
+                    "line {}: {key} is {value}, not a finite number",
+                    i + 1
                 ));
             }
         }
     }
-    for kind in RmKind::ALL {
-        for field in [
-            "wall_clock_s",
-            "pretrain_s",
-            "replay_s",
-            "events_processed",
-            "events_per_sec",
-        ] {
-            num_at(&doc, &mut problems, &format!("replay.rms.{kind}.{field}"));
-        }
-    }
-    if let Some(eps) = num_at(&doc, &mut problems, "replay.rms.Fifer.events_per_sec") {
-        if eps < MIN_FIFER_EVENTS_PER_SEC {
+    for d in &report.dispatch {
+        let speedup = d.speedup();
+        if speedup < MIN_DISPATCH_SPEEDUP {
             problems.push(format!(
-                "Fifer replay {eps:.0} events/s below floor {MIN_FIFER_EVENTS_PER_SEC:.0}"
+                "dispatch {} speedup {speedup:.2} below floor {MIN_DISPATCH_SPEEDUP}",
+                d.policy
             ));
         }
     }
-    num_at(&doc, &mut problems, "workers_available");
+    let eps = row(&report.replay, RmKind::Fifer).events_per_sec();
+    if eps < MIN_FIFER_EVENTS_PER_SEC {
+        problems.push(format!(
+            "Fifer replay {eps:.0} events/s below floor {MIN_FIFER_EVENTS_PER_SEC:.0}"
+        ));
+    }
     // the checkpoint round-trip must be bit-exact, and the end-to-end
     // Fifer wall-clock must stay under its ceiling
-    for field in [
-        "series_len",
-        "pretrain_ns",
-        "forecast_calls",
-        "forecast_ns_per_call",
-        "accuracy",
-        "warm_start.store_ns",
-        "warm_start.load_ns",
-    ] {
-        num_at(&doc, &mut problems, &format!("nn.{field}"));
+    let nn = &report.nn;
+    if !nn.bit_identical {
+        problems.push("nn warm-start forecasts are not bit-identical to cold start".into());
     }
-    match doc.path("nn.warm_start.bit_identical") {
-        Some(Json::Bool(true)) => {}
-        other => problems.push(format!(
-            "nn warm-start forecasts are not bit-identical to cold start (got {other:?})"
-        )),
-    }
-    let quick_run = matches!(doc.path("quick"), Some(Json::Bool(true)));
-    if let Some(e2e) = num_at(&doc, &mut problems, "nn.fifer_e2e_s") {
-        let ceiling = if quick_run {
-            MAX_NN_FIFER_E2E_QUICK_S
-        } else {
-            MAX_NN_FIFER_E2E_S
-        };
-        if e2e > ceiling {
-            problems.push(format!(
-                "nn end-to-end Fifer {e2e:.2} s above ceiling {ceiling} s"
-            ));
-        }
-    }
-    // utilization section: exact-accounting sanity per RM, then the
-    // harvesting headline claim against the Bline baseline
-    for kind in RmKind::ALL {
-        let [alloc, used, ..] = [
-            "alloc_core_hours",
-            "used_core_hours",
-            "waste_core_hours",
-            "harvested_core_hours",
-            "slo_violation_fraction",
-        ]
-        .map(|field| {
-            num_at(
-                &doc,
-                &mut problems,
-                &format!("utilization.rms.{kind}.{field}"),
-            )
-        });
-        if let (Some(alloc), Some(used)) = (alloc, used) {
-            // the integrals come from exact integer ledgers; used can
-            // never exceed allocated (auditor invariant), so a violation
-            // here means the accounting layer broke
-            if used > alloc {
-                problems.push(format!(
-                    "utilization {kind}: used {used:.3} core-h exceeds allocated {alloc:.3}"
-                ));
-            }
-        }
-    }
-    let at = |section: &str, rm: &str, field: &str| {
-        doc.path(&format!("{section}.rms.{rm}.{field}"))
-            .and_then(Json::as_f64)
-    };
-    let util = |rm: &str, field: &str| at("utilization", rm, field);
-    if let (Some(bw), Some(hw)) = (
-        util("Bline", "waste_core_hours"),
-        util("Harvest", "waste_core_hours"),
-    ) {
-        if hw > MAX_HARVEST_WASTE_VS_BLINE * bw {
-            problems.push(format!(
-                "Harvest waste {hw:.3} core-h above {MAX_HARVEST_WASTE_VS_BLINE} x Bline's {bw:.3}"
-            ));
-        }
-    }
-    if let (Some(bs), Some(hs)) = (
-        util("Bline", "slo_violation_fraction"),
-        util("Harvest", "slo_violation_fraction"),
-    ) {
-        if hs > bs + MAX_HARVEST_SLO_DELTA {
-            problems.push(format!(
-                "Harvest SLO violation fraction {hs:.4} exceeds Bline's {bs:.4} + {MAX_HARVEST_SLO_DELTA}"
-            ));
-        }
-    }
-    // wild section: every RM has a row, then the hybrid-histogram claim
-    // (no more cold starts than Bline at bounded memory-time)
-    for kind in RmKind::ALL {
-        for field in [
-            "jobs",
-            "cold_starts",
-            "blocking_cold_starts",
-            "avg_containers",
-            "slo_violation_fraction",
-        ] {
-            num_at(&doc, &mut problems, &format!("wild.rms.{kind}.{field}"));
-        }
-    }
-    let wild = |rm: &str, field: &str| at("wild", rm, field);
-    if let (Some(bc), Some(hc)) = (
-        wild("Bline", "cold_starts"),
-        wild("HybridHist", "cold_starts"),
-    ) {
-        if hc > MAX_WILD_HH_COLD_VS_BLINE * bc {
-            problems.push(format!(
-                "wild HybridHist cold starts {hc:.0} above {MAX_WILD_HH_COLD_VS_BLINE} x Bline's {bc:.0}"
-            ));
-        }
-        // equality is the signature of the policy going inert (the
-        // keep-alive window deriving below the idle-scan granularity
-        // makes HybridHist byte-identical to Bline): the hybrid
-        // histogram must actually buy cold starts, not just not lose
-        if hc >= bc {
-            problems.push(format!(
-                "wild HybridHist cold starts {hc:.0} do not beat Bline's {bc:.0} — keep-alive policy inert"
-            ));
-        }
-    }
-    if let (Some(bm), Some(hm)) = (
-        wild("Bline", "avg_containers"),
-        wild("HybridHist", "avg_containers"),
-    ) {
-        // full runs only: the 100 s quick horizon is dominated by the
-        // histogram warm-up transient (keep-alive windows derived from a
-        // handful of samples hold early containers for a large fraction
-        // of the short run); at the 600 s horizon the ratio settles near
-        // 1x, which is what this ceiling bounds
-        if !quick_run && hm > MAX_WILD_HH_MEMTIME_VS_BLINE * bm {
-            problems.push(format!(
-                "wild HybridHist memory-time {hm:.1} above {MAX_WILD_HH_MEMTIME_VS_BLINE} x Bline's {bm:.1}"
-            ));
-        }
-    }
-    if problems.is_empty() {
-        Ok(())
+    let ceiling = if report.quick {
+        MAX_NN_FIFER_E2E_QUICK_S
     } else {
-        Err(problems)
+        MAX_NN_FIFER_E2E_S
+    };
+    if nn.fifer_e2e_s > ceiling {
+        problems.push(format!(
+            "nn end-to-end Fifer {:.2} s above ceiling {ceiling} s",
+            nn.fifer_e2e_s
+        ));
     }
+    // the integrals come from exact integer ledgers; used can never
+    // exceed allocated (auditor invariant), so a violation here means the
+    // accounting layer broke
+    for (rm, ReplayRow { util: u, .. }) in &report.replay {
+        if u.used_core_hours > u.alloc_core_hours {
+            problems.push(format!(
+                "utilization {rm}: used {:.3} core-h exceeds allocated {:.3}",
+                u.used_core_hours, u.alloc_core_hours
+            ));
+        }
+    }
+    problems.extend(claims::harvest_cuts_waste(
+        &row(&report.replay, RmKind::Bline).util,
+        &row(&report.replay, RmKind::Harvest).util,
+    ));
+    problems.extend(claims::hybridhist_saves_cold_starts(
+        row(&report.wild, RmKind::Bline),
+        row(&report.wild, RmKind::HybridHist),
+    ));
+    problems
 }
 
 fn usage(msg: &str) -> ! {
@@ -834,4 +671,268 @@ fn usage(msg: &str) -> ! {
         "usage: bench [--quick] [--validate] [--depth N] [--reps N] [--out FILE] [--model-cache DIR]"
     );
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn utilization(alloc: f64, used: f64, slo: f64, leases: u64) -> Utilization {
+        Utilization {
+            alloc_core_hours: alloc,
+            used_core_hours: used,
+            harvested_core_hours: 0.04,
+            slo_violation_fraction: slo,
+            harvest_spawns: leases,
+            leases_created: leases,
+            leases_ended: leases / 2,
+            containers_preempted: leases / 4,
+        }
+    }
+
+    fn replay_row(rm: RmKind, replay_s: f64, util: Utilization) -> (RmKind, ReplayRow) {
+        let row = ReplayRow {
+            warm: WarmStart::NotApplicable,
+            pretrain_s: 0.0,
+            replay_s,
+            events: 1_000_000,
+            peak_queue_depth: 215,
+            jobs: 227_742,
+            util,
+        };
+        (rm, row)
+    }
+
+    fn wild_row(cold_starts: u64, avg_containers: f64) -> WildRow {
+        WildRow {
+            jobs: 9905,
+            cold_starts,
+            blocking_cold_starts: cold_starts,
+            avg_containers,
+            slo_violation_fraction: 0.0104,
+            median_ms: 302.277,
+            p99_ms: 1659.5214,
+        }
+    }
+
+    /// A quick-run report that passes every check, with the rows the
+    /// checks read.
+    fn fixture() -> Report {
+        Report {
+            quick: true,
+            workers_available: 2,
+            depth: 10_000,
+            reps: 3,
+            dispatch: vec![DispatchRow {
+                policy: "lsf",
+                indexed_ns: 2_500_000,
+                linear_ns: 120_000_000,
+            }],
+            replay_horizon_s: 1200.0,
+            replay: vec![
+                replay_row(RmKind::Bline, 0.25, utilization(28.39, 4.07, 0.0103, 0)),
+                replay_row(RmKind::Fifer, 0.5, utilization(24.12, 3.76, 0.0, 0)),
+                replay_row(RmKind::Harvest, 0.4, utilization(18.54, 4.15, 0.0111, 340)),
+            ],
+            nn: NnRow {
+                series_len: 152,
+                pretrain_ns: 1_090_000_000,
+                forecast_calls: 120,
+                forecast_ns_per_call: 25_608.4,
+                accuracy: 0.8962,
+                store_ns: 270_000,
+                load_ns: 250_000,
+                bit_identical: true,
+                fifer_e2e_s: 1.43,
+            },
+            wild: vec![
+                (RmKind::Bline, wild_row(351, 16.229106)),
+                (RmKind::HybridHist, wild_row(327, 16.343907)),
+            ],
+        }
+    }
+
+    fn row_mut<T>(rows: &mut [(RmKind, T)], rm: RmKind) -> &mut T {
+        let (_, row) = rows.iter_mut().find(|(kind, _)| *kind == rm).unwrap();
+        row
+    }
+
+    #[test]
+    fn render_json_pins_the_documents_bytes() {
+        let expected = r#"{
+  "bench": "simulator",
+  "quick": true,
+  "workers_available": 2,
+  "dispatch": {
+    "depth": 10000,
+    "reps": 3,
+    "policies": {
+      "lsf": { "indexed_ns": 2500000, "linear_ns": 120000000, "speedup": 48.00 }
+    }
+  },
+  "replay": {
+    "trace": "wiki",
+    "mix": "heavy",
+    "horizon_s": 1200,
+    "rms": {
+      "Bline": { "wall_clock_s": 0.250, "pretrain_s": 0.000, "replay_s": 0.250, "warm_start": "n/a", "events_processed": 1000000, "events_per_sec": 4000000, "peak_queue_depth": 215, "jobs": 227742, "slo_violation_fraction": 0.010300 },
+      "Fifer": { "wall_clock_s": 0.500, "pretrain_s": 0.000, "replay_s": 0.500, "warm_start": "n/a", "events_processed": 1000000, "events_per_sec": 2000000, "peak_queue_depth": 215, "jobs": 227742, "slo_violation_fraction": 0.000000 },
+      "Harvest": { "wall_clock_s": 0.400, "pretrain_s": 0.000, "replay_s": 0.400, "warm_start": "n/a", "events_processed": 1000000, "events_per_sec": 2500000, "peak_queue_depth": 215, "jobs": 227742, "slo_violation_fraction": 0.011100 }
+    }
+  },
+  "nn": {
+    "model": "lstm",
+    "series_len": 152,
+    "pretrain_ns": 1090000000,
+    "forecast_calls": 120,
+    "forecast_ns_per_call": 25608,
+    "accuracy": 0.896200,
+    "warm_start": { "store_ns": 270000, "load_ns": 250000, "bit_identical": true },
+    "fifer_e2e_s": 1.430
+  },
+  "utilization": {
+    "rms": {
+      "Bline": { "alloc_core_hours": 28.390000, "used_core_hours": 4.070000, "waste_core_hours": 24.320000, "harvested_core_hours": 0.040000, "slo_violation_fraction": 0.010300, "harvest_spawns": 0, "leases_created": 0, "leases_ended": 0, "containers_preempted": 0 },
+      "Fifer": { "alloc_core_hours": 24.120000, "used_core_hours": 3.760000, "waste_core_hours": 20.360000, "harvested_core_hours": 0.040000, "slo_violation_fraction": 0.000000, "harvest_spawns": 0, "leases_created": 0, "leases_ended": 0, "containers_preempted": 0 },
+      "Harvest": { "alloc_core_hours": 18.540000, "used_core_hours": 4.150000, "waste_core_hours": 14.390000, "harvested_core_hours": 0.040000, "slo_violation_fraction": 0.011100, "harvest_spawns": 340, "leases_created": 340, "leases_ended": 170, "containers_preempted": 85 }
+    }
+  },
+  "wild": {
+    "workload": "azure",
+    "horizon_s": 600,
+    "apps": 32,
+    "tail_exponent": 1.5,
+    "total_rate": 20,
+    "rms": {
+      "Bline": { "jobs": 9905, "cold_starts": 351, "blocking_cold_starts": 351, "avg_containers": 16.229106, "slo_violation_fraction": 0.010400, "median_ms": 302.277, "p99_ms": 1659.521 },
+      "HybridHist": { "jobs": 9905, "cold_starts": 327, "blocking_cold_starts": 327, "avg_containers": 16.343907, "slo_violation_fraction": 0.010400, "median_ms": 302.277, "p99_ms": 1659.521 }
+    }
+  }
+}
+"#;
+        assert_eq!(render_json(&fixture()), expected);
+    }
+
+    #[test]
+    fn the_fixture_passes_every_check() {
+        assert_eq!(validate(&fixture()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_non_finite_number_fails() {
+        let mut report = fixture();
+        row_mut(&mut report.replay, RmKind::Bline).replay_s = 0.0;
+        report.nn.accuracy = f64::NAN;
+        assert_eq!(
+            validate(&report),
+            [
+                r#"line 17: "events_per_sec" is inf, not a finite number"#,
+                r#"line 28: "accuracy" is NaN, not a finite number"#,
+            ]
+        );
+    }
+
+    #[test]
+    fn a_slow_indexed_dispatch_fails() {
+        let mut report = fixture();
+        report.dispatch[0].indexed_ns = 100_000_000;
+        assert_eq!(
+            validate(&report),
+            ["dispatch lsf speedup 1.20 below floor 1.5"]
+        );
+    }
+
+    #[test]
+    fn a_slow_fifer_replay_fails() {
+        let mut report = fixture();
+        row_mut(&mut report.replay, RmKind::Fifer).replay_s = 10.0;
+        assert_eq!(
+            validate(&report),
+            ["Fifer replay 100000 events/s below floor 200000"]
+        );
+    }
+
+    #[test]
+    fn a_warm_start_that_is_not_bit_identical_fails() {
+        let mut report = fixture();
+        report.nn.bit_identical = false;
+        assert_eq!(
+            validate(&report),
+            ["nn warm-start forecasts are not bit-identical to cold start"]
+        );
+    }
+
+    #[test]
+    fn the_end_to_end_ceiling_follows_the_mode() {
+        let mut report = fixture();
+        report.nn.fifer_e2e_s = 3.5;
+        assert_eq!(
+            validate(&report),
+            ["nn end-to-end Fifer 3.50 s above ceiling 3.3 s"]
+        );
+        report.quick = false;
+        assert_eq!(validate(&report), Vec::<String>::new());
+        report.nn.fifer_e2e_s = 41.0;
+        assert_eq!(
+            validate(&report),
+            ["nn end-to-end Fifer 41.00 s above ceiling 40 s"]
+        );
+    }
+
+    #[test]
+    fn used_above_allocated_fails() {
+        let mut report = fixture();
+        row_mut(&mut report.replay, RmKind::Fifer)
+            .util
+            .used_core_hours = 25.0;
+        assert_eq!(
+            validate(&report),
+            ["utilization Fifer: used 25.000 core-h exceeds allocated 24.120"]
+        );
+    }
+
+    #[test]
+    fn harvest_waste_near_blines_fails() {
+        let mut report = fixture();
+        row_mut(&mut report.replay, RmKind::Harvest)
+            .util
+            .alloc_core_hours = 26.5;
+        assert_eq!(
+            validate(&report),
+            ["Harvest waste 22.350 core-h above 0.9 x Bline's 24.320"]
+        );
+    }
+
+    #[test]
+    fn harvest_slo_cost_fails() {
+        let mut report = fixture();
+        row_mut(&mut report.replay, RmKind::Harvest)
+            .util
+            .slo_violation_fraction = 0.025;
+        assert_eq!(
+            validate(&report),
+            ["Harvest SLO violation fraction 0.0250 exceeds Bline's 0.0103 + 0.01"]
+        );
+    }
+
+    #[test]
+    fn an_inert_keep_alive_policy_fails() {
+        let mut report = fixture();
+        row_mut(&mut report.wild, RmKind::HybridHist).cold_starts = 351;
+        assert_eq!(
+            validate(&report),
+            ["wild HybridHist cold starts 351 do not beat Bline's 351 — keep-alive policy inert"]
+        );
+    }
+
+    #[test]
+    fn hybridhist_memory_time_past_its_bound_fails() {
+        let mut report = fixture();
+        // the 100 s wild scenario's quick-run figure
+        row_mut(&mut report.wild, RmKind::HybridHist).avg_containers = 61.2;
+        assert_eq!(
+            validate(&report),
+            ["wild HybridHist memory-time 61.2 above 1.5 x Bline's 16.2"]
+        );
+    }
 }

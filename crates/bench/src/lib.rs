@@ -7,8 +7,8 @@
 //! each artifact as an aligned table and writes CSV series into
 //! `results/`.
 
+pub mod claims;
 pub mod figures;
-pub mod json;
 pub mod perf;
 pub mod plots;
 pub mod pool;

@@ -226,7 +226,8 @@ impl<'a> Simulation<'a> {
             alloc_core_hours: util.alloc_core_hours,
             used_core_hours: util.used_core_hours,
             harvested_core_hours: util.harvested_core_hours,
-            harvest_spawns: self.harvest_spawns,
+            // every harvest spawn opens exactly one lease
+            harvest_spawns: self.leases_created,
             leases_created: self.leases_created,
             leases_ended: self.leases_ended,
             lease_parts_reclaimed: self.lease_parts_reclaimed,

@@ -126,10 +126,11 @@ pub struct SimConfig {
     pub faults: FaultPlan,
     /// Run the invariant auditor at every event-commit point (the
     /// `audit` module): conservation of tasks, slot/memory accounting,
-    /// trace-counter reconciliation. Read-only — violations are collected
-    /// into [`SimResult::audit_violations`](crate::SimResult), never
-    /// panicked mid-run — so enabling it does not perturb the simulation.
-    /// Off by default; the test suite switches it on.
+    /// dispatch safety, the pod count and the harvest-lease balance.
+    /// Read-only — violations are collected into
+    /// [`SimResult::audit_violations`](crate::SimResult), never panicked
+    /// mid-run — so enabling it does not perturb the simulation. Off by
+    /// default; the test suite switches it on.
     pub audit: bool,
 }
 

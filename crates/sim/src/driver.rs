@@ -127,9 +127,9 @@ pub struct Simulation<'a> {
     // harvesting
     /// Live harvest leases (borrower → lender parts).
     pub(crate) ledger: crate::harvest::HarvestLedger,
-    /// Containers spawned on lease backing instead of primary allocation.
-    pub(crate) harvest_spawns: u64,
-    /// Harvest leases opened.
+    /// Harvest leases opened: one per container spawned on lease backing
+    /// instead of primary allocation, so it is also the harvest-spawn
+    /// count.
     pub(crate) leases_created: u64,
     /// Harvest leases fully dissolved or reclaimed.
     pub(crate) leases_ended: u64,
@@ -251,7 +251,6 @@ impl<'a> Simulation<'a> {
             node_down_depth: vec![0; cfg.cluster.nodes],
             in_transition: 0,
             ledger: crate::harvest::HarvestLedger::default(),
-            harvest_spawns: 0,
             leases_created: 0,
             leases_ended: 0,
             lease_parts_reclaimed: 0,

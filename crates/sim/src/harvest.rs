@@ -128,7 +128,6 @@ impl Simulation<'_> {
         }
         self.cluster.borrow(node, request, now);
         self.cluster.place(node, ResourceVec::ZERO, now);
-        self.harvest_spawns += 1;
         self.leases_created += 1;
         let num_parts = parts.len();
         let shape = crate::lifecycle::SpawnShape {

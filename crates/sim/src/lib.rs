@@ -17,8 +17,8 @@
 //!   monitor (§4.2),
 //! * [`energy`] — the linear node power model and power-off accounting
 //!   (§6.1.4),
-//! * [`stats_store`] — the MongoDB stand-in with §6.1.5 access-latency
-//!   accounting,
+//! * [`stats_store`] — the MongoDB stand-in: it counts store reads and
+//!   writes; its §6.1.5 access latency is reported, not charged,
 //! * [`driver`] — the discrete-event loop and the policy hook call sites:
 //!   it snapshots read-only views, collects the
 //!   [`ResourceManager`](fifer_core::policy::ResourceManager)'s typed

@@ -79,7 +79,8 @@ pub struct SimResult {
     /// core-hours — demand served from idle headroom instead of fresh
     /// allocation. 0 with harvesting disabled.
     pub harvested_core_hours: f64,
-    /// Containers spawned on harvest-lease backing.
+    /// Containers spawned on harvest-lease backing. Each opens one lease,
+    /// so this equals `leases_created`.
     pub harvest_spawns: u64,
     /// Harvest leases opened.
     pub leases_created: u64,

@@ -1,4 +1,4 @@
-//! Replay a bursty WITS-like arrival trace under all five resource
+//! Replay a bursty WITS-like arrival trace under all seven resource
 //! managers and compare the paper's headline metrics side by side
 //! (the §6.2 trace-driven study, scaled to run in seconds).
 //!
